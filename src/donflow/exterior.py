@@ -162,13 +162,6 @@ def form2_matrix(w):
     return np.stack(rows, axis=-2)
 
 
-def matrix_form2(p):
-    """Inverse of :func:`form2_matrix` (no antisymmetry check)."""
-    p = np.asarray(p)
-    return np.stack([p[..., 0, 1], p[..., 0, 2], p[..., 0, 3],
-                     p[..., 2, 3], p[..., 3, 1], p[..., 1, 2]], axis=-1)
-
-
 def pfaffian(w):
     """Pfaffian of the component matrix: c01*c23 + c02*c31 + c03*c12."""
     w = np.asarray(w)
@@ -411,18 +404,20 @@ def star_rho2(w, rho, g=None, u_floor=U_FLOOR):
 
 
 def star_rho3(f, rho, g=None, u_floor=U_FLOOR):
-    """rho-twisted Hodge star on 3-forms, via the metric g_rho.
+    """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho, g).
 
-    Satisfies star_rho3(star_rho1(l)) = -l.
+    Closed form -P G^{-1} P^T (W13_SIGN f) / pf(rho), with P the component
+    matrix of rho and G^{-1} = Id when g is None: g_rho = P G^{-1} P^T / u
+    has the volume form of g, and u vol(g) = pf(rho).  Since P^T y is the
+    contraction of rho with y, and -P z that of rho with z, no matrix is
+    built.  Satisfies star_rho3(star_rho1(l)) = -l.
     """
-    gm = g_rho(rho, g, u_floor)
-    return hodge3(gm, f) if g is not None else _hodge3_unit_vol(gm, f)
-
-
-def _hodge3_unit_vol(gm, f):
-    # hodge3 for a metric known to have unit volume (saves the det)
-    y = W13_SIGN * np.asarray(f)
-    return -np.einsum("...ij,...j->...i", gm, y)
+    rho = np.asarray(rho)
+    _require_u(u_of(rho, g), u_floor)
+    y = interior2(W13_SIGN * np.asarray(f), rho)
+    if g is not None:
+        y = np.linalg.solve(np.asarray(g), y[..., None])[..., 0]
+    return interior2(y, rho) / pfaffian(rho)[..., None]
 
 
 def theta_point(rho, g=None, u_floor=U_FLOOR):

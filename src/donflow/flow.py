@@ -70,10 +70,6 @@ class RunResult:
     snapshot_paths: list
 
 
-def u_field(rho):
-    return ext.u_of(rho)
-
-
 def check_admissible(rho, u_floor=U_FLOOR):
     """Raise DegenerateForm (with the first offending site) if u <= u_floor."""
     u = ext.u_of(rho)

@@ -5,14 +5,16 @@ Fields are plain numpy arrays over an n^4 lattice in lexicographic
 size 1/4/6/4/1 for degrees 0..4 in the component conventions of
 :mod:`donflow.exterior`.  Scalars and 4-forms drop the trailing axis.
 
-Two derivative schemes share every code path downstream:
-
-* ``spectral`` -- Fourier multipliers ``2 pi i k`` (Nyquist mode zeroed so
-  odd derivatives of real fields stay real and antisymmetric),
-* ``fd2`` -- second order central differences via periodic rolls.
-
-Both have translation invariant symbols, so d o d = 0 to round-off and the
-per-component mean of any derivative vanishes identically.
+Every linear operator is a Fourier multiplier between one real transform
+``numpy.fft.rfftn`` over the lattice axes (components batched) and one
+``irfftn``.  d on degree k is a table of entries ``(out, in, axis, sign)``,
+``e_axis ^ E_in = sign * E_out``, derived from the basis permutation signs
+and applied with the symbol ``i b(k_axis)``; ``delta2`` is its adjoint.
+The schemes differ only in b: ``spectral`` has b(k) = 2 pi k and ``fd2``
+b(k) = n sin(2 pi k / n), the central-difference symbol.  Both zero the
+Nyquist entry, so derivatives of real fields are real, and both vanish at
+k = 0 and are translation invariant, so d o d = 0 and the per-component
+mean of any derivative vanishes, each to round-off.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ from functools import cached_property
 
 import numpy as np
 
-from donflow.exterior import W13_SIGN
+from donflow.exterior import IDX2, IDX3, W13_SIGN
 
 SCHEMES = ("spectral", "fd2")
 
 FORM_COMPS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+
+# index tuples of the basis of each degree, in component order
+_BASIS = (((),), ((0,), (1,), (2,), (3,)), IDX2, IDX3, ((0, 1, 2, 3),))
+
+# lattice axes of a component-first field
+_SPECTRAL_AXES = (1, 2, 3, 4)
 
 
 class NotExact(ValueError):
@@ -78,16 +86,16 @@ class Grid:
         b[np.abs(k) == self.n // 2] = 0.0
         return b
 
-    def axis_symbol(self, axis):
-        """Symbol of d/dx_axis shaped to broadcast over the lattice."""
-        shape = [1, 1, 1, 1]
-        shape[axis] = self.n
-        return self.symbol.reshape(shape)
+    @cached_property
+    def axis_symbols(self):
+        """b along each axis over the real-transform spectrum, each shaped
+        to broadcast against (n, n, n, n//2 + 1)."""
+        return _on_spectrum(self.symbol)
 
     @cached_property
     def laplace_symbol(self):
-        """Nonnegative symbol of -laplacian, shape (n,n,n,n)."""
-        return sum(self.axis_symbol(ax) ** 2 for ax in range(4))
+        """Nonnegative symbol of -laplacian, shape (n, n, n, n//2 + 1)."""
+        return sum(b ** 2 for b in self.axis_symbols)
 
     def coords(self):
         """Coordinate arrays x0..x3, each broadcastable to the lattice."""
@@ -106,95 +114,102 @@ class Grid:
         return out
 
 
-def partial(grid, f, axis):
-    """Periodic partial derivative along a lattice axis.
+def _on_spectrum(v):
+    """A per-axis array in fft order, laid along each axis of the real
+    transform's spectrum (the last axis keeps its first n//2 + 1 entries)."""
+    return [(v if ax < 3 else v[:v.size // 2 + 1]).reshape(
+        [-1 if a == ax else 1 for a in range(4)]) for ax in range(4)]
 
-    The last axis of ``f`` may be a component axis; ``axis`` always counts
-    the four lattice directions.
-    """
+
+def _to_spectrum(f):
+    """Real forward transform of a field, component axis first (scalars get
+    a length-one component axis)."""
     f = np.asarray(f)
-    if grid.scheme == "fd2":
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) * (0.5 * grid.n)
-    sym = grid.axis_symbol(axis)
-    if f.ndim == 5:
-        sym = sym[..., None]
-    fk = np.fft.fft(f, axis=axis)
-    return np.fft.ifft(1j * sym * fk, axis=axis).real
+    comps = np.moveaxis(f, -1, 0) if f.ndim == 5 else f[None]
+    return np.fft.rfftn(comps, axes=_SPECTRAL_AXES)
 
 
-def _partials(grid, f):
-    """All four axis derivatives of a (component) field, batched."""
-    return [partial(grid, f, ax) for ax in range(4)]
+def _from_spectrum(grid, fk):
+    """Inverse of :func:`_to_spectrum`; one component comes back as a scalar."""
+    out = np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES)
+    return out[0] if len(out) == 1 else np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def d0(grid, f):
-    """Exterior derivative of a 0-form, as a 1-form field."""
-    return np.stack(_partials(grid, f), axis=-1)
+def _multiply(grid, f, mult):
+    """Apply a real Fourier multiplier given over the real-transform spectrum."""
+    return _from_spectrum(grid, _to_spectrum(f) * mult)
 
 
-def d1(grid, lam):
-    """Exterior derivative of a 1-form, as a 2-form field."""
-    dl = _partials(grid, lam)      # dl[i][..., j] = partial_i lam_j
-    return np.stack([
-        dl[0][..., 1] - dl[1][..., 0],
-        dl[0][..., 2] - dl[2][..., 0],
-        dl[0][..., 3] - dl[3][..., 0],
-        dl[2][..., 3] - dl[3][..., 2],
-        dl[3][..., 1] - dl[1][..., 3],
-        dl[1][..., 2] - dl[2][..., 1],
-    ], axis=-1)
+def _derivative(grid, f, table, ncomp):
+    """Apply a first order operator given as (out, in, axis, sign) entries:
+    out_o = sum of sign * d/dx_axis in_i, with the scheme's symbol."""
+    fk = _to_spectrum(f)
+    out = np.zeros((ncomp,) + fk.shape[1:], dtype=complex)
+    for o, i, axis, sign in table:
+        out[o] += (sign * 1j * grid.axis_symbols[axis]) * fk[i]
+    return _from_spectrum(grid, out)
 
 
-def d2(grid, w):
-    """Exterior derivative of a 2-form, as a 3-form field."""
-    dw = _partials(grid, w)        # dw[i][..., J] = partial_i w_J
-    return np.stack([
-        dw[1][..., 3] + dw[2][..., 4] + dw[3][..., 5],
-        dw[0][..., 3] - dw[2][..., 2] + dw[3][..., 1],
-        -dw[0][..., 4] - dw[1][..., 2] + dw[3][..., 0],
-        dw[0][..., 5] - dw[1][..., 1] + dw[2][..., 0],
-    ], axis=-1)
+def _parity(idx):
+    return sum(a > b for pos, a in enumerate(idx) for b in idx[pos + 1:]) % 2
 
 
-def d3(grid, f):
-    """Exterior derivative of a 3-form, as a 4-form coefficient field."""
-    return sum(W13_SIGN[i] * partial(grid, f[..., i], i) for i in range(4))
+def _d_table(k):
+    """Entries (out, in, axis, sign) of d on degree k, one for every basis
+    element E_in and axis outside it: e_axis ^ E_in = sign * E_out."""
+    src, dst = _BASIS[k], _BASIS[k + 1]
+    table = []
+    for i, idx in enumerate(src):
+        for axis in range(4):
+            if axis in idx:
+                continue
+            o = next(j for j, out in enumerate(dst) if set(out) == {axis, *idx})
+            sign = (-1) ** (_parity((axis,) + idx) + _parity(dst[o]))
+            table.append((o, i, axis, sign))
+    return tuple(table)
+
+
+D_TABLES = tuple(_d_table(k) for k in range(4))
+
+# the flat L2 adjoint of d1: transpose the table, and d/dx is antisymmetric
+DELTA2_TABLE = tuple((i, o, axis, -sign) for o, i, axis, sign in D_TABLES[1])
 
 
 def d(grid, fld, k):
     """Exterior derivative of a degree-k field."""
-    return (d0, d1, d2, d3)[k](grid, fld)
+    return _derivative(grid, fld, D_TABLES[k], FORM_COMPS[k + 1])
+
+
+def d0(grid, f):
+    """Exterior derivative of a 0-form, as a 1-form field."""
+    return d(grid, f, 0)
+
+
+def d1(grid, lam):
+    """Exterior derivative of a 1-form, as a 2-form field."""
+    return d(grid, lam, 1)
+
+
+def d2(grid, w):
+    """Exterior derivative of a 2-form, as a 3-form field."""
+    return d(grid, w, 2)
+
+
+def d3(grid, f):
+    """Exterior derivative of a 3-form, as a 4-form coefficient field."""
+    return d(grid, f, 3)
 
 
 def delta2(grid, w):
     """Formal adjoint of d1 in the flat component L2 pairing."""
-    dw = _partials(grid, w)
-    return np.stack([
-        dw[1][..., 0] + dw[2][..., 1] + dw[3][..., 2],
-        -dw[0][..., 0] + dw[2][..., 5] - dw[3][..., 4],
-        -dw[0][..., 1] - dw[1][..., 5] + dw[3][..., 3],
-        -dw[0][..., 2] + dw[1][..., 4] - dw[2][..., 3],
-    ], axis=-1)
-
-
-def fft4(f):
-    return np.fft.fftn(np.asarray(f), axes=(0, 1, 2, 3))
-
-
-def ifft4(fk):
-    return np.fft.ifftn(fk, axes=(0, 1, 2, 3)).real
+    return _derivative(grid, w, DELTA2_TABLE, 4)
 
 
 def inv_laplace(grid, f):
     """Inverse of the (scheme) Laplacian, zero on its kernel modes."""
-    f = np.asarray(f)
     sym = grid.laplace_symbol
-    if f.ndim == 5:
-        sym = sym[..., None]
-    fk = fft4(f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(sym > 0, fk / sym, 0.0)
-    return ifft4(out)
+    return _multiply(grid, f, np.divide(1.0, sym, out=np.zeros_like(sym),
+                                        where=sym > 0))
 
 
 def harmonic_projection(grid, f):
@@ -204,24 +219,13 @@ def harmonic_projection(grid, f):
     {0, n/2}; they span the kernel of d on each degree, with the constants
     as the k = 0 member.
     """
-    f = np.asarray(f)
-    mask1d = grid.axis_symbol(0).ravel() == 0.0
-    mask = (mask1d.reshape(-1, 1, 1, 1) & mask1d.reshape(1, -1, 1, 1)
-            & mask1d.reshape(1, 1, -1, 1) & mask1d.reshape(1, 1, 1, -1))
-    if f.ndim == 5:
-        mask = mask[..., None]
-    return ifft4(np.where(mask, fft4(f), 0.0))
+    return _multiply(grid, f, grid.laplace_symbol == 0)
 
 
 def dealias(grid, f):
     """Two-thirds rule truncation of a field's spectrum."""
-    f = np.asarray(f)
-    keep1d = np.abs(grid.freq) <= grid.n / 3.0
-    mask = (keep1d.reshape(-1, 1, 1, 1) & keep1d.reshape(1, -1, 1, 1)
-            & keep1d.reshape(1, 1, -1, 1) & keep1d.reshape(1, 1, 1, -1))
-    if f.ndim == 5:
-        mask = mask[..., None]
-    return ifft4(np.where(mask, fft4(f), 0.0))
+    k0, k1, k2, k3 = _on_spectrum(np.abs(grid.freq) <= grid.n / 3.0)
+    return _multiply(grid, f, k0 & k1 & k2 & k3)
 
 
 def integrate(grid, f4):
@@ -306,10 +310,7 @@ def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
 
     def apply_bt(w3):
         # transpose of apply_b through the wedge pairing with 3-forms
-        wf = W13_SIGN * w3
-        out_phi = -sum(partial(grid, wf[..., i], i) for i in range(4))
-        out_nu = harmonic_projection(grid, wf)
-        return out_phi, out_nu
+        return -d3(grid, w3), harmonic_projection(grid, W13_SIGN * w3)
 
     def normal_op(phi, nu):
         return apply_bt(_star1_apply(gdata, apply_b(phi, nu)))
@@ -375,13 +376,19 @@ def random_trig_field(rng, kmax, ncomp=1):
         modes.append(k)
     amps = rng.normal(size=(len(modes), ncomp))
     phases = rng.uniform(0, 2 * np.pi, size=(len(modes), ncomp))
+    # a cos(2 pi k.x + ph) = a/2 e^{i ph} e^{2 pi i k.x} + conjugate at -k
+    modes = np.array(modes, dtype=int).reshape(-1, 4)
+    half = 0.5 * amps * np.exp(1j * phases)
 
     def evaluate(grid):
-        xs = grid.coords()
-        out = np.zeros(grid.shape + (ncomp,))
-        for k, a, ph in zip(modes, amps, phases):
-            arg = 2 * np.pi * sum(int(k[i]) * xs[i] for i in range(4))
-            out += a * np.cos(arg[..., None] + ph)
+        n = grid.n
+        spec = np.zeros((n, n, n, n // 2 + 1, ncomp), dtype=complex)
+        # the real transform's half of the full spectrum; modes aliasing onto
+        # one lattice frequency add up, exactly as the sampled cosines do
+        for idx, amp in ((modes % n, half), (-modes % n, half.conj())):
+            kept = idx[:, 3] <= n // 2
+            np.add.at(spec, tuple(idx[kept].T), amp[kept])
+        out = np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2, 3), norm="forward")
         return out if ncomp > 1 else out[..., 0]
 
     return evaluate

@@ -1,11 +1,12 @@
-"""Brute-force oracles for the pointwise exterior algebra tests.
+"""Brute-force oracles for the exterior algebra and lattice tests.
 
 Everything here works on fully antisymmetric index tensors and enumerates
-permutations, so it shares no code (and no sign tables) with the package.
+permutations, or sums sampled cosines mode by mode, so it shares no code
+(and no sign tables) with the package.
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -113,3 +114,20 @@ def inner_tensor(g, t1, t2, k):
     """Metric inner product of two k-form tensors."""
     up = _raise_indices(np.linalg.inv(np.asarray(g)), t2, k)
     return float(np.tensordot(np.asarray(t1), up, axes=k)) / math.factorial(k)
+
+
+def trig_field_direct(rng, kmax, ncomp, n):
+    """Reference for ``lattice.random_trig_field(rng, kmax, ncomp)`` on the
+    n^4 lattice: the same draws (one mode per antipodal pair in lexicographic
+    order, then amplitudes, then phases), summed cosine by cosine."""
+    modes = [k for k in product(range(-kmax, kmax + 1), repeat=4)
+             if any(k) and next(c for c in k if c) > 0]
+    amps = rng.normal(size=(len(modes), ncomp))
+    phases = rng.uniform(0, 2 * np.pi, size=(len(modes), ncomp))
+    x = np.arange(n) / n
+    out = np.zeros((n,) * 4 + (ncomp,))
+    for k, a, ph in zip(modes, amps, phases):
+        arg = 2 * np.pi * (k[0] * x[:, None, None, None] + k[1] * x[:, None, None]
+                           + k[2] * x[:, None] + k[3] * x)
+        out += a * np.cos(arg[..., None] + ph)
+    return out

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from donflow import exterior as ext
 from donflow import lattice as lat
+import oracles as orc
 
 
 @pytest.fixture(params=["spectral", "fd2"])
@@ -47,6 +48,48 @@ def test_fd2_derivative_has_central_difference_symbol():
     df = lat.d0(g, f)
     fac = math.sin(2 * np.pi * g.h) / g.h
     assert_allclose(df[..., 0], fac * np.cos(2 * np.pi * x0), atol=1e-12)
+
+
+def _scheme_symbol(grid, k):
+    """b(k) of the scheme, written out independently of the package."""
+    if abs(k) == grid.n // 2:
+        return 0.0
+    if grid.scheme == "spectral":
+        return 2 * np.pi * k
+    return grid.n * math.sin(2 * np.pi * k / grid.n)
+
+
+@pytest.mark.parametrize("deg", range(4))
+@pytest.mark.parametrize("kvec", [(1, -2, 3, 2), (4, 1, 0, -3)])
+def test_d_of_plane_wave_matches_wedge_oracle(grid, rng, deg, kvec):
+    # d (cos(2 pi k.x) alpha) = -sin(2 pi k.x) (sum_a b(k_a) e_a) ^ alpha
+    xs = grid.coords()
+    phase = 2 * np.pi * sum(k * x for k, x in zip(kvec, xs)) + np.zeros(grid.shape)
+    ncomp = lat.FORM_COMPS[deg]
+    alpha = rng.normal(size=ncomp)
+    beta = np.array([_scheme_symbol(grid, k) for k in kvec])
+    wedge = orc.wedge_tensor(orc.form_to_tensor(beta, 1), 1,
+                             orc.form_to_tensor(alpha, deg), deg)
+    want = orc.tensor_to_form(wedge, deg + 1)
+    if deg == 0:
+        f = alpha[0] * np.cos(phase)
+    else:
+        f = np.cos(phase)[..., None] * alpha
+    expect = -np.sin(phase)[..., None] * want
+    got = lat.d(grid, f, deg)
+    assert_allclose(got, expect[..., 0] if deg == 3 else expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("deg", range(4))
+def test_d_of_last_axis_nyquist_mode_is_zero(grid, deg):
+    # the alternating mode on the axis the real transform halves
+    x3 = grid.coords()[3] + np.zeros(grid.shape)
+    wave = np.cos(np.pi * grid.n * x3)
+    ncomp = lat.FORM_COMPS[deg]
+    f = wave if deg == 0 else wave[..., None] * np.arange(1.0, ncomp + 1)
+    out = lat.d(grid, f, deg)
+    assert out.dtype == np.float64
+    assert np.all(out == 0.0)
 
 
 def _random_field(grid, rng, ncomp, kmax=2, amp=1.0):
@@ -123,6 +166,14 @@ def test_dealias_truncates_spectrum():
     f = np.cos(2 * np.pi * 2 * x0) + np.cos(2 * np.pi * 5 * x1)
     out = lat.dealias(g, f)
     assert_allclose(out, np.cos(2 * np.pi * 2 * x0), atol=1e-12)
+
+
+def test_random_trig_field_aliases_like_sampled_cosines():
+    # at n = 4 the modes +-2 of kmax = 2 both land on the Nyquist frequency
+    seed = 20240811
+    fn = lat.random_trig_field(np.random.Generator(np.random.Philox(seed)), 2, 4)
+    ref = orc.trig_field_direct(np.random.Generator(np.random.Philox(seed)), 2, 4, 4)
+    assert_allclose(fn(lat.Grid(4)), ref, atol=1e-13 * np.abs(ref).max())
 
 
 def test_random_trig_field_is_grid_independent(rng):
