@@ -24,6 +24,7 @@ from donflow import exterior as ext
 from donflow import flow
 from donflow import hyperkahler as hk
 from donflow import lattice as lat
+from donflow.checks import exact_direction, perturbed_omega1
 
 
 def main(argv=None):
@@ -42,11 +43,8 @@ def main(argv=None):
     rows = []
     for n in args.sizes:
         g = lat.Grid(n, args.scheme)
-        pert = lat.d1(g, rho_fn(g))
-        pert *= args.eps / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        mu = mu_fn(g)
-        mu *= 0.3 / np.abs(mu).max()
+        rho = perturbed_omega1(g, rho_fn, args.eps)
+        mu, rh = exact_direction(g, mu_fn, 0.3)
 
         r = flow.rhs(g, rho)
         grad_rel = (lat.l2_norm(g, hk.grad_hk(g, rho) + r)
@@ -59,7 +57,7 @@ def main(argv=None):
         star_rel = float(np.abs(lat.d2(g, ext.theta_point(rho))
                                 - ext.star_rho1(tot, rho)).max())
 
-        rep = hk.hessiancov_check(g, rho, lat.d1(g, mu), mu=mu)
+        rep = hk.hessiancov_check(g, rho, rh, mu=mu)
         rows.append({
             "n": n,
             "scheme": args.scheme,

@@ -45,29 +45,48 @@ def _rng(seed, idx):
     return np.random.Generator(np.random.Philox(1000 * int(seed) + idx))
 
 
-def _admissible(rng, batch, u_min=0.05, g=None):
+def random_rho(rng, batch=(), u_min=0.05, g=None):
+    """Random 2-forms of shape batch + (6,) with volume ratio above u_min
+    (for the metric g), resampling the entries that fall below it."""
     scale = 1.0 if g is None else np.sqrt(ext.vol_coeff(g))[..., None]
-    rho = scale * rng.uniform(-1.0, 1.0, size=(batch, 6))
+    rho = scale * rng.uniform(-1.0, 1.0, size=batch + (6,))
     for _ in range(500):
         bad = ext.u_of(rho, g) <= u_min
         if not bad.any():
             return rho
         rho = np.where(bad[..., None],
-                       scale * rng.uniform(-1.0, 1.0, size=(batch, 6)), rho)
+                       scale * rng.uniform(-1.0, 1.0, size=batch + (6,)), rho)
     raise RuntimeError("sampling admissible forms failed")
 
 
-def _spd(rng, batch, unit_vol=False):
-    m = rng.normal(size=(batch, 4, 4))
+def random_spd(rng, batch=(), unit_vol=False):
+    """Random symmetric positive definite 4x4 matrices of shape
+    batch + (4, 4), scaled to unit determinant if unit_vol."""
+    m = rng.normal(size=batch + (4, 4))
     g = np.einsum("...ki,...kj->...ij", m, m) + 0.4 * np.eye(4)
     if unit_vol:
         g = g / np.linalg.det(g)[..., None, None] ** 0.25
     return g
 
 
+def perturbed_omega1(grid, field, eps):
+    """omega1 plus d of the 1-form field ``field(grid)`` (a
+    ``random_trig_field`` closure), scaled to sup norm eps."""
+    pert = lat.d1(grid, field(grid))
+    pert *= eps / np.abs(pert).max()
+    return grid.constant(ext.OMEGA1) + pert
+
+
+def exact_direction(grid, field, amp):
+    """The 1-form ``field(grid)`` scaled to sup norm amp, and its d."""
+    mu = field(grid)
+    mu *= amp / np.abs(mu).max()
+    return mu, lat.d1(grid, mu)
+
+
 def _compatible(rng, batch):
     """Random compatible triples (omega, g, J) with g = omega(., J.)."""
-    g = _spd(rng, batch)
+    g = random_spd(rng, (batch,))
     w = ext.self_dual_basis(g)[..., 0, :]
     j = np.linalg.solve(ext.form2_matrix(w), g)
     return w, g, j
@@ -85,14 +104,14 @@ def suite_appendixA(seed, samples):
                        np.abs(det - u2).max(), 1e-9, b,
                        rel_scale=max(1.0, np.abs(u2).max())))
 
-    g = _spd(rng, b)
+    g = random_spd(rng, (b,))
     detg = np.linalg.det(ext.a_of(rho, g))
     u2g = ext.u_of(rho, g) ** 2
     out.append(_record("det_a_metric", "det(A) = u^2 (general metric)",
                        detg, u2g, np.abs(detg - u2g).max(), 1e-9, b,
                        rel_scale=max(1.0, np.abs(u2g).max())))
 
-    gu = _spd(rng, b, unit_vol=True)
+    gu = random_spd(rng, (b,), unit_vol=True)
     l = rng.normal(size=(b, 4))
     w = rng.normal(size=(b, 6))
     f = rng.normal(size=(b, 4))
@@ -128,7 +147,7 @@ def suite_appendixA(seed, samples):
                            np.abs(ext.hodge2(gc, wc) - wc).max()),
                        1e-9, b, rel_scale=max(1.0, np.abs(lhs).max())))
 
-    rho2 = _admissible(rng, b, 0.05, gc)
+    rho2 = random_rho(rng, (b,), 0.05, gc)
     gr = ext.g_rho(rho2, gc)
     u = ext.u_of(rho2, gc)
     scale = max(1.0, float(np.abs(gr).max()))
@@ -152,7 +171,7 @@ def suite_appendixA(seed, samples):
                        1.0, 1.0, max(e2, e3, e4, e5, e6, evol), 1e-9, b,
                        rel_scale=scale ** 2))
 
-    g0 = _spd(rng, b, unit_vol=True)
+    g0 = random_spd(rng, (b,), unit_vol=True)
     basis = ext.self_dual_basis(g0)
     grec = ext.metric_from_vol_and_plane(ext.vol_coeff(g0), basis)
     out.append(_record("metric_reconstruction",
@@ -186,7 +205,7 @@ def suite_theta(seed, samples):
     rng = _rng(seed, 1)
     b = int(samples)
     out = []
-    rho = _admissible(rng, b, 0.3)
+    rho = random_rho(rng, (b,), 0.3)
     u = ext.u_of(rho)
     th = ext.theta_point(rho)
     scale = max(1.0, float(np.abs(th).max() * np.abs(rho).max()))
@@ -236,7 +255,7 @@ def suite_hyperkahler(seed, samples, grid_n=8, scheme="spectral"):
     rng = _rng(seed, 2)
     b = int(samples)
     out = []
-    rho = _admissible(rng, b, 0.05)
+    rho = random_rho(rng, (b,), 0.05)
     u = ext.u_of(rho)
     k = hk.k_functions(rho)
     plus, minus = ext.sd_split(rho)
@@ -256,27 +275,19 @@ def suite_hyperkahler(seed, samples, grid_n=8, scheme="spectral"):
 
     g = lat.Grid(grid_n, scheme)
     gen = np.random.Generator(np.random.Philox(2000 * int(seed) + 5))
-    lam = lat.random_trig_field(gen, 2, 4)(g)
-    pert = lat.d1(g, lam)
-    pert *= 0.25 / np.abs(pert).max()
-    rho_f = g.constant(ext.OMEGA1) + pert
+    rho_f = perturbed_omega1(g, lat.random_trig_field(gen, 2, 4), 0.25)
     ea, eb = flow.energy(g, rho_f), hk.energy_hk(g, rho_f)
     out.append(_record("energy_cross", "conformal energy = moment-map energy",
                        ea, eb, abs(ea - eb), 1e-10, 1, grid_n, scheme,
                        rel_scale=abs(ea)))
-    mu = lat.random_trig_field(gen, 2, 4)(g)
-    mu *= 0.4 / np.abs(mu).max()
-    rh_f = lat.d1(g, mu)
+    _, rh_f = exact_direction(g, lat.random_trig_field(gen, 2, 4), 0.4)
     ha = flow.hessian_form(g, rho_f, rh_f)
     hb = hk.hessian_hk(g, rho_f, rh_f)
     out.append(_record("hessian_cross", "Hessian = moment-map Hessian",
                        ha, hb, abs(ha - hb), 1e-10, 1, grid_n, scheme,
                        rel_scale=max(1.0, abs(ha))))
 
-    lam2 = lat.random_trig_field(gen, 1, 4)(g)
-    pert2 = lat.d1(g, lam2)
-    pert2 *= 0.003 / np.abs(pert2).max()
-    rho_g = g.constant(ext.OMEGA1) + pert2
+    rho_g = perturbed_omega1(g, lat.random_trig_field(gen, 1, 4), 0.003)
     r = flow.rhs(g, rho_g)
     num = lat.l2_norm(g, hk.grad_hk(g, rho_g) + r)
     den = lat.l2_norm(g, r)
@@ -294,13 +305,11 @@ def suite_gradient(seed, samples, grid_n=8, scheme="spectral"):
     worst = 0.0
     last = (0.0, 0.0)
     for _ in range(pairs):
-        lam = lat.random_trig_field(gen, 2, 4)(g)
-        pert = lat.d1(g, lam)
-        pert *= gen.uniform(0.05, 0.3) / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        mu = lat.random_trig_field(gen, 2, 4)(g)
-        mu *= 0.4 / np.abs(mu).max()
-        rh = lat.d1(g, mu)
+        # the closure draws its modes before gen draws the amplitude;
+        # that order fixes the report
+        rho = perturbed_omega1(g, lat.random_trig_field(gen, 2, 4),
+                               gen.uniform(0.05, 0.3))
+        _, rh = exact_direction(g, lat.random_trig_field(gen, 2, 4), 0.4)
         lhs = flow.first_variation(g, rho, rh)
         rhs = -flow.donaldson_pairing(g, rh, flow.rhs(g, rho), rho)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
@@ -319,12 +328,9 @@ def suite_hessiancov(seed, samples, grid_n=8, scheme="spectral"):
     res = {}
     for n in sorted({int(grid_n), 12}):
         g = lat.Grid(n, scheme)
-        pert = lat.d1(g, rho_fn(g))
-        pert *= 0.1 / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        mu = mu_fn(g)
-        mu *= 0.3 / np.abs(mu).max()
-        rep = hk.hessiancov_check(g, rho, lat.d1(g, mu), mu=mu)
+        rho = perturbed_omega1(g, rho_fn, 0.1)
+        mu, rh = exact_direction(g, mu_fn, 0.3)
+        rep = hk.hessiancov_check(g, rho, rh, mu=mu)
         res[n] = rep
         out.append(_record(f"covariant_ledger_n{n}",
                            "A + B + C + D = 2E for the Hessian ledger",

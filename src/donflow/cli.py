@@ -2,26 +2,29 @@
 
 Exit codes: 0 success (and all checks passed), 1 configuration error,
 2 degeneracy or step failure (with a diagnostic JSON) or failed checks.
-
-Thread count must be pinned before numpy loads its BLAS, so this module
-imports the numerics lazily inside main().
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from donflow import checks
+from donflow import flow
+from donflow import lattice as lat
+from donflow.config import ConfigError, RunConfig, load_config, save_template
+from donflow.exterior import DegenerateForm, U_FLOOR, norm2_sq, u_of
+from donflow.snapshots import load_snapshot
 
 
 def _parser():
     p = argparse.ArgumentParser(
         prog="donflow",
         description="Donaldson geometric flow simulator on the flat four-torus")
-    p.add_argument("--threads", type=int, default=None,
-                   help="pin BLAS/OpenMP thread count")
     sub = p.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -49,8 +52,6 @@ def _parser():
 
 
 def _load_config(args):
-    from donflow.config import RunConfig, load_config
-
     cfg = load_config(args.config) if args.config else RunConfig().validate()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
@@ -60,9 +61,6 @@ def _load_config(args):
 
 
 def _cmd_run(args):
-    from donflow import flow
-    from donflow.exterior import DegenerateForm
-
     cfg = _load_config(args)
     try:
         result = flow.run(cfg)
@@ -77,8 +75,6 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
-    from donflow import checks
-
     cfg = _load_config(args)
     try:
         records, ok = checks.run_suites(cfg.check_suite, cfg.seed, cfg.samples)
@@ -105,13 +101,6 @@ def _cmd_check(args):
 
 
 def _cmd_hessian(args):
-    import numpy as np
-
-    from donflow import flow
-    from donflow import lattice as lat
-    from donflow.exterior import DegenerateForm, U_FLOOR, norm2_sq, u_of
-    from donflow.snapshots import load_snapshot
-
     cfg = _load_config(args)
     grid, rho, time, _ = load_snapshot(args.snapshot)
     u_min = float(u_of(rho).min())
@@ -159,8 +148,6 @@ def _cmd_hessian(args):
 
 
 def _cmd_init(args):
-    from donflow.config import save_template
-
     save_template(args.config)
     print(f"wrote template configuration to {args.config}")
     return 0
@@ -168,10 +155,6 @@ def _cmd_init(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -181,13 +164,9 @@ def main(argv=None):
             return _cmd_hessian(args)
         if args.command == "init":
             return _cmd_init(args)
-    except Exception as err:  # config errors exit 1 with the offending key
-        from donflow.config import ConfigError
-
-        if isinstance(err, ConfigError):
-            print(f"donflow: configuration error: {err}", file=sys.stderr)
-            return 1
-        raise
+    except ConfigError as err:  # exit 1 with the offending key
+        print(f"donflow: configuration error: {err}", file=sys.stderr)
+        return 1
     return 1
 
 

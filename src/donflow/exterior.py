@@ -185,7 +185,7 @@ def form2_matrix_inv(w, pf=None):
 # metrics and Hodge stars
 # ---------------------------------------------------------------------------
 
-def make_metric(mat, tol=1e-12):
+def make_metric(mat):
     """Validate and symmetrize a metric matrix.
 
     Raises NonPositiveMetric unless every instance is symmetric positive
@@ -195,7 +195,7 @@ def make_metric(mat, tol=1e-12):
     if mat.shape[-2:] != (4, 4):
         raise NonPositiveMetric(f"expected trailing 4x4 matrix, got {mat.shape}")
     sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    if not np.allclose(mat, sym, rtol=0, atol=tol * (1 + np.abs(mat).max())):
+    if not np.allclose(mat, sym, rtol=0, atol=1e-12 * (1 + np.abs(mat).max())):
         raise NonPositiveMetric("metric matrix is not symmetric")
     for k in range(1, 5):
         minors = np.linalg.det(sym[..., :k, :k])
@@ -341,24 +341,38 @@ def a_of(rho, g=None):
     return np.linalg.solve(np.broadcast_to(np.asarray(g), pt.shape), pt)
 
 
-def _require_u(u, floor=U_FLOOR):
-    if np.any(u <= floor):
-        bad = np.argwhere(np.atleast_1d(u) <= floor)
+def require_u(u):
+    """Return the volume ratio u; raise DegenerateForm, naming the first
+    offending index, where u <= U_FLOOR."""
+    if np.any(u <= U_FLOOR):
+        bad = np.argwhere(np.atleast_1d(u) <= U_FLOOR)
         first = tuple(int(i) for i in bad[0])
         raise DegenerateForm(
-            f"volume ratio u <= {floor:g} at {bad.shape[0]} point(s), "
+            f"volume ratio u <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
             f"first index {first}, u_min = {np.min(u):.3e}")
+    return u
 
 
-def g_rho(rho, g=None, u_floor=U_FLOOR):
+def require_pf(pf):
+    """Return the Pfaffian pf; raise DegenerateForm, naming the first
+    offending index, where |pf| <= U_FLOOR (rho ^ rho vanishes)."""
+    if np.any(np.abs(pf) <= U_FLOOR):
+        bad = np.argwhere(np.abs(np.atleast_1d(pf)) <= U_FLOOR)
+        first = tuple(int(i) for i in bad[0])
+        raise DegenerateForm(
+            f"Pfaffian |pf| <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
+            f"first index {first}, min |pf| = {np.min(np.abs(pf)):.3e}")
+    return pf
+
+
+def g_rho(rho, g=None):
     """The unique metric with the volume form of g whose self-dual forms are
     the R^rho image of the self-dual forms of g.
 
-    Computed as g_rho(v, w) = u^{-1} g(Av, Aw); requires u > u_floor.
+    Computed as g_rho(v, w) = u^{-1} g(Av, Aw); requires u > U_FLOOR.
     """
     rho = np.asarray(rho)
-    u = u_of(rho, g)
-    _require_u(u, u_floor)
+    u = require_u(u_of(rho, g))
     a = a_of(rho, g)
     if g is None:
         gram = np.einsum("...ki,...kj->...ij", a, a)
@@ -367,43 +381,39 @@ def g_rho(rho, g=None, u_floor=U_FLOOR):
     return gram / u[..., None, None]
 
 
-def r_rho(w, rho, u_floor=U_FLOOR):
+def r_rho(w, rho):
     """Wedge-preserving involution R w = w - (w^rho / dvol_rho) rho.
 
     Sends rho to -rho and fixes the wedge-orthogonal complement of rho.
     Metric independent; requires rho ^ rho != 0.
     """
     w, rho = np.asarray(w), np.asarray(rho)
-    pf = pfaffian(rho)
-    if np.any(np.abs(pf) <= u_floor):
-        raise DegenerateForm("rho ^ rho vanishes: R^rho undefined")
+    pf = require_pf(pfaffian(rho))
     coeff = wedge22(w, rho) / pf
     return w - coeff[..., None] * rho
 
 
-def star_rho1(l, rho, g=None, u_floor=U_FLOOR):
+def star_rho1(l, rho, g=None):
     """rho-twisted Hodge star on 1-forms: rho ^ star(rho ^ l) / u.
 
     Agrees with the Hodge star of g_rho(rho, g).
     """
     rho = np.asarray(rho)
-    u = u_of(rho, g)
-    _require_u(u, u_floor)
+    u = require_u(u_of(rho, g))
     inner = star3_flat(wedge12(l, rho)) if g is None else hodge3(g, wedge12(l, rho))
     return wedge12(inner, rho) / u[..., None]
 
 
-def star_rho2(w, rho, g=None, u_floor=U_FLOOR):
+def star_rho2(w, rho, g=None):
     """rho-twisted Hodge star on 2-forms: R star R, an involution."""
     rho = np.asarray(rho)
-    u = u_of(rho, g)
-    _require_u(u, u_floor)
-    rw = r_rho(w, rho, u_floor)
+    require_u(u_of(rho, g))
+    rw = r_rho(w, rho)
     srw = star2_flat(rw) if g is None else hodge2(g, rw)
-    return r_rho(srw, rho, u_floor)
+    return r_rho(srw, rho)
 
 
-def star_rho3(f, rho, g=None, u_floor=U_FLOOR):
+def star_rho3(f, rho, g=None):
     """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho, g).
 
     Closed form -P G^{-1} P^T (W13_SIGN f) / pf(rho), with P the component
@@ -413,73 +423,68 @@ def star_rho3(f, rho, g=None, u_floor=U_FLOOR):
     built.  Satisfies star_rho3(star_rho1(l)) = -l.
     """
     rho = np.asarray(rho)
-    _require_u(u_of(rho, g), u_floor)
+    require_u(u_of(rho, g))
     y = interior2(W13_SIGN * np.asarray(f), rho)
     if g is not None:
         y = np.linalg.solve(np.asarray(g), y[..., None])[..., 0]
     return interior2(y, rho) / pfaffian(rho)[..., None]
 
 
-def theta_point(rho, g=None, u_floor=U_FLOOR):
+def theta_point(rho, g=None):
     """The 2-form Theta = star(rho/u) - (|rho/u|^2 / 2) rho.
 
     Wedge-orthogonal to rho; vanishes exactly when rho is self-dual.
     """
     rho = np.asarray(rho)
-    u = u_of(rho, g)
-    _require_u(u, u_floor)
+    u = require_u(u_of(rho, g))
     srho = star2_flat(rho) if g is None else hodge2(g, rho)
     n2 = norm2_sq(rho, g)
     return srho / u[..., None] - (0.5 * n2 / u ** 2)[..., None] * rho
 
 
-def theta_dot_point(rho, rhohat, g=None, u_floor=U_FLOOR):
+def theta_dot_point(rho, rhohat, g=None):
     """Directional derivative of theta_point at rho in direction rhohat:
 
         (rhohat + star_rho rhohat) / u - |rho^+ / u|^2 rhohat.
     """
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    u = u_of(rho, g)
-    _require_u(u, u_floor)
+    u = require_u(u_of(rho, g))
     plus, _ = sd_split(rho, g)
-    srh = star_rho2(rhohat, rho, g, u_floor)
+    srh = star_rho2(rhohat, rho, g)
     coeff = norm2_sq(plus, g) / u ** 2
     return (rhohat + srh) / u[..., None] - coeff[..., None] * rhohat
 
 
-def j_rho(jmap, rho, u_floor=U_FLOOR):
+def j_rho(jmap, rho):
     """The unique linear map M with rho(M v, w) = rho(v, J w).
 
     M = (P J P^{-1})^T for P the component matrix of rho.
     """
     rho = np.asarray(rho)
-    pf = pfaffian(rho)
-    if np.any(np.abs(pf) <= u_floor):
-        raise DegenerateForm("rho degenerate: J^rho undefined")
+    pf = require_pf(pfaffian(rho))
     p = form2_matrix(rho)
     pinv = form2_matrix_inv(rho, pf)
     m = p @ np.asarray(jmap) @ pinv
     return np.swapaxes(m, -1, -2)
 
 
-def quaternion_triple(w1, w2, w3, u_floor=U_FLOOR):
+def quaternion_triple(w1, w2, w3):
     """Solve the cyclic relations w2(., J3 .) = w1, w3(., J1 .) = w2,
     w1(., J2 .) = w3 for the three linear maps (J1, J2, J3).
 
     When the inputs wedge-pairwise vanish and share a common square the
     outputs satisfy the quaternion relations Ji^2 = -1, Jj Jk = -Jk Jj = Ji.
     """
-    ps = [form2_matrix(np.asarray(w)) for w in (w1, w2, w3)]
     for w in (w1, w2, w3):
-        if np.any(np.abs(pfaffian(np.asarray(w))) <= u_floor):
-            raise DegenerateForm("degenerate 2-form in quaternion triple")
+        require_pf(pfaffian(np.asarray(w)))
+    ps = [form2_matrix(np.asarray(w)) for w in (w1, w2, w3)]
     j1 = np.linalg.solve(ps[2], ps[1])
     j2 = np.linalg.solve(ps[0], ps[2])
     j3 = np.linalg.solve(ps[1], ps[0])
     return j1, j2, j3
 
 
-def _wedge_gram_schmidt(basis, vol, pivot_tol=1e-10):
+def _wedge_gram_schmidt(basis, vol):
     """Orthonormalize three 2-forms to w_i ^ w_j = 2 delta_ij vol."""
     out = []
     for a in range(3):
@@ -488,14 +493,13 @@ def _wedge_gram_schmidt(basis, vol, pivot_tol=1e-10):
             coeff = wedge22(w, out[b]) / (2.0 * vol)
             w = w - coeff[..., None] * out[b]
         sq = wedge22(w, w) / (2.0 * vol)
-        if np.any(sq <= pivot_tol):
-            raise NotPositivePlane(
-                f"wedge Gram pivot {a} fell below {pivot_tol:g}")
+        if np.any(sq <= 1e-10):
+            raise NotPositivePlane(f"wedge Gram pivot {a} fell below 1e-10")
         out.append(w / np.sqrt(sq)[..., None])
     return out
 
 
-def metric_from_vol_and_plane(vol, basis, pivot_tol=1e-10, probe_tol=1e-8):
+def metric_from_vol_and_plane(vol, basis):
     """Reconstruct the unique metric with volume form ``vol`` whose self-dual
     2-forms are spanned by ``basis``.
 
@@ -523,7 +527,7 @@ def metric_from_vol_and_plane(vol, basis, pivot_tol=1e-10, probe_tol=1e-8):
         if np.any(np.linalg.det(gram[..., :k, :k]) <= 0):
             raise NotPositivePlane("wedge Gram matrix is not positive definite")
 
-    w1, w2, w3 = _wedge_gram_schmidt(basis, vol, pivot_tol)
+    w1, w2, w3 = _wedge_gram_schmidt(basis, vol)
     j1, _, _ = quaternion_triple(w1, w2, w3)
 
     # fix the overall sign at the first probe basis vector where the
@@ -531,7 +535,7 @@ def metric_from_vol_and_plane(vol, basis, pivot_tol=1e-10, probe_tol=1e-8):
     p1 = form2_matrix(w1)
     cand = p1 @ j1                       # bilinear form w1(., J1 .)
     diag = np.stack([cand[..., i, i] for i in range(4)], axis=-1)
-    usable = np.abs(diag) > probe_tol
+    usable = np.abs(diag) > 1e-8
     if not np.all(np.any(usable, axis=-1)):
         raise DegenerateForm("no probe vector separates the metric sign")
     first = np.argmax(usable, axis=-1)

@@ -31,8 +31,6 @@ from donflow import lattice as lat
 from donflow.exterior import DegenerateForm
 from donflow.snapshots import save_snapshot
 
-U_FLOOR = ext.U_FLOOR
-
 CSV_FIELDS = ("t", "dt", "energy", "residual_l2", "u_min", "l1_norm",
               "l1_bound", "coh_drift_max")
 
@@ -70,100 +68,82 @@ class RunResult:
     snapshot_paths: list
 
 
-def check_admissible(rho, u_floor=U_FLOOR):
-    """Raise DegenerateForm (with the first offending site) if u <= u_floor."""
-    u = ext.u_of(rho)
-    if np.any(u <= u_floor):
-        bad = np.argwhere(u <= u_floor)
-        site = tuple(int(i) for i in bad[0])
-        raise DegenerateForm(
-            f"u <= {u_floor:g} at site {site} "
-            f"({bad.shape[0]} sites total, u_min = {u.min():.3e})")
-    return u
-
-
-def energy(grid, rho, u_floor=U_FLOOR):
+def energy(grid, rho):
     """Total energy; >= 2 Vol with equality iff rho is self-dual pointwise."""
-    u = check_admissible(rho, u_floor)
+    u = ext.require_u(ext.u_of(rho))
     plus, _ = ext.sd_split(rho)
     return lat.integrate(grid, ext.norm2_sq(plus) / u)
 
 
-def theta_field(rho, u_floor=U_FLOOR):
-    check_admissible(rho, u_floor)
-    return ext.theta_point(rho, u_floor=u_floor)
-
-
-def rhs(grid, rho, u_floor=U_FLOOR):
+def rhs(grid, rho):
     """Minus the energy gradient: d star_rho d Theta(rho).  Exact by
     construction, so the cohomology class is conserved."""
-    th = theta_field(rho, u_floor)
+    th = ext.theta_point(rho)
     f3 = lat.d2(grid, th)
-    s3 = ext.star_rho3(f3, rho, u_floor=u_floor)
+    s3 = ext.star_rho3(f3, rho)
     return lat.d1(grid, s3)
 
 
-def first_variation(grid, rho, rhohat, u_floor=U_FLOOR):
+def first_variation(grid, rho, rhohat):
     """Differential of the energy: integral of Theta(rho) ^ rhohat."""
-    th = theta_field(rho, u_floor)
+    th = ext.theta_point(rho)
     return lat.integrate(grid, ext.wedge22(th, rhohat))
 
 
-def grho_field(rho, u_floor=U_FLOOR):
-    return ext.g_rho(rho, u_floor=u_floor)
-
-
-def donaldson_norm_sq(grid, rhohat, rho, cg_rtol=1e-10, u_floor=U_FLOOR):
+def donaldson_norm_sq(grid, rhohat, rho):
     """Squared Donaldson norm of an exact 2-form at base point rho."""
-    lam = lat.least_norm_potential(grid, rhohat, grho_field(rho, u_floor),
-                                   rtol=cg_rtol)
+    lam = lat.least_norm_potential(grid, rhohat, ext.g_rho(rho))
     return lat.integrate(grid, ext.wedge13(lam, ext.star_rho1(lam, rho)))
 
 
-def donaldson_pairing(grid, rha, rhb, rho, cg_rtol=1e-10, u_floor=U_FLOOR):
+def donaldson_pairing(grid, rha, rhb, rho):
     """Donaldson inner product of two exact 2-forms at base point rho.
 
     Only the second argument's potential needs the gauge fix; the first may
     use any potential, which saves a CG solve.
     """
-    lam_b = lat.least_norm_potential(grid, rhb, grho_field(rho, u_floor),
-                                     rtol=cg_rtol)
+    lam_b = lat.least_norm_potential(grid, rhb, ext.g_rho(rho))
     res, lam_a = lat.exactness_residual(grid, rha)
     if res > 1e-10:
         raise lat.NotExact(f"first argument is not exact (residual {res:.3e})")
     return lat.integrate(grid, ext.wedge13(lam_a, ext.star_rho1(lam_b, rho)))
 
 
-def hessian_form(grid, rho, rhohat, u_floor=U_FLOOR):
+def hessian_form(grid, rho, rhohat):
     """Quadratic form of the energy Hessian: integral of Theta_dot ^ rhohat."""
-    check_admissible(rho, u_floor)
-    td = ext.theta_dot_point(rho, rhohat, u_floor=u_floor)
+    td = ext.theta_dot_point(rho, rhohat)
     return lat.integrate(grid, ext.wedge22(td, rhohat))
 
 
-def l1_report(grid, rho, u_floor=U_FLOOR):
-    """Energy report with the L1 bound |rho|_L1 <= sqrt(c (E - Vol))."""
-    e = energy(grid, rho, u_floor)
+def l1_report(grid, rho, t):
+    """Energy report with the L1 bound |rho|_L1 <= sqrt(c (E - Vol)).
+
+    Raises StepFailure, with a diagnostic naming the flow time t, when the
+    bound is violated.
+    """
+    e = energy(grid, rho)
     l1 = lat.integrate(grid, np.sqrt(ext.norm2_sq(rho)))
     c = lat.integrate(grid, ext.wedge22(rho, rho))
     bound = math.sqrt(max(c * (e - 1.0), 0.0))
     if l1 > bound + 1e-10:
-        raise AssertionError(
-            f"L1 bound violated: {l1:.15g} > {bound:.15g}")
+        raise StepFailure(
+            f"L1 bound violated at t = {t:g}: {l1:.15g} > {bound:.15g}",
+            diagnostic={"t": t, "l1_norm": l1, "l1_bound": bound,
+                        "energy": e})
     return EnergyReport(energy=e, excess=e - 2.0, l1_norm=l1, l1_bound=bound)
 
 
-def residual_l2(grid, rho, u_floor=U_FLOOR):
+def residual_l2(grid, rho):
     """Flat L2 norm of the flow's right hand side (stationarity monitor)."""
-    return lat.l2_norm(grid, rhs(grid, rho, u_floor))
+    return lat.l2_norm(grid, rhs(grid, rho))
 
 
-def monitors(grid, rho, coh0, u_floor=U_FLOOR):
-    rep = l1_report(grid, rho, u_floor)
+def monitors(grid, rho, coh0, t):
+    rep = l1_report(grid, rho, t)
     drift = float(np.abs(lat.cohomology(grid, rho) - coh0).max())
     return {
         "energy": rep.energy,
-        "residual_l2": residual_l2(grid, rho, u_floor),
+        "residual_l2": residual_l2(grid, rho),
         "u_min": float(ext.u_of(rho).min()),
         "l1_norm": rep.l1_norm,
         "l1_bound": rep.l1_bound,
@@ -175,21 +155,20 @@ def monitors(grid, rho, coh0, u_floor=U_FLOOR):
 # initial data
 # ---------------------------------------------------------------------------
 
-def initial_data(grid, rng, epsilon=0.05, kmax=2, u_min_accept=0.5,
-                 max_halvings=20):
+def initial_data(grid, rng, epsilon=0.05, kmax=2):
     """rho0 = omega1 + d(eps * lam), lam a random trigonometric 1-form.
 
     lam is normalized to sup norm epsilon; if the perturbed form dips below
-    u = u_min_accept anywhere, epsilon is halved and the same lam is reused,
-    so the draw stays deterministic for a given seed.
+    u = 0.5 anywhere, epsilon is halved (at most 20 times) and the same lam
+    is reused, so the draw stays deterministic for a given seed.
     """
     lam = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
     lam = lam / max(np.abs(lam).max(), 1e-300)
     base = grid.constant(ext.OMEGA1)
     eps = float(epsilon)
-    for _ in range(max_halvings + 1):
+    for _ in range(21):
         rho = base + lat.d1(grid, eps * lam)
-        if ext.u_of(rho).min() > u_min_accept:
+        if ext.u_of(rho).min() > 0.5:
             return rho
         eps *= 0.5
     raise DegenerateForm(
@@ -210,16 +189,15 @@ def stable_dt_cap(grid):
     return 2.5 / (2.0 * float(grid.laplace_symbol.max()))
 
 
-def _rk4_candidate(grid, rho, dt, u_floor):
-    k1 = rhs(grid, rho, u_floor)
-    k2 = rhs(grid, rho + 0.5 * dt * k1, u_floor)
-    k3 = rhs(grid, rho + 0.5 * dt * k2, u_floor)
-    k4 = rhs(grid, rho + dt * k3, u_floor)
+def _rk4_candidate(grid, rho, dt):
+    k1 = rhs(grid, rho)
+    k2 = rhs(grid, rho + 0.5 * dt * k1)
+    k3 = rhs(grid, rho + 0.5 * dt * k2)
+    k4 = rhs(grid, rho + dt * k3)
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step(grid, state, coh0, dt_max, u_floor=U_FLOOR, max_retries=20,
-         dealias=False):
+def step(grid, state, coh0, dt_max, max_retries=20, dealias=False):
     """One accepted RK4 step: admissible at every stage and non-increasing in
     energy, else the step is halved and retried.  Raises StepFailure when the
     retry budget is exhausted."""
@@ -228,22 +206,18 @@ def step(grid, state, coh0, dt_max, u_floor=U_FLOOR, max_retries=20,
     last_error = "energy increased"
     for _ in range(max_retries + 1):
         try:
-            cand = _rk4_candidate(grid, state.rho, dt, u_floor)
+            cand = _rk4_candidate(grid, state.rho, dt)
             if dealias:
                 cand = lat.dealias(grid, cand)
-            u_min = ext.u_of(cand).min()
-            if u_min <= u_floor:
-                raise DegenerateForm(f"candidate u_min = {u_min:.3e}")
-            e_new = energy(grid, cand, u_floor)
+            e_new = energy(grid, cand)
         except DegenerateForm as err:
             last_error = str(err)
             dt *= 0.5
             continue
         if e_new <= e_old:
-            new = FlowState(rho=cand, t=state.t + dt,
-                            dt=min(dt * 1.1, dt_max),
-                            monitors=monitors(grid, cand, coh0, u_floor))
-            return new
+            t_new = state.t + dt
+            return FlowState(rho=cand, t=t_new, dt=min(dt * 1.1, dt_max),
+                             monitors=monitors(grid, cand, coh0, t_new))
         last_error = f"energy increased by {e_new - e_old:.3e}"
         dt *= 0.5
     raise StepFailure(
@@ -279,6 +253,11 @@ def _format_row(row):
     return {k: format(v, ".17g") for k, v in row.items()}
 
 
+def _write_failure(out_dir, diagnostic):
+    (out_dir / "failure.json").write_text(
+        json.dumps(diagnostic, indent=2, sort_keys=True) + "\n")
+
+
 def run(config, rho0=None):
     """Integrate the flow until stationarity or final time.
 
@@ -306,12 +285,13 @@ def run(config, rho0=None):
         try:
             state = FlowState(rho=rho0, t=0.0,
                               dt=min(config.dt0, dt_cap),
-                              monitors=monitors(grid, rho0, coh0))
+                              monitors=monitors(grid, rho0, coh0, 0.0))
         except DegenerateForm as err:
-            (out_dir / "failure.json").write_text(json.dumps(
-                {"t": 0.0, "error": str(err),
-                 "u_min": float(ext.u_of(rho0).min())},
-                indent=2, sort_keys=True) + "\n")
+            _write_failure(out_dir, {"t": 0.0, "error": str(err),
+                                     "u_min": float(ext.u_of(rho0).min())})
+            raise
+        except StepFailure as err:
+            _write_failure(out_dir, err.diagnostic)
             raise
         snaps.append(save_snapshot(out_dir / "snapshot_initial", grid,
                                    state.rho, state.t, state.monitors))
@@ -338,8 +318,7 @@ def run(config, rho0=None):
                     emit(state)
                 snaps.append(save_snapshot(out_dir / "snapshot_failed", grid,
                                            state.rho, state.t, state.monitors))
-                (out_dir / "failure.json").write_text(
-                    json.dumps(err.diagnostic, indent=2, sort_keys=True) + "\n")
+                _write_failure(out_dir, err.diagnostic)
                 raise
             if steps % config.out_every:
                 emit(state)

@@ -16,7 +16,6 @@ import numpy as np
 
 from donflow import exterior as ext
 from donflow import lattice as lat
-from donflow.exterior import DegenerateForm, U_FLOOR
 
 OMEGAS = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3])
 
@@ -28,63 +27,65 @@ JS = np.stack([J1, J2, J3])
 _P_OMEGAS = np.stack([ext.form2_matrix(w) for w in OMEGAS])
 
 
-def k_functions(rho, u_floor=U_FLOOR):
+def k_functions(rho):
     """Moment-map functions K_i = (omega_i ^ rho)/dvol_rho, shape (..., 3)."""
     rho = np.asarray(rho)
-    u = ext.u_of(rho)
-    if np.any(u <= u_floor):
-        raise DegenerateForm(f"u_min = {u.min():.3e} <= {u_floor:g}")
+    u = ext.require_u(ext.u_of(rho))
     return np.stack([ext.wedge22(w, rho) for w in OMEGAS], axis=-1) / u[..., None]
 
 
-def energy_hk(grid, rho, u_floor=U_FLOOR):
+def energy_hk(grid, rho):
     """Energy as half the L2 norm squared of K against dvol_rho."""
     u = ext.u_of(rho)
-    k = k_functions(rho, u_floor)
+    k = k_functions(rho)
     return 0.5 * lat.integrate(grid, np.sum(k ** 2, axis=-1) * u)
 
 
-def theta_hk(rho, u_floor=U_FLOOR):
+def theta_hk(rho):
     """Theta through the moment maps: sum_i (K_i omega_i - K_i^2 rho / 2)."""
     rho = np.asarray(rho)
-    k = k_functions(rho, u_floor)
+    k = k_functions(rho)
     lin = np.einsum("...i,ic->...c", k, OMEGAS)
     return lin - 0.5 * np.sum(k ** 2, axis=-1)[..., None] * rho
 
 
-def j_rho_fields(rho, u_floor=U_FLOOR):
+def j_rho_fields(rho):
     """The three twisted complex structures J_i^rho at every point."""
-    return [ext.j_rho(j, rho, u_floor) for j in JS]
+    return [ext.j_rho(j, rho) for j in JS]
 
 
-def grad_hk(grid, rho, u_floor=U_FLOOR):
+def grad_hk(grid, rho):
     """Energy gradient as sum_i d(dK_i o J_i^rho); equals -rhs up to
     discretization error."""
-    k = k_functions(rho, u_floor)
+    k = k_functions(rho)
     total = np.zeros(grid.shape + (4,))
-    for i, jr in enumerate(j_rho_fields(rho, u_floor)):
+    for i, jr in enumerate(j_rho_fields(rho)):
         dk = lat.d0(grid, k[..., i])
         total += np.einsum("...ji,...j->...i", jr, dk)   # dK o J = J^T dK
     return lat.d1(grid, total)
 
 
-def vector_from_potential(rho, mu, u_floor=U_FLOOR):
+def vector_from_potential(rho, mu):
     """The vector field X with i(X) rho = -mu (pointwise solve)."""
     rho = np.asarray(rho)
-    pf = ext.pfaffian(rho)
-    if np.any(np.abs(pf) <= u_floor):
-        raise DegenerateForm("rho degenerate: no Hamiltonian-type solve")
+    pf = ext.require_pf(ext.pfaffian(rho))
     pinv = ext.form2_matrix_inv(rho, pf)
     return np.einsum("...ij,...j->...i", pinv, np.asarray(mu))
 
 
-def hamiltonian_field(rho, h_scalar, grid, u_floor=U_FLOOR):
+def hamiltonian_field(rho, h_scalar, grid):
     """X_H with i(X_H) rho = dH."""
     dh = lat.d0(grid, h_scalar)
-    return -vector_from_potential(rho, dh, u_floor)
+    return -vector_from_potential(rho, dh)
 
 
-def khat_hhat(grid, rho, rhohat, x, u_floor=U_FLOOR):
+def _khat(rho, rhohat, k, u):
+    """K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho, shape (..., 3)."""
+    wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS], axis=-1)
+    return (wr - k * ext.wedge22(rho, rhohat)[..., None]) / u[..., None]
+
+
+def khat_hhat(grid, rho, rhohat, x):
     """Linearized moment maps along rhohat and along the flow of X.
 
     K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho,
@@ -94,9 +95,7 @@ def khat_hhat(grid, rho, rhohat, x, u_floor=U_FLOOR):
     """
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = ext.u_of(rho)
-    k = k_functions(rho, u_floor)
-    wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS], axis=-1)
-    khat = (wr - k * ext.wedge22(rho, rhohat)[..., None]) / u[..., None]
+    khat = _khat(rho, rhohat, k_functions(rho), u)
     hhat = np.empty_like(khat)
     for i in range(3):
         ixw = ext.interior2(x, np.broadcast_to(OMEGAS[i], rho.shape))
@@ -104,22 +103,21 @@ def khat_hhat(grid, rho, rhohat, x, u_floor=U_FLOOR):
     return khat, hhat
 
 
-def hessian_hk(grid, rho, rhohat, u_floor=U_FLOOR):
+def hessian_hk(grid, rho, rhohat):
     """Hessian through the moment maps:
     integral of sum_i (K_hat_i^2 dvol_rho - K_i^2 rhohat^2 / 2)."""
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = ext.u_of(rho)
-    k = k_functions(rho, u_floor)
-    wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS], axis=-1)
-    khat = (wr - k * ext.wedge22(rho, rhohat)[..., None]) / u[..., None]
+    k = k_functions(rho)
+    khat = _khat(rho, rhohat, k, u)
     dens = (np.sum(khat ** 2, axis=-1) * u
             - 0.5 * np.sum(k ** 2, axis=-1) * ext.wedge22(rhohat, rhohat))
     return lat.integrate(grid, dens)
 
 
-def lie_derivative_k(grid, rho, x, u_floor=U_FLOOR):
+def lie_derivative_k(grid, rho, x):
     """L_X K_i = i(X) dK_i, shape (..., 3)."""
-    k = k_functions(rho, u_floor)
+    k = k_functions(rho)
     out = np.empty_like(k)
     for i in range(3):
         out[..., i] = ext.interior1(x, lat.d0(grid, k[..., i]))
@@ -138,7 +136,7 @@ def _omega_pair(i, x, y):
     return np.einsum("...a,ab,...b->...", x, _P_OMEGAS[i], y)
 
 
-def hessiancov_check(grid, rho, rhohat, mu=None, u_floor=U_FLOOR):
+def hessiancov_check(grid, rho, rhohat, mu=None):
     """Covariant-Hessian bookkeeping at (rho, rhohat).
 
     Evaluates the five integrals
@@ -160,12 +158,12 @@ def hessiancov_check(grid, rho, rhohat, mu=None, u_floor=U_FLOOR):
         if res > 1e-10:
             raise lat.NotExact(f"rhohat not exact (residual {res:.3e})")
     u = ext.u_of(rho)
-    k = k_functions(rho, u_floor)
-    x = vector_from_potential(rho, mu, u_floor)
-    khat, hhat = khat_hhat(grid, rho, rhohat, x, u_floor)
-    lxk = lie_derivative_k(grid, rho, x, u_floor)
+    k = k_functions(rho)
+    x = vector_from_potential(rho, mu)
+    khat, hhat = khat_hhat(grid, rho, rhohat, x)
+    lxk = lie_derivative_k(grid, rho, x)
 
-    xk = [hamiltonian_field(rho, k[..., i], grid, u_floor) for i in range(3)]
+    xk = [hamiltonian_field(rho, k[..., i], grid) for i in range(3)]
     ixrho = ext.interior2(x, rho)
     rr = ext.wedge22(rhohat, rhohat)
 

@@ -269,7 +269,7 @@ def _star1_apply(gdata, lam):
 
 
 def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
-                         max_iter=None, validate_tol=1e-10):
+                         max_iter=None):
     """Gauge-fixed potential of an exact 2-form field.
 
     Returns the 1-form lam minimizing the metric energy
@@ -281,7 +281,7 @@ def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
     Parameters
     ----------
     rhohat : (n,n,n,n,6) array
-        Must lie in the image of d up to ``validate_tol`` (relative L2).
+        Must lie in the image of d up to 1e-10 (relative L2).
     metric_field : (n,n,n,n,4,4) array
         Pointwise symmetric positive definite metric.
     rtol : float
@@ -294,8 +294,8 @@ def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
     NotExact, NoConvergence
     """
     res, lam0 = exactness_residual(grid, rhohat)
-    if res > validate_tol:
-        raise NotExact(f"projection residual {res:.3e} exceeds {validate_tol:g}")
+    if res > 1e-10:
+        raise NotExact(f"projection residual {res:.3e} exceeds 1e-10")
     if max_iter is None:
         max_iter = 50 * grid.n
 

@@ -41,13 +41,26 @@ def save_snapshot(base, grid, rho, time, monitors=None):
 
 
 def load_snapshot(header_path):
-    """Read a snapshot; returns (grid, rho, time, monitors)."""
+    """Read a snapshot; returns (grid, rho, time, monitors).
+
+    Raises ValueError for a foreign component order or dtype, a payload of
+    the wrong length, or non-finite values.
+    """
     header_path = Path(header_path)
     header = json.loads(header_path.read_text())
     if header.get("component_order") != COMPONENT_ORDER:
         raise ValueError("snapshot uses an unknown component order")
+    dtype = header.get("dtype", PAYLOAD_DTYPE)
+    if dtype != PAYLOAD_DTYPE:
+        raise ValueError(f"snapshot dtype {dtype!r} is not {PAYLOAD_DTYPE!r}")
     grid = Grid(int(header["n"]), header["scheme"])
     raw = (header_path.parent / header["payload"]).read_bytes()
-    rho = np.frombuffer(raw, dtype=header.get("dtype", PAYLOAD_DTYPE))
+    size = grid.n ** 4 * 6 * 8
+    if len(raw) != size:
+        raise ValueError(f"snapshot payload has {len(raw)} bytes, "
+                         f"expected {size} for n = {grid.n}")
+    rho = np.frombuffer(raw, dtype=PAYLOAD_DTYPE)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("snapshot payload holds non-finite values")
     rho = rho.reshape(grid.shape + (6,)).astype(float)
     return grid, rho, float(header["time"]), dict(header["monitors"])

@@ -5,48 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240811))
-
-
-def random_spd(rng, batch=(), unit_vol=False, spread=1.0):
-    """Random symmetric positive definite 4x4 matrices."""
-    m = rng.normal(size=batch + (4, 4)) * spread
-    g = np.einsum("...ki,...kj->...ij", m, m) + 0.4 * np.eye(4)
-    if unit_vol:
-        g = g / np.linalg.det(g)[..., None, None] ** 0.25
-    return g
-
-
-def perturbed_field(grid, rng, eps=0.3, kmax=2):
-    """omega1 plus an exact perturbation of sup norm eps."""
-    from donflow import exterior as ext
-    from donflow import lattice as lat
-
-    lam = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
-    pert = lat.d1(grid, lam)
-    pert *= eps / np.abs(pert).max()
-    return grid.constant(ext.OMEGA1) + pert
-
-
-def exact_field(grid, rng, amp=0.5, kmax=2):
-    """A potential mu of sup norm amp and its exact 2-form d(mu)."""
-    from donflow import lattice as lat
-
-    mu = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
-    mu *= amp / np.abs(mu).max()
-    return mu, lat.d1(grid, mu)
-
-
-def random_rho(rng, batch=(), u_min=0.05, g=None):
-    """Random 2-forms with volume ratio safely above u_min (resampled)."""
-    from donflow.exterior import u_of, vol_coeff
-
-    scale = 1.0 if g is None else np.sqrt(vol_coeff(g))[..., None]
-    rho = scale * rng.uniform(-1.0, 1.0, size=batch + (6,))
-    for _ in range(500):
-        u = u_of(rho, g)
-        bad = u <= u_min
-        if not np.any(bad):
-            return rho
-        fresh = rng.uniform(-1.0, 1.0, size=batch + (6,)) * scale
-        rho = np.where(bad[..., None], fresh, rho)
-    raise RuntimeError("failed to sample admissible 2-forms")

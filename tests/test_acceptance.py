@@ -16,7 +16,6 @@ import pytest
 from donflow import checks
 from donflow import exterior as ext
 from donflow import flow
-from donflow import hyperkahler as hk
 from donflow import lattice as lat
 from donflow.config import RunConfig
 
@@ -55,52 +54,24 @@ def test_criterion_2_theta_suite():
 
 
 def test_criterion_3_cross_formula_equalities():
-    g = lat.Grid(8, "spectral")
-    gen = np.random.Generator(np.random.Philox(SEED))
-    lam = lat.random_trig_field(gen, 2, 4)(g)
-    pert = lat.d1(g, lam)
-    pert *= 0.25 / np.abs(pert).max()
-    rho = g.constant(ext.OMEGA1) + pert
-
-    ea, eb = flow.energy(g, rho), hk.energy_hk(g, rho)
-    assert abs(ea - eb) <= 1e-10 * abs(ea)
-
-    ta, tb = ext.theta_point(rho), hk.theta_hk(rho)
-    assert np.abs(ta - tb).max() <= 1e-10 * max(1.0, np.abs(ta).max())
-
-    mu = lat.random_trig_field(gen, 2, 4)(g)
-    mu *= 0.4 / np.abs(mu).max()
-    rh = lat.d1(g, mu)
-    ha, hb = flow.hessian_form(g, rho, rh), hk.hessian_hk(g, rho, rh)
-    assert abs(ha - hb) <= 1e-10 * max(1.0, abs(ha))
-
-    lam2 = lat.random_trig_field(gen, 1, 4)(g)
-    pert2 = lat.d1(g, lam2)
-    pert2 *= 0.003 / np.abs(pert2).max()
-    rho_bl = g.constant(ext.OMEGA1) + pert2
-    r = flow.rhs(g, rho_bl)
-    rel = lat.l2_norm(g, hk.grad_hk(g, rho_bl) + r) / lat.l2_norm(g, r)
+    records = checks.suite_hyperkahler(SEED, 10000)
+    by_name = {r["name"]: r for r in records}
+    for rec in records:
+        assert rec["passed"], rec
+    # theta is compared on the suite's pointwise samples, the rest on
+    # n = 8 spectral fields
+    for name in ("energy_cross", "theta_cross", "hessian_cross"):
+        assert by_name[name]["rel_err"] <= 1e-10, by_name[name]
+    rel = by_name["gradient_cross"]["rel_err"]
     assert rel <= 1e-8
     _announce(3, f"energy/theta/hessian cross-formulas to 1e-10 and "
                  f"gradient to {rel:.2e}")
 
 
 def test_criterion_4_gradient_metric_consistency():
-    g = lat.Grid(8, "spectral")
-    gen = np.random.Generator(np.random.Philox(SEED + 1))
-    worst = 0.0
-    for _ in range(20):
-        lam = lat.random_trig_field(gen, 2, 4)(g)
-        pert = lat.d1(g, lam)
-        pert *= gen.uniform(0.05, 0.3) / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        mu = lat.random_trig_field(gen, 2, 4)(g)
-        mu *= 0.4 / np.abs(mu).max()
-        rh = lat.d1(g, mu)
-        lhs = flow.first_variation(g, rho, rh)
-        rhs_val = -flow.donaldson_pairing(g, rh, flow.rhs(g, rho), rho,
-                                          cg_rtol=1e-10)
-        worst = max(worst, abs(lhs - rhs_val) / max(abs(lhs), abs(rhs_val)))
+    (rec,) = checks.suite_gradient(SEED, 20)
+    assert rec["samples"] == 20
+    worst = rec["rel_err"]
     assert worst <= 1e-6
     _announce(4, f"20 gradient/metric pairs consistent to {worst:.2e}")
 
@@ -162,28 +133,14 @@ def test_criterion_6_hessian_at_minimum():
 
 
 def test_criterion_7_covariant_hessian_ledger():
-    gen = np.random.Generator(np.random.Philox(SEED + 3))
-    rho_fn = lat.random_trig_field(gen, 1, 4)
-    mu_fn = lat.random_trig_field(gen, 1, 4)
-    res = {}
-    for n in (8, 12):
-        g = lat.Grid(n, "spectral")
-        pert = lat.d1(g, rho_fn(g))
-        pert *= 0.1 / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        mu = mu_fn(g)
-        mu *= 0.3 / np.abs(mu).max()
-        rep = hk.hessiancov_check(g, rho, lat.d1(g, mu), mu=mu)
-        res[n] = rep["abcde_relative"]
+    by_name = {r["name"]: r for r in checks.suite_hessiancov(SEED, 1)}
+    res = {n: by_name[f"covariant_ledger_n{n}"]["rel_err"] for n in (8, 12)}
     assert res[8] < 1e-3
     assert res[12] < res[8]
-    g8 = lat.Grid(8, "spectral")
-    mu8 = mu_fn(g8)
-    rep0 = hk.hessiancov_check(g8, g8.constant(ext.OMEGA1),
-                               lat.d1(g8, mu8), mu=mu8)
-    assert rep0["abcde_residual"] < 1e-10
+    residual0 = by_name["covariant_ledger_minimum"]["abs_err"]
+    assert residual0 < 1e-10
     _announce(7, f"ledger residual {res[8]:.2e} at n=8, {res[12]:.2e} at "
-                 f"n=12, {rep0['abcde_residual']:.2e} at the minimum")
+                 f"n=12, {residual0:.2e} at the minimum")
 
 
 def test_criterion_8_degeneracy_honesty(tmp_path):

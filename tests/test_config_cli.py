@@ -102,6 +102,22 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "failure.json").exists()
 
 
+def test_l1_violation_is_a_step_failure(tmp_path, monkeypatch):
+    # an energy of 1 makes the L1 bound 0, which every nonzero form breaks
+    from donflow import flow
+
+    monkeypatch.setattr(flow, "energy", lambda grid, rho: 1.0)
+    g = lat.Grid(8)
+    with pytest.raises(flow.StepFailure) as err:
+        flow.l1_report(g, g.constant(OMEGA1), 0.5)
+    diag = err.value.diagnostic
+    assert sorted(diag) == ["energy", "l1_bound", "l1_norm", "t"]
+    assert (diag["t"], diag["l1_bound"], diag["energy"]) == (0.5, 0.0, 1.0)
+    assert cli.main(["run", "--config", str(_write_cfg(tmp_path))]) == 2
+    diag = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert diag["t"] == 0.0 and diag["l1_bound"] == 0.0
+
+
 def test_cli_check_deterministic(tmp_path):
     cfg = _write_cfg(tmp_path, check_suite=["theta"], samples=500,
                      report_path=str(tmp_path / "r1.json"))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from donflow import exterior as ext
-from conftest import random_rho, random_spd
+from donflow.checks import random_rho, random_spd
 import oracles as orc
 
 # left multiplication by the unit quaternions i, j, k on H = R^4

@@ -6,26 +6,15 @@ import pytest
 
 from donflow import exterior as ext
 from donflow import flow
+from donflow import hyperkahler as hk
 from donflow import lattice as lat
+from donflow.checks import exact_direction, perturbed_omega1
 from donflow.config import RunConfig
 from donflow.exterior import DegenerateForm
 
 
 def sgrid(n=8):
     return lat.Grid(n, "spectral")
-
-
-def perturbed_rho(grid, rng, eps=0.3, kmax=2):
-    lam = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
-    pert = lat.d1(grid, lam)
-    pert *= eps / np.abs(pert).max()
-    return grid.constant(ext.OMEGA1) + pert
-
-
-def exact_direction(grid, rng, amp=0.5, kmax=2):
-    mu = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
-    mu *= amp / np.abs(mu).max()
-    return mu, lat.d1(grid, mu)
 
 
 def test_energy_values():
@@ -39,7 +28,7 @@ def test_energy_values():
 def test_energy_lower_bound(rng):
     g = sgrid(8)
     for eps in (0.1, 0.4, 0.7):
-        rho = perturbed_rho(g, rng, eps)
+        rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), eps)
         e = flow.energy(g, rho)
         assert e >= 2.0 - 1e-12
         minus = ext.sd_split(rho)[1]
@@ -47,13 +36,20 @@ def test_energy_lower_bound(rng):
             assert e > 2.0
 
 
-def test_energy_degenerate_reports_site():
+@pytest.mark.parametrize("call", [
+    flow.energy,
+    flow.rhs,
+    lambda g, rho: ext.theta_point(rho),
+    lambda g, rho: ext.star_rho3(np.ones(g.shape + (4,)), rho),
+    lambda g, rho: hk.k_functions(rho),
+], ids=["energy", "rhs", "theta_point", "star_rho3", "k_functions"])
+def test_degenerate_reports_first_index(call):
     g = sgrid(4)
     rho = g.constant(ext.OMEGA1)
-    rho[1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1 at one site
-    with pytest.raises(DegenerateForm) as err:
-        flow.energy(g, rho)
-    assert "(1, 2, 3, 0)" in str(err.value)
+    rho[1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1
+    rho[2, 0, 0, 1] = 0.0                   # u = 0, later in C order
+    with pytest.raises(DegenerateForm, match=r"first index \(1, 2, 3, 0\)"):
+        call(g, rho)
 
 
 def test_rhs_vanishes_at_stationary_points(rng):
@@ -67,7 +63,7 @@ def test_rhs_vanishes_at_stationary_points(rng):
 def test_rhs_linearization_at_minimum(rng):
     # rhs(omega1 + eps rh) ~ eps * d star d (-2 rh_minus) to O(eps^2)
     g = sgrid(8)
-    _, rh = exact_direction(g, rng, amp=0.5)
+    _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     minus = ext.sd_split(rh)[1]
     lin = lat.d1(g, ext.star3_flat(lat.d2(g, -2.0 * minus)))
     for eps in (1e-4, 5e-5):
@@ -78,15 +74,15 @@ def test_rhs_linearization_at_minimum(rng):
 
 def test_first_variation_vanishes_at_minimum(rng):
     g = sgrid(8)
-    _, rh = exact_direction(g, rng)
+    _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     val = flow.first_variation(g, g.constant(ext.OMEGA1), rh)
     assert abs(val) < 1e-12
 
 
 def test_first_variation_matches_energy_differences(rng):
     g = sgrid(8)
-    rho = perturbed_rho(g, rng, 0.3)
-    _, rh = exact_direction(g, rng, amp=0.3)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
+    _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
     val = flow.first_variation(g, rho, rh)
 
     def fd(t):
@@ -106,15 +102,15 @@ def test_donaldson_norm_values(rng):
     mu[..., 1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert flow.donaldson_norm_sq(g, rh, omega) == pytest.approx(0.5, abs=1e-9)
-    _, rh2 = exact_direction(g, rng)
+    _, rh2 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     assert flow.donaldson_norm_sq(g, rh2, omega) > 0
 
 
 def test_gradient_metric_consistency(rng):
     g = sgrid(8)
     for _ in range(5):
-        rho = perturbed_rho(g, rng, 0.25)
-        _, rh = exact_direction(g, rng, amp=0.4)
+        rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25)
+        _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
         lhs = flow.first_variation(g, rho, rh)
         rhs_val = flow.donaldson_pairing(g, rh, flow.rhs(g, rho), rho)
         assert lhs == pytest.approx(-rhs_val, rel=1e-6, abs=1e-10)
@@ -122,7 +118,7 @@ def test_gradient_metric_consistency(rng):
 
 def test_energy_decay_rate_is_gradient_norm(rng):
     g = sgrid(8)
-    rho = perturbed_rho(g, rng, 0.3)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
     r = flow.rhs(g, rho)
     de = flow.first_variation(g, rho, r)
     assert de <= 0
@@ -149,8 +145,8 @@ def test_hessian_at_minimum_worked_value():
 
 def test_hessian_matches_first_variation_differences(rng):
     g = sgrid(8)
-    rho = perturbed_rho(g, rng, 0.2)
-    _, rh = exact_direction(g, rng, amp=0.3)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2)
+    _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
     val = flow.hessian_form(g, rho, rh)
 
     def fd(t):
@@ -164,9 +160,9 @@ def test_hessian_matches_first_variation_differences(rng):
 
 def test_hessian_polarization_symmetric(rng):
     g = sgrid(8)
-    rho = perturbed_rho(g, rng, 0.2)
-    _, a = exact_direction(g, rng, amp=0.3)
-    _, b = exact_direction(g, rng, amp=0.3)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2)
+    _, a = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
+    _, b = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
     bil_ab = lat.integrate(g, ext.wedge22(ext.theta_dot_point(rho, a), b))
     bil_ba = lat.integrate(g, ext.wedge22(ext.theta_dot_point(rho, b), a))
     scale = abs(bil_ab) + abs(bil_ba) + 1.0
@@ -175,19 +171,19 @@ def test_hessian_polarization_symmetric(rng):
 
 def test_l1_report_equality_cases(rng):
     g = sgrid(8)
-    rep = flow.l1_report(g, g.constant(ext.OMEGA1))
+    rep = flow.l1_report(g, g.constant(ext.OMEGA1), 0.0)
     assert rep.l1_norm == pytest.approx(math.sqrt(2), rel=1e-12)
     assert rep.l1_bound == pytest.approx(math.sqrt(2), rel=1e-12)
-    rep3 = flow.l1_report(g, g.constant(3.0 * ext.OMEGA1))
+    rep3 = flow.l1_report(g, g.constant(3.0 * ext.OMEGA1), 0.0)
     assert rep3.l1_norm == pytest.approx(rep3.l1_bound, rel=1e-12)
     rho = g.constant([1.5, 0, 0, 0.5, 0, 0])
-    rep2 = flow.l1_report(g, rho)
+    rep2 = flow.l1_report(g, rho, 0.0)
     # c = int rho ^ rho = 1.5 and E = 8/3, so the bound sqrt(1.5 * 5/3) is
     # attained: constant fields always sit on the Cauchy-Schwarz equality
     assert rep2.l1_norm == pytest.approx(math.sqrt(2.5), rel=1e-12)
     assert rep2.l1_bound == pytest.approx(math.sqrt(2.5), rel=1e-12)
-    pert = perturbed_rho(g, rng, 0.4)
-    repp = flow.l1_report(g, pert)
+    pert = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
+    repp = flow.l1_report(g, pert, 0.0)
     assert repp.l1_norm <= repp.l1_bound + 1e-10
     assert repp.l1_norm < repp.l1_bound
 
@@ -195,7 +191,7 @@ def test_l1_report_equality_cases(rng):
 def _state(grid, rho, dt):
     coh0 = lat.cohomology(grid, rho)
     return flow.FlowState(rho=rho, t=0.0, dt=dt,
-                          monitors=flow.monitors(grid, rho, coh0)), coh0
+                          monitors=flow.monitors(grid, rho, coh0, 0.0)), coh0
 
 
 def test_step_is_stationary_at_minimum():

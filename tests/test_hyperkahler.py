@@ -6,7 +6,7 @@ from donflow import exterior as ext
 from donflow import flow
 from donflow import hyperkahler as hk
 from donflow import lattice as lat
-from conftest import exact_field, perturbed_field, random_rho
+from donflow.checks import exact_direction, perturbed_omega1, random_rho
 
 
 def sgrid(n=8):
@@ -81,7 +81,7 @@ def test_energy_hk_values_and_cross(rng):
     assert hk.energy_hk(g, g.constant(ext.OMEGA1)) == pytest.approx(2.0, abs=1e-13)
     rho_c = g.constant([1.5, 0, 0, 0.5, 0, 0])
     assert hk.energy_hk(g, rho_c) == pytest.approx(8 / 3, rel=1e-13)
-    rho = perturbed_field(g, rng, 0.4)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
     ea, eb = flow.energy(g, rho), hk.energy_hk(g, rho)
     assert abs(ea - eb) < 1e-11 * ea
 
@@ -118,7 +118,7 @@ def test_grad_hk_is_minus_rhs_with_refinement(rng):
 def test_exact_gradient_identity_pointwise_star(rng):
     # d Theta = star_rho( sum_i dK_i o J_i^rho ) on smooth fields
     g = sgrid(8)
-    rho = perturbed_field(g, rng, 0.01, kmax=1)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.01)
     lhs = lat.d2(g, ext.theta_point(rho))
     k = hk.k_functions(rho)
     tot = np.zeros(g.shape + (4,))
@@ -136,8 +136,8 @@ def test_hessian_hk_matches_hessian_form(rng):
     mu[..., 1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert hk.hessian_hk(g, omega, rh) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
-    rho = perturbed_field(g, rng, 0.25)
-    _, rh2 = exact_field(g, rng, amp=0.4)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25)
+    _, rh2 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
     a = flow.hessian_form(g, rho, rh2)
     b = hk.hessian_hk(g, rho, rh2)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
@@ -149,8 +149,8 @@ def test_hessian_hk_matches_hessian_form(rng):
 
 def test_vector_from_potential_solves_contraction(rng):
     g = sgrid(8)
-    rho = perturbed_field(g, rng, 0.3)
-    mu, _ = exact_field(g, rng, amp=0.4)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
+    mu, _ = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
     x = hk.vector_from_potential(rho, mu)
     assert np.abs(ext.interior2(x, rho) + mu).max() < 1e-11
 
@@ -169,7 +169,7 @@ def test_khat_equals_hhat_at_minimum(rng):
     # constant K: L_X K = 0, so the two linearizations agree pointwise
     g = sgrid(8)
     omega = g.constant(ext.OMEGA1)
-    mu, rh = exact_field(g, rng, amp=0.5)
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     x = hk.vector_from_potential(omega, mu)
     khat, hhat = hk.khat_hhat(g, omega, rh, x)
     assert np.abs(khat - hhat).max() < 1e-10 * max(1.0, np.abs(khat).max())
@@ -204,8 +204,8 @@ def test_self_dual_contraction_star_identity(rng):
 def test_lie_derivative_relation(rng):
     # L_X K_i = H_hat_i - K_hat_i up to discretization error
     g = sgrid(8)
-    rho = perturbed_field(g, rng, 0.02, kmax=1)
-    mu, rh = exact_field(g, rng, amp=0.05, kmax=1)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.02)
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 1, 4), 0.05)
     x = hk.vector_from_potential(rho, mu)
     khat, hhat = hk.khat_hhat(g, rho, rh, x)
     lxk = hk.lie_derivative_k(g, rho, x)
@@ -219,7 +219,7 @@ def test_lie_derivative_relation(rng):
 
 def test_hessiancov_at_minimum(rng):
     g = sgrid(8)
-    mu, rh = exact_field(g, rng, amp=0.5)
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     rep = hk.hessiancov_check(g, g.constant(ext.OMEGA1), rh, mu=mu)
     for key in ("B", "C", "D", "E"):
         assert abs(rep[key]) < 1e-10
@@ -260,7 +260,7 @@ def test_hessian3_at_critical_point(rng):
     # the plain L2 norm of H_hat against dvol_rho
     g = sgrid(8)
     omega = g.constant(ext.OMEGA1)
-    mu, rh = exact_field(g, rng, amp=0.4)
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
     x = hk.vector_from_potential(omega, mu)
     _, hhat = hk.khat_hhat(g, omega, rh, x)
     val = lat.integrate(g, np.sum(hhat ** 2, axis=-1) * ext.u_of(omega))
@@ -288,12 +288,12 @@ def test_constant_k_forces_u_at_least_one(rng):
 
 def test_nonminimal_fields_have_nonconstant_k(rng):
     g = sgrid(8)
-    rho = perturbed_field(g, rng, 0.3)
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
     k = hk.k_functions(rho)
     spread = max(k[..., i].max() - k[..., i].min() for i in range(3))
     assert spread > 1e-3
     # converse: tiny moment-map variation pins the field to omega1
-    tiny = perturbed_field(g, rng, 1e-10)
+    tiny = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 1e-10)
     kt = hk.k_functions(tiny)
     spread_t = max(kt[..., i].max() - kt[..., i].min() for i in range(3))
     assert spread_t < 1e-9

@@ -50,3 +50,19 @@ def test_snapshot_rejects_foreign_component_order(tmp_path):
     hdr.write_text(json.dumps(meta))
     with pytest.raises(ValueError):
         load_snapshot(hdr)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda hdr, meta, payload: payload.write_bytes(payload.read_bytes()[:-8]),
+     "bytes"),
+    (lambda hdr, meta, payload: hdr.write_text(json.dumps({**meta, "dtype": ">f8"})),
+     "dtype"),
+    (lambda hdr, meta, payload: payload.write_bytes(
+        np.full(8 ** 4 * 6, np.nan).tobytes()), "non-finite"),
+], ids=["truncated", "dtype", "nan"])
+def test_snapshot_rejects_bad_payload(tmp_path, corrupt, message):
+    g = lat.Grid(8)
+    hdr = save_snapshot(tmp_path / "s", g, np.zeros(g.shape + (6,)), 0.0)
+    corrupt(hdr, json.loads(hdr.read_text()), tmp_path / "s.bin")
+    with pytest.raises(ValueError, match=message):
+        load_snapshot(hdr)
