@@ -1,7 +1,8 @@
 """Command line driver: run / check / hessian / init.
 
-Exit codes: 0 success (and all checks passed), 1 configuration error,
-2 degeneracy or step failure (with a diagnostic JSON) or failed checks.
+Exit codes: 0 success (and all checks passed), 1 configuration error or a
+bad input file (such as a malformed snapshot), 2 degeneracy or step failure
+(with a diagnostic JSON) or failed checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from donflow import checks
 from donflow import flow
 from donflow import lattice as lat
 from donflow.config import ConfigError, RunConfig, load_config, save_template
-from donflow.exterior import DegenerateForm, U_FLOOR, norm2_sq, u_of
+from donflow.exterior import DegenerateForm, norm2_sq, require_u, u_of
 from donflow.snapshots import load_snapshot
 
 
@@ -102,17 +103,24 @@ def _cmd_check(args):
 
 def _cmd_hessian(args):
     cfg = _load_config(args)
-    grid, rho, time, _ = load_snapshot(args.snapshot)
-    u_min = float(u_of(rho).min())
+    try:
+        grid, rho, time, _ = load_snapshot(args.snapshot)
+    except ValueError as err:
+        print(f"donflow hessian: bad snapshot: {err}", file=sys.stderr)
+        return 1
+    u = u_of(rho)
+    u_min = float(u.min())
     path = Path(cfg.report_path) if cfg.report_path else (
         Path(cfg.out_dir) / "hessian_report.json")
     path.parent.mkdir(parents=True, exist_ok=True)
-    if u_min <= U_FLOOR:
+    try:
+        require_u(u)
+    except DegenerateForm as err:
+        error = f"degenerate snapshot: {err}"
         path.write_text(json.dumps(
             {"snapshot": str(args.snapshot), "u_min": u_min,
-             "error": "degenerate snapshot"}, indent=2, sort_keys=True) + "\n")
-        print(f"donflow hessian: degenerate snapshot (u_min = {u_min:.3e})",
-              file=sys.stderr)
+             "error": error}, indent=2, sort_keys=True) + "\n")
+        print(f"donflow hessian: {error}", file=sys.stderr)
         return 2
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     values, quotients = [], []

@@ -103,6 +103,11 @@ def khat_hhat(grid, rho, rhohat, x):
     return khat, hhat
 
 
+def _hessian_density(khat, k, u, rr):
+    """sum_i (K_hat_i^2 u - K_i^2 rr / 2), with rr = rhohat ^ rhohat."""
+    return np.sum(khat ** 2, axis=-1) * u - 0.5 * np.sum(k ** 2, axis=-1) * rr
+
+
 def hessian_hk(grid, rho, rhohat):
     """Hessian through the moment maps:
     integral of sum_i (K_hat_i^2 dvol_rho - K_i^2 rhohat^2 / 2)."""
@@ -110,9 +115,8 @@ def hessian_hk(grid, rho, rhohat):
     u = ext.u_of(rho)
     k = k_functions(rho)
     khat = _khat(rho, rhohat, k, u)
-    dens = (np.sum(khat ** 2, axis=-1) * u
-            - 0.5 * np.sum(k ** 2, axis=-1) * ext.wedge22(rhohat, rhohat))
-    return lat.integrate(grid, dens)
+    return lat.integrate(
+        grid, _hessian_density(khat, k, u, ext.wedge22(rhohat, rhohat)))
 
 
 def lie_derivative_k(grid, rho, x):
@@ -184,7 +188,7 @@ def hessiancov_check(grid, rho, rhohat, mu=None):
         nab_xk += lat.integrate(grid, _omega_pair(i, x, _nabla(grid, x, xk[i])) * u)
 
     hh = lat.integrate(grid, np.sum(hhat ** 2, axis=-1) * u)
-    kk = lat.integrate(grid, np.sum(khat ** 2, axis=-1) * u - 0.5 * np.sum(k ** 2, axis=-1) * rr)
+    kk = lat.integrate(grid, _hessian_density(khat, k, u, rr))
     abcde = a_val + b_val + c_val + d_val - 2.0 * e_val
     scale = sum(abs(v) for v in (a_val, b_val, c_val, d_val, 2 * e_val)) + 1e-300
     cov_lhs = hh + nab_kx

@@ -147,6 +147,7 @@ def _derivative(grid, f, table, ncomp):
     out = np.zeros((ncomp,) + fk.shape[1:], dtype=complex)
     for o, i, axis, sign in table:
         out[o] += (sign * 1j * grid.axis_symbols[axis]) * fk[i]
+    del fk  # free the input spectrum before the inverse transform
     return _from_spectrum(grid, out)
 
 
@@ -241,7 +242,9 @@ def l2_norm(grid, fld):
 def cohomology(grid, rho):
     """Per-component grid means of a 2-form field (exactly rounded sums)."""
     nsites = grid.n ** 4
-    return np.array([math.fsum(rho[..., c].ravel()) / nsites for c in range(6)])
+    # fsum reads a list of Python floats faster than numpy scalars
+    return np.array([math.fsum(rho[..., c].ravel().tolist()) / nsites
+                     for c in range(6)])
 
 
 def exact_potential_flat(grid, rhohat):

@@ -1,8 +1,10 @@
-"""Brute-force oracles for the exterior algebra and lattice tests.
+"""Brute-force oracles for the exterior algebra, lattice and flow tests.
 
 Everything here works on fully antisymmetric index tensors and enumerates
 permutations, or sums sampled cosines mode by mode, so it shares no code
-(and no sign tables) with the package.
+(and no sign tables) with the package.  The exception is the reference
+time step, which checks the step's bookkeeping, not the right hand side:
+it calls the package's ``flow.rhs`` and ``flow.energy``.
 """
 
 import math
@@ -10,7 +12,8 @@ from itertools import permutations, product
 
 import numpy as np
 
-from donflow.exterior import IDX2, IDX3
+from donflow import flow
+from donflow.exterior import IDX2, IDX3, DegenerateForm
 
 
 def perm_sign(p):
@@ -131,3 +134,30 @@ def trig_field_direct(rng, kmax, ncomp, n):
                            + k[2] * x[:, None] + k[3] * x)
         out += a * np.cos(arg[..., None] + ph)
     return out
+
+
+def rk4_guarded_step(grid, rho, t, dt, dt_max, max_retries=20):
+    """Reference for ``flow.step``: the classical RK4 step, every stage
+    evaluated afresh, halved until it is admissible and does not raise the
+    energy, then the stationarity residual at the new field (5 rhs and 2
+    energies per accepted step).  Returns (rho, t, dt, energy, residual)
+    of the accepted step."""
+    e_old = flow.energy(grid, rho)
+    dt = min(dt, dt_max)
+    for _ in range(max_retries + 1):
+        try:
+            k1 = flow.rhs(grid, rho)
+            k2 = flow.rhs(grid, rho + 0.5 * dt * k1)
+            k3 = flow.rhs(grid, rho + 0.5 * dt * k2)
+            k4 = flow.rhs(grid, rho + dt * k3)
+            cand = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            e_new = flow.energy(grid, cand)
+        except DegenerateForm:
+            dt *= 0.5
+            continue
+        if e_new <= e_old:
+            residual = math.sqrt(float(np.sum(flow.rhs(grid, cand) ** 2))
+                                 * grid.h ** 4)
+            return cand, t + dt, min(dt * 1.1, dt_max), e_new, residual
+        dt *= 0.5
+    raise AssertionError("reference step found no admissible step")

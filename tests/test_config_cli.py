@@ -108,8 +108,9 @@ def test_l1_violation_is_a_step_failure(tmp_path, monkeypatch):
 
     monkeypatch.setattr(flow, "energy", lambda grid, rho: 1.0)
     g = lat.Grid(8)
+    omega = g.constant(OMEGA1)
     with pytest.raises(flow.StepFailure) as err:
-        flow.l1_report(g, g.constant(OMEGA1), 0.5)
+        flow.l1_report(g, omega, flow.energy(g, omega), 0.5)
     diag = err.value.diagnostic
     assert sorted(diag) == ["energy", "l1_bound", "l1_norm", "t"]
     assert (diag["t"], diag["l1_bound"], diag["energy"]) == (0.5, 0.0, 1.0)
@@ -163,6 +164,22 @@ def test_cli_hessian_on_converged_endpoint(tmp_path):
     rep = json.loads((tmp_path / "hess.json").read_text())
     assert rep["min_quotient"] == pytest.approx(1.0, abs=1e-5)
     assert rep["max_quotient"] == pytest.approx(1.0, abs=1e-5)
+
+
+def test_cli_hessian_bad_snapshot(tmp_path, capsys):
+    g = lat.Grid(8)
+    snap = save_snapshot(tmp_path / "snap", g, g.constant(OMEGA1), 0.0)
+    payload = tmp_path / "snap.bin"
+    payload.write_bytes(payload.read_bytes()[:100])
+    cfg = _write_cfg(tmp_path, report_path=str(tmp_path / "hess.json"))
+    code = cli.main(["hessian", "--config", str(cfg),
+                     "--snapshot", str(snap)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("donflow hessian: bad snapshot: snapshot payload "
+                          "has 100 bytes")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "hess.json").exists()
 
 
 def test_cli_hessian_degenerate_snapshot(tmp_path):

@@ -2,6 +2,7 @@ import csv
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from donflow import exterior as ext
@@ -171,33 +172,93 @@ def test_hessian_polarization_symmetric(rng):
 
 def test_l1_report_equality_cases(rng):
     g = sgrid(8)
-    rep = flow.l1_report(g, g.constant(ext.OMEGA1), 0.0)
+    omega = g.constant(ext.OMEGA1)
+    rep = flow.l1_report(g, omega, flow.energy(g, omega), 0.0)
     assert rep.l1_norm == pytest.approx(math.sqrt(2), rel=1e-12)
     assert rep.l1_bound == pytest.approx(math.sqrt(2), rel=1e-12)
-    rep3 = flow.l1_report(g, g.constant(3.0 * ext.OMEGA1), 0.0)
+    omega3 = g.constant(3.0 * ext.OMEGA1)
+    rep3 = flow.l1_report(g, omega3, flow.energy(g, omega3), 0.0)
     assert rep3.l1_norm == pytest.approx(rep3.l1_bound, rel=1e-12)
     rho = g.constant([1.5, 0, 0, 0.5, 0, 0])
-    rep2 = flow.l1_report(g, rho, 0.0)
+    rep2 = flow.l1_report(g, rho, flow.energy(g, rho), 0.0)
     # c = int rho ^ rho = 1.5 and E = 8/3, so the bound sqrt(1.5 * 5/3) is
     # attained: constant fields always sit on the Cauchy-Schwarz equality
     assert rep2.l1_norm == pytest.approx(math.sqrt(2.5), rel=1e-12)
     assert rep2.l1_bound == pytest.approx(math.sqrt(2.5), rel=1e-12)
     pert = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    repp = flow.l1_report(g, pert, 0.0)
+    repp = flow.l1_report(g, pert, flow.energy(g, pert), 0.0)
     assert repp.l1_norm <= repp.l1_bound + 1e-10
     assert repp.l1_norm < repp.l1_bound
 
 
 def _state(grid, rho, dt):
     coh0 = lat.cohomology(grid, rho)
-    return flow.FlowState(rho=rho, t=0.0, dt=dt,
-                          monitors=flow.monitors(grid, rho, coh0, 0.0)), coh0
+    st, velocity = flow.accept(grid, rho, 0.0, dt, flow.energy(grid, rho), coh0)
+    return st, velocity, coh0
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of flow.<name>, as every caller in flow sees it."""
+    calls = []
+    fn = getattr(flow, name)
+
+    def counted(grid, rho):
+        calls.append(rho)
+        return fn(grid, rho)
+
+    monkeypatch.setattr(flow, name, counted)
+    return calls
+
+
+def test_step_reuses_the_accepted_velocity(monkeypatch):
+    g = sgrid(8)
+    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
+    dt = flow.stable_dt_cap(g)
+    st, v, coh0 = _state(g, rho0, dt)
+    calls = _count_calls(monkeypatch, "rhs")
+    new, new_v = flow.step(g, st, v, coh0, dt_max=dt)
+    # three RK4 stages, then the velocity at the accepted field
+    assert len(calls) == 4
+    assert calls[-1] is new.rho
+    assert lat.l2_norm(g, new_v) == new.monitors["residual_l2"]
+
+    # the first candidate reads as an energy increase, so it is rejected;
+    # the retry starts again from the same k1
+    energy = flow.energy
+    verdicts = [math.inf]
+
+    def guard(grid, rho):
+        e = energy(grid, rho)
+        return verdicts.pop() if verdicts else e
+
+    monkeypatch.setattr(flow, "energy", guard)
+    calls.clear()
+    retried, _ = flow.step(g, st, v, coh0, dt_max=dt)
+    assert len(calls) == 3 + 4
+    assert retried.t == 0.5 * new.t
+
+
+@pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["cap", "huge"])
+def test_step_matches_classical_rk4(scale):
+    # the 4-rhs step and the classical 5-rhs one take bit-identical steps,
+    # with and without rejected attempts
+    g = sgrid(8)
+    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(7)))
+    dt_max = scale * flow.stable_dt_cap(g)
+    st, v, coh0 = _state(g, rho0, dt_max)
+    ref, t, dt = rho0, 0.0, dt_max
+    for _ in range(3):
+        st, v = flow.step(g, st, v, coh0, dt_max)
+        ref, t, dt, e, res = oracles.rk4_guarded_step(g, ref, t, dt, dt_max)
+        assert np.array_equal(st.rho, ref)
+        assert (st.t, st.dt) == (t, dt)
+        assert (st.monitors["energy"], st.monitors["residual_l2"]) == (e, res)
 
 
 def test_step_is_stationary_at_minimum():
     g = sgrid(8)
-    st, coh0 = _state(g, g.constant(ext.OMEGA1), dt=0.2 / 64)
-    new = flow.step(g, st, coh0, dt_max=0.2 / 64)
+    st, v, coh0 = _state(g, g.constant(ext.OMEGA1), dt=0.2 / 64)
+    new, _ = flow.step(g, st, v, coh0, dt_max=0.2 / 64)
     assert np.array_equal(new.rho, st.rho)
     assert new.monitors["energy"] == pytest.approx(2.0, abs=1e-13)
 
@@ -206,10 +267,10 @@ def test_step_decreases_energy(rng):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(5))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
-    st, coh0 = _state(g, rho0, dt=0.2 / 64)
+    st, v, coh0 = _state(g, rho0, dt=0.2 / 64)
     energies = [st.monitors["energy"]]
     for _ in range(10):
-        st = flow.step(g, st, coh0, dt_max=0.2 / 64)
+        st, v = flow.step(g, st, v, coh0, dt_max=0.2 / 64)
         energies.append(st.monitors["energy"])
         assert st.monitors["coh_drift_max"] < 1e-12
     diffs = np.diff(energies)
@@ -221,8 +282,8 @@ def test_step_survives_huge_dt(rng):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(6))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
-    st, coh0 = _state(g, rho0, dt=1.0)
-    new = flow.step(g, st, coh0, dt_max=1.0)
+    st, v, coh0 = _state(g, rho0, dt=1.0)
+    new, _ = flow.step(g, st, v, coh0, dt_max=1.0)
     # automatic reduction to a stable step
     assert new.t - st.t < 1.0
     assert new.monitors["energy"] <= st.monitors["energy"]
@@ -236,9 +297,9 @@ def test_step_failure_near_degenerate():
     rho = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     u = ext.u_of(rho)
     assert 0 < u.min() < 2e-4
-    st, coh0 = _state(g, rho, dt=0.2 / 64)
+    st, v, coh0 = _state(g, rho, dt=0.2 / 64)
     with pytest.raises(flow.StepFailure) as err:
-        flow.step(g, st, coh0, dt_max=0.2 / 64, max_retries=8)
+        flow.step(g, st, v, coh0, dt_max=0.2 / 64, max_retries=8)
     assert err.value.diagnostic["t"] == 0.0
 
 
@@ -246,9 +307,10 @@ def test_step_with_dealiasing(rng):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(9))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
-    st, coh0 = _state(g, rho0, dt=flow.stable_dt_cap(g))
+    st, v, coh0 = _state(g, rho0, dt=flow.stable_dt_cap(g))
     for _ in range(5):
-        st = flow.step(g, st, coh0, dt_max=flow.stable_dt_cap(g), dealias=True)
+        st, v = flow.step(g, st, v, coh0, dt_max=flow.stable_dt_cap(g),
+                          dealias=True)
     # dealiased iterates have no spectrum beyond the two-thirds cutoff
     spec = np.abs(np.fft.fftn(st.rho, axes=(0, 1, 2, 3)))
     keep = np.abs(g.freq) <= g.n / 3.0
@@ -293,6 +355,18 @@ def test_run_short_flow_monotone(tmp_path):
     for r in rows:
         for k, v in r.items():
             assert math.isfinite(float(v)), (k, v)
+
+
+def test_run_costs_four_rhs_and_one_energy_per_step(tmp_path, monkeypatch):
+    rhs_calls = _count_calls(monkeypatch, "rhs")
+    energy_calls = _count_calls(monkeypatch, "energy")
+    cfg = RunConfig(n=8, T=0.01, epsilon=0.05, kmax=2, seed=3,
+                    out_dir=str(tmp_path / "out"))
+    res = flow.run(cfg)
+    assert res.steps > 5
+    # one velocity and one energy for the initial state
+    assert len(rhs_calls) == 4 * res.steps + 1
+    assert len(energy_calls) == res.steps + 1
 
 
 def test_run_flush_on_failure(tmp_path):
