@@ -5,16 +5,25 @@ Fields are plain numpy arrays over an n^4 lattice in lexicographic
 size 1/4/6/4/1 for degrees 0..4 in the component conventions of
 :mod:`donflow.exterior`.  Scalars and 4-forms drop the trailing axis.
 
-Every linear operator is a Fourier multiplier between one real transform
-``numpy.fft.rfftn`` over the lattice axes (components batched) and one
-``irfftn``.  d on degree k is a table of entries ``(out, in, axis, sign)``,
-``e_axis ^ E_in = sign * E_out``, derived from the basis permutation signs
-and applied with the symbol ``i b(k_axis)``; ``delta2`` is its adjoint.
-The schemes differ only in b: ``spectral`` has b(k) = 2 pi k and ``fd2``
-b(k) = n sin(2 pi k / n), the central-difference symbol.  Both zero the
-Nyquist entry, so derivatives of real fields are real, and both vanish at
-k = 0 and are translation invariant, so d o d = 0 and the per-component
+A derivative along one axis is the Fourier multiplier ``i b(k)``.  The
+schemes differ only in b: ``spectral`` has b(k) = 2 pi k and ``fd2``
+b(k) = n sin(2 pi k / n), the central-difference symbol.  Both vanish at
+k = 0 and at the Nyquist entry k = n/2, so d/dx = E (S^2 - I), where S is
+the one-site cyclic shift along the axis and E the real circulant n x n
+matrix with symbol i b(k) / (e^{4 pi i k / n} - 1) (0 at k = 0, n/2).
+(S^2 - I) f is an exact subtraction, so a field constant or alternating
+along the axis has derivative exactly 0; E is then one small gemm along
+the axis.  d on degree k is a table of entries ``(out, in, axis, sign)``,
+``e_axis ^ E_in = sign * E_out``, derived from the basis permutation
+signs, each applied as one such derivative; ``delta2`` is its adjoint.
+The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
+
+The operators that are not first order stay Fourier multipliers between
+one real transform ``numpy.fft.rfftn`` over the lattice axes (components
+batched) and one ``irfftn``: :func:`inv_laplace`,
+:func:`harmonic_projection` and :func:`dealias`; :func:`random_trig_field`
+samples its modes with one ``irfftn``.
 """
 
 from __future__ import annotations
@@ -87,15 +96,22 @@ class Grid:
         return b
 
     @cached_property
-    def axis_symbols(self):
-        """b along each axis over the real-transform spectrum, each shaped
-        to broadcast against (n, n, n, n//2 + 1)."""
-        return _on_spectrum(self.symbol)
+    def axis_matrix(self):
+        """Real circulant E with d/dx = E (S^2 - I) along one axis, where
+        (S f)(x) = f(x + h); its symbol is i b(k) / (e^{4 pi i k / n} - 1)
+        away from k = 0 and n/2, where b vanishes too."""
+        b = self.symbol
+        shift2 = np.exp(4j * np.pi * self.freq / self.n) - 1.0
+        sym = np.divide(1j * b, shift2, out=np.zeros(self.n, dtype=complex),
+                        where=b != 0)
+        col = np.fft.ifft(sym).real
+        site = np.arange(self.n)
+        return col[(site[:, None] - site) % self.n]
 
     @cached_property
     def laplace_symbol(self):
         """Nonnegative symbol of -laplacian, shape (n, n, n, n//2 + 1)."""
-        return sum(b ** 2 for b in self.axis_symbols)
+        return sum(b ** 2 for b in _on_spectrum(self.symbol))
 
     def coords(self):
         """Coordinate arrays x0..x3, each broadcastable to the lattice."""
@@ -121,34 +137,43 @@ def _on_spectrum(v):
         [-1 if a == ax else 1 for a in range(4)]) for ax in range(4)]
 
 
-def _to_spectrum(f):
-    """Real forward transform of a field, component axis first (scalars get
-    a length-one component axis)."""
+def _components_first(f):
+    """A field with its component axis first (scalars get a length-one
+    component axis), C-contiguous."""
     f = np.asarray(f)
-    comps = np.moveaxis(f, -1, 0) if f.ndim == 5 else f[None]
-    return np.fft.rfftn(comps, axes=_SPECTRAL_AXES)
+    return np.ascontiguousarray(np.moveaxis(f, -1, 0)) if f.ndim == 5 else f[None]
 
 
-def _from_spectrum(grid, fk):
-    """Inverse of :func:`_to_spectrum`; one component comes back as a scalar."""
-    out = np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES)
+def _components_last(out):
+    """Inverse of :func:`_components_first`; one component comes back as a
+    scalar."""
     return out[0] if len(out) == 1 else np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _multiply(grid, f, mult):
     """Apply a real Fourier multiplier given over the real-transform spectrum."""
-    return _from_spectrum(grid, _to_spectrum(f) * mult)
+    fk = np.fft.rfftn(_components_first(f), axes=_SPECTRAL_AXES) * mult
+    return _components_last(np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES))
 
 
 def _derivative(grid, f, table, ncomp):
     """Apply a first order operator given as (out, in, axis, sign) entries:
-    out_o = sum of sign * d/dx_axis in_i, with the scheme's symbol."""
-    fk = _to_spectrum(f)
-    out = np.zeros((ncomp,) + fk.shape[1:], dtype=complex)
+    out_o = sum of sign * d/dx_axis in_i, each as E (S^2 - I) along the axis."""
+    n = grid.n
+    comps = _components_first(f)
+    out = np.zeros((ncomp,) + grid.shape)
     for o, i, axis, sign in table:
-        out[o] += (sign * 1j * grid.axis_symbols[axis]) * fk[i]
-    del fk  # free the input spectrum before the inverse transform
-    return _from_spectrum(grid, out)
+        # the axis in the middle: (sites before it, n, sites after it)
+        pre, post = n ** axis, n ** (3 - axis)
+        fi = comps[i].reshape(pre, n, post)
+        diff = np.empty_like(fi)  # (S^2 - I) f, exact
+        np.subtract(fi[:, 2:], fi[:, :-2], out=diff[:, :-2])
+        np.subtract(fi[:, :2], fi[:, -2:], out=diff[:, -2:])
+        deriv = grid.axis_matrix @ diff.transpose(1, 0, 2).reshape(n, -1)
+        acc = out[o].reshape(pre, n, post)
+        (np.add if sign > 0 else np.subtract)(
+            acc, deriv.reshape(n, pre, post).transpose(1, 0, 2), out=acc)
+    return _components_last(out)
 
 
 def _parity(idx):

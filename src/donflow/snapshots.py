@@ -40,21 +40,39 @@ def save_snapshot(base, grid, rho, time, monitors=None):
     return hpath
 
 
+HEADER_KEYS = ("n", "scheme", "payload", "time", "monitors")
+
+
+def _read(path, what):
+    """Bytes of a snapshot file; a file that cannot be read is a ValueError."""
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise ValueError(f"cannot read snapshot {what} {path}: "
+                         f"{err.strerror or err}") from err
+
+
 def load_snapshot(header_path):
     """Read a snapshot; returns (grid, rho, time, monitors).
 
-    Raises ValueError for a foreign component order or dtype, a payload of
-    the wrong length, or non-finite values.
+    Raises ValueError for a header or payload file that cannot be read, a
+    header lacking one of ``HEADER_KEYS``, a foreign component order or
+    dtype, a payload of the wrong length, or non-finite values.
     """
     header_path = Path(header_path)
-    header = json.loads(header_path.read_text())
+    header = json.loads(_read(header_path, "header"))
+    if not isinstance(header, dict):
+        raise ValueError("snapshot header is not a JSON object")
     if header.get("component_order") != COMPONENT_ORDER:
         raise ValueError("snapshot uses an unknown component order")
     dtype = header.get("dtype", PAYLOAD_DTYPE)
     if dtype != PAYLOAD_DTYPE:
         raise ValueError(f"snapshot dtype {dtype!r} is not {PAYLOAD_DTYPE!r}")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"snapshot header lacks {', '.join(missing)}")
     grid = Grid(int(header["n"]), header["scheme"])
-    raw = (header_path.parent / header["payload"]).read_bytes()
+    raw = _read(header_path.parent / header["payload"], "payload")
     size = grid.n ** 4 * 6 * 8
     if len(raw) != size:
         raise ValueError(f"snapshot payload has {len(raw)} bytes, "

@@ -136,6 +136,46 @@ def trig_field_direct(rng, kmax, ncomp, n):
     return out
 
 
+def _scheme_b(n, scheme):
+    """b(k) along one axis in fft order: i b(k) is the derivative symbol,
+    0 at the Nyquist frequency."""
+    k = np.fft.fftfreq(n) * n
+    b = 2 * np.pi * k if scheme == "spectral" else n * np.sin(2 * np.pi * k / n)
+    b[np.abs(k) == n // 2] = 0.0
+    return b
+
+
+def _wedge_map(a, k):
+    """Matrix of alpha -> e_a ^ alpha from degree k to k + 1, in the
+    package's component order."""
+    e_a = np.eye(4)[a]
+    basis = np.eye(math.comb(4, k))
+    cols = [np.atleast_1d(tensor_to_form(
+        wedge_tensor(e_a, 1, form_to_tensor(col, k), k), k + 1)) for col in basis]
+    return np.array(cols, dtype=float).T
+
+
+def d_fourier(grid, f, k, adjoint=False):
+    """Reference for ``lattice.d(grid, f, k)``: d f = sum_a e_a ^ d/dx_a f,
+    each d/dx_a the multiplier i b(k_a) applied with a complex fftn/ifftn
+    over the lattice.  With ``adjoint`` it applies the flat L2 adjoint
+    instead, from degree k + 1 to k (``lattice.delta2`` for k = 1)."""
+    n = grid.n
+    b = _scheme_b(n, grid.scheme)
+    src, dst = (k + 1, k) if adjoint else (k, k + 1)
+    f = np.asarray(f, dtype=float).reshape((n,) * 4 + (math.comb(4, src),))
+    fk = np.fft.fftn(f, axes=(0, 1, 2, 3))
+    out = np.zeros((n,) * 4 + (math.comb(4, dst),))
+    for a in range(4):
+        shape = [1] * 5
+        shape[a] = n
+        df = np.fft.ifftn(1j * b.reshape(shape) * fk, axes=(0, 1, 2, 3)).real
+        w = _wedge_map(a, k)
+        # d/dx is antisymmetric, so the adjoint of e_a ^ d/dx_a is -w.T d/dx_a
+        out += -df @ w if adjoint else df @ w.T
+    return out[..., 0] if out.shape[-1] == 1 else out
+
+
 def rk4_guarded_step(grid, rho, t, dt, dt_max, max_retries=20):
     """Reference for ``flow.step``: the classical RK4 step, every stage
     evaluated afresh, halved until it is admissible and does not raise the

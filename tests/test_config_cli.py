@@ -7,7 +7,7 @@ from donflow import cli
 from donflow import lattice as lat
 from donflow.config import ConfigError, RunConfig, from_dict, load_config, template
 from donflow.exterior import OMEGA1
-from donflow.snapshots import save_snapshot
+from donflow.snapshots import COMPONENT_ORDER, save_snapshot
 
 
 def test_config_defaults_valid():
@@ -178,6 +178,24 @@ def test_cli_hessian_bad_snapshot(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("donflow hessian: bad snapshot: snapshot payload "
                           "has 100 bytes")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "hess.json").exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    (None, "cannot read snapshot header"),
+    ({"component_order": COMPONENT_ORDER},
+     "snapshot header lacks n, scheme, payload, time, monitors"),
+], ids=["missing", "keys"])
+def test_cli_hessian_unreadable_snapshot(tmp_path, capsys, header, message):
+    snap = tmp_path / "nonexist.json"
+    if header is not None:
+        snap.write_text(json.dumps(header))
+    cfg = _write_cfg(tmp_path, report_path=str(tmp_path / "hess.json"))
+    code = cli.main(["hessian", "--config", str(cfg), "--snapshot", str(snap)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"donflow hessian: bad snapshot: {message}")
     assert err.count("\n") == 1
     assert not (tmp_path / "hess.json").exists()
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from donflow import exterior as ext
+from donflow import flow
 from donflow import lattice as lat
 import oracles as orc
 
@@ -90,6 +91,62 @@ def test_d_of_last_axis_nyquist_mode_is_zero(grid, deg):
     out = lat.d(grid, f, deg)
     assert out.dtype == np.float64
     assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("scheme", lat.SCHEMES)
+def test_d_of_constant_and_alternating_modes_is_exactly_zero(rng, n, scheme):
+    # d/dx = E (S^2 - I): the exact subtraction kills both modes on every axis
+    g = lat.Grid(n, scheme)
+    alternating = [np.broadcast_to((-1.0) ** np.rint(n * x), g.shape)
+                   for x in g.coords()]
+    for mode in [np.ones(g.shape)] + alternating:
+        for deg in range(4):
+            ncomp = lat.FORM_COMPS[deg]
+            f = mode if deg == 0 else mode[..., None] * rng.normal(size=ncomp)
+            assert np.all(lat.d(g, f, deg) == 0.0)
+        assert np.all(lat.delta2(g, mode[..., None] * rng.normal(size=6)) == 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("scheme", lat.SCHEMES)
+def test_d_matches_fourier_oracle_on_white_noise(rng, n, scheme):
+    g = lat.Grid(n, scheme)
+
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    for deg in range(4):
+        f = rng.normal(size=g.shape + (lat.FORM_COMPS[deg],))
+        f = f[..., 0] if deg == 0 else f
+        assert rel_err(lat.d(g, f, deg), orc.d_fourier(g, f, deg)) <= 1e-13
+    w = rng.normal(size=g.shape + (6,))
+    assert rel_err(lat.delta2(g, w), orc.d_fourier(g, w, 1, adjoint=True)) <= 1e-13
+
+
+def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
+    g = lat.Grid(8)
+    rho = flow.initial_data(g, rng)
+    fields = [_random_field(g, rng, lat.FORM_COMPS[deg]) for deg in range(4)]
+    g.axis_matrix  # built once per grid, the one transform d needs
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
+                 "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    flow.rhs(g, rho)
+    for deg, f in enumerate(fields):
+        lat.d(g, f, deg)
+    lat.delta2(g, rho)
+    assert calls == []
+    lat.inv_laplace(g, rho)  # the counter sees the operators that keep the FFT
+    assert calls == ["rfftn", "irfftn"]
 
 
 def _random_field(grid, rng, ncomp, kmax=2, amp=1.0):

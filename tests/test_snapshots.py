@@ -66,3 +66,31 @@ def test_snapshot_rejects_bad_payload(tmp_path, corrupt, message):
     corrupt(hdr, json.loads(hdr.read_text()), tmp_path / "s.bin")
     with pytest.raises(ValueError, match=message):
         load_snapshot(hdr)
+
+
+def test_snapshot_missing_files_are_value_errors(tmp_path):
+    with pytest.raises(ValueError, match="header .*nonexist.json"):
+        load_snapshot(tmp_path / "nonexist.json")
+    g = lat.Grid(8)
+    hdr = save_snapshot(tmp_path / "s", g, np.zeros(g.shape + (6,)), 0.0)
+    (tmp_path / "s.bin").unlink()
+    with pytest.raises(ValueError, match="payload .*s.bin"):
+        load_snapshot(hdr)
+
+
+@pytest.mark.parametrize("key", ["n", "scheme", "payload", "time", "monitors"])
+def test_snapshot_rejects_header_without_key(tmp_path, key):
+    g = lat.Grid(8)
+    hdr = save_snapshot(tmp_path / "s", g, np.zeros(g.shape + (6,)), 0.0)
+    meta = json.loads(hdr.read_text())
+    del meta[key]
+    hdr.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=f"lacks {key}$"):
+        load_snapshot(hdr)
+
+
+def test_snapshot_rejects_non_object_header(tmp_path):
+    hdr = tmp_path / "s.json"
+    hdr.write_text("[]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        load_snapshot(hdr)
