@@ -22,6 +22,10 @@ from donflow import lattice as lat
 
 SUITE_ORDER = ("appendixA", "theta", "hyperkahler", "gradient", "hessiancov")
 
+# the lattice of the field suites (hessiancov refines it to n = 12 as well)
+GRID_N = 8
+SCHEME = "spectral"
+
 
 def _record(name, identity, lhs, rhs, err, tol, samples=None, grid_n=None,
             scheme=None, rel_scale=None):
@@ -251,7 +255,7 @@ def suite_theta(seed, samples):
     return out
 
 
-def suite_hyperkahler(seed, samples, grid_n=8, scheme="spectral"):
+def suite_hyperkahler(seed, samples):
     rng = _rng(seed, 2)
     b = int(samples)
     out = []
@@ -273,18 +277,18 @@ def suite_hyperkahler(seed, samples, grid_n=8, scheme="spectral"):
                        1.0, 1.0, dev, 1e-11, b,
                        rel_scale=max(1.0, float(np.abs(rho).max()))))
 
-    g = lat.Grid(grid_n, scheme)
+    g = lat.Grid(GRID_N, SCHEME)
     gen = np.random.Generator(np.random.Philox(2000 * int(seed) + 5))
     rho_f = perturbed_omega1(g, lat.random_trig_field(gen, 2, 4), 0.25)
     ea, eb = flow.energy(g, rho_f), hk.energy_hk(g, rho_f)
     out.append(_record("energy_cross", "conformal energy = moment-map energy",
-                       ea, eb, abs(ea - eb), 1e-10, 1, grid_n, scheme,
+                       ea, eb, abs(ea - eb), 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=abs(ea)))
     _, rh_f = exact_direction(g, lat.random_trig_field(gen, 2, 4), 0.4)
     ha = flow.hessian_form(g, rho_f, rh_f)
     hb = hk.hessian_hk(g, rho_f, rh_f)
     out.append(_record("hessian_cross", "Hessian = moment-map Hessian",
-                       ha, hb, abs(ha - hb), 1e-10, 1, grid_n, scheme,
+                       ha, hb, abs(ha - hb), 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=max(1.0, abs(ha))))
 
     rho_g = perturbed_omega1(g, lat.random_trig_field(gen, 1, 4), 0.003)
@@ -293,14 +297,14 @@ def suite_hyperkahler(seed, samples, grid_n=8, scheme="spectral"):
     den = lat.l2_norm(g, r)
     out.append(_record("gradient_cross",
                        "moment-map gradient = minus flow rhs (band limited)",
-                       num, den, num / den, 1e-8, 1, grid_n, scheme,
+                       num, den, num / den, 1e-8, 1, GRID_N, SCHEME,
                        rel_scale=1.0))
     return out
 
 
-def suite_gradient(seed, samples, grid_n=8, scheme="spectral"):
+def suite_gradient(seed, samples):
     gen = np.random.Generator(np.random.Philox(3000 * int(seed) + 7))
-    g = lat.Grid(grid_n, scheme)
+    g = lat.Grid(GRID_N, SCHEME)
     pairs = max(2, min(int(samples), 20))
     worst = 0.0
     last = (0.0, 0.0)
@@ -316,44 +320,39 @@ def suite_gradient(seed, samples, grid_n=8, scheme="spectral"):
         last = (lhs, rhs)
     return [_record("gradient_consistency",
                     "dE(rho)[rhohat] = -<rhs, rhohat> in the Donaldson metric",
-                    last[0], last[1], worst, 1e-6, pairs, grid_n, scheme,
+                    last[0], last[1], worst, 1e-6, pairs, GRID_N, SCHEME,
                     rel_scale=1.0)]
 
 
-def suite_hessiancov(seed, samples, grid_n=8, scheme="spectral"):
+def suite_hessiancov(seed, samples):
     gen = np.random.Generator(np.random.Philox(4000 * int(seed) + 9))
     out = []
     rho_fn = lat.random_trig_field(gen, 1, 4)
     mu_fn = lat.random_trig_field(gen, 1, 4)
     res = {}
-    for n in sorted({int(grid_n), 12}):
-        g = lat.Grid(n, scheme)
+    for n in (GRID_N, 12):
+        g = lat.Grid(n, SCHEME)
         rho = perturbed_omega1(g, rho_fn, 0.1)
         mu, rh = exact_direction(g, mu_fn, 0.3)
         rep = hk.hessiancov_check(g, rho, rh, mu=mu)
-        res[n] = rep
+        res[n] = rep["abcde_relative"]
         out.append(_record(f"covariant_ledger_n{n}",
                            "A + B + C + D = 2E for the Hessian ledger",
                            rep["cov_lhs"], rep["cov_rhs"],
-                           rep["abcde_relative"], 1e-3, 1, n, scheme,
-                           rel_scale=1.0))
-    ns = sorted(res)
-    if len(ns) == 2:
-        dec = res[ns[1]]["abcde_relative"] <= res[ns[0]]["abcde_relative"]
-        out.append(_record("covariant_ledger_refines",
-                           "ledger residual decreases under refinement",
-                           res[ns[0]]["abcde_relative"],
-                           res[ns[1]]["abcde_relative"],
-                           0.0 if dec else 1.0, 0.5, 2, ns[1], scheme,
-                           rel_scale=1.0))
-    g8 = lat.Grid(int(grid_n), scheme)
-    mu0 = mu_fn(g8)
-    rep0 = hk.hessiancov_check(g8, g8.constant(ext.OMEGA1),
-                               lat.d1(g8, mu0), mu=mu0)
+                           res[n], 1e-3, 1, n, SCHEME, rel_scale=1.0))
+    out.append(_record("covariant_ledger_refines",
+                       "ledger residual decreases under refinement",
+                       res[GRID_N], res[12],
+                       0.0 if res[12] <= res[GRID_N] else 1.0, 0.5, 2, 12,
+                       SCHEME, rel_scale=1.0))
+    g = lat.Grid(GRID_N, SCHEME)
+    mu0 = mu_fn(g)
+    rep0 = hk.hessiancov_check(g, g.constant(ext.OMEGA1), lat.d1(g, mu0),
+                               mu=mu0)
     out.append(_record("covariant_ledger_minimum",
                        "ledger vanishes identically at the minimum",
                        rep0["cov_lhs"], rep0["cov_rhs"],
-                       rep0["abcde_residual"], 1e-10, 1, int(grid_n), scheme,
+                       rep0["abcde_residual"], 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=1.0))
     return out
 

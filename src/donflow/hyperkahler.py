@@ -140,7 +140,7 @@ def _omega_pair(i, x, y):
     return np.einsum("...a,ab,...b->...", x, _P_OMEGAS[i], y)
 
 
-def hessiancov_check(grid, rho, rhohat, mu=None):
+def hessiancov_check(grid, rho, rhohat, mu):
     """Covariant-Hessian bookkeeping at (rho, rhohat).
 
     Evaluates the five integrals
@@ -157,10 +157,6 @@ def hessiancov_check(grid, rho, rhohat, mu=None):
     with d mu = rhohat.  Returns a report dict.
     """
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    if mu is None:
-        res, mu = lat.exactness_residual(grid, rhohat)
-        if res > 1e-10:
-            raise lat.NotExact(f"rhohat not exact (residual {res:.3e})")
     u = ext.u_of(rho)
     k = k_functions(rho)
     x = vector_from_potential(rho, mu)

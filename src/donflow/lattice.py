@@ -34,14 +34,15 @@ from functools import cached_property
 
 import numpy as np
 
-from donflow.exterior import IDX2, IDX3, W13_SIGN
+from donflow import exterior as ext
 
 SCHEMES = ("spectral", "fd2")
 
 FORM_COMPS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 
 # index tuples of the basis of each degree, in component order
-_BASIS = (((),), ((0,), (1,), (2,), (3,)), IDX2, IDX3, ((0, 1, 2, 3),))
+_BASIS = (((),), ((0,), (1,), (2,), (3,)), ext.IDX2, ext.IDX3,
+          ((0, 1, 2, 3),))
 
 # lattice axes of a component-first field
 _SPECTRAL_AXES = (1, 2, 3, 4)
@@ -265,53 +266,54 @@ def l2_norm(grid, fld):
 
 
 def cohomology(grid, rho):
-    """Per-component grid means of a 2-form field (exactly rounded sums)."""
-    nsites = grid.n ** 4
-    # fsum reads a list of Python floats faster than numpy scalars
-    return np.array([math.fsum(rho[..., c].ravel().tolist()) / nsites
-                     for c in range(6)])
-
-
-def exact_potential_flat(grid, rhohat):
-    """Flat-metric potential lam0 with d lam0 = rhohat for exact rhohat.
-
-    lam0 = delta (laplace^-1 rhohat); d lam0 reproduces rhohat exactly when
-    rhohat lies in the image of d (the residual is the distance to it).
-    """
-    return delta2(grid, inv_laplace(grid, rhohat))
+    """Per-component grid means of a 2-form field, exactly rounded unless
+    within ~1e-20 of a tie.  Each component splits without error into a
+    high part on the grid of a power of two sigma > 2 n^4 max|rho_c|, whose
+    sum is exact, and a low part below ulp(sigma) (Rump, Ogita, Oishi 2008)."""
+    comps = _components_first(rho).reshape(6, -1)
+    nsites = comps.shape[1]
+    _, expo = np.frexp(2 * nsites * np.abs(comps).max(axis=1))
+    sigma = np.ldexp(1.0, expo)[:, None]
+    high = (comps + sigma) - sigma
+    return (high.sum(axis=1) + (comps - high).sum(axis=1)) / nsites
 
 
 def exactness_residual(grid, rhohat):
-    """Relative L2 distance of a 2-form field from the image of d."""
-    lam0 = exact_potential_flat(grid, rhohat)
+    """Relative L2 distance of a 2-form field from the image of d, and the
+    flat-metric potential lam0 = delta (laplace^-1 rhohat), whose d is the
+    projection of rhohat onto that image."""
+    lam0 = delta2(grid, inv_laplace(grid, rhohat))
     num = l2_norm(grid, d1(grid, lam0) - rhohat)
     den = l2_norm(grid, rhohat)
     return 0.0 if den == 0 else num / den, lam0
 
 
-def _star1_apply(gdata, lam):
-    """Pointwise rho-metric Hodge star on 1-form fields."""
-    ginv, s = gdata
-    y = np.einsum("...ij,...j->...i", ginv, lam)
-    return s[..., None] * W13_SIGN * y
+def exact_potential_flat(grid, rhohat):
+    """Flat-metric potential lam0 with d lam0 = rhohat; raises NotExact
+    when rhohat is farther than 1e-10 (relative L2) from the image of d."""
+    res, lam0 = exactness_residual(grid, rhohat)
+    if res > 1e-10:
+        raise NotExact(f"2-form is not exact: distance {res:.3e} from the "
+                       "image of d exceeds 1e-10 (relative L2)")
+    return lam0
 
 
-def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
-                         max_iter=None):
+def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
     """Gauge-fixed potential of an exact 2-form field.
 
     Returns the 1-form lam minimizing the metric energy
     ``integral(lam ^ star lam)`` over all solutions of ``d lam = rhohat``,
-    where ``star`` is the pointwise Hodge star of ``metric_field``.  The
-    minimizer is the potential whose ``star lam`` is exact (closed with zero
-    periods).
+    where ``star`` is the Hodge star of the metric g_rho(rho), in closed
+    form :func:`donflow.exterior.star_rho1` (the flat metric is rho =
+    omega1).  The minimizer is the potential whose ``star lam`` is exact
+    (closed with zero periods).
 
     Parameters
     ----------
     rhohat : (n,n,n,n,6) array
         Must lie in the image of d up to 1e-10 (relative L2).
-    metric_field : (n,n,n,n,4,4) array
-        Pointwise symmetric positive definite metric.
+    rho : (n,n,n,n,6) array
+        Base point; its volume ratio must stay above the floor.
     rtol : float
         Relative residual target of the preconditioned CG solve.
     max_iter : int
@@ -319,16 +321,11 @@ def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
 
     Raises
     ------
-    NotExact, NoConvergence
+    NotExact, NoConvergence, DegenerateForm
     """
-    res, lam0 = exactness_residual(grid, rhohat)
-    if res > 1e-10:
-        raise NotExact(f"projection residual {res:.3e} exceeds 1e-10")
+    lam0 = exact_potential_flat(grid, rhohat)
     if max_iter is None:
         max_iter = 50 * grid.n
-
-    gmat = np.asarray(metric_field)
-    gdata = (np.linalg.inv(gmat), np.sqrt(np.linalg.det(gmat)))
 
     # the closed corrections are d(phi) plus the discrete-harmonic 1-forms
     # nu (constants and the zero-symbol Nyquist combinations); nu iterates
@@ -338,15 +335,15 @@ def least_norm_potential(grid, rhohat, metric_field, rtol=1e-10,
 
     def apply_bt(w3):
         # transpose of apply_b through the wedge pairing with 3-forms
-        return -d3(grid, w3), harmonic_projection(grid, W13_SIGN * w3)
+        return -d3(grid, w3), harmonic_projection(grid, ext.W13_SIGN * w3)
 
     def normal_op(phi, nu):
-        return apply_bt(_star1_apply(gdata, apply_b(phi, nu)))
+        return apply_bt(ext.star_rho1(apply_b(phi, nu), rho))
 
     def precond(r_phi, r_nu):
         return inv_laplace(grid, r_phi), r_nu
 
-    b_phi, b_nu = apply_bt(_star1_apply(gdata, lam0))
+    b_phi, b_nu = apply_bt(ext.star_rho1(lam0, rho))
     r_phi, r_nu = -b_phi, -b_nu
     phi = np.zeros(grid.shape)
     nu = np.zeros(grid.shape + (4,))
@@ -393,19 +390,14 @@ def random_trig_field(rng, kmax, ncomp=1):
     Returns a closure evaluating the field on any grid, so refinement studies
     can sample the same smooth function at several resolutions.
     """
-    modes = []
-    for kv in np.ndindex(*(2 * kmax + 1,) * 4):
-        k = np.array(kv) - kmax
-        if not k.any():
-            continue
-        nz = k[np.nonzero(k)[0][0]]
-        if nz < 0:       # one representative per antipodal pair
-            continue
-        modes.append(k)
+    k = np.indices((2 * kmax + 1,) * 4).reshape(4, -1).T - kmax
+    # one representative per antipodal pair: the first nonzero entry is
+    # positive (which also drops k = 0)
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    modes = k[first > 0]
     amps = rng.normal(size=(len(modes), ncomp))
     phases = rng.uniform(0, 2 * np.pi, size=(len(modes), ncomp))
     # a cos(2 pi k.x + ph) = a/2 e^{i ph} e^{2 pi i k.x} + conjugate at -k
-    modes = np.array(modes, dtype=int).reshape(-1, 4)
     half = 0.5 * amps * np.exp(1j * phases)
 
     def evaluate(grid):
