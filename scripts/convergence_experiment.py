@@ -50,7 +50,7 @@ def main(argv=None):
             "reason": res.reason,
             "steps": res.steps,
             "t_final": res.state.t,
-            "energy_excess": res.state.monitors["energy"] - 2.0,
+            "energy_excess": res.state.excess,
             "residual_l2": res.state.monitors["residual_l2"],
             "sup_distance": dist,
             "wall_seconds": wall,

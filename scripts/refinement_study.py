@@ -51,9 +51,9 @@ def main(argv=None):
                     / lat.l2_norm(g, r))
 
         k = hk.k_functions(rho)
-        tot = np.zeros(g.shape + (4,))
+        tot = g.zeros(1)
         for i, jr in enumerate(hk.j_rho_fields(rho)):
-            tot += np.einsum("...ji,...j->...i", jr, lat.d0(g, k[..., i]))
+            tot += np.einsum("...ji,j...->i...", jr, lat.d0(g, k[i]))
         star_rel = float(np.abs(lat.d2(g, ext.theta_point(rho))
                                 - ext.star_rho1(tot, rho)).max())
 

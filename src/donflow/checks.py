@@ -50,16 +50,17 @@ def _rng(seed, idx):
 
 
 def random_rho(rng, batch=(), u_min=0.05, g=None):
-    """Random 2-forms of shape batch + (6,) with volume ratio above u_min
-    (for the metric g), resampling the entries that fall below it."""
-    scale = 1.0 if g is None else np.sqrt(ext.vol_coeff(g))[..., None]
-    rho = scale * rng.uniform(-1.0, 1.0, size=batch + (6,))
-    for _ in range(500):
+    """Random 2-forms of shape (6,) + batch with volume ratio above u_min
+    (for the metric g), resampling the entries that fall below it.  Each
+    draw is batch + (6,) uniform numbers, moved to component-first."""
+    scale = 1.0 if g is None else np.sqrt(ext.vol_coeff(g))
+    rho, bad = 0.0, True
+    for _ in range(501):
+        draw = np.moveaxis(rng.uniform(-1.0, 1.0, size=batch + (6,)), -1, 0)
+        rho = np.where(bad, scale * draw, rho)
         bad = ext.u_of(rho, g) <= u_min
         if not bad.any():
             return rho
-        rho = np.where(bad[..., None],
-                       scale * rng.uniform(-1.0, 1.0, size=batch + (6,)), rho)
     raise RuntimeError("sampling admissible forms failed")
 
 
@@ -88,20 +89,12 @@ def exact_direction(grid, field, amp):
     return mu, lat.d1(grid, mu)
 
 
-def _compatible(rng, batch):
-    """Random compatible triples (omega, g, J) with g = omega(., J.)."""
-    g = random_spd(rng, (batch,))
-    w = ext.self_dual_basis(g)[..., 0, :]
-    j = np.linalg.solve(ext.form2_matrix(w), g)
-    return w, g, j
-
-
 def suite_appendixA(seed, samples):
     rng = _rng(seed, 0)
     out = []
     b = int(samples)
 
-    rho = rng.uniform(-1, 1, size=(b, 6))
+    rho = rng.uniform(-1, 1, size=(b, 6)).T
     det = np.linalg.det(ext.a_of(rho))
     u2 = ext.u_of(rho) ** 2
     out.append(_record("det_a", "det(A) = u^2 (euclidean)", det, u2,
@@ -116,9 +109,9 @@ def suite_appendixA(seed, samples):
                        rel_scale=max(1.0, np.abs(u2g).max())))
 
     gu = random_spd(rng, (b,), unit_vol=True)
-    l = rng.normal(size=(b, 4))
-    w = rng.normal(size=(b, 6))
-    f = rng.normal(size=(b, 4))
+    l = rng.normal(size=(b, 4)).T
+    w = rng.normal(size=(b, 6)).T
+    f = rng.normal(size=(b, 4)).T
     errs = max(
         np.abs(ext.hodge3(gu, ext.hodge1(gu, l)) + l).max(),
         np.abs(ext.hodge2(gu, ext.hodge2(gu, w)) - w).max(),
@@ -128,8 +121,8 @@ def suite_appendixA(seed, samples):
                        1.0, 1.0, errs, 1e-9, b,
                        rel_scale=max(1.0, np.abs(w).max())))
 
-    v = rng.normal(size=(b, 4))
-    gv = np.einsum("...ij,...j->...i", g, v)
+    v = rng.normal(size=(b, 4)).T
+    gv = np.einsum("...ij,j...->i...", g, v)
     ivvol = ext.interior4(v, ext.vol_coeff(g))
     dual1 = np.abs(ext.hodge1(g, gv) - ivvol).max()
     dual2 = np.abs(ext.hodge3(g, ivvol) + gv).max()
@@ -138,11 +131,14 @@ def suite_appendixA(seed, samples):
                        gv, ivvol, max(dual1, dual2), 1e-9, b,
                        rel_scale=max(1.0, np.abs(ivvol).max())))
 
-    wc, gc, jc = _compatible(rng, b)
+    # random compatible triples (omega, g, J) with g = omega(., J.)
+    gc = random_spd(rng, (b,))
+    wc = ext.self_dual_basis(gc)[..., 0]
+    jc = np.linalg.solve(ext.form2_matrix(wc), gc)
     errc = np.abs(jc @ jc + np.eye(4)).max()
-    lam = rng.normal(size=(b, 4))
+    lam = rng.normal(size=(b, 4)).T
     lhs = ext.hodge3(gc, ext.wedge12(lam, wc))
-    rhs = -np.einsum("...ji,...j->...i", jc, lam)
+    rhs = -np.einsum("...ji,j...->i...", jc, lam)
     out.append(_record("compatible_star",
                        "g = w(., J.) iff star(w ^ l) = -l o J and vol match",
                        lhs, rhs,
@@ -157,16 +153,16 @@ def suite_appendixA(seed, samples):
     scale = max(1.0, float(np.abs(gr).max()))
     e2 = np.abs(ext.hodge1(gr, lam)
                 - ext.wedge12(ext.hodge3(gc, ext.wedge12(lam, rho2)), rho2)
-                / u[..., None]).max()
-    x = rng.normal(size=(b, 4))
+                / u).max()
+    x = rng.normal(size=(b, 4)).T
     e3 = np.abs(ext.hodge1(gr, ext.interior2(x, rho2))
-                + ext.wedge12(np.einsum("...ij,...j->...i", gc, x), rho2)).max()
+                + ext.wedge12(np.einsum("...ij,j...->i...", gc, x), rho2)).max()
     jr = ext.j_rho(jc, rho2)
     e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, rho2)) @ jr - gr).max()
     sd = ext.self_dual_basis(gc)
-    rsd = ext.r_rho(sd, rho2[..., None, :])
+    rsd = ext.r_rho(sd, rho2[..., None])
     e5 = np.abs(ext.hodge2(gr[..., None, :, :], rsd) - rsd).max()
-    t = rng.normal(size=(b, 6))
+    t = rng.normal(size=(b, 6)).T
     e6 = np.abs(ext.hodge2(gr, t)
                 - ext.r_rho(ext.hodge2(gc, ext.r_rho(t, rho2)), rho2)).max()
     evol = np.abs(np.linalg.det(gr) - np.linalg.det(gc)).max()
@@ -219,8 +215,8 @@ def suite_theta(seed, samples):
 
     plus, minus = ext.sd_split(rho)
     np2, nm2 = ext.norm2_sq(plus), ext.norm2_sq(minus)
-    alt1 = 2 * plus / u[..., None] - (np2 / u ** 2)[..., None] * rho
-    alt2 = -(nm2[..., None] * plus + np2[..., None] * minus) / (u ** 2)[..., None]
+    alt1 = 2 * plus / u - (np2 / u ** 2) * rho
+    alt2 = -(nm2 * plus + np2 * minus) / u ** 2
     out.append(_record("theta_forms", "the closed forms of Theta agree",
                        alt1, alt2,
                        max(np.abs(th - alt1).max(), np.abs(th - alt2).max()),
@@ -233,13 +229,13 @@ def suite_theta(seed, samples):
                        lhs, rhs, np.abs(lhs - rhs).max(), 1e-9, b,
                        rel_scale=max(1.0, float(np.abs(rhs).max()))))
 
-    sd = rng.uniform(0.3, 2.0, size=(b, 1)) * ext.OMEGA1
+    sd = (rng.uniform(0.3, 2.0, size=(b, 1)) * ext.OMEGA1).T
     out.append(_record("theta_self_dual", "Theta = 0 iff rho self-dual",
                        ext.theta_point(sd), 0.0,
                        np.abs(ext.theta_point(sd)).max(), 1e-12, b,
                        rel_scale=1.0))
 
-    rh = rng.normal(size=(b, 6))
+    rh = rng.normal(size=(b, 6)).T
     td = ext.theta_dot_point(rho, rh)
 
     def fd(t):
@@ -263,9 +259,9 @@ def suite_hyperkahler(seed, samples):
     u = ext.u_of(rho)
     k = hk.k_functions(rho)
     plus, minus = ext.sd_split(rho)
-    recon = 0.5 * u[..., None] * np.einsum("...i,ic->...c", k, hk.OMEGAS)
+    recon = 0.5 * u * np.einsum("i...,ic->c...", k, hk.OMEGAS)
     e1 = np.abs(recon - plus).max()
-    e2 = np.abs(2 * ext.norm2_sq(plus) - u ** 2 * np.sum(k ** 2, axis=-1)).max()
+    e2 = np.abs(2 * ext.norm2_sq(plus) - u ** 2 * np.sum(k ** 2, axis=0)).max()
     e3 = np.abs(ext.norm2_sq(plus) - ext.norm2_sq(minus) - 2 * u).max()
     out.append(_record("moment_map_split",
                        "r+ = (u/2) sum K_i w_i and the norm identities",

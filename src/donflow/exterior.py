@@ -1,8 +1,10 @@
 """Pointwise exterior algebra and metric geometry of an oriented R^4.
 
-Every operation here acts on a single tangent space; all functions broadcast
-over arbitrary leading axes so that lattice fields (shape ``(n,n,n,n,...)``)
-go through the same code path as single points.
+Every operation here acts on a single tangent space.  A k-form is an array
+with its components on the first axis, ``(c, *batch)``, so a point ``(c,)``
+and a lattice field ``(c, n, n, n, n)`` go through the same code; scalars
+and 4-forms have no component axis.  Linear maps and metrics keep their two
+matrix axes last, ``(*batch, 4, 4)``, as ``numpy.linalg`` and ``@`` expect.
 
 Component conventions (frozen; the rest of the package depends on them):
 
@@ -46,7 +48,7 @@ IDX2 = ((0, 1), (0, 2), (0, 3), (2, 3), (3, 1), (1, 2))
 IDX3 = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 # wedge-dual pairing on 2-forms: E_I ^ E_{DUAL2[I]} = +dvol, all other pairs 0
-DUAL2 = (3, 4, 5, 0, 1, 2)
+DUAL2 = np.array([3, 4, 5, 0, 1, 2])
 
 # e_i ^ f_i = W13_SIGN[i] * dvol  (f_i the i-th 3-form basis element)
 W13_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
@@ -69,65 +71,61 @@ OMEGA3_ASD = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])
 
 def wedge11(a, b):
     """Wedge of two 1-forms, as a 2-form."""
-    a, b = np.asarray(a), np.asarray(b)
+    a0, a1, a2, a3 = np.asarray(a)
+    b0, b1, b2, b3 = np.asarray(b)
     return np.stack([
-        a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        a[..., 0] * b[..., 2] - a[..., 2] * b[..., 0],
-        a[..., 0] * b[..., 3] - a[..., 3] * b[..., 0],
-        a[..., 2] * b[..., 3] - a[..., 3] * b[..., 2],
-        a[..., 3] * b[..., 1] - a[..., 1] * b[..., 3],
-        a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-    ], axis=-1)
+        a0 * b1 - a1 * b0,
+        a0 * b2 - a2 * b0,
+        a0 * b3 - a3 * b0,
+        a2 * b3 - a3 * b2,
+        a3 * b1 - a1 * b3,
+        a1 * b2 - a2 * b1,
+    ])
 
 
 def wedge12(l, w):
     """Wedge of a 1-form with a 2-form, as a 3-form."""
-    l, w = np.asarray(l), np.asarray(w)
-    l0, l1, l2, l3 = (l[..., i] for i in range(4))
-    w01, w02, w03, w23, w31, w12 = (w[..., i] for i in range(6))
+    l0, l1, l2, l3 = np.asarray(l)
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
     return np.stack([
         l1 * w23 + l2 * w31 + l3 * w12,
         l0 * w23 - l2 * w03 + l3 * w02,
         -l0 * w31 - l1 * w03 + l3 * w01,
         l0 * w12 - l1 * w02 + l2 * w01,
-    ], axis=-1)
+    ])
 
 
 def wedge13(l, f):
     """Wedge of a 1-form with a 3-form: coefficient of the output 4-form."""
-    l, f = np.asarray(l), np.asarray(f)
-    return np.einsum("...i,i,...i->...", l, W13_SIGN, f)
+    return np.einsum("i...,i,i...->...", np.asarray(l), W13_SIGN, np.asarray(f))
 
 
 def wedge22(a, b):
     """Wedge of two 2-forms: coefficient of the output 4-form."""
-    a, b = np.asarray(a), np.asarray(b)
-    return np.einsum("...i,...i->...", a, b[..., DUAL2])
+    return np.einsum("i...,i...->...", np.asarray(a), np.asarray(b)[DUAL2])
 
 
 def interior1(v, l):
     """Contraction of a 1-form with a vector (a scalar)."""
-    return np.einsum("...i,...i->...", np.asarray(v), np.asarray(l))
+    return np.einsum("i...,i...->...", np.asarray(v), np.asarray(l))
 
 
 def interior2(v, w):
     """Contraction of a 2-form with a vector, as a 1-form."""
-    v, w = np.asarray(v), np.asarray(w)
-    v0, v1, v2, v3 = (v[..., i] for i in range(4))
-    w01, w02, w03, w23, w31, w12 = (w[..., i] for i in range(6))
+    v0, v1, v2, v3 = np.asarray(v)
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
     return np.stack([
         -v1 * w01 - v2 * w02 - v3 * w03,
         v0 * w01 - v2 * w12 + v3 * w31,
         v0 * w02 + v1 * w12 - v3 * w23,
         v0 * w03 - v1 * w31 + v2 * w23,
-    ], axis=-1)
+    ])
 
 
 def interior3(v, f):
     """Contraction of a 3-form with a vector, as a 2-form."""
-    v, f = np.asarray(v), np.asarray(f)
-    v0, v1, v2, v3 = (v[..., i] for i in range(4))
-    f0, f1, f2, f3 = (f[..., i] for i in range(4))
+    v0, v1, v2, v3 = np.asarray(v)
+    f0, f1, f2, f3 = np.asarray(f)
     return np.stack([
         v2 * f3 + v3 * f2,
         -v1 * f3 + v3 * f1,
@@ -135,13 +133,12 @@ def interior3(v, f):
         v0 * f1 + v1 * f0,
         -v0 * f2 + v2 * f0,
         v0 * f3 + v3 * f0,
-    ], axis=-1)
+    ])
 
 
 def interior4(v, c):
     """Contraction of a 4-form coefficient with a vector, as a 3-form."""
-    v, c = np.asarray(v), np.asarray(c)
-    return W13_SIGN * v * c[..., None]
+    return star1_flat(v) * np.asarray(c)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +146,10 @@ def interior4(v, c):
 # ---------------------------------------------------------------------------
 
 def form2_matrix(w):
-    """Antisymmetric matrix P with P[i,j] = w(d_i, d_j)."""
-    w = np.asarray(w)
-    z = np.zeros_like(w[..., 0])
-    w01, w02, w03, w23, w31, w12 = (w[..., i] for i in range(6))
+    """Antisymmetric matrix P with P[i,j] = w(d_i, d_j), shape
+    (*batch, 4, 4)."""
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
+    z = np.zeros_like(w01)
     rows = [
         np.stack([z, w01, w02, w03], axis=-1),
         np.stack([-w01, z, w12, -w31], axis=-1),
@@ -164,9 +161,8 @@ def form2_matrix(w):
 
 def pfaffian(w):
     """Pfaffian of the component matrix: c01*c23 + c02*c31 + c03*c12."""
-    w = np.asarray(w)
-    return (w[..., 0] * w[..., 3] + w[..., 1] * w[..., 4]
-            + w[..., 2] * w[..., 5])
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
+    return w01 * w23 + w02 * w31 + w03 * w12
 
 
 def form2_matrix_inv(w, pf=None):
@@ -178,7 +174,7 @@ def form2_matrix_inv(w, pf=None):
     w = np.asarray(w)
     if pf is None:
         pf = pfaffian(w)
-    return -form2_matrix(w[..., DUAL2]) / pf[..., None, None]
+    return -form2_matrix(w[DUAL2]) / pf[..., None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +209,21 @@ def vol_coeff(g):
     return np.sqrt(det)
 
 
-def _gram2(m):
-    """6x6 Gram matrix of the 2-form basis induced by a bilinear form m."""
-    m = np.asarray(m)
-    i1 = np.array([p[0] for p in IDX2])
-    i2 = np.array([p[1] for p in IDX2])
-    a = m[..., i1[:, None], i1[None, :]] * m[..., i2[:, None], i2[None, :]]
-    b = m[..., i1[:, None], i2[None, :]] * m[..., i2[:, None], i1[None, :]]
-    return a - b
-
-
 def metric2(g):
-    """Inner product matrix on 2-forms induced by the metric g."""
-    return _gram2(np.linalg.inv(np.asarray(g)))
+    """Inner product matrix on 2-forms induced by the metric g: the 6x6
+    Gram matrix of the 2-form basis under g^{-1}."""
+    m = np.linalg.inv(np.asarray(g))
+    i1, i2 = np.array(IDX2).T
+    return (m[..., i1[:, None], i1] * m[..., i2[:, None], i2]
+            - m[..., i1[:, None], i2] * m[..., i2[:, None], i1])
 
 
 def norm2_sq(w, g=None):
     """Squared metric norm of a 2-form (Euclidean metric when g is None)."""
     w = np.asarray(w)
     if g is None:
-        return np.einsum("...i,...i->...", w, w)
-    g2 = metric2(g)
-    return np.einsum("...i,...ij,...j->...", w, g2, w)
+        return np.einsum("i...,i...->...", w, w)
+    return np.einsum("i...,...ij,j...->...", w, metric2(g), w)
 
 
 def hodge0(g, c):
@@ -245,8 +234,8 @@ def hodge0(g, c):
 def hodge1(g, l):
     """Hodge star of a 1-form, as a 3-form."""
     g = np.asarray(g)
-    y = np.einsum("...ij,...j->...i", np.linalg.inv(g), np.asarray(l))
-    return vol_coeff(g)[..., None] * W13_SIGN * y
+    y = np.einsum("...ij,j...->i...", np.linalg.inv(g), np.asarray(l))
+    return vol_coeff(g) * star1_flat(y)
 
 
 def hodge2(g, w):
@@ -256,15 +245,14 @@ def hodge2(g, w):
     this swaps the (c01,c02,c03) and (c23,c31,c12) triples.
     """
     g = np.asarray(g)
-    y = np.einsum("...ij,...j->...i", metric2(g), np.asarray(w))
-    return vol_coeff(g)[..., None] * y[..., DUAL2]
+    y = np.einsum("...ij,j...->i...", metric2(g), np.asarray(w))
+    return vol_coeff(g) * y[DUAL2]
 
 
 def hodge3(g, f):
     """Hodge star of a 3-form, as a 1-form (inverse of hodge1 up to sign)."""
     g = np.asarray(g)
-    y = W13_SIGN * np.asarray(f)
-    return -np.einsum("...ij,...j->...i", g, y) / vol_coeff(g)[..., None]
+    return np.einsum("...ij,j...->i...", g, star3_flat(f)) / vol_coeff(g)
 
 
 def hodge4(g, c):
@@ -273,15 +261,17 @@ def hodge4(g, c):
 
 
 def star1_flat(l):
-    return W13_SIGN * np.asarray(l)
+    """Flat Hodge star of a 1-form, W13_SIGN[i] * l[i]."""
+    l = np.asarray(l)
+    return W13_SIGN.reshape((4,) + (1,) * (l.ndim - 1)) * l
 
 
 def star2_flat(w):
-    return np.asarray(w)[..., DUAL2]
+    return np.asarray(w)[DUAL2]
 
 
 def star3_flat(f):
-    return -W13_SIGN * np.asarray(f)
+    return -star1_flat(f)
 
 
 def sd_split(w, g=None):
@@ -291,28 +281,21 @@ def sd_split(w, g=None):
     return 0.5 * (w + sw), 0.5 * (w - sw)
 
 
-def hodge2_matrix(g):
-    """The Hodge star on 2-forms as an explicit (..., 6, 6) matrix."""
-    g = np.asarray(g)
-    g2 = metric2(g)
-    return vol_coeff(g)[..., None, None] * g2[..., DUAL2, :]
-
-
 def self_dual_basis(g):
     """Wedge-orthonormal basis of the self-dual 2-forms of g.
 
-    Returns shape (..., 3, 6) with basis_a ^ basis_b = 2 delta_ab dvol_g.
+    Returns shape (6, ..., 3), the three forms stacked on the last axis,
+    with basis_a ^ basis_b = 2 delta_ab dvol_g.
     """
     g = np.asarray(g)
-    star = hodge2_matrix(g)
+    star = vol_coeff(g)[..., None, None] * metric2(g)[..., DUAL2, :]
     proj = 0.5 * (np.eye(6) + star)
     uu, ss, _ = np.linalg.svd(proj)
     if np.any(np.sum(ss > 0.5, axis=-1) != 3):
         raise NonPositiveMetric("self-dual projector does not have rank 3")
-    cols = np.swapaxes(uu[..., :, :3], -1, -2)     # (..., 3, 6)
-    vol = vol_coeff(g)
-    w1, w2, w3 = _wedge_gram_schmidt(cols, vol)
-    return np.stack([w1, w2, w3], axis=-2)
+    cols = np.moveaxis(uu[..., :3], -2, 0)     # (6, ..., 3)
+    w1, w2, w3 = _wedge_gram_schmidt(cols, vol_coeff(g))
+    return np.stack([w1, w2, w3], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +324,27 @@ def a_of(rho, g=None):
     return np.linalg.solve(np.broadcast_to(np.asarray(g), pt.shape), pt)
 
 
+def _require_above_floor(size, what, least):
+    """Raise DegenerateForm, naming the first index, where size <= U_FLOOR."""
+    if np.any(size <= U_FLOOR):
+        bad = np.argwhere(np.atleast_1d(size) <= U_FLOOR)
+        first = tuple(int(i) for i in bad[0])
+        raise DegenerateForm(
+            f"{what} <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
+            f"first index {first}, {least} = {np.min(size):.3e}")
+
+
 def require_u(u):
     """Return the volume ratio u; raise DegenerateForm, naming the first
     offending index, where u <= U_FLOOR."""
-    if np.any(u <= U_FLOOR):
-        bad = np.argwhere(np.atleast_1d(u) <= U_FLOOR)
-        first = tuple(int(i) for i in bad[0])
-        raise DegenerateForm(
-            f"volume ratio u <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
-            f"first index {first}, u_min = {np.min(u):.3e}")
+    _require_above_floor(u, "volume ratio u", "u_min")
     return u
 
 
 def require_pf(pf):
     """Return the Pfaffian pf; raise DegenerateForm, naming the first
     offending index, where |pf| <= U_FLOOR (rho ^ rho vanishes)."""
-    if np.any(np.abs(pf) <= U_FLOOR):
-        bad = np.argwhere(np.abs(np.atleast_1d(pf)) <= U_FLOOR)
-        first = tuple(int(i) for i in bad[0])
-        raise DegenerateForm(
-            f"Pfaffian |pf| <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
-            f"first index {first}, min |pf| = {np.min(np.abs(pf)):.3e}")
+    _require_above_floor(np.abs(pf), "Pfaffian |pf|", "min |pf|")
     return pf
 
 
@@ -389,8 +372,7 @@ def r_rho(w, rho):
     """
     w, rho = np.asarray(w), np.asarray(rho)
     pf = require_pf(pfaffian(rho))
-    coeff = wedge22(w, rho) / pf
-    return w - coeff[..., None] * rho
+    return w - wedge22(w, rho) / pf * rho
 
 
 def star_rho1(l, rho, g=None):
@@ -401,7 +383,7 @@ def star_rho1(l, rho, g=None):
     rho = np.asarray(rho)
     u = require_u(u_of(rho, g))
     inner = star3_flat(wedge12(l, rho)) if g is None else hodge3(g, wedge12(l, rho))
-    return wedge12(inner, rho) / u[..., None]
+    return wedge12(inner, rho) / u
 
 
 def star_rho2(w, rho, g=None):
@@ -424,10 +406,10 @@ def star_rho3(f, rho, g=None):
     """
     rho = np.asarray(rho)
     require_u(u_of(rho, g))
-    y = interior2(W13_SIGN * np.asarray(f), rho)
+    y = interior2(star1_flat(f), rho)   # W13_SIGN f
     if g is not None:
-        y = np.linalg.solve(np.asarray(g), y[..., None])[..., 0]
-    return interior2(y, rho) / pfaffian(rho)[..., None]
+        y = np.einsum("...ij,j...->i...", np.linalg.inv(g), y)
+    return interior2(y, rho) / pfaffian(rho)
 
 
 def theta_point(rho, g=None):
@@ -439,7 +421,7 @@ def theta_point(rho, g=None):
     u = require_u(u_of(rho, g))
     srho = star2_flat(rho) if g is None else hodge2(g, rho)
     n2 = norm2_sq(rho, g)
-    return srho / u[..., None] - (0.5 * n2 / u ** 2)[..., None] * rho
+    return srho / u - (0.5 * n2 / u ** 2) * rho
 
 
 def theta_dot_point(rho, rhohat, g=None):
@@ -452,7 +434,7 @@ def theta_dot_point(rho, rhohat, g=None):
     plus, _ = sd_split(rho, g)
     srh = star_rho2(rhohat, rho, g)
     coeff = norm2_sq(plus, g) / u ** 2
-    return (rhohat + srh) / u[..., None] - coeff[..., None] * rhohat
+    return (rhohat + srh) / u - coeff * rhohat
 
 
 def j_rho(jmap, rho):
@@ -488,14 +470,13 @@ def _wedge_gram_schmidt(basis, vol):
     """Orthonormalize three 2-forms to w_i ^ w_j = 2 delta_ij vol."""
     out = []
     for a in range(3):
-        w = np.asarray(basis[..., a, :], dtype=float).copy()
+        w = np.asarray(basis[..., a], dtype=float)
         for b in range(a):
-            coeff = wedge22(w, out[b]) / (2.0 * vol)
-            w = w - coeff[..., None] * out[b]
+            w = w - wedge22(w, out[b]) / (2.0 * vol) * out[b]
         sq = wedge22(w, w) / (2.0 * vol)
         if np.any(sq <= 1e-10):
             raise NotPositivePlane(f"wedge Gram pivot {a} fell below 1e-10")
-        out.append(w / np.sqrt(sq)[..., None])
+        out.append(w / np.sqrt(sq))
     return out
 
 
@@ -507,9 +488,10 @@ def metric_from_vol_and_plane(vol, basis):
     ----------
     vol : array (...,)
         Positive coefficient of the target volume form.
-    basis : array (..., 3, 6)
-        Three 2-forms spanning a positive subspace: their wedge Gram matrix
-        divided by ``vol`` must be positive definite.
+    basis : array (6, ..., 3)
+        Three 2-forms stacked on the last axis, spanning a positive
+        subspace: their wedge Gram matrix divided by ``vol`` must be
+        positive definite.
 
     Returns
     -------
@@ -520,7 +502,7 @@ def metric_from_vol_and_plane(vol, basis):
     basis = np.asarray(basis, dtype=float)
     if np.any(vol <= 0):
         raise NotPositivePlane("volume form must be positive")
-    gram = np.stack([np.stack([wedge22(basis[..., a, :], basis[..., b, :])
+    gram = np.stack([np.stack([wedge22(basis[..., a], basis[..., b])
                                for b in range(3)], axis=-1)
                      for a in range(3)], axis=-2) / vol[..., None, None]
     for k in range(1, 4):

@@ -12,8 +12,8 @@ rho-metric Hodge star).  The evolution equation is
 
 which stays inside the class exactly because the update is exact.
 Time stepping is explicit RK4 under a parabolic step-size cap with
-backtracking on energy increase, so energy monotonicity is enforced, not
-hoped for.
+backtracking on an increase of the energy excess, so energy monotonicity is
+enforced, not hoped for.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ class FlowState:
     rho: np.ndarray
     t: float
     dt: float
+    excess: float          # energy excess of rho, see Energy
     monitors: dict
 
 
@@ -68,14 +69,24 @@ class RunResult:
     snapshot_paths: list
 
 
+class Energy(float):
+    """An energy 2 Vol + excess, a float that keeps its excess: near the
+    minimum the float is quantized at ulp(2) = 4.4e-16, while the excess, a
+    sum of non-negative terms, keeps full relative precision."""
+
+    def __new__(cls, excess):
+        self = super().__new__(cls, 2.0 + excess)
+        self.excess = excess
+        return self
+
+
 def energy(grid, rho):
     """Total energy 2 Vol + integral of |rho-|^2 / u (as |rho+|^2 - |rho-|^2
-    = 2u): >= 2 Vol with equality iff rho is self-dual pointwise.  The
-    excess is summed without cancellation, so near the minimum the guard
-    sees true changes, not the round-off of a sum near 2."""
+    = 2u): >= 2 Vol with equality iff rho is self-dual pointwise.  Returns
+    an :class:`Energy`, whose excess is summed without cancellation."""
     u = ext.require_u(ext.u_of(rho))
     _, minus = ext.sd_split(rho)
-    return 2.0 + lat.integrate(grid, ext.norm2_sq(minus) / u)
+    return Energy(lat.integrate(grid, ext.norm2_sq(minus) / u))
 
 
 def rhs(grid, rho):
@@ -115,7 +126,7 @@ def hessian_form(grid, rho, rhohat):
 
 
 def l1_report(grid, rho, e, t):
-    """Energy report for rho, whose energy is e, with the L1 bound
+    """Energy report for rho, whose energy is the Energy e, with the L1 bound
     |rho|_L1 <= sqrt(c (E - Vol)).
 
     Raises StepFailure, with a diagnostic naming the flow time t, when the
@@ -129,7 +140,7 @@ def l1_report(grid, rho, e, t):
             f"L1 bound violated at t = {t:g}: {l1:.15g} > {bound:.15g}",
             diagnostic={"t": t, "l1_norm": l1, "l1_bound": bound,
                         "energy": e})
-    return EnergyReport(energy=e, excess=e - 2.0, l1_norm=l1, l1_bound=bound)
+    return EnergyReport(energy=e, excess=e.excess, l1_norm=l1, l1_bound=bound)
 
 
 def monitors(grid, rho, e, velocity, coh0, t):
@@ -149,13 +160,12 @@ def monitors(grid, rho, e, velocity, coh0, t):
 
 
 def accept(grid, rho, t, dt, e, coh0):
-    """The accepted state at rho, whose energy is e, and the flow's velocity
-    there.  The velocity is evaluated once: the residual monitor reads it
-    and the next RK4 step takes it as its first stage."""
+    """The accepted state at rho, whose energy is the Energy e, and the
+    flow's velocity there.  The velocity is evaluated once: the residual
+    monitor reads it and the next RK4 step takes it as its first stage."""
     velocity = rhs(grid, rho)
-    return (FlowState(rho=rho, t=t, dt=dt,
-                      monitors=monitors(grid, rho, e, velocity, coh0, t)),
-            velocity)
+    mon = monitors(grid, rho, e, velocity, coh0, t)
+    return FlowState(rho, t, dt, e.excess, mon), velocity
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +205,8 @@ def stable_dt_cap(grid):
     that at the epsilon = 0.05 initial data (power iteration at n = 8 and
     16).  The factor 2 covers those first steps, so steps satisfy
     dt * 2 * max|laplace symbol| <= 2.5, below the RK4 real-axis limit
-    2.785 for a spectrum up to twice the symbol.
+    2.785 for a spectrum up to twice the symbol.  A ``dt_max`` above this
+    bound costs rejected steps, as the guard compares the exact excess.
     """
     return 2.5 / (2.0 * float(grid.laplace_symbol.max()))
 
@@ -217,11 +228,10 @@ def _rk4_candidate(grid, rho, k1, dt):
 
 def step(grid, state, velocity, coh0, dt_max, max_retries=20, dealias=False):
     """One accepted RK4 step from state, whose velocity rhs(grid, state.rho)
-    is given: admissible at every stage and non-increasing in energy, else
-    the step is halved and retried.  Returns the accepted state and its
-    velocity (see :func:`accept`).  Raises StepFailure when the retry
-    budget is exhausted."""
-    e_old = state.monitors["energy"]
+    is given: admissible at every stage and not increasing the energy
+    excess, else the step is halved and retried.  Returns the accepted state
+    and its velocity (see :func:`accept`).  Raises StepFailure when the
+    retry budget is exhausted."""
     dt = min(state.dt, dt_max)
     last_error = "energy increased"
     for _ in range(max_retries + 1):
@@ -234,10 +244,10 @@ def step(grid, state, velocity, coh0, dt_max, max_retries=20, dealias=False):
             last_error = str(err)
             dt *= 0.5
             continue
-        if e_new <= e_old:
+        if e_new.excess <= state.excess:
             return accept(grid, cand, state.t + dt, min(dt * 1.1, dt_max),
                           e_new, coh0)
-        last_error = f"energy increased by {e_new - e_old:.3e}"
+        last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
         dt *= 0.5
     raise StepFailure(
         f"no admissible step after {max_retries} halvings: {last_error}",
@@ -246,7 +256,7 @@ def step(grid, state, velocity, coh0, dt_max, max_retries=20, dealias=False):
             "dt": dt,
             "error": last_error,
             "u_min": float(ext.u_of(state.rho).min()),
-            "energy": e_old,
+            "energy": state.monitors["energy"],
         })
 
 

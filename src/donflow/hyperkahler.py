@@ -28,25 +28,25 @@ _P_OMEGAS = np.stack([ext.form2_matrix(w) for w in OMEGAS])
 
 
 def k_functions(rho):
-    """Moment-map functions K_i = (omega_i ^ rho)/dvol_rho, shape (..., 3)."""
+    """Moment-map functions K_i = (omega_i ^ rho)/dvol_rho, shape (3, ...)."""
     rho = np.asarray(rho)
     u = ext.require_u(ext.u_of(rho))
-    return np.stack([ext.wedge22(w, rho) for w in OMEGAS], axis=-1) / u[..., None]
+    return np.stack([ext.wedge22(w, rho) for w in OMEGAS]) / u
 
 
 def energy_hk(grid, rho):
     """Energy as half the L2 norm squared of K against dvol_rho."""
     u = ext.u_of(rho)
     k = k_functions(rho)
-    return 0.5 * lat.integrate(grid, np.sum(k ** 2, axis=-1) * u)
+    return 0.5 * lat.integrate(grid, np.sum(k ** 2, axis=0) * u)
 
 
 def theta_hk(rho):
     """Theta through the moment maps: sum_i (K_i omega_i - K_i^2 rho / 2)."""
     rho = np.asarray(rho)
     k = k_functions(rho)
-    lin = np.einsum("...i,ic->...c", k, OMEGAS)
-    return lin - 0.5 * np.sum(k ** 2, axis=-1)[..., None] * rho
+    lin = np.einsum("i...,ic->c...", k, OMEGAS)
+    return lin - 0.5 * np.sum(k ** 2, axis=0) * rho
 
 
 def j_rho_fields(rho):
@@ -58,10 +58,10 @@ def grad_hk(grid, rho):
     """Energy gradient as sum_i d(dK_i o J_i^rho); equals -rhs up to
     discretization error."""
     k = k_functions(rho)
-    total = np.zeros(grid.shape + (4,))
+    total = grid.zeros(1)
     for i, jr in enumerate(j_rho_fields(rho)):
-        dk = lat.d0(grid, k[..., i])
-        total += np.einsum("...ji,...j->...i", jr, dk)   # dK o J = J^T dK
+        dk = lat.d0(grid, k[i])
+        total += np.einsum("...ji,j...->i...", jr, dk)   # dK o J = J^T dK
     return lat.d1(grid, total)
 
 
@@ -70,19 +70,13 @@ def vector_from_potential(rho, mu):
     rho = np.asarray(rho)
     pf = ext.require_pf(ext.pfaffian(rho))
     pinv = ext.form2_matrix_inv(rho, pf)
-    return np.einsum("...ij,...j->...i", pinv, np.asarray(mu))
-
-
-def hamiltonian_field(rho, h_scalar, grid):
-    """X_H with i(X_H) rho = dH."""
-    dh = lat.d0(grid, h_scalar)
-    return -vector_from_potential(rho, dh)
+    return np.einsum("...ij,j...->i...", pinv, np.asarray(mu))
 
 
 def _khat(rho, rhohat, k, u):
-    """K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho, shape (..., 3)."""
-    wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS], axis=-1)
-    return (wr - k * ext.wedge22(rho, rhohat)[..., None]) / u[..., None]
+    """K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho, shape (3, ...)."""
+    wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS])
+    return (wr - k * ext.wedge22(rho, rhohat)) / u
 
 
 def khat_hhat(grid, rho, rhohat, x):
@@ -91,21 +85,19 @@ def khat_hhat(grid, rho, rhohat, x):
     K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho,
     H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho,
     with X any vector field satisfying -d i(X) rho = rhohat.
-    Returns two (..., 3) arrays.
+    Returns two (3, ...) arrays.
     """
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = ext.u_of(rho)
     khat = _khat(rho, rhohat, k_functions(rho), u)
-    hhat = np.empty_like(khat)
-    for i in range(3):
-        ixw = ext.interior2(x, np.broadcast_to(OMEGAS[i], rho.shape))
-        hhat[..., i] = ext.wedge22(lat.d1(grid, ixw), rho) / u
+    hhat = np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), rho)
+                     for w in OMEGAS]) / u
     return khat, hhat
 
 
 def _hessian_density(khat, k, u, rr):
     """sum_i (K_hat_i^2 u - K_i^2 rr / 2), with rr = rhohat ^ rhohat."""
-    return np.sum(khat ** 2, axis=-1) * u - 0.5 * np.sum(k ** 2, axis=-1) * rr
+    return np.sum(khat ** 2, axis=0) * u - 0.5 * np.sum(k ** 2, axis=0) * rr
 
 
 def hessian_hk(grid, rho, rhohat):
@@ -120,24 +112,21 @@ def hessian_hk(grid, rho, rhohat):
 
 
 def lie_derivative_k(grid, rho, x):
-    """L_X K_i = i(X) dK_i, shape (..., 3)."""
-    k = k_functions(rho)
-    out = np.empty_like(k)
-    for i in range(3):
-        out[..., i] = ext.interior1(x, lat.d0(grid, k[..., i]))
-    return out
+    """L_X K_i = i(X) dK_i, shape (3, ...)."""
+    return np.stack([ext.interior1(x, lat.d0(grid, ki))
+                     for ki in k_functions(rho)])
 
 
 def _nabla(grid, y, x):
     """Flat covariant derivative of the vector field x along y."""
-    dx = np.stack([lat.d0(grid, x[..., a]) for a in range(4)], axis=-1)
-    # dx[..., c, a] = partial_c x^a
-    return np.einsum("...c,...ca->...a", y, dx)
+    dx = np.stack([lat.d0(grid, x[a]) for a in range(4)], axis=1)
+    # dx[c, a] = partial_c x^a
+    return np.einsum("c...,ca...->a...", y, dx)
 
 
 def _omega_pair(i, x, y):
     """omega_i(x, y) pointwise for the constant triple."""
-    return np.einsum("...a,ab,...b->...", x, _P_OMEGAS[i], y)
+    return np.einsum("a...,ab,b...->...", x, _P_OMEGAS[i], y)
 
 
 def hessiancov_check(grid, rho, rhohat, mu):
@@ -163,19 +152,20 @@ def hessiancov_check(grid, rho, rhohat, mu):
     khat, hhat = khat_hhat(grid, rho, rhohat, x)
     lxk = lie_derivative_k(grid, rho, x)
 
-    xk = [hamiltonian_field(rho, k[..., i], grid) for i in range(3)]
+    # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i
+    xk = [-vector_from_potential(rho, lat.d0(grid, k[i])) for i in range(3)]
     ixrho = ext.interior2(x, rho)
     rr = ext.wedge22(rhohat, rhohat)
 
-    a_val = lat.integrate(grid, -0.5 * np.sum(k ** 2, axis=-1) * rr)
+    a_val = lat.integrate(grid, -0.5 * np.sum(k ** 2, axis=0) * rr)
     b_val = 0.0
     c_val = 0.0
-    d_val = lat.integrate(grid, np.sum(lxk ** 2, axis=-1) * u)
-    e_val = lat.integrate(grid, np.sum(hhat * lxk, axis=-1) * u)
+    d_val = lat.integrate(grid, np.sum(lxk ** 2, axis=0) * u)
+    e_val = lat.integrate(grid, np.sum(hhat * lxk, axis=0) * u)
     nab_kx = 0.0   # sum_i omega_i(X, nabla_{X_Ki} X) dvol_rho
     nab_xk = 0.0   # sum_i omega_i(X, nabla_X X_Ki) dvol_rho
     for i in range(3):
-        ixkw = ext.interior2(xk[i], np.broadcast_to(OMEGAS[i], rho.shape))
+        ixkw = ext.interior2(xk[i], OMEGAS[i])
         b_val += lat.integrate(
             grid, ext.wedge22(ext.wedge11(ixkw, ixrho), rhohat))
         bracket = _nabla(grid, x, xk[i]) - _nabla(grid, xk[i], x)
@@ -183,7 +173,7 @@ def hessiancov_check(grid, rho, rhohat, mu):
         nab_kx += lat.integrate(grid, _omega_pair(i, x, _nabla(grid, xk[i], x)) * u)
         nab_xk += lat.integrate(grid, _omega_pair(i, x, _nabla(grid, x, xk[i])) * u)
 
-    hh = lat.integrate(grid, np.sum(hhat ** 2, axis=-1) * u)
+    hh = lat.integrate(grid, np.sum(hhat ** 2, axis=0) * u)
     kk = lat.integrate(grid, _hessian_density(khat, k, u, rr))
     abcde = a_val + b_val + c_val + d_val - 2.0 * e_val
     scale = sum(abs(v) for v in (a_val, b_val, c_val, d_val, 2 * e_val)) + 1e-300

@@ -1,9 +1,10 @@
 """Periodic k-form fields on the unit four-torus.
 
 Fields are plain numpy arrays over an n^4 lattice in lexicographic
-``(x0, x1, x2, x3)`` order (x0 slowest), with a trailing component axis of
-size 1/4/6/4/1 for degrees 0..4 in the component conventions of
-:mod:`donflow.exterior`.  Scalars and 4-forms drop the trailing axis.
+``(x0, x1, x2, x3)`` order (x0 slowest), with a leading component axis of
+size 4/6/4 for degrees 1..3 in the component conventions of
+:mod:`donflow.exterior`, ``(c, n, n, n, n)``.  Scalars and 4-forms have no
+component axis.
 
 A derivative along one axis is the Fourier multiplier ``i b(k)``.  The
 schemes differ only in b: ``spectral`` has b(k) = 2 pi k and ``fd2``
@@ -13,7 +14,8 @@ the one-site cyclic shift along the axis and E the real circulant n x n
 matrix with symbol i b(k) / (e^{4 pi i k / n} - 1) (0 at k = 0, n/2).
 (S^2 - I) f is an exact subtraction, so a field constant or alternating
 along the axis has derivative exactly 0; E is then one small gemm along
-the axis.  d on degree k is a table of entries ``(out, in, axis, sign)``,
+the axis of a component's ``(sites before, n, sites after)`` view.  d on
+degree k is a table of entries ``(out, in, axis, sign)``,
 ``e_axis ^ E_in = sign * E_out``, derived from the basis permutation
 signs, each applied as one such derivative; ``delta2`` is its adjoint.
 The symbols are translation invariant, so d o d = 0 and the per-component
@@ -44,8 +46,8 @@ FORM_COMPS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 _BASIS = (((),), ((0,), (1,), (2,), (3,)), ext.IDX2, ext.IDX3,
           ((0, 1, 2, 3),))
 
-# lattice axes of a component-first field
-_SPECTRAL_AXES = (1, 2, 3, 4)
+# lattice axes of a field of any degree
+_SPECTRAL_AXES = (-4, -3, -2, -1)
 
 
 class NotExact(ValueError):
@@ -122,12 +124,12 @@ class Grid:
 
     def zeros(self, k):
         c = FORM_COMPS[k]
-        return np.zeros(self.shape if c == 1 else self.shape + (c,))
+        return np.zeros(self.shape if c == 1 else (c,) + self.shape)
 
     def constant(self, comps):
         """Constant 2-form field with the given six components."""
-        out = np.empty(self.shape + (6,))
-        out[:] = np.asarray(comps, dtype=float)
+        out = np.empty((6,) + self.shape)
+        out[:] = np.reshape(comps, (6, 1, 1, 1, 1))
         return out
 
 
@@ -138,30 +140,18 @@ def _on_spectrum(v):
         [-1 if a == ax else 1 for a in range(4)]) for ax in range(4)]
 
 
-def _components_first(f):
-    """A field with its component axis first (scalars get a length-one
-    component axis), C-contiguous."""
-    f = np.asarray(f)
-    return np.ascontiguousarray(np.moveaxis(f, -1, 0)) if f.ndim == 5 else f[None]
-
-
-def _components_last(out):
-    """Inverse of :func:`_components_first`; one component comes back as a
-    scalar."""
-    return out[0] if len(out) == 1 else np.ascontiguousarray(np.moveaxis(out, 0, -1))
-
-
 def _multiply(grid, f, mult):
     """Apply a real Fourier multiplier given over the real-transform spectrum."""
-    fk = np.fft.rfftn(_components_first(f), axes=_SPECTRAL_AXES) * mult
-    return _components_last(np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES))
+    fk = np.fft.rfftn(f, axes=_SPECTRAL_AXES) * mult
+    return np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES)
 
 
 def _derivative(grid, f, table, ncomp):
     """Apply a first order operator given as (out, in, axis, sign) entries:
-    out_o = sum of sign * d/dx_axis in_i, each as E (S^2 - I) along the axis."""
+    out_o = sum of sign * d/dx_axis in_i, each as E (S^2 - I) along the axis.
+    One output component comes back as a scalar field."""
     n = grid.n
-    comps = _components_first(f)
+    comps = np.reshape(f, (-1,) + grid.shape)
     out = np.zeros((ncomp,) + grid.shape)
     for o, i, axis, sign in table:
         # the axis in the middle: (sites before it, n, sites after it)
@@ -170,11 +160,14 @@ def _derivative(grid, f, table, ncomp):
         diff = np.empty_like(fi)  # (S^2 - I) f, exact
         np.subtract(fi[:, 2:], fi[:, :-2], out=diff[:, :-2])
         np.subtract(fi[:, :2], fi[:, -2:], out=diff[:, -2:])
-        deriv = grid.axis_matrix @ diff.transpose(1, 0, 2).reshape(n, -1)
-        acc = out[o].reshape(pre, n, post)
-        (np.add if sign > 0 else np.subtract)(
-            acc, deriv.reshape(n, pre, post).transpose(1, 0, 2), out=acc)
-    return _components_last(out)
+        # E along the middle axis; on the last one a single gemm with E^T
+        if post == 1:
+            deriv = diff.reshape(pre, n) @ grid.axis_matrix.T
+        else:
+            deriv = grid.axis_matrix @ diff
+        acc = out[o].reshape(deriv.shape)
+        (np.add if sign > 0 else np.subtract)(acc, deriv, out=acc)
+    return out if ncomp > 1 else out[0]
 
 
 def _parity(idx):
@@ -198,7 +191,8 @@ def _d_table(k):
 
 D_TABLES = tuple(_d_table(k) for k in range(4))
 
-# the flat L2 adjoint of d1: transpose the table, and d/dx is antisymmetric
+# the flat L2 adjoint of d1: swap in and out in the table, and d/dx is
+# antisymmetric
 DELTA2_TABLE = tuple((i, o, axis, -sign) for o, i, axis, sign in D_TABLES[1])
 
 
@@ -269,13 +263,17 @@ def cohomology(grid, rho):
     """Per-component grid means of a 2-form field, exactly rounded unless
     within ~1e-20 of a tie.  Each component splits without error into a
     high part on the grid of a power of two sigma > 2 n^4 max|rho_c|, whose
-    sum is exact, and a low part below ulp(sigma) (Rump, Ogita, Oishi 2008)."""
-    comps = _components_first(rho).reshape(6, -1)
+    sum is exact, and a low part below ulp(sigma) (Rump, Ogita, Oishi 2008).
+    The steps share one scratch buffer."""
+    comps = np.reshape(rho, (6, -1))
     nsites = comps.shape[1]
-    _, expo = np.frexp(2 * nsites * np.abs(comps).max(axis=1))
+    buf = np.abs(comps)
+    _, expo = np.frexp(2 * nsites * buf.max(axis=1))
     sigma = np.ldexp(1.0, expo)[:, None]
-    high = (comps + sigma) - sigma
-    return (high.sum(axis=1) + (comps - high).sum(axis=1)) / nsites
+    high = np.subtract(np.add(comps, sigma, out=buf), sigma, out=buf)
+    high_sum = high.sum(axis=1)
+    low = np.subtract(comps, high, out=buf)
+    return (high_sum + low.sum(axis=1)) / nsites
 
 
 def exactness_residual(grid, rhohat):
@@ -310,9 +308,9 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
 
     Parameters
     ----------
-    rhohat : (n,n,n,n,6) array
+    rhohat : (6,n,n,n,n) array
         Must lie in the image of d up to 1e-10 (relative L2).
-    rho : (n,n,n,n,6) array
+    rho : (6,n,n,n,n) array
         Base point; its volume ratio must stay above the floor.
     rtol : float
         Relative residual target of the preconditioned CG solve.
@@ -334,8 +332,9 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
         return d0(grid, phi) + nu
 
     def apply_bt(w3):
-        # transpose of apply_b through the wedge pairing with 3-forms
-        return -d3(grid, w3), harmonic_projection(grid, ext.W13_SIGN * w3)
+        # adjoint of apply_b through the wedge pairing with 3-forms:
+        # l ^ w3 = sum_i l_i W13_SIGN_i w3_i, and -star3_flat(w3) = W13_SIGN w3
+        return -d3(grid, w3), harmonic_projection(grid, -ext.star3_flat(w3))
 
     def normal_op(phi, nu):
         return apply_bt(ext.star_rho1(apply_b(phi, nu), rho))
@@ -346,7 +345,7 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
     b_phi, b_nu = apply_bt(ext.star_rho1(lam0, rho))
     r_phi, r_nu = -b_phi, -b_nu
     phi = np.zeros(grid.shape)
-    nu = np.zeros(grid.shape + (4,))
+    nu = grid.zeros(1)
     z_phi, z_nu = precond(r_phi, r_nu)
     p_phi, p_nu = z_phi.copy(), z_nu.copy()
     rz = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))
@@ -402,13 +401,14 @@ def random_trig_field(rng, kmax, ncomp=1):
 
     def evaluate(grid):
         n = grid.n
-        spec = np.zeros((n, n, n, n // 2 + 1, ncomp), dtype=complex)
+        spec = np.zeros((ncomp, n, n, n, n // 2 + 1), dtype=complex)
         # the real transform's half of the full spectrum; modes aliasing onto
         # one lattice frequency add up, exactly as the sampled cosines do
         for idx, amp in ((modes % n, half), (-modes % n, half.conj())):
             kept = idx[:, 3] <= n // 2
-            np.add.at(spec, tuple(idx[kept].T), amp[kept])
-        out = np.fft.irfftn(spec, s=grid.shape, axes=(0, 1, 2, 3), norm="forward")
-        return out if ncomp > 1 else out[..., 0]
+            np.add.at(spec, (slice(None), *idx[kept].T), amp[kept].T)
+        out = np.fft.irfftn(spec, s=grid.shape, axes=_SPECTRAL_AXES,
+                            norm="forward")
+        return out if ncomp > 1 else out[0]
 
     return evaluate

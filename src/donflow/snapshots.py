@@ -2,12 +2,15 @@
 
 The payload is the 2-form field as little-endian 64-bit floats of length
 n^4 * 6, C-ordered over (x0, x1, x2, x3, component) with x0 slowest, in the
-frozen component order.  Round-trips are bit exact.
+frozen component order; in memory the field is component-first, ``(6, n,
+n, n, n)``.  Round-trips are bit exact.  Each file is renamed into place
+from a temporary file, the payload before the header.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,14 +21,26 @@ COMPONENT_ORDER = ["c01", "c02", "c03", "c23", "c31", "c12"]
 PAYLOAD_DTYPE = "<f8"
 
 
+def _write_atomic(path, data):
+    """Write data to a temporary file next to path, then rename it to path:
+    a reader sees the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_snapshot(base, grid, rho, time, monitors=None):
-    """Write ``<base>.json`` and ``<base>.bin``; returns the header path."""
+    """Write ``<base>.bin``, then ``<base>.json``; returns the header path."""
     base = Path(base)
-    rho = np.ascontiguousarray(rho, dtype=PAYLOAD_DTYPE)
-    if rho.shape != grid.shape + (6,):
+    rho = np.asarray(rho, dtype=PAYLOAD_DTYPE)
+    if rho.shape != (6,) + grid.shape:
         raise ValueError(f"field shape {rho.shape} does not match grid n={grid.n}")
     payload = base.with_suffix(".bin")
-    payload.write_bytes(rho.tobytes(order="C"))
+    _write_atomic(payload, np.moveaxis(rho, 0, -1).tobytes(order="C"))
     header = {
         "n": grid.n,
         "scheme": grid.scheme,
@@ -36,7 +51,8 @@ def save_snapshot(base, grid, rho, time, monitors=None):
         "dtype": PAYLOAD_DTYPE,
     }
     hpath = base.with_suffix(".json")
-    hpath.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+    _write_atomic(hpath, (json.dumps(header, indent=2, sort_keys=True)
+                          + "\n").encode())
     return hpath
 
 
@@ -80,5 +96,6 @@ def load_snapshot(header_path):
     rho = np.frombuffer(raw, dtype=PAYLOAD_DTYPE)
     if not np.all(np.isfinite(rho)):
         raise ValueError("snapshot payload holds non-finite values")
-    rho = rho.reshape(grid.shape + (6,)).astype(float)
+    rho = np.moveaxis(rho.reshape(grid.shape + (6,)), -1, 0)
+    rho = np.ascontiguousarray(rho, dtype=float)
     return grid, rho, float(header["time"]), dict(header["monitors"])

@@ -122,7 +122,8 @@ def inner_tensor(g, t1, t2, k):
 def trig_field_direct(rng, kmax, ncomp, n):
     """Reference for ``lattice.random_trig_field(rng, kmax, ncomp)`` on the
     n^4 lattice: the same draws (one mode per antipodal pair in lexicographic
-    order, then amplitudes, then phases), summed cosine by cosine."""
+    order, then amplitudes, then phases), summed cosine by cosine.  Returned
+    component-first, ``(ncomp, n, n, n, n)``."""
     modes = [k for k in product(range(-kmax, kmax + 1), repeat=4)
              if any(k) and next(c for c in k if c) > 0]
     amps = rng.normal(size=(len(modes), ncomp))
@@ -133,7 +134,7 @@ def trig_field_direct(rng, kmax, ncomp, n):
         arg = 2 * np.pi * (k[0] * x[:, None, None, None] + k[1] * x[:, None, None]
                            + k[2] * x[:, None] + k[3] * x)
         out += a * np.cos(arg[..., None] + ph)
-    return out
+    return np.moveaxis(out, -1, 0)
 
 
 def _scheme_b(n, scheme):
@@ -159,11 +160,13 @@ def d_fourier(grid, f, k, adjoint=False):
     """Reference for ``lattice.d(grid, f, k)``: d f = sum_a e_a ^ d/dx_a f,
     each d/dx_a the multiplier i b(k_a) applied with a complex fftn/ifftn
     over the lattice.  With ``adjoint`` it applies the flat L2 adjoint
-    instead, from degree k + 1 to k (``lattice.delta2`` for k = 1)."""
+    instead, from degree k + 1 to k (``lattice.delta2`` for k = 1).  Takes
+    and returns component-first fields and works component-last inside."""
     n = grid.n
     b = _scheme_b(n, grid.scheme)
     src, dst = (k + 1, k) if adjoint else (k, k + 1)
-    f = np.asarray(f, dtype=float).reshape((n,) * 4 + (math.comb(4, src),))
+    f = np.moveaxis(np.asarray(f, dtype=float).reshape(
+        (math.comb(4, src),) + (n,) * 4), 0, -1)
     fk = np.fft.fftn(f, axes=(0, 1, 2, 3))
     out = np.zeros((n,) * 4 + (math.comb(4, dst),))
     for a in range(4):
@@ -173,7 +176,7 @@ def d_fourier(grid, f, k, adjoint=False):
         w = _wedge_map(a, k)
         # d/dx is antisymmetric, so the adjoint of e_a ^ d/dx_a is -w.T d/dx_a
         out += -df @ w if adjoint else df @ w.T
-    return out[..., 0] if out.shape[-1] == 1 else out
+    return out[..., 0] if out.shape[-1] == 1 else np.moveaxis(out, -1, 0)
 
 
 def rk4_guarded_step(grid, rho, t, dt, dt_max, max_retries=20):

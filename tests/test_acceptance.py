@@ -124,8 +124,8 @@ def test_criterion_6_hessian_at_minimum():
         worst = max(worst, abs(h - flat) / flat)
     assert worst <= 1e-10
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu0 = np.zeros(g.shape + (4,))
-    mu0[..., 1] = np.sin(2 * np.pi * x0)
+    mu0 = g.zeros(1)
+    mu0[1] = np.sin(2 * np.pi * x0)
     val = flow.hessian_form(g, omega, lat.d1(g, mu0))
     assert val == pytest.approx(2 * np.pi ** 2, rel=1e-12)
     _announce(6, f"50 quadratic-form probes equal the flat L2 norm "
@@ -146,8 +146,8 @@ def test_criterion_7_covariant_hessian_ledger():
 def test_criterion_8_degeneracy_honesty(tmp_path):
     g = lat.Grid(8)
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu = np.zeros(g.shape + (4,))
-    mu[..., 1] = np.sin(2 * np.pi * x0)
+    mu = g.zeros(1)
+    mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     assert 0 < ext.u_of(rho0).min() < 1e-3
     cfg = RunConfig(n=8, T=10.0, out_dir=str(tmp_path / "deg"))

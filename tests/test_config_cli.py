@@ -91,8 +91,8 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
 
     def nearly_degenerate(grid, rng, epsilon=0.05, kmax=2, **kw):
         x0 = grid.coords()[0] + np.zeros(grid.shape)
-        mu = np.zeros(grid.shape + (4,))
-        mu[..., 1] = np.sin(2 * np.pi * x0)
+        mu = grid.zeros(1)
+        mu[1] = np.sin(2 * np.pi * x0)
         return (grid.constant(OMEGA1)
                 + lat.d1(grid, mu) * 0.9999 / (2 * np.pi))
 

@@ -151,9 +151,9 @@ def test_hodge_defining_identity_6x6_solve(rng):
 
 def test_hodge_squares(rng):
     g = random_spd(rng, (50,), unit_vol=True)
-    l = rng.normal(size=(50, 4))
-    w = rng.normal(size=(50, 6))
-    f = rng.normal(size=(50, 4))
+    l = rng.normal(size=(50, 4)).T
+    w = rng.normal(size=(50, 6)).T
+    f = rng.normal(size=(50, 4)).T
     assert_allclose(ext.hodge3(g, ext.hodge1(g, l)), -l, atol=1e-11)
     assert_allclose(ext.hodge2(g, ext.hodge2(g, w)), w, atol=1e-11)
     assert_allclose(ext.hodge1(g, ext.hodge3(g, f)), -f, atol=1e-11)
@@ -163,8 +163,8 @@ def test_hodge_squares(rng):
 def test_hodge_duality_vector_identities(rng):
     # star(g(v,.)) = i(v) dvol_g  and  star(i(v) dvol_g) = -g(v,.)
     g = random_spd(rng, (50,))
-    v = rng.normal(size=(50, 4))
-    gv = np.einsum("...ij,...j->...i", g, v)
+    v = rng.normal(size=(50, 4)).T
+    gv = np.einsum("...ij,j...->i...", g, v)
     ivvol = ext.interior4(v, ext.vol_coeff(g))
     assert_allclose(ext.hodge1(g, gv), ivvol, atol=1e-10)
     assert_allclose(ext.hodge3(g, ivvol), -gv, atol=1e-10)
@@ -198,7 +198,7 @@ def test_det_a_is_u_squared(rho):
 
 def test_det_a_is_u_squared_general_metric(rng):
     g = random_spd(rng, (200,))
-    rho = rng.uniform(-1, 1, size=(200, 6))
+    rho = rng.uniform(-1, 1, size=(200, 6)).T
     assert_allclose(np.linalg.det(ext.a_of(rho, g)), ext.u_of(rho, g) ** 2,
                     atol=1e-10)
 
@@ -235,31 +235,32 @@ def test_g_rho_rejects_degenerate():
 def test_r_rho_basics(rng):
     assert_allclose(ext.r_rho(ext.OMEGA1, ext.OMEGA1), -ext.OMEGA1, atol=1e-14)
     assert_allclose(ext.r_rho(ext.OMEGA2, ext.OMEGA1), ext.OMEGA2, atol=1e-14)
-    rho = np.array([1.5, 0, 0, 0.5, 0, 0])
-    w = rng.normal(size=(50, 6))
+    rho = np.array([1.5, 0, 0, 0.5, 0, 0])[:, None]
+    w = rng.normal(size=(50, 6)).T
     assert_allclose(ext.r_rho(ext.r_rho(w, rho), rho), w, atol=1e-13)
 
 
 def test_r_rho_preserves_wedge(rng):
     rho = random_rho(rng, (100,), u_min=0.05)
-    w = rng.normal(size=(100, 6))
-    t = rng.normal(size=(100, 6))
+    w = rng.normal(size=(100, 6)).T
+    t = rng.normal(size=(100, 6)).T
     assert_allclose(ext.wedge22(ext.r_rho(w, rho), ext.r_rho(t, rho)),
                     ext.wedge22(w, t), atol=1e-10)
 
 
 def test_star_rho_at_compatible_form(rng):
-    w = rng.normal(size=(20, 6))
-    assert_allclose(ext.star_rho2(w, ext.OMEGA1), ext.star2_flat(w), atol=1e-13)
+    w = rng.normal(size=(20, 6)).T
+    assert_allclose(ext.star_rho2(w, ext.OMEGA1[:, None]), ext.star2_flat(w),
+                    atol=1e-13)
 
 
 def test_star_rho_interior_identity(rng):
     # star_rho(i(X) rho) = -rho ^ g(X, .)
     g = random_spd(rng, (60,))
     rho = random_rho(rng, (60,), u_min=0.05, g=g)
-    x = rng.normal(size=(60, 4))
+    x = rng.normal(size=(60, 4)).T
     lhs = ext.star_rho1(ext.interior2(x, rho), rho, g)
-    gx = np.einsum("...ij,...j->...i", g, x)
+    gx = np.einsum("...ij,j...->i...", g, x)
     assert_allclose(lhs, -ext.wedge12(gx, rho), atol=1e-9)
 
 
@@ -267,9 +268,9 @@ def test_star_rho_agrees_with_hodge_of_g_rho(rng):
     g = random_spd(rng, (60,))
     rho = random_rho(rng, (60,), u_min=0.05, g=g)
     gr = ext.g_rho(rho, g)
-    l = rng.normal(size=(60, 4))
-    w = rng.normal(size=(60, 6))
-    f = rng.normal(size=(60, 4))
+    l = rng.normal(size=(60, 4)).T
+    w = rng.normal(size=(60, 6)).T
+    f = rng.normal(size=(60, 4)).T
     assert_allclose(ext.star_rho1(l, rho, g), ext.hodge1(gr, l), atol=1e-9)
     assert_allclose(ext.star_rho2(w, rho, g), ext.hodge2(gr, w), atol=1e-9)
     assert_allclose(ext.star_rho3(f, rho, g), ext.hodge3(gr, f), atol=1e-9)
@@ -289,7 +290,7 @@ def test_sd_split_values(rng):
     assert_allclose(p, ext.OMEGA1, atol=1e-14)
     assert_allclose(m, 0.5 * ext.OMEGA1_ASD, atol=1e-14)
     assert ext.norm2_sq(p) - ext.norm2_sq(m) == pytest.approx(2 * ext.u_of(rho))
-    w = rng.normal(size=(50, 6))
+    w = rng.normal(size=(50, 6)).T
     wp, wm = ext.sd_split(w)
     assert_allclose(ext.wedge22(wp, wm), 0, atol=1e-12)
     assert_allclose(wp + wm, w, atol=1e-14)
@@ -321,8 +322,8 @@ def test_theta_identities(rng):
     p, m = ext.sd_split(rho, g)
     np2, nm2 = ext.norm2_sq(p, g), ext.norm2_sq(m, g)
     # both closed forms of Theta
-    alt1 = 2 * p / u[..., None] - (np2 / u ** 2)[..., None] * rho
-    alt2 = -(nm2[..., None] * p + np2[..., None] * m) / (u ** 2)[..., None]
+    alt1 = 2 * p / u - (np2 / u ** 2) * rho
+    alt2 = -(nm2 * p + np2 * m) / u ** 2
     assert_allclose(th, alt1, atol=1e-9)
     assert_allclose(th, alt2, atol=1e-9)
     # squared volume identity (right side is a multiple of dvol_g)
@@ -341,8 +342,8 @@ def test_theta_wedge_rho_zero_on_sd_families(rng):
 
 
 def test_theta_dot_at_minimum(rng):
-    rh = rng.normal(size=(30, 6))
-    td = ext.theta_dot_point(np.broadcast_to(ext.OMEGA1, (30, 6)), rh)
+    rh = rng.normal(size=(30, 6)).T
+    td = ext.theta_dot_point(np.broadcast_to(ext.OMEGA1[:, None], (6, 30)), rh)
     _, minus = ext.sd_split(rh)
     assert_allclose(td, -2 * minus, atol=1e-13)
     assert_allclose(ext.theta_dot_point(ext.OMEGA1, ext.OMEGA2), np.zeros(6),
@@ -352,7 +353,7 @@ def test_theta_dot_at_minimum(rng):
 def test_theta_dot_matches_finite_differences(rng):
     g = random_spd(rng, (50,))
     rho = random_rho(rng, (50,), u_min=0.5, g=g)
-    rh = rng.normal(size=(50, 6))
+    rh = rng.normal(size=(50, 6)).T
     td = ext.theta_dot_point(rho, rh, g)
 
     def fd(t):
@@ -527,12 +528,12 @@ def test_metric_equivalences(rng):
 # ---------------------------------------------------------------------------
 
 def test_metric_from_vol_and_plane_standard():
-    basis = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3])
+    basis = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3], axis=-1)
     g = ext.metric_from_vol_and_plane(np.asarray(1.0), basis)
     assert_allclose(g, np.eye(4), atol=1e-13)
     # permuted basis gives the same metric (uniqueness)
     gp = ext.metric_from_vol_and_plane(
-        np.asarray(1.0), np.stack([ext.OMEGA2, ext.OMEGA3, ext.OMEGA1]))
+        np.asarray(1.0), np.stack([ext.OMEGA2, ext.OMEGA3, ext.OMEGA1], axis=-1))
     assert_allclose(gp, np.eye(4), atol=1e-13)
 
 
@@ -541,7 +542,7 @@ def test_metric_from_vol_and_plane_roundtrip(rng):
         g0 = random_spd(rng, unit_vol=True)
         basis = _sd_basis_oracle(g0)
         vol = ext.vol_coeff(g0)
-        g = ext.metric_from_vol_and_plane(vol, basis)
+        g = ext.metric_from_vol_and_plane(vol, basis.T)
         assert_allclose(g, g0, atol=1e-9)
         assert ext.vol_coeff(g) == pytest.approx(vol, rel=1e-9)
         for w in basis:
@@ -549,9 +550,9 @@ def test_metric_from_vol_and_plane_roundtrip(rng):
 
 
 def test_metric_from_vol_and_plane_rejects_bad_plane():
-    bad = np.stack([ext.OMEGA1, ext.OMEGA1, ext.OMEGA2])  # rank 2
+    bad = np.stack([ext.OMEGA1, ext.OMEGA1, ext.OMEGA2], axis=-1)  # rank 2
     with pytest.raises((ext.NotPositivePlane, ext.DegenerateForm)):
         ext.metric_from_vol_and_plane(np.asarray(1.0), bad)
-    asd = np.stack([ext.OMEGA1_ASD, ext.OMEGA2_ASD, ext.OMEGA3_ASD])
+    asd = np.stack([ext.OMEGA1_ASD, ext.OMEGA2_ASD, ext.OMEGA3_ASD], axis=-1)
     with pytest.raises(ext.NotPositivePlane):
         ext.metric_from_vol_and_plane(np.asarray(1.0), asd)

@@ -41,14 +41,14 @@ def test_energy_lower_bound(rng):
     flow.energy,
     flow.rhs,
     lambda g, rho: ext.theta_point(rho),
-    lambda g, rho: ext.star_rho3(np.ones(g.shape + (4,)), rho),
+    lambda g, rho: ext.star_rho3(np.ones((4,) + g.shape), rho),
     lambda g, rho: hk.k_functions(rho),
 ], ids=["energy", "rhs", "theta_point", "star_rho3", "k_functions"])
 def test_degenerate_reports_first_index(call):
     g = sgrid(4)
     rho = g.constant(ext.OMEGA1)
-    rho[1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1
-    rho[2, 0, 0, 1] = 0.0                   # u = 0, later in C order
+    rho[:, 1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1
+    rho[:, 2, 0, 0, 1] = 0.0                   # u = 0, later in C order
     with pytest.raises(DegenerateForm, match=r"first index \(1, 2, 3, 0\)"):
         call(g, rho)
 
@@ -99,8 +99,8 @@ def test_donaldson_norm_values(rng):
     omega = g.constant(ext.OMEGA1)
     assert flow.donaldson_norm_sq(g, g.zeros(2), omega) == 0.0
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu = np.zeros(g.shape + (4,))
-    mu[..., 1] = np.sin(2 * np.pi * x0)
+    mu = g.zeros(1)
+    mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert flow.donaldson_norm_sq(g, rh, omega) == pytest.approx(0.5, abs=1e-9)
     _, rh2 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
@@ -147,8 +147,8 @@ def test_hessian_at_minimum_worked_value():
     omega = g.constant(ext.OMEGA1)
     assert flow.hessian_form(g, omega, g.zeros(2)) == 0.0
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu = np.zeros(g.shape + (4,))
-    mu[..., 1] = np.sin(2 * np.pi * x0)
+    mu = g.zeros(1)
+    mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert flow.hessian_form(g, omega, rh) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
     flat = lat.integrate(g, ext.norm2_sq(rh))
@@ -241,7 +241,7 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
     # the first candidate reads as an energy increase, so it is rejected;
     # the retry starts again from the same k1
     energy = flow.energy
-    verdicts = [math.inf]
+    verdicts = [flow.Energy(math.inf)]
 
     def guard(grid, rho):
         e = energy(grid, rho)
@@ -308,8 +308,8 @@ def test_step_survives_huge_dt(rng):
 def test_step_failure_near_degenerate():
     g = sgrid(8)
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu = np.zeros(g.shape + (4,))
-    mu[..., 1] = np.sin(2 * np.pi * x0)
+    mu = g.zeros(1)
+    mu[1] = np.sin(2 * np.pi * x0)
     rho = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     u = ext.u_of(rho)
     assert 0 < u.min() < 2e-4
@@ -328,11 +328,11 @@ def test_step_with_dealiasing(rng):
         st, v = flow.step(g, st, v, coh0, dt_max=flow.stable_dt_cap(g),
                           dealias=True)
     # dealiased iterates have no spectrum beyond the two-thirds cutoff
-    spec = np.abs(np.fft.fftn(st.rho, axes=(0, 1, 2, 3)))
+    spec = np.abs(np.fft.fftn(st.rho, axes=(1, 2, 3, 4)))
     keep = np.abs(g.freq) <= g.n / 3.0
     zero = ~(keep.reshape(-1, 1, 1, 1) & keep.reshape(1, -1, 1, 1)
              & keep.reshape(1, 1, -1, 1) & keep.reshape(1, 1, 1, -1))
-    assert spec[zero].max() < 1e-10 * spec.max()
+    assert spec[:, zero].max() < 1e-10 * spec.max()
     assert st.monitors["coh_drift_max"] < 1e-12
     assert st.monitors["energy"] <= 2.0 + (rho0 ** 2).sum()
 
@@ -403,11 +403,31 @@ def test_run_reaches_stationarity_on_seed_28(tmp_path, monkeypatch):
     assert flow.run(cfg).reason == "stationary"
 
 
+@pytest.mark.parametrize("seed", [7, 28])
+def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed):
+    # dt_max = 2.2e-3 is 12% above the RK4 bound: when the guard compared
+    # the energies 2 + excess, quantized at ulp(2), the run spun for
+    # thousands of steps with the energy at 2.0; comparing the excess
+    # rejects the unstable steps instead
+    step, calls = flow.step, []
+
+    def budgeted(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= 1500, "no stationarity within 1500 steps"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", budgeted)
+    cfg = RunConfig(n=8, scheme="spectral", T=50.0, tol_stationary=1e-8,
+                    seed=seed, epsilon=0.05, kmax=2, out_every=10,
+                    dt_max=2.2e-3, out_dir=str(tmp_path / "out"))
+    assert flow.run(cfg).reason == "stationary"
+
+
 def test_run_flush_on_failure(tmp_path):
     g = lat.Grid(8)
     x0 = g.coords()[0] + np.zeros(g.shape)
-    mu = np.zeros(g.shape + (4,))
-    mu[..., 1] = np.sin(2 * np.pi * x0)
+    mu = g.zeros(1)
+    mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     cfg = RunConfig(n=8, T=1.0, out_dir=str(tmp_path / "out"))
     with pytest.raises(flow.StepFailure):

@@ -38,8 +38,8 @@ def test_spectral_derivative_is_exact_on_low_modes():
     x0 = g.coords()[0] + np.zeros(g.shape)
     f = np.sin(2 * np.pi * x0)
     df = lat.d0(g, f)
-    assert_allclose(df[..., 0], 2 * np.pi * np.cos(2 * np.pi * x0), atol=1e-12)
-    assert np.abs(df[..., 1:]).max() < 1e-13
+    assert_allclose(df[0], 2 * np.pi * np.cos(2 * np.pi * x0), atol=1e-12)
+    assert np.abs(df[1:]).max() < 1e-13
 
 
 def test_fd2_derivative_has_central_difference_symbol():
@@ -48,7 +48,7 @@ def test_fd2_derivative_has_central_difference_symbol():
     f = np.sin(2 * np.pi * x0)
     df = lat.d0(g, f)
     fac = math.sin(2 * np.pi * g.h) / g.h
-    assert_allclose(df[..., 0], fac * np.cos(2 * np.pi * x0), atol=1e-12)
+    assert_allclose(df[0], fac * np.cos(2 * np.pi * x0), atol=1e-12)
 
 
 def _scheme_symbol(grid, k):
@@ -75,10 +75,10 @@ def test_d_of_plane_wave_matches_wedge_oracle(grid, rng, deg, kvec):
     if deg == 0:
         f = alpha[0] * np.cos(phase)
     else:
-        f = np.cos(phase)[..., None] * alpha
-    expect = -np.sin(phase)[..., None] * want
+        f = np.moveaxis(np.cos(phase)[..., None] * alpha, -1, 0)
+    expect = np.moveaxis(-np.sin(phase)[..., None] * want, -1, 0)
     got = lat.d(grid, f, deg)
-    assert_allclose(got, expect[..., 0] if deg == 3 else expect, atol=1e-12)
+    assert_allclose(got, expect[0] if deg == 3 else expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("deg", range(4))
@@ -87,7 +87,7 @@ def test_d_of_last_axis_nyquist_mode_is_zero(grid, deg):
     x3 = grid.coords()[3] + np.zeros(grid.shape)
     wave = np.cos(np.pi * grid.n * x3)
     ncomp = lat.FORM_COMPS[deg]
-    f = wave if deg == 0 else wave[..., None] * np.arange(1.0, ncomp + 1)
+    f = wave if deg == 0 else np.arange(1.0, ncomp + 1).reshape(-1, 1, 1, 1, 1) * wave
     out = lat.d(grid, f, deg)
     assert out.dtype == np.float64
     assert np.all(out == 0.0)
@@ -103,9 +103,11 @@ def test_d_of_constant_and_alternating_modes_is_exactly_zero(rng, n, scheme):
     for mode in [np.ones(g.shape)] + alternating:
         for deg in range(4):
             ncomp = lat.FORM_COMPS[deg]
-            f = mode if deg == 0 else mode[..., None] * rng.normal(size=ncomp)
+            f = mode if deg == 0 else np.moveaxis(
+                mode[..., None] * rng.normal(size=ncomp), -1, 0)
             assert np.all(lat.d(g, f, deg) == 0.0)
-        assert np.all(lat.delta2(g, mode[..., None] * rng.normal(size=6)) == 0.0)
+        assert np.all(lat.delta2(g, np.moveaxis(
+            mode[..., None] * rng.normal(size=6), -1, 0)) == 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 16])
@@ -117,10 +119,10 @@ def test_d_matches_fourier_oracle_on_white_noise(rng, n, scheme):
         return np.abs(got - want).max() / np.abs(want).max()
 
     for deg in range(4):
-        f = rng.normal(size=g.shape + (lat.FORM_COMPS[deg],))
-        f = f[..., 0] if deg == 0 else f
+        f = np.moveaxis(rng.normal(size=g.shape + (lat.FORM_COMPS[deg],)), -1, 0)
+        f = f[0] if deg == 0 else f
         assert rel_err(lat.d(g, f, deg), orc.d_fourier(g, f, deg)) <= 1e-13
-    w = rng.normal(size=g.shape + (6,))
+    w = np.moveaxis(rng.normal(size=g.shape + (6,)), -1, 0)
     assert rel_err(lat.delta2(g, w), orc.d_fourier(g, w, 1, adjoint=True)) <= 1e-13
 
 
@@ -168,7 +170,7 @@ def test_derivative_has_zero_mean(grid, rng):
     f1 = _random_field(grid, rng, 4)
     w = lat.d1(grid, f1)
     for c in range(6):
-        assert abs(math.fsum(w[..., c].ravel())) < 1e-10
+        assert abs(math.fsum(w[c].ravel())) < 1e-10
 
 
 def test_integrate_volume_and_band_limited():
@@ -199,10 +201,11 @@ def test_cohomology_of_constants():
 def test_cohomology_matches_exactly_rounded_sums(rng, n):
     g = sgrid(n)
     omega = g.constant(ext.OMEGA1)
-    for rho in (rng.normal(size=g.shape + (6,)),
-                1e3 * rng.uniform(-1, 1, size=g.shape + (6,)) + 7.0,
+    for rho in (np.moveaxis(rng.normal(size=g.shape + (6,)), -1, 0),
+                np.moveaxis(1e3 * rng.uniform(-1, 1, size=g.shape + (6,)) + 7.0,
+                            -1, 0),
                 omega + lat.d1(g, 0.05 * _random_field(g, rng, 4))):
-        want = [math.fsum(rho[..., c].ravel()) / n ** 4 for c in range(6)]
+        want = [math.fsum(rho[c].ravel()) / n ** 4 for c in range(6)]
         assert np.abs(lat.cohomology(g, rho) - want).max() <= 1e-18
 
 
@@ -248,9 +251,9 @@ def test_random_trig_field_is_grid_independent(rng):
     fn = lat.random_trig_field(rng, 2, ncomp=4)
     a = fn(sgrid(8))
     b = fn(sgrid(16))
-    assert_allclose(a, b[::2, ::2, ::2, ::2], atol=1e-12)
+    assert_allclose(a, b[:, ::2, ::2, ::2, ::2], atol=1e-12)
     for c in range(4):
-        assert abs(math.fsum(a[..., c].ravel())) < 1e-10
+        assert abs(math.fsum(a[c].ravel())) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +289,8 @@ def test_least_norm_zero():
 def test_least_norm_recovers_coexact_potential():
     g = sgrid(8)
     x0 = g.coords()[0] + np.zeros(g.shape)
-    lam_true = np.zeros(g.shape + (4,))
-    lam_true[..., 1] = np.sin(2 * np.pi * x0)
+    lam_true = g.zeros(1)
+    lam_true[1] = np.sin(2 * np.pi * x0)
     rhohat = lat.d1(g, lam_true)
     lam = lat.least_norm_potential(g, rhohat, g.constant(ext.OMEGA1))
     assert_allclose(lam, lam_true, atol=1e-9)
@@ -305,7 +308,7 @@ def test_least_norm_strips_gauge_part(rng):
     # star lam is closed with zero periods (flat metric: star = table)
     star = ext.star1_flat(lam)
     assert lat.l2_norm(g, lat.d3(g, star)) < 1e-8
-    assert np.abs(star.mean(axis=(0, 1, 2, 3))).max() < 1e-10
+    assert np.abs(star.mean(axis=(1, 2, 3, 4))).max() < 1e-10
 
 
 def _perturbed_rho(g, rng, eps=0.3):
@@ -333,8 +336,8 @@ def test_least_norm_gauge_orthogonality_curved(rng):
         val = lat.integrate(g, ext.wedge13(mu, star1(lam)))
         assert abs(val) < 1e-8
     for i in range(4):
-        mu = np.zeros(g.shape + (4,))
-        mu[..., i] = 1.0
+        mu = g.zeros(1)
+        mu[i] = 1.0
         val = lat.integrate(g, ext.wedge13(mu, star1(lam)))
         assert abs(val) < 1e-8
 
