@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Sweep perturbation amplitudes and record how the flow relaxes.
+"""Sweep seeds and perturbation amplitudes and record how the flow relaxes.
 
-For each epsilon the flow is integrated to stationarity and one summary row
-is written: steps, final time, final energy excess, residual and sup
-distance to the flat form.  Output is plot-ready CSV.
+For each seed and epsilon the flow is integrated to stationarity and one
+summary row is written: steps, final time, final energy excess, residual
+and sup distance to the flat form.  Output is plot-ready CSV.
 
     python3 scripts/convergence_experiment.py --n 8 --epsilons 0.02 0.05 0.1
+    python3 scripts/convergence_experiment.py --seeds $(seq 1 43) \
+        --epsilons 0.05 --dt-max 2.2e-3
 """
 
 import argparse
@@ -29,34 +31,40 @@ def main(argv=None):
     ap.add_argument("--scheme", default="spectral")
     ap.add_argument("--epsilons", type=float, nargs="+",
                     default=[0.02, 0.05, 0.1])
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--tol", type=float, default=1e-8)
+    ap.add_argument("--dt-max", type=float, default=None,
+                    help="step-size cap (default: the run's default)")
     ap.add_argument("--out", type=Path, default=Path("convergence_sweep.csv"))
     args = ap.parse_args(argv)
 
     rows = []
-    for eps in args.epsilons:
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = RunConfig(n=args.n, scheme=args.scheme, T=100.0,
-                            tol_stationary=args.tol, seed=args.seed,
-                            epsilon=eps, out_every=50, out_dir=tmp)
-            t0 = time.monotonic()
-            res = flow.run(cfg)
-            wall = time.monotonic() - t0
-        g = lat.Grid(args.n, args.scheme)
-        dist = float(np.abs(res.state.rho - g.constant(ext.OMEGA1)).max())
-        rows.append({
-            "epsilon": eps,
-            "reason": res.reason,
-            "steps": res.steps,
-            "t_final": res.state.t,
-            "energy_excess": res.state.excess,
-            "residual_l2": res.state.monitors["residual_l2"],
-            "sup_distance": dist,
-            "wall_seconds": wall,
-        })
-        print(f"eps={eps:<6g} steps={res.steps:<6d} t={res.state.t:.3f} "
-              f"dist={dist:.2e} wall={wall:.1f}s")
+    for seed in args.seeds:
+        for eps in args.epsilons:
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = RunConfig(n=args.n, scheme=args.scheme, T=100.0,
+                                tol_stationary=args.tol, seed=seed,
+                                epsilon=eps, dt_max=args.dt_max,
+                                out_every=50, out_dir=tmp)
+                t0 = time.monotonic()
+                res = flow.run(cfg)
+                wall = time.monotonic() - t0
+            g = lat.Grid(args.n, args.scheme)
+            dist = float(np.abs(res.state.rho - g.constant(ext.OMEGA1)).max())
+            rows.append({
+                "seed": seed,
+                "epsilon": eps,
+                "reason": res.reason,
+                "steps": res.steps,
+                "t_final": res.state.t,
+                "energy_excess": res.state.excess,
+                "residual_l2": res.state.monitors["residual_l2"],
+                "sup_distance": dist,
+                "wall_seconds": wall,
+            })
+            print(f"seed={seed:<4d} eps={eps:<6g} {res.reason:<10s} "
+                  f"steps={res.steps:<6d} t={res.state.t:.3f} "
+                  f"dist={dist:.2e} wall={wall:.1f}s")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -21,7 +21,7 @@ class RunConfig:
     scheme: str = "spectral"
     dealias: bool = False
     sigma_cfl: float = 0.2
-    dt_max: float | None = None          # None: same as the initial step
+    dt_max: float | None = None          # None: flow.DT_ACCURACY
     T: float = 10.0
     tol_stationary: float = 1e-8
     seed: int = 0

@@ -1,19 +1,17 @@
 """Brute-force oracles for the exterior algebra, lattice and flow tests.
 
 Everything here works on fully antisymmetric index tensors and enumerates
-permutations, or sums sampled cosines mode by mode, so it shares no code
-(and no sign tables) with the package.  The exception is the reference
-time step, which checks the step's bookkeeping, not the right hand side:
-it calls the package's ``flow.rhs`` and ``flow.energy``.
+permutations, sums sampled cosines mode by mode, or evaluates Chebyshev
+series, so it shares no code (and no sign tables) with the package.
 """
 
 import math
 from itertools import permutations, product
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
-from donflow import flow
-from donflow.exterior import IDX2, IDX3, DegenerateForm
+from donflow.exterior import IDX2, IDX3
 
 
 def perm_sign(p):
@@ -179,28 +177,24 @@ def d_fourier(grid, f, k, adjoint=False):
     return out[..., 0] if out.shape[-1] == 1 else np.moveaxis(out, -1, 0)
 
 
-def rk4_guarded_step(grid, rho, t, dt, dt_max, max_retries=20):
-    """Reference for ``flow.step``: the classical RK4 step, every stage
-    evaluated afresh, halved until it is admissible and does not raise the
-    energy, then the stationarity residual at the new field (5 rhs and 2
-    energies per accepted step).  Returns (rho, t, dt, energy, residual)
-    of the accepted step."""
-    e_old = flow.energy(grid, rho)
-    dt = min(dt, dt_max)
-    for _ in range(max_retries + 1):
-        try:
-            k1 = flow.rhs(grid, rho)
-            k2 = flow.rhs(grid, rho + 0.5 * dt * k1)
-            k3 = flow.rhs(grid, rho + 0.5 * dt * k2)
-            k4 = flow.rhs(grid, rho + dt * k3)
-            cand = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            e_new = flow.energy(grid, cand)
-        except DegenerateForm:
-            dt *= 0.5
-            continue
-        if e_new <= e_old:
-            residual = math.sqrt(float(np.sum(flow.rhs(grid, cand) ** 2))
-                                 * grid.h ** 4)
-            return cand, t + dt, min(dt * 1.1, dt_max), e_new, residual
-        dt *= 0.5
-    raise AssertionError("reference step found no admissible step")
+def _rkc_chebyshev(s):
+    """The series of T_s, w0 = 1 + 10 / s^2 and T_s, T_s', T_s'' at w0, for
+    the damped s-stage RKC2 scheme with damping 10."""
+    ts = [0.0] * s + [1.0]
+    w0 = 1.0 + 10.0 / s ** 2
+    return (ts, w0) + tuple(chebval(w0, chebder(ts, m)) for m in range(3))
+
+
+def rkc_amplification(s, z):
+    """Stability polynomial R_s(z) = a_s + b_s T_s(w0 + w1 z) with
+    w1 = T_s'(w0) / T_s''(w0), b_s = T_s''(w0) / T_s'(w0)^2 and
+    a_s = 1 - b_s T_s(w0)."""
+    ts, w0, t0, t1, t2 = _rkc_chebyshev(s)
+    b = t2 / t1 ** 2
+    return 1.0 - b * t0 + b * chebval(w0 + (t1 / t2) * z, ts)
+
+
+def rkc_stability_interval(s):
+    """beta with |R_s| <= 1 on [-beta, 0]: w0 + w1 z stays >= -1."""
+    _, w0, _, t1, t2 = _rkc_chebyshev(s)
+    return (1.0 + w0) * t2 / t1

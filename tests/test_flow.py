@@ -226,20 +226,31 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _stages(h_lambda):
+    """The least s >= 2 whose RKC stability interval covers h_lambda."""
+    return next(s for s in range(2, 1000)
+                if oracles.rkc_stability_interval(s) >= h_lambda)
+
+
 def test_step_reuses_the_accepted_velocity(monkeypatch):
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
-    dt = flow.stable_dt_cap(g)
+    dt = flow.DT_ACCURACY
+    lam = flow.spectral_bound(g)
     st, v, coh0 = _state(g, rho0, dt)
     calls = _count_calls(monkeypatch, "rhs")
+    energies = _count_calls(monkeypatch, "energy")
     new, new_v = flow.step(g, st, v, coh0, dt_max=dt)
-    # three RK4 stages, then the velocity at the accepted field
-    assert len(calls) == 4
+    # s - 1 stages, then the velocity at the accepted field
+    s = _stages(dt * lam)
+    assert s > 2
+    assert len(calls) == s
+    assert len(energies) == 1
     assert calls[-1] is new.rho
     assert lat.l2_norm(g, new_v) == new.monitors["residual_l2"]
 
     # the first candidate reads as an energy increase, so it is rejected;
-    # the retry starts again from the same k1
+    # the retry at dt / 2 starts again from the same first stage
     energy = flow.energy
     verdicts = [flow.Energy(math.inf)]
 
@@ -249,26 +260,31 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
 
     monkeypatch.setattr(flow, "energy", guard)
     calls.clear()
+    energies.clear()
     retried, _ = flow.step(g, st, v, coh0, dt_max=dt)
-    assert len(calls) == 3 + 4
+    assert len(calls) == (s - 1) + _stages(0.5 * dt * lam)
+    assert len(energies) == 2
     assert retried.t == 0.5 * new.t
 
 
-@pytest.mark.parametrize("scale", [1.0, 1000.0], ids=["cap", "huge"])
-def test_step_matches_classical_rk4(scale):
-    # the 4-rhs step and the classical 5-rhs one take bit-identical steps,
-    # with and without rejected attempts
-    g = sgrid(8)
-    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(7)))
-    dt_max = scale * flow.stable_dt_cap(g)
-    st, v, coh0 = _state(g, rho0, dt_max)
-    ref, t, dt = rho0, 0.0, dt_max
-    for _ in range(3):
-        st, v = flow.step(g, st, v, coh0, dt_max)
-        ref, t, dt, e, res = oracles.rk4_guarded_step(g, ref, t, dt, dt_max)
-        assert np.array_equal(st.rho, ref)
-        assert (st.t, st.dt) == (t, dt)
-        assert (st.monitors["energy"], st.monitors["residual_l2"]) == (e, res)
+@pytest.mark.parametrize("s", [2, 3, 5, 9])
+def test_step_has_the_rkc_amplification(monkeypatch, s):
+    # on y' = z y one step multiplies y by R_s(h z); with lambda = 1 the
+    # step h = beta_s just takes s stages
+    g = sgrid(4)
+    beta = oracles.rkc_stability_interval(s)
+    h = beta * (1.0 - 1e-9)
+    monkeypatch.setattr(flow, "spectral_bound", lambda grid: 1.0)
+    rho0 = g.constant(ext.OMEGA1)
+    for hz in np.linspace(-0.1, -0.9 * beta, 7):
+        monkeypatch.setattr(flow, "rhs", lambda grid, rho: (hz / h) * rho)
+        st, v, coh0 = _state(g, rho0, h)
+        calls = _count_calls(monkeypatch, "rhs")
+        new, _ = flow.step(g, st, v, coh0, dt_max=h)
+        assert len(calls) == s
+        assert new.t == h
+        want = oracles.rkc_amplification(s, hz) * rho0
+        assert np.abs(new.rho - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_step_is_stationary_at_minimum():
@@ -294,14 +310,18 @@ def test_step_decreases_energy(rng):
     assert energies[-1] < energies[0]
 
 
-def test_step_survives_huge_dt(rng):
+def test_step_survives_huge_dt(monkeypatch):
+    # with the spectrum underestimated 50 times the derived stage count is
+    # unstable at dt = 1: the guard must reduce dt to an accepted step
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(6))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
+    lam = flow.spectral_bound(g)
+    monkeypatch.setattr(flow, "spectral_bound", lambda grid: lam / 50.0)
     st, v, coh0 = _state(g, rho0, dt=1.0)
     new, _ = flow.step(g, st, v, coh0, dt_max=1.0)
-    # automatic reduction to a stable step
     assert new.t - st.t < 1.0
+    assert new.excess <= st.excess
     assert new.monitors["energy"] <= st.monitors["energy"]
 
 
@@ -323,9 +343,9 @@ def test_step_with_dealiasing(rng):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(9))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
-    st, v, coh0 = _state(g, rho0, dt=flow.stable_dt_cap(g))
+    st, v, coh0 = _state(g, rho0, dt=flow.DT_ACCURACY)
     for _ in range(5):
-        st, v = flow.step(g, st, v, coh0, dt_max=flow.stable_dt_cap(g),
+        st, v = flow.step(g, st, v, coh0, dt_max=flow.DT_ACCURACY,
                           dealias=True)
     # dealiased iterates have no spectrum beyond the two-thirds cutoff
     spec = np.abs(np.fft.fftn(st.rho, axes=(1, 2, 3, 4)))
@@ -373,15 +393,23 @@ def test_run_short_flow_monotone(tmp_path):
             assert math.isfinite(float(v)), (k, v)
 
 
-def test_run_costs_four_rhs_and_one_energy_per_step(tmp_path, monkeypatch):
+def test_run_costs_s_rhs_and_one_energy_per_step(tmp_path, monkeypatch):
     rhs_calls = _count_calls(monkeypatch, "rhs")
     energy_calls = _count_calls(monkeypatch, "energy")
-    cfg = RunConfig(n=8, T=0.01, epsilon=0.05, kmax=2, seed=3,
+    cfg = RunConfig(n=8, T=0.1, epsilon=0.05, kmax=2, seed=3, out_every=1,
                     out_dir=str(tmp_path / "out"))
     res = flow.run(cfg)
     assert res.steps > 5
-    # one velocity and one energy for the initial state
-    assert len(rhs_calls) == 4 * res.steps + 1
+    # s rhs for a step of dt taken with s stages (no step is rejected: the
+    # dt column grows by 1.1 on every row), plus one velocity and one
+    # energy for the initial state
+    rows = list(csv.DictReader(open(res.csv_path)))
+    dts = [float(r["dt"]) for r in rows]
+    assert all(b == min(a * 1.1, flow.DT_ACCURACY) for a, b in zip(dts, dts[1:]))
+    lam = flow.spectral_bound(lat.Grid(8))
+    ts = [float(r["t"]) for r in rows]
+    stages = [_stages((b - a) * lam) for a, b in zip(ts, ts[1:])]
+    assert len(rhs_calls) == sum(stages) + 1
     assert len(energy_calls) == res.steps + 1
 
 
@@ -405,10 +433,10 @@ def test_run_reaches_stationarity_on_seed_28(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 28])
 def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed):
-    # dt_max = 2.2e-3 is 12% above the RK4 bound: when the guard compared
-    # the energies 2 + excess, quantized at ulp(2), the run spun for
-    # thousands of steps with the energy at 2.0; comparing the excess
-    # rejects the unstable steps instead
+    # dt_max = 2.2e-3 was 12% above the stability bound of the RK4 stepper
+    # this one replaced: when the guard compared the energies 2 + excess,
+    # quantized at ulp(2), that run spun for thousands of steps with the
+    # energy at 2.0; comparing the excess rejected the unstable steps
     step, calls = flow.step, []
 
     def budgeted(*args, **kwargs):
@@ -445,9 +473,37 @@ def test_run_flush_on_failure(tmp_path):
 def test_run_rejects_locked_directory(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").touch()
     cfg = RunConfig(n=8, T=1.0, out_dir=str(out))
     g = lat.Grid(8)
-    with pytest.raises(flow.StepFailure):
-        flow.run(cfg, rho0=g.constant(ext.OMEGA1))
-    (out / ".lock").unlink()
+    with flow._OutputLock(out):
+        with pytest.raises(flow.StepFailure, match="locked"):
+            flow.run(cfg, rho0=g.constant(ext.OMEGA1))
+    assert not (out / ".lock").exists()
+
+
+def test_run_ignores_a_stale_lock(tmp_path):
+    # a .lock left behind by a killed run has no holder
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / ".lock").touch()
+    cfg = RunConfig(n=8, T=1.0, out_dir=str(out))
+    res = flow.run(cfg, rho0=lat.Grid(8).constant(ext.OMEGA1))
+    assert res.reason == "stationary"
+    assert not (out / ".lock").exists()
+
+
+def test_run_decays_at_the_spectral_gap(tmp_path):
+    # near the minimum the flow is the flat Laplacian on exact 2-forms, so
+    # the residual decays at its spectral gap 4 pi^2
+    cfg = RunConfig(n=8, scheme="spectral", T=50.0, tol_stationary=1e-8,
+                    seed=7, epsilon=0.05, kmax=2, out_every=1,
+                    out_dir=str(tmp_path / "out"))
+    res = flow.run(cfg)
+    assert res.reason == "stationary"
+    rows = list(csv.DictReader(open(res.csv_path)))
+    late = [(float(r["t"]), math.log(float(r["residual_l2"]))) for r in rows
+            if float(r["residual_l2"]) < 1e-4]
+    assert len(late) > 10
+    t, log_res = np.array(late).T
+    rate = -np.polyfit(t, log_res, 1)[0]
+    assert rate == pytest.approx(4 * np.pi ** 2, rel=0.01)

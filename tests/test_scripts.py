@@ -19,7 +19,8 @@ def _main(name):
 @pytest.mark.parametrize("name, args, rows", [
     ("refinement_study", ["--sizes", "4", "6"], 2),
     ("convergence_experiment",
-     ["--n", "4", "--epsilons", "0.05", "--tol", "1e-4"], 1),
+     ["--n", "4", "--seeds", "1", "2", "--epsilons", "0.05", "--tol", "1e-4"],
+     2),
 ])
 def test_script_writes_csv(tmp_path, name, args, rows):
     out = tmp_path / f"{name}.csv"
@@ -28,3 +29,5 @@ def test_script_writes_csv(tmp_path, name, args, rows):
     assert len(table) == rows
     for row in table:
         assert all(value != "" for value in row.values())
+    if name == "convergence_experiment":
+        assert [row["seed"] for row in table] == ["1", "2"]
