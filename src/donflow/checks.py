@@ -53,12 +53,12 @@ def random_rho(rng, batch=(), u_min=0.05, g=None):
     """Random 2-forms of shape (6,) + batch with volume ratio above u_min
     (for the metric g), resampling the entries that fall below it.  Each
     draw is batch + (6,) uniform numbers, moved to component-first."""
-    scale = 1.0 if g is None else np.sqrt(ext.vol_coeff(g))
+    vol = 1.0 if g is None else ext.vol_coeff(g)
     rho, bad = 0.0, True
     for _ in range(501):
         draw = np.moveaxis(rng.uniform(-1.0, 1.0, size=batch + (6,)), -1, 0)
-        rho = np.where(bad, scale * draw, rho)
-        bad = ext.u_of(rho, g) <= u_min
+        rho = np.where(bad, np.sqrt(vol) * draw, rho)
+        bad = ext.u_of(rho) / vol <= u_min
         if not bad.any():
             return rho
     raise RuntimeError("sampling admissible forms failed")
@@ -133,8 +133,9 @@ def suite_appendixA(seed, samples):
 
     # random compatible triples (omega, g, J) with g = omega(., J.)
     gc = random_spd(rng, (b,))
-    wc = ext.self_dual_basis(gc)[..., 0]
-    jc = np.linalg.solve(ext.form2_matrix(wc), gc)
+    sd = ext.self_dual_basis(gc)
+    wc = sd[..., 0]
+    jc = ext.form2_matrix_inv(wc) @ gc
     errc = np.abs(jc @ jc + np.eye(4)).max()
     lam = rng.normal(size=(b, 4)).T
     lhs = ext.hodge3(gc, ext.wedge12(lam, wc))
@@ -159,7 +160,6 @@ def suite_appendixA(seed, samples):
                 + ext.wedge12(np.einsum("...ij,j...->i...", gc, x), rho2)).max()
     jr = ext.j_rho(jc, rho2)
     e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, rho2)) @ jr - gr).max()
-    sd = ext.self_dual_basis(gc)
     rsd = ext.r_rho(sd, rho2[..., None])
     e5 = np.abs(ext.hodge2(gr[..., None, :, :], rsd) - rsd).max()
     t = rng.normal(size=(b, 6)).T

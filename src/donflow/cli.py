@@ -163,19 +163,13 @@ def _cmd_init(args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    commands = {"run": _cmd_run, "check": _cmd_check,
+                "hessian": _cmd_hessian, "init": _cmd_init}
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "hessian":
-            return _cmd_hessian(args)
-        if args.command == "init":
-            return _cmd_init(args)
+        return commands[args.command](args)
     except ConfigError as err:  # exit 1 with the offending key
         print(f"donflow: configuration error: {err}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -43,24 +43,19 @@ class RunConfig:
             raise ConfigError(f"n: must be even and >= 4, got {self.n}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: {self.scheme!r} not in {SCHEMES}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
-        if not self.sigma_cfl > 0:
-            raise ConfigError(f"sigma_cfl: must be positive, got {self.sigma_cfl}")
-        if self.dt_max is not None and not self.dt_max > 0:
-            raise ConfigError(f"dt_max: must be positive, got {self.dt_max}")
-        if not self.T > 0:
-            raise ConfigError(f"T: must be positive, got {self.T}")
-        if not self.tol_stationary > 0:
-            raise ConfigError(f"tol_stationary: must be positive")
-        if self.kmax < 1:
-            raise ConfigError(f"kmax: must be >= 1, got {self.kmax}")
-        if self.out_every < 1:
-            raise ConfigError(f"out_every: must be >= 1, got {self.out_every}")
-        if self.samples < 1:
-            raise ConfigError(f"samples: must be >= 1, got {self.samples}")
-        parent = Path(self.out_dir).resolve().parent
-        if not os.access(parent, os.W_OK):
+        for key in ("epsilon", "sigma_cfl", "dt_max", "T", "tol_stationary"):
+            value = getattr(self, key)
+            if not (value is None and key == "dt_max" or value > 0):
+                raise ConfigError(f"{key}: must be positive, got {value}")
+        for key in ("kmax", "out_every", "samples"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        try:
+            parent = Path(self.out_dir).resolve().parent
+            writable = os.access(parent, os.W_OK)
+        except ValueError as err:  # a NUL or a character the OS cannot encode
+            raise ConfigError(f"out_dir: {err}") from err
+        if not writable:
             raise ConfigError(f"out_dir: parent {parent} is not writable")
         if not isinstance(self.check_suite, list) or not all(
                 isinstance(s, str) for s in self.check_suite):
@@ -68,15 +63,25 @@ class RunConfig:
         return self
 
 
-_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# each field's annotation (a string) and the JSON values each one takes;
+# bool is an int to Python but not to JSON
+_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+               "list": list, "float | None": (int, float, type(None)),
+               "str | None": (str, type(None))}
 
 
 def from_dict(data):
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
-    unknown = sorted(set(data) - _FIELDS)
+    unknown = sorted(set(data) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown configuration key")
+    for key, value in data.items():
+        want = _JSON_TYPES[_FIELDS[key]]
+        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+            raise ConfigError(f"{key}: expected {_FIELDS[key]}, "
+                              f"got {type(value).__name__}")
     return RunConfig(**data).validate()
 
 
@@ -92,9 +97,7 @@ def load_config(path):
 
 def template():
     """Default configuration as a plain dict, for ``init`` emission."""
-    cfg = RunConfig()
-    out = dataclasses.asdict(cfg)
-    return out
+    return dataclasses.asdict(RunConfig())
 
 
 def save_template(path):

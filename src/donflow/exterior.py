@@ -22,6 +22,12 @@ Component conventions (frozen; the rest of the package depends on them):
 All sign tables below were derived once from the permutation signs of the
 bases above and are frozen here; the test suite re-derives them from a
 brute-force permutation oracle.
+
+The determinant, inverse and solve of a metric stay LAPACK's (``vol_coeff``,
+``hodge1``, ``metric2``, ``a_of``): g_rho reaches condition numbers near
+1e5, where cofactor formulas raised the ``twisted_metric`` check's error
+from 2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an unpivoted Cholesky
+factorization was 16 times less accurate than LU.
 """
 
 from __future__ import annotations
@@ -213,9 +219,10 @@ def metric2(g):
     """Inner product matrix on 2-forms induced by the metric g: the 6x6
     Gram matrix of the 2-form basis under g^{-1}."""
     m = np.linalg.inv(np.asarray(g))
+    rows = np.moveaxis(m, -1, 0)          # rows[j, ..., i] = m[..., i, j]
     i1, i2 = np.array(IDX2).T
-    return (m[..., i1[:, None], i1] * m[..., i2[:, None], i2]
-            - m[..., i1[:, None], i2] * m[..., i2[:, None], i1])
+    # minor (I, J) is the J-component of row_i1 ^ row_i2
+    return np.moveaxis(wedge11(rows[..., i1], rows[..., i2]), 0, -1)
 
 
 def norm2_sq(w, g=None):
@@ -285,17 +292,15 @@ def self_dual_basis(g):
     """Wedge-orthonormal basis of the self-dual 2-forms of g.
 
     Returns shape (6, ..., 3), the three forms stacked on the last axis,
-    with basis_a ^ basis_b = 2 delta_ab dvol_g.
+    with basis_a ^ basis_b = 2 delta_ab dvol_g: the flat omega_a projected
+    by (1 + star_g) / 2, which is injective on them since they are
+    wedge-positive and its kernel, the g-anti-self-dual forms, is not.
     """
     g = np.asarray(g)
-    star = vol_coeff(g)[..., None, None] * metric2(g)[..., DUAL2, :]
-    proj = 0.5 * (np.eye(6) + star)
-    uu, ss, _ = np.linalg.svd(proj)
-    if np.any(np.sum(ss > 0.5, axis=-1) != 3):
-        raise NonPositiveMetric("self-dual projector does not have rank 3")
-    cols = np.moveaxis(uu[..., :3], -2, 0)     # (6, ..., 3)
-    w1, w2, w3 = _wedge_gram_schmidt(cols, vol_coeff(g))
-    return np.stack([w1, w2, w3], axis=-1)
+    flat = np.transpose([OMEGA1, OMEGA2, OMEGA3])
+    flat = flat.reshape((6,) + (1,) * (g.ndim - 2) + (3,))    # (6, ..., 3)
+    plus, _ = sd_split(flat, g[..., None, :, :])
+    return np.stack(_wedge_gram_schmidt(plus, vol_coeff(g)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +462,10 @@ def quaternion_triple(w1, w2, w3):
     When the inputs wedge-pairwise vanish and share a common square the
     outputs satisfy the quaternion relations Ji^2 = -1, Jj Jk = -Jk Jj = Ji.
     """
-    for w in (w1, w2, w3):
-        require_pf(pfaffian(np.asarray(w)))
-    ps = [form2_matrix(np.asarray(w)) for w in (w1, w2, w3)]
-    j1 = np.linalg.solve(ps[2], ps[1])
-    j2 = np.linalg.solve(ps[0], ps[2])
-    j3 = np.linalg.solve(ps[1], ps[0])
-    return j1, j2, j3
+    ws = [np.asarray(w) for w in (w1, w2, w3)]
+    ps = [form2_matrix(w) for w in ws]
+    inv = [form2_matrix_inv(w, require_pf(pfaffian(w))) for w in ws]
+    return inv[2] @ ps[1], inv[0] @ ps[2], inv[1] @ ps[0]
 
 
 def _wedge_gram_schmidt(basis, vol):
@@ -502,27 +504,13 @@ def metric_from_vol_and_plane(vol, basis):
     basis = np.asarray(basis, dtype=float)
     if np.any(vol <= 0):
         raise NotPositivePlane("volume form must be positive")
-    gram = np.stack([np.stack([wedge22(basis[..., a], basis[..., b])
-                               for b in range(3)], axis=-1)
-                     for a in range(3)], axis=-2) / vol[..., None, None]
-    for k in range(1, 4):
-        if np.any(np.linalg.det(gram[..., :k, :k]) <= 0):
-            raise NotPositivePlane("wedge Gram matrix is not positive definite")
-
+    # its pivots are the ratios of the Gram matrix's leading minors, so it
+    # raises NotPositivePlane unless the Gram matrix is positive definite
     w1, w2, w3 = _wedge_gram_schmidt(basis, vol)
     j1, _, _ = quaternion_triple(w1, w2, w3)
 
-    # fix the overall sign at the first probe basis vector where the
-    # candidate quadratic form w1(v, J1 v) is safely nonzero
-    p1 = form2_matrix(w1)
-    cand = p1 @ j1                       # bilinear form w1(., J1 .)
-    diag = np.stack([cand[..., i, i] for i in range(4)], axis=-1)
-    usable = np.abs(diag) > 1e-8
-    if not np.all(np.any(usable, axis=-1)):
-        raise DegenerateForm("no probe vector separates the metric sign")
-    first = np.argmax(usable, axis=-1)
-    probe_val = np.take_along_axis(diag, first[..., None], axis=-1)[..., 0]
-    sign = np.where(probe_val > 0, 1.0, -1.0)
-
-    gm = sign[..., None, None] * cand
+    # w1(., J1 .) is the metric up to sign; a definite form has the sign of
+    # its trace
+    cand = form2_matrix(w1) @ j1
+    gm = np.sign(np.trace(cand, axis1=-2, axis2=-1))[..., None, None] * cand
     return 0.5 * (gm + np.swapaxes(gm, -1, -2))

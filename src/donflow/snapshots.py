@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,8 @@ def save_snapshot(base, grid, rho, time, monitors=None):
     return hpath
 
 
-HEADER_KEYS = ("n", "scheme", "payload", "time", "monitors")
+HEADER_TYPES = {"n": int, "scheme": str, "payload": str, "time": (int, float),
+                "monitors": dict}
 
 
 def _read(path, what):
@@ -72,8 +74,9 @@ def load_snapshot(header_path):
     """Read a snapshot; returns (grid, rho, time, monitors).
 
     Raises ValueError for a header or payload file that cannot be read, a
-    header lacking one of ``HEADER_KEYS``, a foreign component order or
-    dtype, a payload of the wrong length, or non-finite values.
+    header lacking a key of ``HEADER_TYPES`` or mistyping one (a bool is no
+    number) or a non-finite time, a foreign component order or dtype, a
+    payload of the wrong length, or non-finite values.
     """
     header_path = Path(header_path)
     header = json.loads(_read(header_path, "header"))
@@ -84,10 +87,16 @@ def load_snapshot(header_path):
     dtype = header.get("dtype", PAYLOAD_DTYPE)
     if dtype != PAYLOAD_DTYPE:
         raise ValueError(f"snapshot dtype {dtype!r} is not {PAYLOAD_DTYPE!r}")
-    missing = [key for key in HEADER_KEYS if key not in header]
+    missing = [key for key in HEADER_TYPES if key not in header]
     if missing:
         raise ValueError(f"snapshot header lacks {', '.join(missing)}")
-    grid = Grid(int(header["n"]), header["scheme"])
+    wrong = [key for key, kind in HEADER_TYPES.items()
+             if isinstance(header[key], bool) or not isinstance(header[key], kind)]
+    if wrong:
+        raise ValueError(f"snapshot header mistypes {', '.join(wrong)}")
+    if not abs(header["time"]) <= sys.float_info.max:
+        raise ValueError("snapshot header time is not finite")
+    grid = Grid(header["n"], header["scheme"])
     raw = _read(header_path.parent / header["payload"], "payload")
     size = grid.n ** 4 * 6 * 8
     if len(raw) != size:

@@ -177,6 +177,19 @@ def d_fourier(grid, f, k, adjoint=False):
     return out[..., 0] if out.shape[-1] == 1 else np.moveaxis(out, -1, 0)
 
 
+def harmonic_fourier(n, f):
+    """Reference for ``lattice.harmonic_projection`` on the n^4 lattice:
+    one complex fftn over the lattice axes, every mode with some k_i
+    outside {0, n/2} set to zero, one ifftn."""
+    k = np.abs(np.fft.fftfreq(n) * n)
+    keep = (k == 0) | (k == n // 2)
+    mask = np.ones((n,) * 4, dtype=bool)
+    for a in range(4):
+        mask &= keep.reshape([n if b == a else 1 for b in range(4)])
+    fk = np.fft.fftn(np.asarray(f), axes=(-4, -3, -2, -1))
+    return np.fft.ifftn(fk * mask, axes=(-4, -3, -2, -1)).real
+
+
 def _rkc_chebyshev(s):
     """The series of T_s, w0 = 1 + 10 / s^2 and T_s, T_s', T_s'' at w0, for
     the damped s-stage RKC2 scheme with damping 10."""

@@ -2,12 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from donflow import cli
 from donflow import lattice as lat
 from donflow.config import ConfigError, RunConfig, from_dict, load_config, template
 from donflow.exterior import OMEGA1
-from donflow.snapshots import COMPONENT_ORDER, save_snapshot
+from donflow.snapshots import (COMPONENT_ORDER, HEADER_TYPES, load_snapshot,
+                               save_snapshot)
+
+# any value json.loads can return (NaN, infinities and lone surrogates
+# included)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(exclude_categories=())),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
 
 
 def test_config_defaults_valid():
@@ -29,10 +40,54 @@ def test_config_rejects_unknown_key():
     ({"T": -1.0}, "T"),
     ({"out_every": 0}, "out_every"),
     ({"kmax": 0}, "kmax"),
+    ({"n": "8"}, "n"),
+    ({"T": "x"}, "T"),
+    ({"samples": None}, "samples"),
+    ({"out_every": [1]}, "out_every"),
+    ({"kmax": 1.5}, "kmax"),
+    ({"dealias": 1}, "dealias"),
+    ({"n": True}, "n"),
+    ({"out_dir": "a\0b"}, "out_dir"),
+    ({"out_dir": "\ud800"}, "out_dir"),
 ])
 def test_config_invariants(bad, key):
     with pytest.raises(ConfigError, match=key):
         from_dict(bad)
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory):
+    """A directory holding a valid n = 4 snapshot ``s.json``/``s.bin``."""
+    path = tmp_path_factory.mktemp("loaders")
+    save_snapshot(path / "s", lat.Grid(4), lat.Grid(4).constant(OMEGA1), 0.5)
+    return path
+
+
+@given(st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+                       json_values, max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_config_loader_fuzz(loader_dir, data):
+    # a config file either loads or raises the ConfigError the CLI reports
+    path = loader_dir / "cfg.json"
+    path.write_text(json.dumps(data))
+    try:
+        assert isinstance(load_config(path), RunConfig)
+    except ConfigError:
+        pass
+
+
+@given(st.dictionaries(st.sampled_from([*HEADER_TYPES, "component_order", "dtype"]),
+                       json_values, min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_snapshot_loader_fuzz(loader_dir, changes):
+    # a snapshot header either loads or raises the ValueError the CLI reports
+    header = json.loads((loader_dir / "s.json").read_text())
+    path = loader_dir / "fuzz.json"
+    path.write_text(json.dumps({**header, **changes}))
+    try:
+        load_snapshot(path)
+    except ValueError:
+        pass
 
 
 def test_config_template_roundtrip(tmp_path):
@@ -81,6 +136,8 @@ def test_cli_run_config_error(tmp_path):
     path.write_text("{broken")
     assert cli.main(["run", "--config", str(path)]) == 1
     path.write_text(json.dumps({"dt": 0.5}))
+    assert cli.main(["run", "--config", str(path)]) == 1
+    path.write_text(json.dumps({"n": "8"}))
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
@@ -186,7 +243,10 @@ def test_cli_hessian_bad_snapshot(tmp_path, capsys):
     (None, "cannot read snapshot header"),
     ({"component_order": COMPONENT_ORDER},
      "snapshot header lacks n, scheme, payload, time, monitors"),
-], ids=["missing", "keys"])
+    ({"component_order": COMPONENT_ORDER, "n": 4.5, "scheme": "spectral",
+      "payload": "s.bin", "time": 0.0, "monitors": {}},
+     "snapshot header mistypes n"),
+], ids=["missing", "keys", "types"])
 def test_cli_hessian_unreadable_snapshot(tmp_path, capsys, header, message):
     snap = tmp_path / "nonexist.json"
     if header is not None:

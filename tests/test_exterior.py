@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from donflow import exterior as ext
-from donflow.checks import random_rho, random_spd
+from donflow.checks import random_rho, random_spd, suite_appendixA
 import oracles as orc
 
 # left multiplication by the unit quaternions i, j, k on H = R^4
@@ -452,6 +452,37 @@ def _sd_basis_oracle(g):
             w = w - (ext.wedge22(w, prev) / (2 * vol)) * prev
         out.append(w / np.sqrt(ext.wedge22(w, w) / (2 * vol)))
     return np.stack(out)
+
+
+def test_self_dual_basis_spans_the_oracle_plane(rng):
+    g = random_spd(rng, (200,))
+    basis = ext.self_dual_basis(g)                      # (6, 200, 3)
+    vol = ext.vol_coeff(g)
+    assert_allclose(ext.hodge2(g[:, None], basis), basis, rtol=0, atol=1e-12)
+    gram = np.stack([[ext.wedge22(basis[..., a], basis[..., b]) for b in range(3)]
+                     for a in range(3)])                # (3, 3, 200)
+    assert_allclose(gram / vol, np.broadcast_to(2 * np.eye(3)[..., None], gram.shape),
+                    rtol=0, atol=1e-12)
+    # the wedge pairing is an inner product on the self-dual plane, so the
+    # part of an oracle form outside span(basis) is what its wedge-orthogonal
+    # projection onto the basis leaves over
+    for i in range(200):
+        for w in _sd_basis_oracle(g[i]):
+            coef = ext.wedge22(w[:, None], basis[:, i]) / (2 * vol[i])
+            assert_allclose(basis[:, i] @ coef, w, rtol=0, atol=1e-12)
+
+
+def test_appendixA_needs_no_svd_and_quaternion_triple_no_linalg(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("unexpected numpy.linalg call")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    assert all(rec["passed"] for rec in suite_appendixA(0, 200))
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    j1, j2, j3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
+    assert_allclose(j1 @ j2, j3, atol=1e-14)
 
 
 def _compatible_triple(rng):

@@ -146,9 +146,24 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     for deg, f in enumerate(fields):
         lat.d(g, f, deg)
     lat.delta2(g, rho)
+    lat.harmonic_projection(g, fields[1])
     assert calls == []
     lat.inv_laplace(g, rho)  # the counter sees the operators that keep the FFT
     assert calls == ["rfftn", "irfftn"]
+
+
+@pytest.mark.parametrize("scheme", lat.SCHEMES)
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_harmonic_projection_matches_fourier_mask(n, scheme, rng):
+    # parity-class means against the zero-symbol modes of a complex fftn,
+    # on a 1-form and a scalar field; a second projection changes nothing
+    g = lat.Grid(n, scheme)
+    for shape in ((4,) + g.shape, g.shape):
+        f = rng.normal(size=shape)
+        p = lat.harmonic_projection(g, f)
+        assert p.shape == f.shape
+        assert np.abs(p - orc.harmonic_fourier(n, f)).max() <= 1e-15
+        assert np.abs(lat.harmonic_projection(g, p) - p).max() <= 1e-16
 
 
 def _random_field(grid, rng, ncomp, kmax=2, amp=1.0):
