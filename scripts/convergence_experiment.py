@@ -3,7 +3,9 @@
 
 For each seed and epsilon the flow is integrated to stationarity and one
 summary row is written: steps, final time, final energy excess, residual
-and sup distance to the flat form.  Output is plot-ready CSV.
+and sup distance to the flat form.  Output is plot-ready CSV.  The last
+line counts the stationary rows and gives their step range; the exit code
+is 1 when any row ends other than stationary, so the sweep is a gate.
 
     python3 scripts/convergence_experiment.py --n 8 --epsilons 0.02 0.05 0.1
     python3 scripts/convergence_experiment.py --seeds $(seq 1 43) \
@@ -71,7 +73,11 @@ def main(argv=None):
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}")
-    return 0
+    stationary = [row["steps"] for row in rows if row["reason"] == "stationary"]
+    steps = (f", steps {min(stationary)}-{max(stationary)}" if stationary
+             else "")
+    print(f"{len(stationary)}/{len(rows)} stationary{steps}")
+    return 0 if len(stationary) == len(rows) else 1
 
 
 if __name__ == "__main__":

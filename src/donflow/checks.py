@@ -362,16 +362,21 @@ SUITES = {
 }
 
 
-def run_suites(names, seed, samples):
-    """Run the named suites (or all for "all"); returns (records, all_passed)."""
+def suite_names(names):
+    """The suites that ``names`` selects (all for "all"), in SUITE_ORDER;
+    raises KeyError on an unknown name."""
     if "all" in names:
-        names = list(SUITE_ORDER)
+        return list(SUITE_ORDER)
     unknown = [n for n in names if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown check suite {unknown[0]!r}; "
                        f"available: {sorted(SUITES)} or 'all'")
+    return [name for name in SUITE_ORDER if name in names]
+
+
+def run_suites(names, seed, samples):
+    """Run the named suites (or all for "all"); returns (records, all_passed)."""
     records = []
-    for name in SUITE_ORDER:
-        if name in names:
-            records.extend(SUITES[name](seed, samples))
+    for name in suite_names(names):
+        records.extend(SUITES[name](seed, samples))
     return records, all(r["passed"] for r in records)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def _parser():
     ph.add_argument("--snapshot", type=Path, required=True,
                     help="snapshot header (.json) to probe")
     ph.add_argument("--directions", type=int, default=50,
-                    help="number of random exact probe directions")
+                    help="number of random exact probe directions (>= 1)")
     pi = sub.add_parser("init", help="emit a template configuration file")
     pi.add_argument("--config", type=Path,
                     default=Path("donflow_config.json"))
@@ -59,6 +60,23 @@ def _load_config(args):
     if getattr(args, "out", None) is not None:
         cfg.out_dir = str(args.out)
     return cfg.validate()
+
+
+def _report_path(cfg, default_name):
+    """The report file of check or hessian, with its parent directory made
+    and writable; called once the inputs are read and before any suite or
+    probe runs, so a bad input leaves no directory behind.  A ConfigError
+    names the key."""
+    path = Path(cfg.report_path) if cfg.report_path else (
+        Path(cfg.out_dir) / default_name)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"report_path: cannot create {path.parent}: "
+                          f"{err.strerror}") from err
+    if not os.access(path.parent, os.W_OK):
+        raise ConfigError(f"report_path: {path.parent} is not writable")
+    return path
 
 
 def _cmd_run(args):
@@ -78,10 +96,12 @@ def _cmd_run(args):
 def _cmd_check(args):
     cfg = _load_config(args)
     try:
-        records, ok = checks.run_suites(cfg.check_suite, cfg.seed, cfg.samples)
+        names = checks.suite_names(cfg.check_suite)
     except KeyError as err:
         print(f"donflow check: {err.args[0]}", file=sys.stderr)
         return 1
+    path = _report_path(cfg, "checks_report.json")
+    records, ok = checks.run_suites(names, cfg.seed, cfg.samples)
     report = {
         "seed": cfg.seed,
         "samples": cfg.samples,
@@ -89,9 +109,6 @@ def _cmd_check(args):
         "checks": records,
         "passed": ok,
     }
-    path = Path(cfg.report_path) if cfg.report_path else (
-        Path(cfg.out_dir) / "checks_report.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for rec in records:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -102,17 +119,19 @@ def _cmd_check(args):
 
 
 def _cmd_hessian(args):
+    if args.directions < 1:
+        print(f"donflow hessian: --directions must be >= 1, got "
+              f"{args.directions}", file=sys.stderr)
+        return 1
     cfg = _load_config(args)
     try:
         grid, rho, time, _ = load_snapshot(args.snapshot)
     except ValueError as err:
         print(f"donflow hessian: bad snapshot: {err}", file=sys.stderr)
         return 1
+    path = _report_path(cfg, "hessian_report.json")
     u = u_of(rho)
     u_min = float(u.min())
-    path = Path(cfg.report_path) if cfg.report_path else (
-        Path(cfg.out_dir) / "hessian_report.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         require_u(u)
     except DegenerateForm as err:

@@ -42,7 +42,7 @@ class DegenerateForm(ValueError):
 
 
 class NonPositiveMetric(ValueError):
-    """A symmetric matrix handed in as a metric is not positive definite."""
+    """A matrix handed in as a metric has a nonpositive determinant."""
 
 
 class NotPositivePlane(ValueError):
@@ -128,20 +128,6 @@ def interior2(v, w):
     ])
 
 
-def interior3(v, f):
-    """Contraction of a 3-form with a vector, as a 2-form."""
-    v0, v1, v2, v3 = np.asarray(v)
-    f0, f1, f2, f3 = np.asarray(f)
-    return np.stack([
-        v2 * f3 + v3 * f2,
-        -v1 * f3 + v3 * f1,
-        -v1 * f2 - v2 * f1,
-        v0 * f1 + v1 * f0,
-        -v0 * f2 + v2 * f0,
-        v0 * f3 + v3 * f0,
-    ])
-
-
 def interior4(v, c):
     """Contraction of a 4-form coefficient with a vector, as a 3-form."""
     return star1_flat(v) * np.asarray(c)
@@ -187,25 +173,6 @@ def form2_matrix_inv(w, pf=None):
 # metrics and Hodge stars
 # ---------------------------------------------------------------------------
 
-def make_metric(mat):
-    """Validate and symmetrize a metric matrix.
-
-    Raises NonPositiveMetric unless every instance is symmetric positive
-    definite (checked through leading principal minors).
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[-2:] != (4, 4):
-        raise NonPositiveMetric(f"expected trailing 4x4 matrix, got {mat.shape}")
-    sym = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    if not np.allclose(mat, sym, rtol=0, atol=1e-12 * (1 + np.abs(mat).max())):
-        raise NonPositiveMetric("metric matrix is not symmetric")
-    for k in range(1, 5):
-        minors = np.linalg.det(sym[..., :k, :k])
-        if np.any(minors <= 0):
-            raise NonPositiveMetric(f"leading {k}x{k} minor is not positive")
-    return sym
-
-
 def vol_coeff(g):
     """Coefficient of the volume form dvol_g (orientation e0123 > 0)."""
     det = np.linalg.det(np.asarray(g))
@@ -233,11 +200,6 @@ def norm2_sq(w, g=None):
     return np.einsum("i...,...ij,j...->...", w, metric2(g), w)
 
 
-def hodge0(g, c):
-    """Hodge star of a 0-form (scalar) as a 4-form coefficient."""
-    return np.asarray(c) * vol_coeff(g)
-
-
 def hodge1(g, l):
     """Hodge star of a 1-form, as a 3-form."""
     g = np.asarray(g)
@@ -262,11 +224,6 @@ def hodge3(g, f):
     return np.einsum("...ij,j...->i...", g, star3_flat(f)) / vol_coeff(g)
 
 
-def hodge4(g, c):
-    """Hodge star of a 4-form coefficient (a scalar)."""
-    return np.asarray(c) / vol_coeff(g)
-
-
 def star1_flat(l):
     """Flat Hodge star of a 1-form, W13_SIGN[i] * l[i]."""
     l = np.asarray(l)
@@ -283,9 +240,13 @@ def star3_flat(f):
 
 def sd_split(w, g=None):
     """Self-dual / anti-self-dual split w = w_plus + w_minus."""
-    w = np.asarray(w)
+    w = np.asarray(w, dtype=float)
     sw = star2_flat(w) if g is None else hodge2(g, w)
-    return 0.5 * (w + sw), 0.5 * (w - sw)
+    plus = w + sw  # halved in place: one field per half, no temporaries
+    plus *= 0.5
+    minus = w - sw
+    minus *= 0.5
+    return plus, minus
 
 
 def self_dual_basis(g):

@@ -11,20 +11,21 @@ rho-metric Hodge star).  The evolution equation is
     d rho / dt = d star_rho d Theta(rho),
 
 which stays inside the class exactly because the update is exact.
-Time stepping is explicit damped second-order Runge-Kutta-Chebyshev
-(RKC2): near the minimum the flow's Jacobian is the flat Laplacian, whose
-stiff spectrum lies on the negative real axis, and the stage count is
-derived from the step and a bound on that spectrum, so the step size is
-capped for accuracy, not stability.  A step is halved and retried when it
-increases the energy excess, so energy monotonicity is enforced, not hoped
-for.
+Near the minimum the flow linearizes to -L, L the flat Laplacian on exact
+2-forms, whose stiff spectrum grows like n^2.  Time stepping is linearly
+stabilized implicit-explicit BDF2 (SBDF2; Ascher, Ruuth & Wetton 1995)
+with variable steps: L is implicit, solved as a real multiplier on the
+spectrum, and the rest of the velocity is extrapolated explicitly, so a
+step costs one evaluation of the velocity whatever n is and its size is
+capped for accuracy, not stability.  The first step of a run is SBDF1.  A
+step is halved and retried when it increases the energy excess, so energy
+monotonicity is enforced, not hoped for.
 """
 
 from __future__ import annotations
 
 import csv
 import fcntl
-import functools
 import json
 import math
 import os
@@ -107,12 +108,6 @@ def first_variation(grid, rho, rhohat):
     """Differential of the energy: integral of Theta(rho) ^ rhohat."""
     th = ext.theta_point(rho)
     return lat.integrate(grid, ext.wedge22(th, rhohat))
-
-
-def donaldson_norm_sq(grid, rhohat, rho):
-    """Squared Donaldson norm of an exact 2-form at base point rho."""
-    lam = lat.least_norm_potential(grid, rhohat, rho)
-    return lat.integrate(grid, ext.wedge13(lam, ext.star_rho1(lam, rho)))
 
 
 def donaldson_pairing(grid, rha, rhb, rho):
@@ -203,113 +198,71 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2):
 # time stepping
 # ---------------------------------------------------------------------------
 
-DAMPING = 10.0          # epsilon of the damped RKC2 family
-DT_ACCURACY = 0.01      # default step-size cap, in flow time
+DT_ACCURACY = 0.004     # default step-size cap, in flow time
 
 
-def spectral_bound(grid):
-    """Bound lambda on the stiff spectrum of the linearized flow.
+def _increment(grid, velocity, history, h):
+    """The SBDF increment D = rho_{n+1} - rho_n of a step h from the state
+    whose velocity F_n is given, with the flat Laplacian L implicit.
 
-    At the minimum the linearized right hand side on exact 2-forms is the
-    (scheme) Laplacian, whose most negative eigenvalue is -max|laplace
-    symbol|.  Away from it the top eigenvalue is larger: 1.2 to 1.5 times
-    that at the epsilon = 0.05 initial data (power iteration at n = 8 and
-    16), so the bound is twice the symbol.  An underestimate costs rejected
-    steps, not a wrong answer: the guard compares the exact excess.
+    ``history`` is [delta, F_{n-1}, h_{n-1}] of the accepted step before,
+    delta = rho_n - rho_{n-1}, or empty.  With w = h / h_{n-1} and
+    c = (1 + 2w) / (1 + w), variable-step SBDF2 (Wang & Ruuth 2008) is
+
+        (c + hL) D = (w^2 / (1 + w) + hwL) delta + h ((1 + w) F_n - w F_{n-1}),
+
+    and without a history SBDF1, (1 + hL) D = h F_n.  As w^2 / (1 + w)
+    = w c - w, SBDF2 is D = w delta + (c/h + L)^-1 ((1 + w) F_n - w F_{n-1}
+    - (w/h) delta): one forward and one inverse transform (see
+    :func:`donflow.lattice.resolvent`).  Every increment is exact up to
+    round-off; at k = 0, where L = 0, a round-off mean in delta is damped
+    by w^2 / (1 + 2w) per step, so the class does not drift.
     """
-    return 2.0 * float(grid.laplace_symbol.max())
+    if not history:
+        return lat.resolvent(grid, velocity, 1.0 / h)
+    delta, f_prev, h_prev = history
+    w = h / h_prev
+    force = np.multiply(velocity, 1.0 + w)
+    scaled = np.multiply(f_prev, w)
+    force -= scaled
+    force -= np.multiply(delta, w / h, out=scaled)
+    del scaled  # freed before the transform
+    incr = lat.resolvent(grid, force, (1.0 + 2.0 * w) / ((1.0 + w) * h))
+    incr += np.multiply(delta, w, out=force)
+    return incr
 
 
-@functools.lru_cache(maxsize=None)
-def _rkc_coefficients(s):
-    """Damped second-order Runge-Kutta-Chebyshev scheme with s stages
-    (Sommeijer, Shampine & Verwer, J. Comput. Appl. Math. 88, 1998).
+def step(grid, state, velocity, coh0, dt_max, history=None, max_retries=20,
+         dealias=False):
+    """One accepted SBDF step from state, whose velocity rhs(grid,
+    state.rho) is given (see :func:`_increment`): second order with the
+    ``history`` of the step before, first order without.  A candidate that
+    is degenerate or increases the energy excess is halved and retried
+    with the same history.  Returns the accepted state and its velocity
+    (see :func:`accept`).  Raises StepFailure when the retry budget is
+    exhausted.
 
-    With w0 = 1 + DAMPING / s^2, w1 = T_s'(w0) / T_s''(w0) and
-    b_j = T_j''(w0) / T_j'(w0)^2 (b_0 = b_1 = b_2), a_j = 1 - b_j T_j(w0),
-    the stability polynomial is R_s(z) = a_s + b_s T_s(w0 + w1 z), bounded
-    by 1 on the real interval [-beta, 0] with beta = (1 + w0) / w1.
-    Returns beta, mu~_1 and the (mu, nu, mu~, gamma~) of stages 2..s.
-    """
-    w0 = 1.0 + DAMPING / s ** 2
-    # T_j, T_j' and T_j'' at w0 by the three-term recurrence
-    t, t1, t2 = [1.0, w0], [0.0, 1.0], [0.0, 0.0]
-    for j in range(2, s + 1):
-        t.append(2.0 * w0 * t[j - 1] - t[j - 2])
-        t1.append(2.0 * t[j - 1] + 2.0 * w0 * t1[j - 1] - t1[j - 2])
-        t2.append(4.0 * t1[j - 1] + 2.0 * w0 * t2[j - 1] - t2[j - 2])
-    w1 = t1[s] / t2[s]
-    b = [t2[j] / t1[j] ** 2 for j in range(2, s + 1)]
-    b = [b[0], b[0]] + b
-    a = [1.0 - bj * tj for bj, tj in zip(b, t)]
-    stages = []
-    for j in range(2, s + 1):
-        mu_t = 2.0 * b[j] * w1 / b[j - 1]
-        stages.append((2.0 * b[j] * w0 / b[j - 1], -b[j] / b[j - 2],
-                       mu_t, -a[j - 1] * mu_t))
-    return (1.0 + w0) / w1, b[1] * w1, tuple(stages)
-
-
-def stage_count(h_lambda):
-    """Least s >= 2 whose real stability interval [-beta, 0] covers
-    [-h_lambda, 0]: the stage count for step h on spectrum bound lambda."""
-    s = 2
-    while _rkc_coefficients(s)[0] < h_lambda:
-        s += 1
-    return s
-
-
-def _rkc_candidate(grid, rho, f0, dt, s, work):
-    """Damped RKC2 from rho with first stage f0 = rhs(grid, rho), written in
-    increments D_j = Y_j - rho so that every increment is exact:
-
-        D_1 = mu~_1 h F0,
-        D_j = mu_j D_{j-1} + nu_j D_{j-2} + mu~_j h F(rho + D_{j-1})
-              + gamma~_j h F0,
-
-    and the candidate is rho + D_s.  ``work`` holds three field buffers,
-    updated in place; the candidate is returned in the third."""
-    _, mu1, stages = _rkc_coefficients(s)
-    prev, prev2, buf = work
-    np.multiply(f0, mu1 * dt, out=prev)
-    prev2.fill(0.0)
-    for mu, nu, mu_t, gamma_t in stages:
-        np.add(rho, prev, out=buf)
-        f = rhs(grid, buf)
-        f *= mu_t * dt
-        prev2 *= nu
-        prev2 += f
-        np.multiply(prev, mu, out=buf)
-        prev2 += buf
-        np.multiply(f0, gamma_t * dt, out=buf)
-        prev2 += buf
-        prev, prev2 = prev2, prev
-    return np.add(rho, prev, out=buf)
-
-
-def step(grid, state, velocity, coh0, dt_max, max_retries=20, dealias=False):
-    """One accepted damped RKC2 step from state, whose velocity
-    rhs(grid, state.rho) is given, with the stage count derived from the
-    step and :func:`spectral_bound`: admissible at every stage and not
-    increasing the energy excess, else the step is halved and retried.
-    Returns the accepted state and its velocity (see :func:`accept`).
-    Raises StepFailure when the retry budget is exhausted."""
-    lam = spectral_bound(grid)
+    ``history``, when given, is a list, empty before the first step of a
+    run.  On acceptance it is overwritten in place with this step's, before
+    the new velocity is evaluated: the fields of the step before are freed
+    first, so the velocity's temporaries come on top of two history fields,
+    not four."""
     dt_start = min(state.dt, dt_max)
-    work = [np.empty_like(state.rho) for _ in range(3)]
     last_error = "energy increased"
     for retry in range(max_retries + 1):
         dt = dt_start * 0.5 ** retry
-        s = stage_count(dt * lam)
+        cand = _increment(grid, velocity, history, dt)
+        cand += state.rho
+        if dealias:
+            cand = lat.dealias(grid, cand)
         try:
-            cand = _rkc_candidate(grid, state.rho, velocity, dt, s, work)
-            if dealias:
-                cand = lat.dealias(grid, cand)
             e_new = energy(grid, cand)
         except DegenerateForm as err:
             last_error = str(err)
             continue
         if e_new.excess <= state.excess:
+            if history is not None:
+                history[:] = (cand - state.rho, velocity, dt)
             return accept(grid, cand, state.t + dt, min(dt * 1.1, dt_max),
                           e_new, coh0)
         last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
@@ -318,8 +271,7 @@ def step(grid, state, velocity, coh0, dt_max, max_retries=20, dealias=False):
         diagnostic={
             "t": state.t,
             "dt": dt,
-            "stages": s,
-            "spectral_bound": lam,
+            "order": 2 if history else 1,
             "error": last_error,
             "u_min": float(ext.u_of(state.rho).min()),
             "energy": state.monitors["energy"],
@@ -399,7 +351,7 @@ def run(config, rho0=None):
             raise
         snaps.append(save_snapshot(out_dir / "snapshot_initial", grid,
                                    state.rho, state.t, state.monitors))
-        steps = 0
+        steps, history = 0, []
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
@@ -413,7 +365,8 @@ def run(config, rho0=None):
                 while (state.monitors["residual_l2"] >= config.tol_stationary
                        and state.t < config.T):
                     state, velocity = step(grid, state, velocity, coh0,
-                                           dt_cap, dealias=config.dealias)
+                                           dt_cap, history,
+                                           dealias=config.dealias)
                     steps += 1
                     if steps % config.out_every == 0:
                         emit(state)

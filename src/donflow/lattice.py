@@ -22,10 +22,12 @@ The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
 :func:`harmonic_projection` is a mean over parity classes of sites.  Only
-:func:`inv_laplace` and :func:`dealias` stay Fourier multipliers between
-one real transform ``numpy.fft.rfftn`` over the lattice axes (components
-batched) and one ``irfftn``; :func:`random_trig_field` samples its modes
-with one ``irfftn``.
+:func:`inv_laplace`, :func:`resolvent` (the flow's implicit solve) and
+:func:`dealias` stay Fourier multipliers: one real transform
+``numpy.fft.rfftn`` over the lattice axes (components batched) into a
+spectrum buffer, and back with in-place ``ifft`` along three axes and one
+``irfft``; :func:`random_trig_field` samples its modes with one
+``irfftn``.
 """
 
 from __future__ import annotations
@@ -141,9 +143,17 @@ def _on_spectrum(v):
 
 
 def _multiply(grid, f, mult):
-    """Apply a real Fourier multiplier given over the real-transform spectrum."""
-    fk = np.fft.rfftn(f, axes=_SPECTRAL_AXES) * mult
-    return np.fft.irfftn(fk, s=grid.shape, axes=_SPECTRAL_AXES)
+    """Apply a real Fourier multiplier given over the real-transform spectrum.
+
+    The spectrum is one complex field transformed in place, axis by axis
+    (``irfftn`` would allocate a new one per axis), so a call holds f, the
+    spectrum and the result and no further copy."""
+    fk = np.empty(np.shape(f)[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    np.fft.rfftn(f, axes=_SPECTRAL_AXES, out=fk)
+    fk *= mult
+    for axis in _SPECTRAL_AXES[:-1]:
+        np.fft.ifft(fk, axis=axis, out=fk)
+    return np.fft.irfft(fk, n=grid.n, axis=-1)
 
 
 def _derivative(grid, f, table, ncomp):
@@ -231,6 +241,12 @@ def inv_laplace(grid, f):
     sym = grid.laplace_symbol
     return _multiply(grid, f, np.divide(1.0, sym, out=np.zeros_like(sym),
                                         where=sym > 0))
+
+
+def resolvent(grid, f, shift):
+    """(shift + L)^-1 f for the (scheme) Laplacian L and shift > 0: the
+    implicit solve of the flow's step."""
+    return _multiply(grid, f, 1.0 / (grid.laplace_symbol + shift))
 
 
 def harmonic_projection(grid, f):

@@ -1,15 +1,14 @@
 """Brute-force oracles for the exterior algebra, lattice and flow tests.
 
 Everything here works on fully antisymmetric index tensors and enumerates
-permutations, sums sampled cosines mode by mode, or evaluates Chebyshev
-series, so it shares no code (and no sign tables) with the package.
+permutations, sums sampled cosines mode by mode, or runs a scalar
+recurrence, so it shares no code (and no sign tables) with the package.
 """
 
 import math
 from itertools import permutations, product
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
 
 from donflow.exterior import IDX2, IDX3
 
@@ -190,24 +189,29 @@ def harmonic_fourier(n, f):
     return np.fft.ifftn(fk * mask, axes=(-4, -3, -2, -1)).real
 
 
-def _rkc_chebyshev(s):
-    """The series of T_s, w0 = 1 + 10 / s^2 and T_s, T_s', T_s'' at w0, for
-    the damped s-stage RKC2 scheme with damping 10."""
-    ts = [0.0] * s + [1.0]
-    w0 = 1.0 + 10.0 / s ** 2
-    return (ts, w0) + tuple(chebval(w0, chebder(ts, m)) for m in range(3))
+def sbdf_amplitudes(lam, lap, hs, y0):
+    """Amplitudes y_1..y_K of one Fourier mode, whose flat Laplace symbol
+    is ``lap``, under IMEX steps of sizes ``hs`` on y' = F(y) = -lam y.
 
+    The linear part -lap y is implicit and N(y) = F(y) + lap y explicit.
+    The first step is IMEX Euler, (1 + h lap) y_1 = y_0 + h N(y_0).  Each
+    later one is variable-step BDF2 with a linearly extrapolated N: with
+    w = h_k / h_{k-1},
 
-def rkc_amplification(s, z):
-    """Stability polynomial R_s(z) = a_s + b_s T_s(w0 + w1 z) with
-    w1 = T_s'(w0) / T_s''(w0), b_s = T_s''(w0) / T_s'(w0)^2 and
-    a_s = 1 - b_s T_s(w0)."""
-    ts, w0, t0, t1, t2 = _rkc_chebyshev(s)
-    b = t2 / t1 ** 2
-    return 1.0 - b * t0 + b * chebval(w0 + (t1 / t2) * z, ts)
+        (1 + 2w) / (1 + w) y_{k+1} - (1 + w) y_k + w^2 / (1 + w) y_{k-1}
+            = h_k ((1 + w) N(y_k) - w N(y_{k-1})) - h_k lap y_{k+1}.
+    """
+    def explicit(y):
+        return (lap - lam) * y
 
-
-def rkc_stability_interval(s):
-    """beta with |R_s| <= 1 on [-beta, 0]: w0 + w1 z stays >= -1."""
-    _, w0, _, t1, t2 = _rkc_chebyshev(s)
-    return (1.0 + w0) * t2 / t1
+    ys = [float(y0)]
+    for k, h in enumerate(hs):
+        y = ys[-1]
+        if k == 0:
+            ys.append((y + h * explicit(y)) / (1.0 + h * lap))
+            continue
+        w, y_prev = h / hs[k - 1], ys[-2]
+        rhs = ((1.0 + w) * y - w * w / (1.0 + w) * y_prev
+               + h * ((1.0 + w) * explicit(y) - w * explicit(y_prev)))
+        ys.append(rhs / ((1.0 + 2.0 * w) / (1.0 + w) + h * lap))
+    return ys[1:]

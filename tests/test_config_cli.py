@@ -189,6 +189,56 @@ def test_cli_check_deterministic(tmp_path):
     assert all(rec["passed"] for rec in report["checks"])
 
 
+@pytest.mark.parametrize("command", ["check", "hessian"])
+def test_cli_rejects_an_uncreatable_report_path(tmp_path, capsys, monkeypatch,
+                                                command):
+    # the report's parent is validated before any suite or probe runs
+    from donflow import checks, flow
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before report_path was checked")
+
+    monkeypatch.setattr(checks, "run_suites", forbidden)
+    monkeypatch.setattr(flow, "hessian_form", forbidden)
+    g = lat.Grid(4)
+    snap = save_snapshot(tmp_path / "snap", g, g.constant(OMEGA1), 0.0)
+    cfg = _write_cfg(tmp_path, check_suite=["theta"], samples=10,
+                     report_path="/proc/nope/r.json")
+    argv = [command, "--config", str(cfg)]
+    if command == "hessian":
+        argv += ["--snapshot", str(snap), "--directions", "2"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("donflow: configuration error: report_path: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "hessian"])
+def test_cli_bad_input_makes_no_report_directory(tmp_path, capsys, command):
+    # an unknown suite or a missing snapshot is reported before the
+    # report's directory is made
+    cfg = _write_cfg(tmp_path, check_suite=["nonsense"],
+                     report_path=str(tmp_path / "reports" / "r.json"))
+    argv = [command, "--config", str(cfg)]
+    if command == "hessian":
+        argv += ["--snapshot", str(tmp_path / "missing.json")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "reports").exists()
+
+
+def test_cli_hessian_needs_a_direction(tmp_path, capsys):
+    g = lat.Grid(4)
+    snap = save_snapshot(tmp_path / "snap", g, g.constant(OMEGA1), 0.0)
+    cfg = _write_cfg(tmp_path, report_path=str(tmp_path / "hess.json"))
+    code = cli.main(["hessian", "--config", str(cfg), "--snapshot", str(snap),
+                     "--directions", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "donflow hessian: --directions must be >= 1, got 0\n"
+    assert not (tmp_path / "hess.json").exists()
+
+
 def test_cli_check_unknown_suite(tmp_path):
     cfg = _write_cfg(tmp_path, check_suite=["nonsense"])
     assert cli.main(["check", "--config", str(cfg)]) == 1
