@@ -468,7 +468,8 @@ def metric_from_vol_and_plane(vol, basis):
     # its pivots are the ratios of the Gram matrix's leading minors, so it
     # raises NotPositivePlane unless the Gram matrix is positive definite
     w1, w2, w3 = _wedge_gram_schmidt(basis, vol)
-    j1, _, _ = quaternion_triple(w1, w2, w3)
+    # J1 of quaternion_triple, w3(., J1 .) = w2, alone
+    j1 = form2_matrix_inv(w3, require_pf(pfaffian(w3))) @ form2_matrix(w2)
 
     # w1(., J1 .) is the metric up to sign; a definite form has the sign of
     # its trace

@@ -21,13 +21,18 @@ signs, each applied as one such derivative; ``delta2`` is its adjoint.
 The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
-:func:`harmonic_projection` is a mean over parity classes of sites.  Only
+:func:`harmonic_projection` is a mean over parity classes of sites.
 :func:`inv_laplace`, :func:`resolvent` (the flow's implicit solve) and
-:func:`dealias` stay Fourier multipliers: one real transform
-``numpy.fft.rfftn`` over the lattice axes (components batched) into a
-spectrum buffer, and back with in-place ``ifft`` along three axes and one
-``irfft``; :func:`random_trig_field` samples its modes with one
-``irfftn``.
+:func:`dealias` are Fourier multipliers that depend on each frequency only
+through b(k)^2 or |k|, so they are even in every k_i and diagonal in the
+real basis of cos(2 pi k x / n) and sin(2 pi k x / n) along each axis
+(``Grid.real_basis``): a product of one such function per axis is a sum
+of the plane waves e^{2 pi i k.x} over the sign flips of the k_i, on
+which an even multiplier takes one value.  They are applied like d, by
+small dense gemms along the lattice axes: four into that basis, one
+multiplication, four back, with no transform and no complex array.  The
+FFT is left to set-up: ``Grid.axis_matrix`` takes one ``ifft`` per grid
+and :func:`random_trig_field` samples its modes with one ``irfftn``.
 """
 
 from __future__ import annotations
@@ -47,9 +52,6 @@ FORM_COMPS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
 # index tuples of the basis of each degree, in component order
 _BASIS = (((),), ((0,), (1,), (2,), (3,)), ext.IDX2, ext.IDX3,
           ((0, 1, 2, 3),))
-
-# lattice axes of a field of any degree
-_SPECTRAL_AXES = (-4, -3, -2, -1)
 
 
 class NotExact(ValueError):
@@ -89,7 +91,10 @@ class Grid:
     @cached_property
     def symbol(self):
         """Imaginary part b of the derivative symbol i*b along one axis."""
-        k = self.freq
+        return self._b(self.freq)
+
+    def _b(self, k):
+        """b at the integer frequencies k."""
         if self.scheme == "spectral":
             b = 2 * np.pi * k
         else:
@@ -114,9 +119,21 @@ class Grid:
         return col[(site[:, None] - site) % self.n]
 
     @cached_property
+    def real_basis(self):
+        """Orthonormal real Fourier basis along one axis: the n x n matrix Q
+        whose rows are cos(2 pi k x / n) for k = 0..n/2 and sin(2 pi k x / n)
+        for k = 1..n/2-1, normalized, and the |k| of each row."""
+        n = self.n
+        k = np.concatenate([np.arange(n // 2 + 1), np.arange(1, n // 2)])
+        arg = 2 * np.pi * np.outer(k, np.arange(n)) / n
+        q = np.concatenate([np.cos(arg[:n // 2 + 1]), np.sin(arg[n // 2 + 1:])])
+        return q / np.linalg.norm(q, axis=1, keepdims=True), k
+
+    @cached_property
     def laplace_symbol(self):
-        """Nonnegative symbol of -laplacian, shape (n, n, n, n//2 + 1)."""
-        return sum(b ** 2 for b in _on_spectrum(self.symbol))
+        """Nonnegative symbol of -laplacian on the real basis, shape
+        (n, n, n, n)."""
+        return sum(b ** 2 for b in _on_axes(self._b(self.real_basis[1])))
 
     def coords(self):
         """Coordinate arrays x0..x3, each broadcastable to the lattice."""
@@ -135,25 +152,32 @@ class Grid:
         return out
 
 
-def _on_spectrum(v):
-    """A per-axis array in fft order, laid along each axis of the real
-    transform's spectrum (the last axis keeps its first n//2 + 1 entries)."""
-    return [(v if ax < 3 else v[:v.size // 2 + 1]).reshape(
-        [-1 if a == ax else 1 for a in range(4)]) for ax in range(4)]
+def _on_axes(v):
+    """A per-axis array on the real basis, laid along each lattice axis."""
+    return [v.reshape([-1 if a == ax else 1 for a in range(4)])
+            for ax in range(4)]
 
 
 def _multiply(grid, f, mult):
-    """Apply a real Fourier multiplier given over the real-transform spectrum.
+    """Apply a real multiplier given on the real basis of every axis.
 
-    The spectrum is one complex field transformed in place, axis by axis
-    (``irfftn`` would allocate a new one per axis), so a call holds f, the
-    spectrum and the result and no further copy."""
-    fk = np.empty(np.shape(f)[:-1] + (grid.n // 2 + 1,), dtype=complex)
-    np.fft.rfftn(f, axes=_SPECTRAL_AXES, out=fk)
-    fk *= mult
-    for axis in _SPECTRAL_AXES[:-1]:
-        np.fft.ifft(fk, axis=axis, out=fk)
-    return np.fft.irfft(fk, n=grid.n, axis=-1)
+    Each forward gemm Q @ X.T transforms the last lattice axis of the 2-d
+    view X and moves it to the front, so four of them leave the spectrum
+    as (a0, a1, a2, a3, components); after one multiplication, four
+    gemms X.T @ Q take the first axis back to the last.  The gemms
+    alternate between the result and one scratch buffer: no transpose
+    copy and no complex array."""
+    q = grid.real_basis[0]
+    n = grid.n
+    buf, out = np.empty(np.size(f)), np.empty(np.shape(f))
+    src = np.reshape(f, (-1, n))
+    for dst in (buf, out, buf, out):
+        src = np.matmul(q, src.T, out=dst.reshape(n, -1)).reshape(-1, n)
+    spec = out.reshape(grid.shape + (-1,))
+    spec *= mult[..., None]
+    for dst in (buf, out, buf, out):
+        src = np.matmul(src.reshape(n, -1).T, q, out=dst.reshape(-1, n))
+    return out
 
 
 def _derivative(grid, f, table, ncomp):
@@ -246,7 +270,8 @@ def inv_laplace(grid, f):
 def resolvent(grid, f, shift):
     """(shift + L)^-1 f for the (scheme) Laplacian L and shift > 0: the
     implicit solve of the flow's step."""
-    return _multiply(grid, f, 1.0 / (grid.laplace_symbol + shift))
+    mult = grid.laplace_symbol + shift
+    return _multiply(grid, f, np.reciprocal(mult, out=mult))
 
 
 def harmonic_projection(grid, f):
@@ -265,7 +290,7 @@ def harmonic_projection(grid, f):
 
 def dealias(grid, f):
     """Two-thirds rule truncation of a field's spectrum."""
-    k0, k1, k2, k3 = _on_spectrum(np.abs(grid.freq) <= grid.n / 3.0)
+    k0, k1, k2, k3 = _on_axes(grid.real_basis[1] <= grid.n / 3.0)
     return _multiply(grid, f, k0 & k1 & k2 & k3)
 
 
@@ -427,7 +452,7 @@ def random_trig_field(rng, kmax, ncomp=1):
         for idx, amp in ((modes % n, half), (-modes % n, half.conj())):
             kept = idx[:, 3] <= n // 2
             np.add.at(spec, (slice(None), *idx[kept].T), amp[kept].T)
-        out = np.fft.irfftn(spec, s=grid.shape, axes=_SPECTRAL_AXES,
+        out = np.fft.irfftn(spec, s=grid.shape, axes=(-4, -3, -2, -1),
                             norm="forward")
         return out if ncomp > 1 else out[0]
 

@@ -189,6 +189,22 @@ def harmonic_fourier(n, f):
     return np.fft.ifftn(fk * mask, axes=(-4, -3, -2, -1)).real
 
 
+def laplace_fourier(n, scheme):
+    """Symbol sum_a b(k_a)^2 of minus the scheme Laplacian on the complex
+    fftn spectrum of the n^4 lattice, shape (n, n, n, n)."""
+    b2 = _scheme_b(n, scheme) ** 2
+    return sum(b2.reshape([n if b == a else 1 for b in range(4)])
+               for a in range(4))
+
+
+def fourier_multiply(f, mult):
+    """Reference for a real Fourier multiplier: one complex fftn over the
+    last four (lattice) axes, the product with ``mult`` given on that
+    spectrum, one ifftn, the real part."""
+    fk = np.fft.fftn(np.asarray(f), axes=(-4, -3, -2, -1))
+    return np.fft.ifftn(fk * mult, axes=(-4, -3, -2, -1)).real
+
+
 def sbdf_amplitudes(lam, lap, hs, y0):
     """Amplitudes y_1..y_K of one Fourier mode, whose flat Laplace symbol
     is ``lap``, under IMEX steps of sizes ``hs`` on y' = F(y) = -lam y.

@@ -265,10 +265,9 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
         assert retried.t - start.t == 0.5 * min(start.dt, dt)
 
 
-def test_step_makes_one_transform_pair(monkeypatch):
-    # the implicit solve of SBDF1 and SBDF2 is one rfftn into a spectrum
-    # buffer and its inverse, in place along three axes and one irfft;
-    # rhs, energy and the monitors make none
+def test_step_makes_no_transforms(monkeypatch):
+    # the implicit solve of SBDF1 and SBDF2 is gemms in the real Fourier
+    # basis; rhs, energy and the monitors make no transform either
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
@@ -286,9 +285,10 @@ def test_step_makes_one_transform_pair(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     history = []
     for _ in range(2):
-        calls.clear()
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-        assert calls == ["rfftn", "ifft", "ifft", "ifft", "irfft"]
+        flow.rhs(g, st.rho)
+    assert len(history) == 3
+    assert calls == []
 
 
 def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
@@ -563,6 +563,22 @@ def test_run_decays_at_the_spectral_gap(tmp_path):
     t, log_res = np.array(late).T
     rate = -np.polyfit(t, log_res, 1)[0]
     assert rate == pytest.approx(4 * np.pi ** 2, rel=0.01)
+
+
+def test_run_decays_at_the_fd2_gap(tmp_path):
+    # fd2's Laplacian has the gap n^2 sin^2(2 pi / n), 32 at n = 8
+    cfg = RunConfig(n=8, scheme="fd2", T=50.0, tol_stationary=1e-8,
+                    seed=7, epsilon=0.05, kmax=2, out_every=1,
+                    out_dir=str(tmp_path / "out"))
+    res = flow.run(cfg)
+    assert res.reason == "stationary"
+    rows = list(csv.DictReader(open(res.csv_path)))
+    late = [(float(r["t"]), math.log(float(r["residual_l2"]))) for r in rows
+            if float(r["residual_l2"]) < 1e-4]
+    assert len(late) > 10
+    t, log_res = np.array(late).T
+    rate = -np.polyfit(t, log_res, 1)[0]
+    assert rate == pytest.approx(64 * math.sin(2 * math.pi / 8) ** 2, rel=0.01)
 
 
 def _fixed_steps(grid, rho0, t_end, k):
