@@ -51,16 +51,24 @@ def _rng(seed, idx):
 
 def random_rho(rng, batch=(), u_min=0.05, g=None):
     """Random 2-forms of shape (6,) + batch with volume ratio above u_min
-    (for the metric g), resampling the entries that fall below it.  Each
-    draw is batch + (6,) uniform numbers, moved to component-first."""
-    vol = 1.0 if g is None else ext.vol_coeff(g)
-    rho, bad = 0.0, True
+    (for the metric g, an array or an ``exterior.Metric``), resampling the
+    entries that fall below it.  Each draw is batch + (6,) uniform numbers,
+    moved to component-first; every round draws the whole batch, so the
+    stream does not depend on how many entries are redrawn."""
+    vol = np.broadcast_to(1.0 if g is None else ext.vol_coeff(g), batch)
+    vol = vol.reshape(-1)
+    root = np.sqrt(vol)
+    rho = todo = None
     for _ in range(501):
-        draw = np.moveaxis(rng.uniform(-1.0, 1.0, size=batch + (6,)), -1, 0)
-        rho = np.where(bad, np.sqrt(vol) * draw, rho)
-        bad = ext.u_of(rho) / vol <= u_min
-        if not bad.any():
-            return rho
+        # (6, batch size), in the draw's transposed memory order
+        draw = rng.uniform(-1.0, 1.0, size=batch + (6,)).reshape(-1, 6).T
+        if rho is None:
+            rho, todo = root * draw, np.arange(draw.shape[1])
+        else:
+            rho[:, todo] = root[todo] * draw[:, todo]
+        todo = todo[ext.u_of(rho[:, todo]) / vol[todo] <= u_min]
+        if not todo.size:
+            return rho.reshape((6,) + batch)
     raise RuntimeError("sampling admissible forms failed")
 
 
@@ -90,6 +98,9 @@ def exact_direction(grid, field, amp):
 
 
 def suite_appendixA(seed, samples):
+    """Appendix A's pointwise identities.  Each of its five metric batches
+    is wrapped in one ``exterior.Metric``, so it is factored once, and
+    dropped after its last check."""
     rng = _rng(seed, 0)
     out = []
     b = int(samples)
@@ -101,14 +112,14 @@ def suite_appendixA(seed, samples):
                        np.abs(det - u2).max(), 1e-9, b,
                        rel_scale=max(1.0, np.abs(u2).max())))
 
-    g = random_spd(rng, (b,))
+    g = ext.Metric(random_spd(rng, (b,)))
     detg = np.linalg.det(ext.a_of(rho, g))
     u2g = ext.u_of(rho, g) ** 2
     out.append(_record("det_a_metric", "det(A) = u^2 (general metric)",
                        detg, u2g, np.abs(detg - u2g).max(), 1e-9, b,
                        rel_scale=max(1.0, np.abs(u2g).max())))
 
-    gu = random_spd(rng, (b,), unit_vol=True)
+    gu = ext.Metric(random_spd(rng, (b,), unit_vol=True))
     l = rng.normal(size=(b, 4)).T
     w = rng.normal(size=(b, 6)).T
     f = rng.normal(size=(b, 4)).T
@@ -117,25 +128,27 @@ def suite_appendixA(seed, samples):
         np.abs(ext.hodge2(gu, ext.hodge2(gu, w)) - w).max(),
         np.abs(ext.hodge1(gu, ext.hodge3(gu, f)) + f).max(),
     )
+    del gu
     out.append(_record("hodge_square", "star(star) = (-1)^k on degree k",
                        1.0, 1.0, errs, 1e-9, b,
                        rel_scale=max(1.0, np.abs(w).max())))
 
     v = rng.normal(size=(b, 4)).T
-    gv = np.einsum("...ij,j...->i...", g, v)
+    gv = np.einsum("...ij,j...->i...", g.g, v)
     ivvol = ext.interior4(v, ext.vol_coeff(g))
     dual1 = np.abs(ext.hodge1(g, gv) - ivvol).max()
     dual2 = np.abs(ext.hodge3(g, ivvol) + gv).max()
+    del g
     out.append(_record("vector_duality",
                        "star g(v,.) = i(v) dvol; star i(v) dvol = -g(v,.)",
                        gv, ivvol, max(dual1, dual2), 1e-9, b,
                        rel_scale=max(1.0, np.abs(ivvol).max())))
 
     # random compatible triples (omega, g, J) with g = omega(., J.)
-    gc = random_spd(rng, (b,))
+    gc = ext.Metric(random_spd(rng, (b,)))
     sd = ext.self_dual_basis(gc)
     wc = sd[..., 0]
-    jc = ext.form2_matrix_inv(wc) @ gc
+    jc = ext.form2_matrix_inv(wc) @ gc.g
     errc = np.abs(jc @ jc + np.eye(4)).max()
     lam = rng.normal(size=(b, 4)).T
     lhs = ext.hodge3(gc, ext.wedge12(lam, wc))
@@ -149,35 +162,37 @@ def suite_appendixA(seed, samples):
                        1e-9, b, rel_scale=max(1.0, np.abs(lhs).max())))
 
     rho2 = random_rho(rng, (b,), 0.05, gc)
-    gr = ext.g_rho(rho2, gc)
+    gr = ext.Metric(ext.g_rho(rho2, gc))
     u = ext.u_of(rho2, gc)
-    scale = max(1.0, float(np.abs(gr).max()))
+    scale = max(1.0, float(np.abs(gr.g).max()))
     e2 = np.abs(ext.hodge1(gr, lam)
                 - ext.wedge12(ext.hodge3(gc, ext.wedge12(lam, rho2)), rho2)
                 / u).max()
     x = rng.normal(size=(b, 4)).T
     e3 = np.abs(ext.hodge1(gr, ext.interior2(x, rho2))
-                + ext.wedge12(np.einsum("...ij,j...->i...", gc, x), rho2)).max()
+                + ext.wedge12(np.einsum("...ij,j...->i...", gc.g, x), rho2)).max()
     jr = ext.j_rho(jc, rho2)
-    e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, rho2)) @ jr - gr).max()
+    e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, rho2)) @ jr - gr.g).max()
     rsd = ext.r_rho(sd, rho2[..., None])
-    e5 = np.abs(ext.hodge2(gr[..., None, :, :], rsd) - rsd).max()
+    e5 = np.abs(ext.hodge2(gr.expand(), rsd) - rsd).max()
     t = rng.normal(size=(b, 6)).T
     e6 = np.abs(ext.hodge2(gr, t)
                 - ext.r_rho(ext.hodge2(gc, ext.r_rho(t, rho2)), rho2)).max()
-    evol = np.abs(np.linalg.det(gr) - np.linalg.det(gc)).max()
+    evol = np.abs(gr.det - gc.det).max()
+    del gc, gr
     out.append(_record("twisted_metric",
                        "six characterizations of g_rho agree pairwise",
                        1.0, 1.0, max(e2, e3, e4, e5, e6, evol), 1e-9, b,
                        rel_scale=scale ** 2))
 
-    g0 = random_spd(rng, (b,), unit_vol=True)
+    g0 = ext.Metric(random_spd(rng, (b,), unit_vol=True))
     basis = ext.self_dual_basis(g0)
     grec = ext.metric_from_vol_and_plane(ext.vol_coeff(g0), basis)
     out.append(_record("metric_reconstruction",
                        "unique metric from volume form and self-dual plane",
-                       grec, g0, np.abs(grec - g0).max(), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(g0).max())))
+                       grec, g0.g, np.abs(grec - g0.g).max(), 1e-9, b,
+                       rel_scale=max(1.0, np.abs(g0.g).max())))
+    del g0
 
     rr = ext.r_rho(ext.r_rho(t, rho2), rho2)
     ew = np.abs(ext.wedge22(ext.r_rho(t, rho2), ext.r_rho(w, rho2))

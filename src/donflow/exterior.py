@@ -23,14 +23,20 @@ All sign tables below were derived once from the permutation signs of the
 bases above and are frozen here; the test suite re-derives them from a
 brute-force permutation oracle.
 
-The determinant, inverse and solve of a metric stay LAPACK's (``vol_coeff``,
-``hodge1``, ``metric2``, ``a_of``): g_rho reaches condition numbers near
-1e5, where cofactor formulas raised the ``twisted_metric`` check's error
-from 2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an unpivoted Cholesky
-factorization was 16 times less accurate than LU.
+The determinant, inverse and solve of a metric stay LAPACK's: g_rho reaches
+condition numbers near 1e5, where cofactor formulas raised the
+``twisted_metric`` check's error from 2e-14..2e-13 to 6.1e-10 (tolerance
+1e-9) and an unpivoted Cholesky factorization was 16 times less accurate
+than LU.  :class:`Metric` is the one place a metric is factored: it keeps
+its inverse, determinant, volume and 2-form Gram matrix for as long as it
+lives, and every function taking a metric ``g`` accepts an array or a
+``Metric``, so a caller that wraps a batch once factors it once.  Only
+``a_of``'s solve is not shared.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -173,23 +179,64 @@ def form2_matrix_inv(w, pf=None):
 # metrics and Hodge stars
 # ---------------------------------------------------------------------------
 
+class Metric:
+    """A metric batch ``g`` of shape (*batch, 4, 4) with its LAPACK factors,
+    each computed on first use and kept for as long as the value lives."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g)
+
+    @cached_property
+    def inv(self):
+        return np.linalg.inv(self.g)
+
+    @cached_property
+    def det(self):
+        return np.linalg.det(self.g)
+
+    @cached_property
+    def vol(self):
+        """Coefficient of the volume form dvol_g (orientation e0123 > 0)."""
+        if not np.all(self.det > 0):  # NaN fails too
+            raise NonPositiveMetric("metric determinant is not positive "
+                                    f"(min {self.det.min():.3e})")
+        return np.sqrt(self.det)
+
+    @cached_property
+    def form2(self):
+        """Inner product matrix on 2-forms: the 6x6 Gram matrix of the 2-form
+        basis under g^{-1}."""
+        rows = np.moveaxis(self.inv, -1, 0)  # rows[j, ..., i] = inv[..., i, j]
+        i1, i2 = np.array(IDX2).T
+        # minor (I, J) is the J-component of row_i1 ^ row_i2
+        return np.moveaxis(wedge11(rows[..., i1], rows[..., i2]), 0, -1)
+
+    def expand(self):
+        """This metric with a unit axis before the matrix axes,
+        ``g[..., None, :, :]``, whose factors are views of this one's."""
+        out = Metric(self.g[..., None, :, :])
+        out.inv = self.inv[..., None, :, :]
+        out.det = self.det[..., None]
+        out.vol = self.vol[..., None]
+        out.form2 = self.form2[..., None, :, :]
+        return out
+
+
+def as_metric(g):
+    """``g`` as a :class:`Metric`; a Metric, or None (the flat metric), is
+    returned as it is."""
+    return g if g is None or isinstance(g, Metric) else Metric(g)
+
+
 def vol_coeff(g):
     """Coefficient of the volume form dvol_g (orientation e0123 > 0)."""
-    det = np.linalg.det(np.asarray(g))
-    if np.any(det <= 0):
-        raise NonPositiveMetric(
-            f"metric determinant is not positive (min {det.min():.3e})")
-    return np.sqrt(det)
+    return as_metric(g).vol
 
 
 def metric2(g):
     """Inner product matrix on 2-forms induced by the metric g: the 6x6
     Gram matrix of the 2-form basis under g^{-1}."""
-    m = np.linalg.inv(np.asarray(g))
-    rows = np.moveaxis(m, -1, 0)          # rows[j, ..., i] = m[..., i, j]
-    i1, i2 = np.array(IDX2).T
-    # minor (I, J) is the J-component of row_i1 ^ row_i2
-    return np.moveaxis(wedge11(rows[..., i1], rows[..., i2]), 0, -1)
+    return as_metric(g).form2
 
 
 def norm2_sq(w, g=None):
@@ -202,9 +249,9 @@ def norm2_sq(w, g=None):
 
 def hodge1(g, l):
     """Hodge star of a 1-form, as a 3-form."""
-    g = np.asarray(g)
-    y = np.einsum("...ij,j...->i...", np.linalg.inv(g), np.asarray(l))
-    return vol_coeff(g) * star1_flat(y)
+    g = as_metric(g)
+    y = np.einsum("...ij,j...->i...", g.inv, np.asarray(l))
+    return g.vol * star1_flat(y)
 
 
 def hodge2(g, w):
@@ -213,15 +260,15 @@ def hodge2(g, w):
     Defined through a ^ (star b) = <a, b>_g dvol_g; for the Euclidean metric
     this swaps the (c01,c02,c03) and (c23,c31,c12) triples.
     """
-    g = np.asarray(g)
-    y = np.einsum("...ij,j...->i...", metric2(g), np.asarray(w))
-    return vol_coeff(g) * y[DUAL2]
+    g = as_metric(g)
+    y = np.einsum("...ij,j...->i...", g.form2, np.asarray(w))
+    return g.vol * y[DUAL2]
 
 
 def hodge3(g, f):
     """Hodge star of a 3-form, as a 1-form (inverse of hodge1 up to sign)."""
-    g = np.asarray(g)
-    return np.einsum("...ij,j...->i...", g, star3_flat(f)) / vol_coeff(g)
+    g = as_metric(g)
+    return np.einsum("...ij,j...->i...", g.g, star3_flat(f)) / g.vol
 
 
 def star1_flat(l):
@@ -257,11 +304,11 @@ def self_dual_basis(g):
     by (1 + star_g) / 2, which is injective on them since they are
     wedge-positive and its kernel, the g-anti-self-dual forms, is not.
     """
-    g = np.asarray(g)
+    g = as_metric(g)
     flat = np.transpose([OMEGA1, OMEGA2, OMEGA3])
-    flat = flat.reshape((6,) + (1,) * (g.ndim - 2) + (3,))    # (6, ..., 3)
-    plus, _ = sd_split(flat, g[..., None, :, :])
-    return np.stack(_wedge_gram_schmidt(plus, vol_coeff(g)), axis=-1)
+    flat = flat.reshape((6,) + (1,) * (g.g.ndim - 2) + (3,))  # (6, ..., 3)
+    plus, _ = sd_split(flat, g.expand())
+    return np.stack(_wedge_gram_schmidt(plus, g.vol), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +320,7 @@ def u_of(rho, g=None):
     u = pfaffian(np.asarray(rho))
     if g is None:
         return u
-    return u / vol_coeff(g)
+    return u / as_metric(g).vol
 
 
 def a_of(rho, g=None):
@@ -287,29 +334,33 @@ def a_of(rho, g=None):
     pt = np.swapaxes(p, -1, -2)
     if g is None:
         return pt
-    return np.linalg.solve(np.broadcast_to(np.asarray(g), pt.shape), pt)
+    return np.linalg.solve(np.broadcast_to(as_metric(g).g, pt.shape), pt)
 
 
 def _require_above_floor(size, what, least):
-    """Raise DegenerateForm, naming the first index, where size <= U_FLOOR."""
-    if np.any(size <= U_FLOOR):
-        bad = np.argwhere(np.atleast_1d(size) <= U_FLOOR)
+    """Raise DegenerateForm, naming the first index, where size <= U_FLOOR
+    or is NaN."""
+    if not np.all(size > U_FLOOR):   # False at NaN
+        size = np.atleast_1d(size)
+        bad = np.argwhere(~(size > U_FLOOR))
         first = tuple(int(i) for i in bad[0])
         raise DegenerateForm(
-            f"{what} <= {U_FLOOR:g} at {bad.shape[0]} point(s), "
-            f"first index {first}, {least} = {np.min(size):.3e}")
+            f"{what} <= {U_FLOOR:g} or NaN at {bad.shape[0]} point(s) "
+            f"({np.count_nonzero(np.isnan(size))} NaN), first index {first}, "
+            f"{least} = {np.fmin.reduce(size, axis=None):.3e}")  # NaN skipped
 
 
 def require_u(u):
     """Return the volume ratio u; raise DegenerateForm, naming the first
-    offending index, where u <= U_FLOOR."""
+    offending index, where u <= U_FLOOR or is NaN."""
     _require_above_floor(u, "volume ratio u", "u_min")
     return u
 
 
 def require_pf(pf):
     """Return the Pfaffian pf; raise DegenerateForm, naming the first
-    offending index, where |pf| <= U_FLOOR (rho ^ rho vanishes)."""
+    offending index, where |pf| <= U_FLOOR (rho ^ rho vanishes) or is
+    NaN."""
     _require_above_floor(np.abs(pf), "Pfaffian |pf|", "min |pf|")
     return pf
 
@@ -320,13 +371,13 @@ def g_rho(rho, g=None):
 
     Computed as g_rho(v, w) = u^{-1} g(Av, Aw); requires u > U_FLOOR.
     """
-    rho = np.asarray(rho)
+    rho, g = np.asarray(rho), as_metric(g)
     u = require_u(u_of(rho, g))
     a = a_of(rho, g)
     if g is None:
         gram = np.einsum("...ki,...kj->...ij", a, a)
     else:
-        gram = np.einsum("...ki,...kl,...lj->...ij", a, np.asarray(g), a)
+        gram = np.einsum("...ki,...kl,...lj->...ij", a, g.g, a)
     return gram / u[..., None, None]
 
 
@@ -346,7 +397,7 @@ def star_rho1(l, rho, g=None):
 
     Agrees with the Hodge star of g_rho(rho, g).
     """
-    rho = np.asarray(rho)
+    rho, g = np.asarray(rho), as_metric(g)
     u = require_u(u_of(rho, g))
     inner = star3_flat(wedge12(l, rho)) if g is None else hodge3(g, wedge12(l, rho))
     return wedge12(inner, rho) / u
@@ -354,7 +405,7 @@ def star_rho1(l, rho, g=None):
 
 def star_rho2(w, rho, g=None):
     """rho-twisted Hodge star on 2-forms: R star R, an involution."""
-    rho = np.asarray(rho)
+    rho, g = np.asarray(rho), as_metric(g)
     require_u(u_of(rho, g))
     rw = r_rho(w, rho)
     srw = star2_flat(rw) if g is None else hodge2(g, rw)
@@ -370,11 +421,11 @@ def star_rho3(f, rho, g=None):
     contraction of rho with y, and -P z that of rho with z, no matrix is
     built.  Satisfies star_rho3(star_rho1(l)) = -l.
     """
-    rho = np.asarray(rho)
+    rho, g = np.asarray(rho), as_metric(g)
     require_u(u_of(rho, g))
     y = interior2(star1_flat(f), rho)   # W13_SIGN f
     if g is not None:
-        y = np.einsum("...ij,j...->i...", np.linalg.inv(g), y)
+        y = np.einsum("...ij,j...->i...", g.inv, y)
     return interior2(y, rho) / pfaffian(rho)
 
 
@@ -383,7 +434,7 @@ def theta_point(rho, g=None):
 
     Wedge-orthogonal to rho; vanishes exactly when rho is self-dual.
     """
-    rho = np.asarray(rho)
+    rho, g = np.asarray(rho), as_metric(g)
     u = require_u(u_of(rho, g))
     srho = star2_flat(rho) if g is None else hodge2(g, rho)
     n2 = norm2_sq(rho, g)
@@ -395,7 +446,7 @@ def theta_dot_point(rho, rhohat, g=None):
 
         (rhohat + star_rho rhohat) / u - |rho^+ / u|^2 rhohat.
     """
-    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
+    rho, rhohat, g = np.asarray(rho), np.asarray(rhohat), as_metric(g)
     u = require_u(u_of(rho, g))
     plus, _ = sd_split(rho, g)
     srh = star_rho2(rhohat, rho, g)
@@ -437,7 +488,7 @@ def _wedge_gram_schmidt(basis, vol):
         for b in range(a):
             w = w - wedge22(w, out[b]) / (2.0 * vol) * out[b]
         sq = wedge22(w, w) / (2.0 * vol)
-        if np.any(sq <= 1e-10):
+        if not np.all(sq > 1e-10):  # NaN fails too
             raise NotPositivePlane(f"wedge Gram pivot {a} fell below 1e-10")
         out.append(w / np.sqrt(sq))
     return out
@@ -463,7 +514,7 @@ def metric_from_vol_and_plane(vol, basis):
     """
     vol = np.asarray(vol, dtype=float)
     basis = np.asarray(basis, dtype=float)
-    if np.any(vol <= 0):
+    if not np.all(vol > 0):
         raise NotPositivePlane("volume form must be positive")
     # its pivots are the ratios of the Gram matrix's leading minors, so it
     # raises NotPositivePlane unless the Gram matrix is positive definite

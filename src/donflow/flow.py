@@ -356,8 +356,12 @@ def run(config, rho0=None):
             state, velocity = accept(grid, rho0, 0.0, min(config.dt0, dt_cap),
                                      energy(grid, rho0), coh0)
         except DegenerateForm as err:
-            _write_failure(out_dir, {"t": 0.0, "error": str(err),
-                                     "u_min": float(ext.u_of(rho0).min())})
+            u = ext.u_of(rho0)
+            finite = np.isfinite(u)
+            _write_failure(out_dir, {
+                "t": 0.0, "error": str(err),
+                "nonfinite_sites": int(u.size - np.count_nonzero(finite)),
+                "u_min": float(u[finite].min()) if finite.any() else None})
             raise
         except StepFailure as err:
             _write_failure(out_dir, err.diagnostic)

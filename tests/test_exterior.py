@@ -174,6 +174,63 @@ def test_nonpositive_metric_rejected():
         ext.vol_coeff(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ext.NonPositiveMetric):
         ext.vol_coeff(np.diag([1.0, 1.0, 0.0, 1.0]))
+    with np.errstate(invalid="ignore"), pytest.raises(ext.NonPositiveMetric):
+        ext.vol_coeff(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
+
+
+# every function of a metric g, called with g as an array or a Metric
+G_FUNCTIONS = {
+    "vol_coeff": lambda g, a: ext.vol_coeff(g),
+    "metric2": lambda g, a: ext.metric2(g),
+    "norm2_sq": lambda g, a: ext.norm2_sq(a["w"], g),
+    "hodge1": lambda g, a: ext.hodge1(g, a["l"]),
+    "hodge2": lambda g, a: ext.hodge2(g, a["w"]),
+    "hodge3": lambda g, a: ext.hodge3(g, a["f"]),
+    "sd_split": lambda g, a: ext.sd_split(a["w"], g),
+    "self_dual_basis": lambda g, a: ext.self_dual_basis(g),
+    "u_of": lambda g, a: ext.u_of(a["rho"], g),
+    "a_of": lambda g, a: ext.a_of(a["rho"], g),
+    "g_rho": lambda g, a: ext.g_rho(a["rho"], g),
+    "star_rho1": lambda g, a: ext.star_rho1(a["l"], a["rho"], g),
+    "star_rho2": lambda g, a: ext.star_rho2(a["w"], a["rho"], g),
+    "star_rho3": lambda g, a: ext.star_rho3(a["f"], a["rho"], g),
+    "theta_point": lambda g, a: ext.theta_point(a["rho"], g),
+    "theta_dot_point": lambda g, a: ext.theta_dot_point(a["rho"], a["w"], g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(G_FUNCTIONS))
+def test_metric_value_and_array_share_one_code_path(rng, name):
+    g = random_spd(rng, (50,))
+    args = {"rho": random_rho(rng, (50,), 0.05, g),
+            "l": rng.normal(size=(4, 50)), "w": rng.normal(size=(6, 50)),
+            "f": rng.normal(size=(4, 50))}
+    raw = G_FUNCTIONS[name](g, args)
+    wrapped = G_FUNCTIONS[name](ext.Metric(g), args)
+    assert np.array_equal(np.asarray(raw), np.asarray(wrapped))  # bitwise
+
+
+def test_metric_expand_matches_the_expanded_array(rng):
+    g = random_spd(rng, (50,))
+    expanded, direct = ext.Metric(g).expand(), ext.Metric(g[..., None, :, :])
+    for factor in ("g", "inv", "det", "vol", "form2"):
+        a, b = getattr(expanded, factor), getattr(direct, factor)
+        assert a.shape == b.shape and np.array_equal(a, b), factor
+
+
+def test_appendixA_factors_each_metric_once(monkeypatch):
+    calls = {"inv": 0, "det": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert all(rec["passed"] for rec in suite_appendixA(0, 200))
+    # one inverse per metric batch (g, gu, gc, g_rho, g0); one determinant
+    # per batch, two for det_a, two in random_spd(unit_vol) and one of the
+    # quaternion frames
+    assert calls["inv"] == 5
+    assert calls["det"] <= 10
 
 
 # ---------------------------------------------------------------------------
@@ -586,3 +643,8 @@ def test_metric_from_vol_and_plane_rejects_bad_plane():
     asd = np.stack([ext.OMEGA1_ASD, ext.OMEGA2_ASD, ext.OMEGA3_ASD], axis=-1)
     with pytest.raises(ext.NotPositivePlane):
         ext.metric_from_vol_and_plane(np.asarray(1.0), asd)
+    std = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3], axis=-1)
+    with pytest.raises(ext.NotPositivePlane):     # NaN fails the guards
+        ext.metric_from_vol_and_plane(np.asarray(np.nan), std)
+    with pytest.raises(ext.NotPositivePlane):
+        ext.metric_from_vol_and_plane(np.asarray(1.0), std * np.nan)

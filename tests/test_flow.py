@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import weakref
 
@@ -524,6 +525,31 @@ def test_run_flush_on_failure(tmp_path):
     for r in rows:
         assert all(math.isfinite(float(v)) for v in r.values())
     assert not (out / ".lock").exists()
+
+
+def test_run_stops_on_nan_initial_data(tmp_path):
+    g = lat.Grid(4)
+    rho0 = g.constant(ext.OMEGA1)
+    rho0[0, 1, 2, 3, 0] = np.nan
+    cfg = RunConfig(n=4, T=1.0, out_dir=str(tmp_path / "out"))
+    with pytest.raises(DegenerateForm, match=r"first index \(1, 2, 3, 0\)"):
+        flow.run(cfg, rho0=rho0)
+    out = tmp_path / "out"
+
+    def reject(token):
+        raise AssertionError(f"non-finite value {token} in an output")
+
+    diag = json.loads((out / "failure.json").read_text(),
+                      parse_constant=reject)
+    assert diag["nonfinite_sites"] == 1 and diag["u_min"] == 1.0
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=reject)
+        elif path.suffix == ".csv":
+            for row in csv.DictReader(open(path)):
+                assert all(math.isfinite(float(v)) for v in row.values())
+        elif path.suffix == ".bin":
+            assert np.isfinite(np.fromfile(path)).all()
 
 
 def test_run_rejects_locked_directory(tmp_path):
