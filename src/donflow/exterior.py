@@ -339,20 +339,20 @@ def a_of(rho, g=None):
 
 def _require_above_floor(size, what, least):
     """Raise DegenerateForm, naming the first index, where size <= U_FLOOR
-    or is NaN."""
-    if not np.all(size > U_FLOOR):   # False at NaN
-        size = np.atleast_1d(size)
-        bad = np.argwhere(~(size > U_FLOOR))
+    or is not finite."""
+    ok = (size > U_FLOOR) & (size < np.inf)   # False at NaN
+    if not np.all(ok):
+        bad = np.argwhere(~np.atleast_1d(ok))
         first = tuple(int(i) for i in bad[0])
-        raise DegenerateForm(
-            f"{what} <= {U_FLOOR:g} or NaN at {bad.shape[0]} point(s) "
-            f"({np.count_nonzero(np.isnan(size))} NaN), first index {first}, "
-            f"{least} = {np.fmin.reduce(size, axis=None):.3e}")  # NaN skipped
+        raise DegenerateForm(   # the least value skips NaN
+            f"{what} <= {U_FLOOR:g} or not finite at {bad.shape[0]} point(s) "
+            f"({np.count_nonzero(~np.isfinite(size))} not finite), first "
+            f"index {first}, {least} = {np.fmin.reduce(size, axis=None):.3e}")
 
 
 def require_u(u):
     """Return the volume ratio u; raise DegenerateForm, naming the first
-    offending index, where u <= U_FLOOR or is NaN."""
+    offending index, where u <= U_FLOOR or is not finite."""
     _require_above_floor(u, "volume ratio u", "u_min")
     return u
 
@@ -360,7 +360,7 @@ def require_u(u):
 def require_pf(pf):
     """Return the Pfaffian pf; raise DegenerateForm, naming the first
     offending index, where |pf| <= U_FLOOR (rho ^ rho vanishes) or is
-    NaN."""
+    not finite."""
     _require_above_floor(np.abs(pf), "Pfaffian |pf|", "min |pf|")
     return pf
 

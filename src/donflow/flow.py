@@ -245,7 +245,7 @@ def _increment(grid, velocity, history, h):
     return incr
 
 
-def step(grid, state, velocity, coh0, dt_max, history=None, max_retries=20,
+def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
          dealias=False):
     """One accepted SBDF step from state, whose velocity rhs(grid,
     state.rho) is given (see :func:`_increment`): second order with the
@@ -255,11 +255,11 @@ def step(grid, state, velocity, coh0, dt_max, history=None, max_retries=20,
     (see :func:`accept`).  Raises StepFailure when the retry budget is
     exhausted.
 
-    ``history``, when given, is a list, empty before the first step of a
-    run.  On acceptance it is overwritten in place with this step's, before
-    the new velocity is evaluated: the fields of the step before are freed
-    first, so the velocity's temporaries come on top of two history fields,
-    not four."""
+    ``history`` is a list, empty before the first step of a run.  On
+    acceptance it is overwritten in place with this step's, before the new
+    velocity is evaluated: the fields of the step before are freed first,
+    so the velocity's temporaries come on top of two history fields, not
+    four."""
     dt_start = min(state.dt, dt_max)
     last_error = "energy increased"
     for retry in range(max_retries + 1):
@@ -274,8 +274,7 @@ def step(grid, state, velocity, coh0, dt_max, history=None, max_retries=20,
             last_error = str(err)
             continue
         if e_new.excess <= state.excess:
-            if history is not None:
-                history[:] = (cand - state.rho, velocity, dt)
+            history[:] = (cand - state.rho, velocity, dt)
             return accept(grid, cand, state.t + dt, min(dt * 1.1, dt_max),
                           e_new, coh0)
         last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
@@ -351,10 +350,11 @@ def run(config, rho0=None):
     csv_path = out_dir / "monitors.csv"
     snaps = []
     with _OutputLock(out_dir):
-        coh0 = lat.cohomology(grid, rho0)
         try:
+            e0 = energy(grid, rho0)  # checks u before the class sums see rho0
+            coh0 = lat.cohomology(grid, rho0)
             state, velocity = accept(grid, rho0, 0.0, min(config.dt0, dt_cap),
-                                     energy(grid, rho0), coh0)
+                                     e0, coh0)
         except DegenerateForm as err:
             u = ext.u_of(rho0)
             finite = np.isfinite(u)

@@ -9,12 +9,13 @@ component axis.
 A derivative along one axis is the Fourier multiplier ``i b(k)``.  The
 schemes differ only in b: ``spectral`` has b(k) = 2 pi k and ``fd2``
 b(k) = n sin(2 pi k / n), the central-difference symbol.  Both vanish at
-k = 0 and at the Nyquist entry k = n/2, so d/dx = E (S^2 - I), where S is
-the one-site cyclic shift along the axis and E the real circulant n x n
-matrix with symbol i b(k) / (e^{4 pi i k / n} - 1) (0 at k = 0, n/2).
-(S^2 - I) f is an exact subtraction, so a field constant or alternating
-along the axis has derivative exactly 0; E is then one small gemm along
-the axis of a component's ``(sites before, n, sites after)`` view.  d on
+k = 0 and at the Nyquist entry k = n/2, so d/dx = M (S - S^-1), where S is
+the one-site cyclic shift along the axis and M the real symmetric
+circulant n x n matrix with the even symbol b(k) / (2 sin(2 pi k / n))
+(0 at k = 0, n/2).  (S - S^-1) f = f(x + h) - f(x - h) is an exact
+subtraction, so a field constant or alternating along the axis has
+derivative exactly 0; M is then one small gemm along the axis of a
+component's ``(sites before, n, sites after)`` view.  d on
 degree k is a table of entries ``(out, in, axis, sign)``,
 ``e_axis ^ E_in = sign * E_out``, derived from the basis permutation
 signs, each applied as one such derivative; ``delta2`` is its adjoint.
@@ -30,9 +31,9 @@ real basis of cos(2 pi k x / n) and sin(2 pi k x / n) along each axis
 of the plane waves e^{2 pi i k.x} over the sign flips of the k_i, on
 which an even multiplier takes one value.  They are applied like d, by
 small dense gemms along the lattice axes: four into that basis, one
-multiplication, four back, with no transform and no complex array.  The
-FFT is left to set-up: ``Grid.axis_matrix`` takes one ``ifft`` per grid
-and :func:`random_trig_field` samples its modes with one ``irfftn``.
+multiplication, four back, with no transform and no complex array.
+:func:`random_trig_field` is a direct sum of its sampled cosines, one axis
+at a time.  The module calls no FFT.
 """
 
 from __future__ import annotations
@@ -83,22 +84,13 @@ class Grid:
     def shape(self):
         return (self.n,) * 4
 
-    @cached_property
-    def freq(self):
-        """Integer frequencies along one axis (fft order)."""
-        return np.fft.fftfreq(self.n) * self.n
-
-    @cached_property
-    def symbol(self):
-        """Imaginary part b of the derivative symbol i*b along one axis."""
-        return self._b(self.freq)
-
     def _b(self, k):
-        """b at the integer frequencies k."""
+        """b at the frequencies k, in the float precision of k's type."""
+        turn = 8 * np.arctan(np.result_type(k, 1.0).type(1))  # 2 pi
         if self.scheme == "spectral":
-            b = 2 * np.pi * k
+            b = turn * k
         else:
-            b = np.sin(2 * np.pi * k / self.n) * self.n
+            b = np.sin(turn * k / self.n) * self.n
         # the central-difference stencil kills the alternating mode exactly;
         # for spectral derivatives of real fields the odd Nyquist part is
         # dropped for the same reason
@@ -107,16 +99,20 @@ class Grid:
 
     @cached_property
     def axis_matrix(self):
-        """Real circulant E with d/dx = E (S^2 - I) along one axis, where
-        (S f)(x) = f(x + h); its symbol is i b(k) / (e^{4 pi i k / n} - 1)
-        away from k = 0 and n/2, where b vanishes too."""
-        b = self.symbol
-        shift2 = np.exp(4j * np.pi * self.freq / self.n) - 1.0
-        sym = np.divide(1j * b, shift2, out=np.zeros(self.n, dtype=complex),
-                        where=b != 0)
-        col = np.fft.ifft(sym).real
-        site = np.arange(self.n)
-        return col[(site[:, None] - site) % self.n]
+        """Real symmetric circulant M with d/dx = M (S - S^-1) along one
+        axis, (S f)(x) = f(x + h); its symbol b(k) / (2 sin(2 pi k / n)) is
+        even, 0 at k = 0 and n/2.  The first column is that symbol's cosine
+        sum, in extended precision where the platform has it, with each
+        2 pi k j / n reduced to 2 pi r / n, r = k j mod n folded into
+        [0, n/2], so M is exactly symmetric."""
+        n = self.n
+        k = np.arange(1, n // 2, dtype=np.longdouble)
+        turn = 8 * np.arctan(np.longdouble(1))  # 2 pi
+        mult = self._b(k) / (2 * np.sin(turn * k / n))
+        site = np.arange(n)
+        r = np.outer(k, site) % n
+        col = mult @ np.cos(turn * np.minimum(r, n - r) / n) * (2 / n)
+        return col.astype(float)[(site[:, None] - site) % n]
 
     @cached_property
     def real_basis(self):
@@ -182,8 +178,8 @@ def _multiply(grid, f, mult):
 
 def _derivative(grid, f, table, ncomp):
     """Apply a first order operator given as (out, in, axis, sign) entries:
-    out_o = sum of sign * d/dx_axis in_i, each as E (S^2 - I) along the axis.
-    One output component comes back as a scalar field."""
+    out_o = sum of sign * d/dx_axis in_i, each as M (S - S^-1) along the
+    axis.  One output component comes back as a scalar field."""
     n = grid.n
     comps = np.reshape(f, (-1,) + grid.shape)
     out = np.zeros((ncomp,) + grid.shape)
@@ -191,12 +187,13 @@ def _derivative(grid, f, table, ncomp):
         # the axis in the middle: (sites before it, n, sites after it)
         pre, post = n ** axis, n ** (3 - axis)
         fi = comps[i].reshape(pre, n, post)
-        diff = np.empty_like(fi)  # (S^2 - I) f, exact
-        np.subtract(fi[:, 2:], fi[:, :-2], out=diff[:, :-2])
-        np.subtract(fi[:, :2], fi[:, -2:], out=diff[:, -2:])
-        # E along the middle axis; on the last one a single gemm with E^T
+        diff = np.empty_like(fi)  # (S - S^-1) f, exact
+        np.subtract(fi[:, 2:], fi[:, :-2], out=diff[:, 1:-1])
+        np.subtract(fi[:, 1], fi[:, -1], out=diff[:, 0])
+        np.subtract(fi[:, 0], fi[:, -2], out=diff[:, -1])
+        # M along the middle axis; on the last one a single gemm with M = M^T
         if post == 1:
-            deriv = diff.reshape(pre, n) @ grid.axis_matrix.T
+            deriv = diff.reshape(pre, n) @ grid.axis_matrix
         else:
             deriv = grid.axis_matrix @ diff
         acc = out[o].reshape(deriv.shape)
@@ -432,28 +429,29 @@ def random_trig_field(rng, kmax, ncomp=1):
     """Random real trigonometric polynomial with modes |k_i| <= kmax, zero mean.
 
     Returns a closure evaluating the field on any grid, so refinement studies
-    can sample the same smooth function at several resolutions.
+    can sample the same smooth function at several resolutions.  It is the
+    direct sum of the sampled cosines, taken one axis at a time, so modes
+    aliasing onto one lattice frequency add up as they must.
     """
-    k = np.indices((2 * kmax + 1,) * 4).reshape(4, -1).T - kmax
-    # one representative per antipodal pair: the first nonzero entry is
-    # positive (which also drops k = 0)
-    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    modes = k[first > 0]
-    amps = rng.normal(size=(len(modes), ncomp))
-    phases = rng.uniform(0, 2 * np.pi, size=(len(modes), ncomp))
-    # a cos(2 pi k.x + ph) = a/2 e^{i ph} e^{2 pi i k.x} + conjugate at -k
+    # one mode per antipodal pair, the k lexicographically after k = 0,
+    # whose a cos(2 pi k.x + ph) = a/2 e^{i ph} e^{2 pi i k.x} + conjugate
+    # at -k, the mirror image in that order
+    npairs = (2 * kmax + 1) ** 4 // 2
+    amps = rng.normal(size=(npairs, ncomp))
+    phases = rng.uniform(0, 2 * np.pi, size=(npairs, ncomp))
     half = 0.5 * amps * np.exp(1j * phases)
+    coef = np.concatenate([half[::-1].conj(), np.zeros((1, ncomp)), half])
+    coef = coef.T.reshape((ncomp,) + (2 * kmax + 1,) * 4)
 
     def evaluate(grid):
         n = grid.n
-        spec = np.zeros((ncomp, n, n, n, n // 2 + 1), dtype=complex)
-        # the real transform's half of the full spectrum; modes aliasing onto
-        # one lattice frequency add up, exactly as the sampled cosines do
-        for idx, amp in ((modes % n, half), (-modes % n, half.conj())):
-            kept = idx[:, 3] <= n // 2
-            np.add.at(spec, (slice(None), *idx[kept].T), amp[kept].T)
-        out = np.fft.irfftn(spec, s=grid.shape, axes=(-4, -3, -2, -1),
-                            norm="forward")
+        # e^{2 pi i k x / n} at the sites x, its argument reduced mod n
+        wave = np.exp(2j * np.pi / n * (
+            np.outer(np.arange(-kmax, kmax + 1), np.arange(n)) % n))
+        out = coef
+        for _ in range(4):  # sums the first k axis, appends its x axis
+            out = np.tensordot(out, wave, axes=(1, 0))
+        out = np.ascontiguousarray(out.real)
         return out if ncomp > 1 else out[0]
 
     return evaluate

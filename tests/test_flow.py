@@ -7,6 +7,7 @@ import numpy as np
 import oracles
 import pytest
 
+from donflow import checks
 from donflow import exterior as ext
 from donflow import flow
 from donflow import hyperkahler as hk
@@ -272,7 +273,6 @@ def test_step_makes_no_transforms(monkeypatch):
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
-    g.axis_matrix  # built once per grid, the one transform d needs
     calls = []
 
     def counting(fn):
@@ -289,6 +289,26 @@ def test_step_makes_no_transforms(monkeypatch):
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
         flow.rhs(g, st.rho)
     assert len(history) == 3
+    assert calls == []
+
+
+def test_package_makes_no_transforms(monkeypatch, tmp_path):
+    # on fresh grids, a dealiased run and every check suite call no
+    # numpy.fft entry point, set-up included
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    cfg = RunConfig(n=4, T=0.02, dealias=True, out_dir=str(tmp_path / "out"))
+    assert flow.run(cfg).steps > 0
+    _, passed = checks.run_suites(["all"], 0, 20)
+    assert passed
     assert calls == []
 
 
@@ -394,7 +414,7 @@ def test_step_failure_near_degenerate():
     assert 0 < u.min() < 2e-4
     st, v, coh0 = _state(g, rho, dt=0.2 / 64)
     with pytest.raises(flow.StepFailure) as err:
-        flow.step(g, st, v, coh0, dt_max=0.2 / 64, max_retries=8)
+        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=[], max_retries=8)
     assert err.value.diagnostic["t"] == 0.0
 
 
@@ -409,7 +429,7 @@ def test_step_with_dealiasing(rng):
                           history=history, dealias=True)
     # dealiased iterates have no spectrum beyond the two-thirds cutoff
     spec = np.abs(np.fft.fftn(st.rho, axes=(1, 2, 3, 4)))
-    keep = np.abs(g.freq) <= g.n / 3.0
+    keep = np.abs(np.fft.fftfreq(g.n) * g.n) <= g.n / 3.0
     zero = ~(keep.reshape(-1, 1, 1, 1) & keep.reshape(1, -1, 1, 1)
              & keep.reshape(1, 1, -1, 1) & keep.reshape(1, 1, 1, -1))
     assert spec[:, zero].max() < 1e-10 * spec.max()
@@ -529,27 +549,29 @@ def test_run_flush_on_failure(tmp_path):
 
 def test_run_stops_on_nan_initial_data(tmp_path):
     g = lat.Grid(4)
-    rho0 = g.constant(ext.OMEGA1)
-    rho0[0, 1, 2, 3, 0] = np.nan
-    cfg = RunConfig(n=4, T=1.0, out_dir=str(tmp_path / "out"))
-    with pytest.raises(DegenerateForm, match=r"first index \(1, 2, 3, 0\)"):
-        flow.run(cfg, rho0=rho0)
-    out = tmp_path / "out"
 
     def reject(token):
         raise AssertionError(f"non-finite value {token} in an output")
 
-    diag = json.loads((out / "failure.json").read_text(),
-                      parse_constant=reject)
-    assert diag["nonfinite_sites"] == 1 and diag["u_min"] == 1.0
-    for path in out.iterdir():
-        if path.suffix == ".json":
-            json.loads(path.read_text(), parse_constant=reject)
-        elif path.suffix == ".csv":
-            for row in csv.DictReader(open(path)):
-                assert all(math.isfinite(float(v)) for v in row.values())
-        elif path.suffix == ".bin":
-            assert np.isfinite(np.fromfile(path)).all()
+    for bad in (np.nan, np.inf):
+        rho0 = g.constant(ext.OMEGA1)
+        rho0[0, 1, 2, 3, 0] = bad
+        out = tmp_path / str(bad)
+        cfg = RunConfig(n=4, T=1.0, out_dir=str(out))
+        with pytest.raises(DegenerateForm,
+                           match=r"\(1 not finite\), first index \(1, 2, 3, 0\)"):
+            flow.run(cfg, rho0=rho0)
+        diag = json.loads((out / "failure.json").read_text(),
+                          parse_constant=reject)
+        assert diag["nonfinite_sites"] == 1 and diag["u_min"] == 1.0
+        for path in out.iterdir():
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=reject)
+            elif path.suffix == ".csv":
+                for row in csv.DictReader(open(path)):
+                    assert all(math.isfinite(float(v)) for v in row.values())
+            elif path.suffix == ".bin":
+                assert np.isfinite(np.fromfile(path)).all()
 
 
 def test_run_rejects_locked_directory(tmp_path):

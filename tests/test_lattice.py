@@ -96,7 +96,7 @@ def test_d_of_last_axis_nyquist_mode_is_zero(grid, deg):
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("scheme", lat.SCHEMES)
 def test_d_of_constant_and_alternating_modes_is_exactly_zero(rng, n, scheme):
-    # d/dx = E (S^2 - I): the exact subtraction kills both modes on every axis
+    # d/dx = M (S - S^-1): the exact subtraction kills both modes on every axis
     g = lat.Grid(n, scheme)
     alternating = [np.broadcast_to((-1.0) ** np.rint(n * x), g.shape)
                    for x in g.coords()]
@@ -129,8 +129,6 @@ def test_d_matches_fourier_oracle_on_white_noise(rng, n, scheme):
 def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     g = lat.Grid(8)
     rho = flow.initial_data(g, rng)
-    fields = [_random_field(g, rng, lat.FORM_COMPS[deg]) for deg in range(4)]
-    g.axis_matrix  # built once per grid, the one transform d needs
     calls = []
 
     def counting(fn):
@@ -142,6 +140,8 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft",
                  "irfft", "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    # random_trig_field makes no transform either
+    fields = [_random_field(g, rng, lat.FORM_COMPS[deg]) for deg in range(4)]
     flow.rhs(g, rho)
     for deg, f in enumerate(fields):
         lat.d(g, f, deg)
@@ -151,8 +151,21 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     lat.resolvent(g, rho, 250.0)
     lat.dealias(g, rho)
     assert calls == []
-    lat.random_trig_field(rng, 1)(g)  # the counter sees the one that keeps the FFT
-    assert calls == ["irfftn"]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+@pytest.mark.parametrize("scheme", lat.SCHEMES)
+def test_axis_matrix_is_diagonal_in_the_real_basis(n, scheme):
+    # M is a symmetric circulant with the real, even symbol b / (2 sin),
+    # 0 at k = 0 and n/2, so Q M Q^T is diagonal
+    g = lat.Grid(n, scheme)
+    m = g.axis_matrix
+    assert np.array_equal(m, m.T)
+    q, k = g.real_basis
+    want = np.array([0.0 if kk in (0, n // 2) else
+                     _scheme_symbol(g, kk) / (2 * math.sin(2 * np.pi * kk / n))
+                     for kk in k])
+    assert np.abs(q @ m @ q.T - np.diag(want)).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("scheme", lat.SCHEMES)
@@ -296,11 +309,15 @@ def test_multipliers_match_fourier_oracle(n, scheme, rng):
 
 
 def test_random_trig_field_aliases_like_sampled_cosines():
-    # at n = 4 the modes +-2 of kmax = 2 both land on the Nyquist frequency
+    # at n = 4 the modes +-2 of kmax = 2 both land on the Nyquist frequency,
+    # and those of kmax = 3 also fold +-3 onto -+1
     seed = 20240811
-    fn = lat.random_trig_field(np.random.Generator(np.random.Philox(seed)), 2, 4)
-    ref = orc.trig_field_direct(np.random.Generator(np.random.Philox(seed)), 2, 4, 4)
-    assert_allclose(fn(lat.Grid(4)), ref, atol=1e-13 * np.abs(ref).max())
+    for kmax in (2, 3):
+        fn = lat.random_trig_field(np.random.Generator(np.random.Philox(seed)),
+                                   kmax, 4)
+        ref = orc.trig_field_direct(np.random.Generator(np.random.Philox(seed)),
+                                    kmax, 4, 4)
+        assert_allclose(fn(lat.Grid(4)), ref, atol=1e-13 * np.abs(ref).max())
 
 
 def test_random_trig_field_is_grid_independent(rng):
