@@ -23,6 +23,11 @@ All sign tables below were derived once from the permutation signs of the
 bases above and are frozen here; the test suite re-derives them from a
 brute-force permutation oracle.
 
+The flow runs on the flat T^4, so the twisted stars, Theta and its
+derivative, ``norm2_sq`` and ``sd_split`` are flat closed forms.  Only the
+metric layer of the appendix A checks takes a metric ``g``: ``vol_coeff``,
+``hodge1/2/3``, ``self_dual_basis``, ``u_of``, ``a_of`` and ``g_rho``.
+
 The determinant, inverse and solve of a metric stay LAPACK's: g_rho reaches
 condition numbers near 1e5, where cofactor formulas raised the
 ``twisted_metric`` check's error from 2e-14..2e-13 to 6.1e-10 (tolerance
@@ -163,15 +168,14 @@ def pfaffian(w):
     return w01 * w23 + w02 * w31 + w03 * w12
 
 
-def form2_matrix_inv(w, pf=None):
+def form2_matrix_inv(w):
     """Inverse of the component matrix of a nondegenerate 2-form.
 
     Uses the 4d identity P(w) @ P(dual w) = -pf(w) * Id, so no LU solve is
-    needed; ``pf`` may be passed if already computed.
+    needed; raises DegenerateForm where |pf(w)| <= U_FLOOR.
     """
     w = np.asarray(w)
-    if pf is None:
-        pf = pfaffian(w)
+    pf = require_pf(pfaffian(w))
     return -form2_matrix(w[DUAL2]) / pf[..., None, None]
 
 
@@ -233,18 +237,10 @@ def vol_coeff(g):
     return as_metric(g).vol
 
 
-def metric2(g):
-    """Inner product matrix on 2-forms induced by the metric g: the 6x6
-    Gram matrix of the 2-form basis under g^{-1}."""
-    return as_metric(g).form2
-
-
-def norm2_sq(w, g=None):
-    """Squared metric norm of a 2-form (Euclidean metric when g is None)."""
+def norm2_sq(w):
+    """Squared Euclidean norm of a 2-form."""
     w = np.asarray(w)
-    if g is None:
-        return np.einsum("i...,i...->...", w, w)
-    return np.einsum("i...,...ij,j...->...", w, metric2(g), w)
+    return np.einsum("i...,i...->...", w, w)
 
 
 def hodge1(g, l):
@@ -285,10 +281,10 @@ def star3_flat(f):
     return -star1_flat(f)
 
 
-def sd_split(w, g=None):
-    """Self-dual / anti-self-dual split w = w_plus + w_minus."""
+def sd_split(w):
+    """Flat self-dual / anti-self-dual split w = w_plus + w_minus."""
     w = np.asarray(w, dtype=float)
-    sw = star2_flat(w) if g is None else hodge2(g, w)
+    sw = star2_flat(w)
     plus = w + sw  # halved in place: one field per half, no temporaries
     plus *= 0.5
     minus = w - sw
@@ -307,7 +303,7 @@ def self_dual_basis(g):
     g = as_metric(g)
     flat = np.transpose([OMEGA1, OMEGA2, OMEGA3])
     flat = flat.reshape((6,) + (1,) * (g.g.ndim - 2) + (3,))  # (6, ..., 3)
-    plus, _ = sd_split(flat, g.expand())
+    plus = (flat + hodge2(g.expand(), flat)) / 2
     return np.stack(_wedge_gram_schmidt(plus, g.vol), axis=-1)
 
 
@@ -392,66 +388,57 @@ def r_rho(w, rho):
     return w - wedge22(w, rho) / pf * rho
 
 
-def star_rho1(l, rho, g=None):
+def star_rho1(l, rho):
     """rho-twisted Hodge star on 1-forms: rho ^ star(rho ^ l) / u.
 
-    Agrees with the Hodge star of g_rho(rho, g).
+    Agrees with the Hodge star of g_rho(rho).
     """
-    rho, g = np.asarray(rho), as_metric(g)
-    u = require_u(u_of(rho, g))
-    inner = star3_flat(wedge12(l, rho)) if g is None else hodge3(g, wedge12(l, rho))
-    return wedge12(inner, rho) / u
+    rho = np.asarray(rho)
+    u = require_u(u_of(rho))
+    return wedge12(star3_flat(wedge12(l, rho)), rho) / u
 
 
-def star_rho2(w, rho, g=None):
+def star_rho2(w, rho):
     """rho-twisted Hodge star on 2-forms: R star R, an involution."""
-    rho, g = np.asarray(rho), as_metric(g)
-    require_u(u_of(rho, g))
-    rw = r_rho(w, rho)
-    srw = star2_flat(rw) if g is None else hodge2(g, rw)
-    return r_rho(srw, rho)
+    rho = np.asarray(rho)
+    require_u(u_of(rho))
+    return r_rho(star2_flat(r_rho(w, rho)), rho)
 
 
-def star_rho3(f, rho, g=None):
-    """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho, g).
+def star_rho3(f, rho):
+    """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho).
 
-    Closed form -P G^{-1} P^T (W13_SIGN f) / pf(rho), with P the component
-    matrix of rho and G^{-1} = Id when g is None: g_rho = P G^{-1} P^T / u
-    has the volume form of g, and u vol(g) = pf(rho).  Since P^T y is the
-    contraction of rho with y, and -P z that of rho with z, no matrix is
-    built.  Satisfies star_rho3(star_rho1(l)) = -l.
+    Closed form -P P^T (W13_SIGN f) / u, with P the component matrix of
+    rho: g_rho = P P^T / u, and its volume is 1 since det P = u^2.  Since
+    P^T y is the contraction of rho with y, and -P z that of rho with z, no
+    matrix is built.  Satisfies star_rho3(star_rho1(l)) = -l.
     """
-    rho, g = np.asarray(rho), as_metric(g)
-    require_u(u_of(rho, g))
-    y = interior2(star1_flat(f), rho)   # W13_SIGN f
-    if g is not None:
-        y = np.einsum("...ij,j...->i...", g.inv, y)
-    return interior2(y, rho) / pfaffian(rho)
+    rho = np.asarray(rho)
+    u = require_u(u_of(rho))
+    return interior2(interior2(star1_flat(f), rho), rho) / u
 
 
-def theta_point(rho, g=None):
+def theta_point(rho):
     """The 2-form Theta = star(rho/u) - (|rho/u|^2 / 2) rho.
 
     Wedge-orthogonal to rho; vanishes exactly when rho is self-dual.
     """
-    rho, g = np.asarray(rho), as_metric(g)
-    u = require_u(u_of(rho, g))
-    srho = star2_flat(rho) if g is None else hodge2(g, rho)
-    n2 = norm2_sq(rho, g)
-    return srho / u - (0.5 * n2 / u ** 2) * rho
+    rho = np.asarray(rho)
+    u = require_u(u_of(rho))
+    return star2_flat(rho) / u - (0.5 * norm2_sq(rho) / u ** 2) * rho
 
 
-def theta_dot_point(rho, rhohat, g=None):
+def theta_dot_point(rho, rhohat):
     """Directional derivative of theta_point at rho in direction rhohat:
 
-        (rhohat + star_rho rhohat) / u - |rho^+ / u|^2 rhohat.
+        (rhohat + star_rho rhohat) / u - |rho^+ / u|^2 rhohat,
+
+    with |rho^+|^2 = |rho|^2 / 2 + u, as |rho^+|^2 - |rho^-|^2 = 2u.
     """
-    rho, rhohat, g = np.asarray(rho), np.asarray(rhohat), as_metric(g)
-    u = require_u(u_of(rho, g))
-    plus, _ = sd_split(rho, g)
-    srh = star_rho2(rhohat, rho, g)
-    coeff = norm2_sq(plus, g) / u ** 2
-    return (rhohat + srh) / u - coeff * rhohat
+    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
+    u = require_u(u_of(rho))
+    coeff = (0.5 * norm2_sq(rho) + u) / u ** 2
+    return (rhohat + star_rho2(rhohat, rho)) / u - coeff * rhohat
 
 
 def j_rho(jmap, rho):
@@ -460,10 +447,7 @@ def j_rho(jmap, rho):
     M = (P J P^{-1})^T for P the component matrix of rho.
     """
     rho = np.asarray(rho)
-    pf = require_pf(pfaffian(rho))
-    p = form2_matrix(rho)
-    pinv = form2_matrix_inv(rho, pf)
-    m = p @ np.asarray(jmap) @ pinv
+    m = form2_matrix(rho) @ np.asarray(jmap) @ form2_matrix_inv(rho)
     return np.swapaxes(m, -1, -2)
 
 
@@ -476,7 +460,7 @@ def quaternion_triple(w1, w2, w3):
     """
     ws = [np.asarray(w) for w in (w1, w2, w3)]
     ps = [form2_matrix(w) for w in ws]
-    inv = [form2_matrix_inv(w, require_pf(pfaffian(w))) for w in ws]
+    inv = [form2_matrix_inv(w) for w in ws]
     return inv[2] @ ps[1], inv[0] @ ps[2], inv[1] @ ps[0]
 
 
@@ -520,7 +504,7 @@ def metric_from_vol_and_plane(vol, basis):
     # raises NotPositivePlane unless the Gram matrix is positive definite
     w1, w2, w3 = _wedge_gram_schmidt(basis, vol)
     # J1 of quaternion_triple, w3(., J1 .) = w2, alone
-    j1 = form2_matrix_inv(w3, require_pf(pfaffian(w3))) @ form2_matrix(w2)
+    j1 = form2_matrix_inv(w3) @ form2_matrix(w2)
 
     # w1(., J1 .) is the metric up to sign; a definite form has the sign of
     # its trace

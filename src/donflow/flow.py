@@ -176,7 +176,7 @@ def monitors(grid, rho, e, velocity, coh0, t):
 def accept(grid, rho, t, dt, e, coh0):
     """The accepted state at rho, whose energy is the Energy e, and the
     flow's velocity there.  The velocity is evaluated once: the residual
-    monitor reads it and the next step takes it as its first stage."""
+    monitor reads it and the next step takes it as its F_n."""
     velocity = rhs(grid, rho)
     mon = monitors(grid, rho, e, velocity, coh0, t)
     return FlowState(rho, t, dt, e.excess, mon), velocity
@@ -328,6 +328,15 @@ def _write_failure(out_dir, diagnostic):
         json.dumps(diagnostic, indent=2, sort_keys=True) + "\n")
 
 
+def _u_where_finite(rho):
+    """u of rho, NaN at the sites with a non-finite component, where the
+    pfaffian's products would warn (inf * 0)."""
+    finite = np.isfinite(rho).all(axis=0)
+    u = np.full(finite.shape, np.nan)
+    u[finite] = ext.u_of(rho[:, finite])
+    return u
+
+
 def run(config, rho0=None):
     """Integrate the flow until stationarity or final time: the run stops
     at the first accepted step with residual_l2 < tol_stationary or t >= T,
@@ -351,12 +360,13 @@ def run(config, rho0=None):
     snaps = []
     with _OutputLock(out_dir):
         try:
-            e0 = energy(grid, rho0)  # checks u before the class sums see rho0
+            ext.require_u(_u_where_finite(rho0))  # before the sums see rho0
+            e0 = energy(grid, rho0)
             coh0 = lat.cohomology(grid, rho0)
             state, velocity = accept(grid, rho0, 0.0, min(config.dt0, dt_cap),
                                      e0, coh0)
         except DegenerateForm as err:
-            u = ext.u_of(rho0)
+            u = _u_where_finite(rho0)
             finite = np.isfinite(u)
             _write_failure(out_dir, {
                 "t": 0.0, "error": str(err),

@@ -67,9 +67,7 @@ def grad_hk(grid, rho):
 
 def vector_from_potential(rho, mu):
     """The vector field X with i(X) rho = -mu (pointwise solve)."""
-    rho = np.asarray(rho)
-    pf = ext.require_pf(ext.pfaffian(rho))
-    pinv = ext.form2_matrix_inv(rho, pf)
+    pinv = ext.form2_matrix_inv(rho)
     return np.einsum("...ij,j...->i...", pinv, np.asarray(mu))
 
 

@@ -12,11 +12,11 @@ b(k) = n sin(2 pi k / n), the central-difference symbol.  Both vanish at
 k = 0 and at the Nyquist entry k = n/2, so d/dx = M (S - S^-1), where S is
 the one-site cyclic shift along the axis and M the real symmetric
 circulant n x n matrix with the even symbol b(k) / (2 sin(2 pi k / n))
-(0 at k = 0, n/2).  (S - S^-1) f = f(x + h) - f(x - h) is an exact
-subtraction, so a field constant or alternating along the axis has
-derivative exactly 0; M is then one small gemm along the axis of a
-component's ``(sites before, n, sites after)`` view.  d on
-degree k is a table of entries ``(out, in, axis, sign)``,
+(free at k = 0, n/2: 0 for spectral, n/2 for fd2, whose M is (n/2) I).
+(S - S^-1) f = f(x + h) - f(x - h) is an exact subtraction, so a field
+constant or alternating along the axis has derivative exactly 0; M is then
+one small gemm along the axis of a component's ``(sites before, n, sites
+after)`` view.  d on degree k is a table of entries ``(out, in, axis, sign)``,
 ``e_axis ^ E_in = sign * E_out``, derived from the basis permutation
 signs, each applied as one such derivative; ``delta2`` is its adjoint.
 The symbols are translation invariant, so d o d = 0 and the per-component
@@ -101,11 +101,14 @@ class Grid:
     def axis_matrix(self):
         """Real symmetric circulant M with d/dx = M (S - S^-1) along one
         axis, (S f)(x) = f(x + h); its symbol b(k) / (2 sin(2 pi k / n)) is
-        even, 0 at k = 0 and n/2.  The first column is that symbol's cosine
-        sum, in extended precision where the platform has it, with each
-        2 pi k j / n reduced to 2 pi r / n, r = k j mod n folded into
-        [0, n/2], so M is exactly symmetric."""
+        even, and free at k = 0, n/2, which S - S^-1 kills: fd2 takes n/2
+        there as elsewhere, so M = (n/2) I, and spectral 0.  The spectral
+        first column is the symbol's cosine sum, in extended precision where
+        the platform has it, with each 2 pi k j / n reduced to 2 pi r / n,
+        r = k j mod n folded into [0, n/2], so M is exactly symmetric."""
         n = self.n
+        if self.scheme == "fd2":
+            return np.eye(n) * (n / 2)
         k = np.arange(1, n // 2, dtype=np.longdouble)
         turn = 8 * np.arctan(np.longdouble(1))  # 2 pi
         mult = self._b(k) / (2 * np.sin(turn * k / n))

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,11 @@ def test_form2_matrix_inverse_identity(rng):
     p = ext.form2_matrix(rho)
     pinv = ext.form2_matrix_inv(rho)
     assert_allclose(p @ pinv, np.broadcast_to(np.eye(4), p.shape), atol=1e-10)
+
+
+def test_form2_matrix_inv_rejects_degenerate():
+    with pytest.raises(ext.DegenerateForm, match="Pfaffian"):
+        ext.form2_matrix_inv(np.array([1., 0, 0, 0, 0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -180,23 +187,23 @@ def test_nonpositive_metric_rejected():
 
 # every function of a metric g, called with g as an array or a Metric
 G_FUNCTIONS = {
+    "as_metric": lambda g, a: ext.as_metric(g).inv,
     "vol_coeff": lambda g, a: ext.vol_coeff(g),
-    "metric2": lambda g, a: ext.metric2(g),
-    "norm2_sq": lambda g, a: ext.norm2_sq(a["w"], g),
     "hodge1": lambda g, a: ext.hodge1(g, a["l"]),
     "hodge2": lambda g, a: ext.hodge2(g, a["w"]),
     "hodge3": lambda g, a: ext.hodge3(g, a["f"]),
-    "sd_split": lambda g, a: ext.sd_split(a["w"], g),
     "self_dual_basis": lambda g, a: ext.self_dual_basis(g),
     "u_of": lambda g, a: ext.u_of(a["rho"], g),
     "a_of": lambda g, a: ext.a_of(a["rho"], g),
     "g_rho": lambda g, a: ext.g_rho(a["rho"], g),
-    "star_rho1": lambda g, a: ext.star_rho1(a["l"], a["rho"], g),
-    "star_rho2": lambda g, a: ext.star_rho2(a["w"], a["rho"], g),
-    "star_rho3": lambda g, a: ext.star_rho3(a["f"], a["rho"], g),
-    "theta_point": lambda g, a: ext.theta_point(a["rho"], g),
-    "theta_dot_point": lambda g, a: ext.theta_dot_point(a["rho"], a["w"], g),
 }
+
+
+def test_g_functions_lists_every_function_of_a_metric():
+    takes_g = {name for name, fn in inspect.getmembers(ext, inspect.isfunction)
+               if not name.startswith("_") and fn.__module__ == ext.__name__
+               and "g" in inspect.signature(fn).parameters}
+    assert takes_g == set(G_FUNCTIONS)
 
 
 @pytest.mark.parametrize("name", sorted(G_FUNCTIONS))
@@ -311,30 +318,25 @@ def test_star_rho_at_compatible_form(rng):
 
 
 def test_star_rho_interior_identity(rng):
-    # star_rho(i(X) rho) = -rho ^ g(X, .)
-    g = random_spd(rng, (60,))
-    rho = random_rho(rng, (60,), u_min=0.05, g=g)
+    # star_rho(i(X) rho) = -rho ^ g(X, .), g Euclidean
+    rho = random_rho(rng, (60,), u_min=0.05)
     x = rng.normal(size=(60, 4)).T
-    lhs = ext.star_rho1(ext.interior2(x, rho), rho, g)
-    gx = np.einsum("...ij,j...->i...", g, x)
-    assert_allclose(lhs, -ext.wedge12(gx, rho), atol=1e-9)
+    lhs = ext.star_rho1(ext.interior2(x, rho), rho)
+    assert_allclose(lhs, -ext.wedge12(x, rho), atol=1e-9)
 
 
 def test_star_rho_agrees_with_hodge_of_g_rho(rng):
-    g = random_spd(rng, (60,))
-    rho = random_rho(rng, (60,), u_min=0.05, g=g)
-    gr = ext.g_rho(rho, g)
+    rho = random_rho(rng, (60,), u_min=0.05)
+    gr = ext.Metric(ext.g_rho(rho))
     l = rng.normal(size=(60, 4)).T
     w = rng.normal(size=(60, 6)).T
     f = rng.normal(size=(60, 4)).T
-    assert_allclose(ext.star_rho1(l, rho, g), ext.hodge1(gr, l), atol=1e-9)
-    assert_allclose(ext.star_rho2(w, rho, g), ext.hodge2(gr, w), atol=1e-9)
-    assert_allclose(ext.star_rho3(f, rho, g), ext.hodge3(gr, f), atol=1e-9)
+    assert_allclose(ext.star_rho1(l, rho), ext.hodge1(gr, l), atol=1e-9)
+    assert_allclose(ext.star_rho2(w, rho), ext.hodge2(gr, w), atol=1e-9)
+    assert_allclose(ext.star_rho3(f, rho), ext.hodge3(gr, f), atol=1e-9)
     # odd-degree square: star_rho3(star_rho1(l)) = -l
-    assert_allclose(ext.star_rho3(ext.star_rho1(l, rho, g), rho, g), -l,
-                    atol=1e-9)
-    assert_allclose(ext.star_rho2(ext.star_rho2(w, rho, g), rho, g), w,
-                    atol=1e-9)
+    assert_allclose(ext.star_rho3(ext.star_rho1(l, rho), rho), -l, atol=1e-9)
+    assert_allclose(ext.star_rho2(ext.star_rho2(w, rho), rho), w, atol=1e-9)
 
 
 def test_sd_split_values(rng):
@@ -370,21 +372,19 @@ def test_theta_worked_example():
 
 
 def test_theta_identities(rng):
-    g = random_spd(rng, (200,))
-    rho = random_rho(rng, (200,), u_min=0.1, g=g)
-    u = ext.u_of(rho, g)
-    th = ext.theta_point(rho, g)
+    rho = random_rho(rng, (200,), u_min=0.1)
+    u = ext.u_of(rho)
+    th = ext.theta_point(rho)
     assert_allclose(ext.wedge22(th, rho), 0, atol=1e-10)
-    p, m = ext.sd_split(rho, g)
-    np2, nm2 = ext.norm2_sq(p, g), ext.norm2_sq(m, g)
+    p, m = ext.sd_split(rho)
+    np2, nm2 = ext.norm2_sq(p), ext.norm2_sq(m)
     # both closed forms of Theta
     alt1 = 2 * p / u - (np2 / u ** 2) * rho
     alt2 = -(nm2 * p + np2 * m) / u ** 2
     assert_allclose(th, alt1, atol=1e-9)
     assert_allclose(th, alt2, atol=1e-9)
-    # squared volume identity (right side is a multiple of dvol_g)
-    assert_allclose(ext.wedge22(th, th),
-                    -2 * np2 * nm2 / u ** 3 * ext.vol_coeff(g), atol=1e-8)
+    # squared volume identity (right side is a multiple of dvol = e0123)
+    assert_allclose(ext.wedge22(th, th), -2 * np2 * nm2 / u ** 3, atol=1e-8)
 
 
 def test_theta_wedge_rho_zero_on_sd_families(rng):
@@ -407,14 +407,13 @@ def test_theta_dot_at_minimum(rng):
 
 
 def test_theta_dot_matches_finite_differences(rng):
-    g = random_spd(rng, (50,))
-    rho = random_rho(rng, (50,), u_min=0.5, g=g)
+    rho = random_rho(rng, (50,), u_min=0.5)
     rh = rng.normal(size=(50, 6)).T
-    td = ext.theta_dot_point(rho, rh, g)
+    td = ext.theta_dot_point(rho, rh)
 
     def fd(t):
-        return (ext.theta_point(rho + t * rh, g)
-                - ext.theta_point(rho - t * rh, g)) / (2 * t)
+        return (ext.theta_point(rho + t * rh)
+                - ext.theta_point(rho - t * rh)) / (2 * t)
 
     e1 = np.abs(fd(1e-3) - td).max()
     e2 = np.abs(fd(5e-4) - td).max()

@@ -553,10 +553,10 @@ def test_run_stops_on_nan_initial_data(tmp_path):
     def reject(token):
         raise AssertionError(f"non-finite value {token} in an output")
 
-    for bad in (np.nan, np.inf):
+    for bad, c in [(np.nan, 0)] + [(np.inf, c) for c in range(6)]:
         rho0 = g.constant(ext.OMEGA1)
-        rho0[0, 1, 2, 3, 0] = bad
-        out = tmp_path / str(bad)
+        rho0[c, 1, 2, 3, 0] = bad
+        out = tmp_path / f"{bad}-{c}"
         cfg = RunConfig(n=4, T=1.0, out_dir=str(out))
         with pytest.raises(DegenerateForm,
                            match=r"\(1 not finite\), first index \(1, 2, 3, 0\)"):

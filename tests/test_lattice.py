@@ -51,6 +51,17 @@ def test_fd2_derivative_has_central_difference_symbol():
     assert_allclose(df[0], fac * np.cos(2 * np.pi * x0), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_fd2_derivative_is_the_exact_central_difference(rng, n):
+    # d/dx_a f = (n/2) (f(x + h) - f(x - h)), bit for bit, along every axis
+    g = lat.Grid(n, "fd2")
+    f = rng.normal(size=g.shape)
+    df = lat.d0(g, f)
+    for a in range(4):
+        want = (n / 2) * (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a))
+        assert np.array_equal(df[a], want), a
+
+
 def _scheme_symbol(grid, k):
     """b(k) of the scheme, written out independently of the package."""
     if abs(k) == grid.n // 2:
@@ -157,12 +168,14 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
 @pytest.mark.parametrize("scheme", lat.SCHEMES)
 def test_axis_matrix_is_diagonal_in_the_real_basis(n, scheme):
     # M is a symmetric circulant with the real, even symbol b / (2 sin),
-    # 0 at k = 0 and n/2, so Q M Q^T is diagonal
+    # free at k = 0 and n/2 (0 for spectral, n/2 for fd2), so Q M Q^T is
+    # diagonal
     g = lat.Grid(n, scheme)
     m = g.axis_matrix
     assert np.array_equal(m, m.T)
     q, k = g.real_basis
-    want = np.array([0.0 if kk in (0, n // 2) else
+    free = n / 2 if scheme == "fd2" else 0.0
+    want = np.array([free if kk in (0, n // 2) else
                      _scheme_symbol(g, kk) / (2 * math.sin(2 * np.pi * kk / n))
                      for kk in k])
     assert np.abs(q @ m @ q.T - np.diag(want)).max() <= 1e-13 * np.abs(want).max()
