@@ -377,14 +377,16 @@ def g_rho(rho, g=None):
     return gram / u[..., None, None]
 
 
-def r_rho(w, rho):
+def r_rho(w, rho, pf=None):
     """Wedge-preserving involution R w = w - (w^rho / dvol_rho) rho.
 
     Sends rho to -rho and fixes the wedge-orthogonal complement of rho.
-    Metric independent; requires rho ^ rho != 0.
+    Metric independent; requires rho ^ rho != 0.  ``pf`` is the Pfaffian
+    of rho, when the caller has it checked already.
     """
     w, rho = np.asarray(w), np.asarray(rho)
-    pf = require_pf(pfaffian(rho))
+    if pf is None:
+        pf = require_pf(pfaffian(rho))
     return w - wedge22(w, rho) / pf * rho
 
 
@@ -398,11 +400,13 @@ def star_rho1(l, rho):
     return wedge12(star3_flat(wedge12(l, rho)), rho) / u
 
 
-def star_rho2(w, rho):
-    """rho-twisted Hodge star on 2-forms: R star R, an involution."""
+def star_rho2(w, rho, u=None):
+    """rho-twisted Hodge star on 2-forms: R star R, an involution.  ``u``
+    is the volume ratio of rho, when the caller has it checked already."""
     rho = np.asarray(rho)
-    require_u(u_of(rho))
-    return r_rho(star2_flat(r_rho(w, rho)), rho)
+    if u is None:
+        u = require_u(u_of(rho))
+    return r_rho(star2_flat(r_rho(w, rho, u)), rho, u)
 
 
 def star_rho3(f, rho):
@@ -438,7 +442,7 @@ def theta_dot_point(rho, rhohat):
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = require_u(u_of(rho))
     coeff = (0.5 * norm2_sq(rho) + u) / u ** 2
-    return (rhohat + star_rho2(rhohat, rho)) / u - coeff * rhohat
+    return (rhohat + star_rho2(rhohat, rho, u)) / u - coeff * rhohat
 
 
 def j_rho(jmap, rho):

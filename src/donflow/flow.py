@@ -13,14 +13,14 @@ rho-metric Hodge star).  The evolution equation is
 which stays inside the class exactly because the update is exact.
 Near the minimum the flow linearizes to -L, L the flat Laplacian on exact
 2-forms, whose stiff spectrum grows like n^2.  Time stepping is linearly
-stabilized implicit-explicit BDF2 (SBDF2; Ascher, Ruuth & Wetton 1995)
+stabilized implicit-explicit BDF3 (SBDF3; Ascher, Ruuth & Wetton 1995)
 with variable steps: L is implicit, solved as a real multiplier in the
 real Fourier basis of each axis, and the rest of the velocity is
 extrapolated explicitly, so a step costs one evaluation of the velocity
-whatever n is and its size is capped for accuracy, not stability.  The
-first step of a run is SBDF1.  A step is halved and retried when it
-increases the energy excess, so energy monotonicity is enforced, not
-hoped for.
+whatever n is and its size is capped for accuracy, not stability.  A run
+starts with SBDF1, then SBDF2, then SBDF3.  A step is halved and retried
+when it increases the energy excess, so energy monotonicity is enforced,
+not hoped for.
 """
 
 from __future__ import annotations
@@ -139,15 +139,18 @@ def hessian_form(grid, rho, rhohat):
     return lat.integrate(grid, ext.wedge22(td, rhohat))
 
 
-def l1_report(grid, rho, e, t):
-    """Energy report for rho, whose energy is the Energy e, with the L1 bound
-    |rho|_L1 <= sqrt(c (E - Vol)).
+def l1_report(grid, rho, e, t, coh):
+    """Energy report for rho, whose energy is the Energy e and whose
+    cohomology class is coh, with the L1 bound |rho|_L1 <= sqrt(c (E - Vol)),
+    c = integral of rho ^ rho.
 
-    Raises StepFailure, with a diagnostic naming the flow time t, when the
-    bound is violated.
+    c is a class invariant: for rho = coh + an exact form, the exact part
+    wedges to an integral of zero, so c = coh ^ coh and no integral is
+    taken.  Raises StepFailure, with a diagnostic naming the flow time t,
+    when the bound is violated.
     """
     l1 = lat.integrate(grid, np.sqrt(ext.norm2_sq(rho)))
-    c = lat.integrate(grid, ext.wedge22(rho, rho))
+    c = float(ext.wedge22(coh, coh))
     bound = math.sqrt(max(c * (e - 1.0), 0.0))
     if l1 > bound + 1e-10:
         raise StepFailure(
@@ -161,7 +164,7 @@ def monitors(grid, rho, e, velocity, coh0, t):
     """Monitor values of the field rho at flow time t, given its energy e
     and its velocity rhs(grid, rho); residual_l2 is the velocity's flat L2
     norm (the stationarity test)."""
-    rep = l1_report(grid, rho, e, t)
+    rep = l1_report(grid, rho, e, t, coh0)
     drift = float(np.abs(lat.cohomology(grid, rho) - coh0).max())
     return {
         "energy": rep.energy,
@@ -210,56 +213,79 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2):
 # time stepping
 # ---------------------------------------------------------------------------
 
-DT_ACCURACY = 0.004     # default step-size cap, in flow time
+DT_ACCURACY = 0.0075    # default step-size cap, in flow time
+
+
+def _sbdf_weights(steps):
+    """Weights of variable-step SBDFk, k = len(steps), for the steps
+    (h_n, h_{n-1}, ...), newest first: alpha_0..alpha_k differentiate the
+    Lagrange interpolant through rho_{n+1}, rho_n, ..., rho_{n+1-k} at
+    t_{n+1}, and beta_0..beta_{k-1} extrapolate through the values at t_n,
+    ..., t_{n+1-k} to t_{n+1}."""
+    t = [0.0]                   # t_{n+1-j} - t_{n+1}
+    for h in steps:
+        t.append(t[-1] - h)
+    nodes = range(1, len(t))
+    alpha = [sum(-1.0 / tm for tm in t[1:])]
+    alpha += [math.prod(-t[m] for m in nodes if m != j)
+              / math.prod(t[j] - t[m] for m in range(len(t)) if m != j)
+              for j in nodes]
+    beta = [math.prod(t[m] / (t[m] - t[j]) for m in nodes if m != j)
+            for j in nodes]
+    return alpha, beta
 
 
 def _increment(grid, velocity, history, h):
     """The SBDF increment D = rho_{n+1} - rho_n of a step h from the state
     whose velocity F_n is given, with the flat Laplacian L implicit.
 
-    ``history`` is [delta, F_{n-1}, h_{n-1}] of the accepted step before,
-    delta = rho_n - rho_{n-1}, or empty.  With w = h / h_{n-1} and
-    c = (1 + 2w) / (1 + w), variable-step SBDF2 (Wang & Ruuth 2008) is
+    ``history`` holds the records (delta_i, F_{n-i}, h_{n-i}) of the last
+    accepted steps, newest first, delta_i = rho_{n+1-i} - rho_{n-i}; the
+    order k is one more than its length (at most 2).  BDFk is taken on
+    rho, and G = F + L rho is extrapolated through the last k velocities
+    (weights from :func:`_sbdf_weights`).  Written in the increments,
 
-        (c + hL) D = (w^2 / (1 + w) + hwL) delta + h ((1 + w) F_n - w F_{n-1}),
+        D = -sum_i e_i delta_i + (alpha_0 + L)^-1 (sum_j beta_j F_{n-j}
+              + sum_i (a_i + alpha_0 e_i) delta_i),
 
-    and without a history SBDF1, (1 + hL) D = h F_n.  As w^2 / (1 + w)
-    = w c - w, SBDF2 is D = w delta + (c/h + L)^-1 ((1 + w) F_n - w F_{n-1}
-    - (w/h) delta): one resolvent, which is eight small gemms along the
-    lattice axes (see :func:`donflow.lattice.resolvent`).  Every increment
-    is exact up to round-off; at k = 0, where L = 0, a round-off mean in
-    delta is damped by w^2 / (1 + 2w) per step, so the class does not
-    drift.
+    with a_i = sum_{j > i} alpha_j and e_i = sum_{j >= i} beta_j: one
+    resolvent, which is eight small gemms along the lattice axes (see
+    :func:`donflow.lattice.resolvent`).  Every increment is exact up to
+    round-off; at k = 0, where L = 0, a round-off mean in the deltas
+    follows the BDF recurrence of y' = 0, whose spurious roots lie inside
+    the unit disk, so the class does not drift.
     """
-    if not history:
-        return lat.resolvent(grid, velocity, 1.0 / h)
-    delta, f_prev, h_prev = history
-    w = h / h_prev
-    force = np.multiply(velocity, 1.0 + w)
-    scaled = np.multiply(f_prev, w)
-    force -= scaled
-    force -= np.multiply(delta, w / h, out=scaled)
-    del scaled  # freed before the transform
-    incr = lat.resolvent(grid, force, (1.0 + 2.0 * w) / ((1.0 + w) * h))
-    incr += np.multiply(delta, w, out=force)
+    alpha, beta = _sbdf_weights([h] + [rec[2] for rec in history])
+    force = np.multiply(velocity, beta[0])
+    scratch = np.empty_like(force)
+    for i, (delta, f_prev, _) in enumerate(history, 1):
+        force += np.multiply(f_prev, beta[i], out=scratch)
+        force += np.multiply(delta, sum(alpha[i + 1:])
+                             + alpha[0] * sum(beta[i:]), out=scratch)
+    del scratch  # freed before the resolvent
+    incr = lat.resolvent(grid, force, alpha[0])
+    for i, (delta, _, _) in enumerate(history, 1):
+        incr -= np.multiply(delta, sum(beta[i:]), out=force)
     return incr
 
 
 def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
          dealias=False):
     """One accepted SBDF step from state, whose velocity rhs(grid,
-    state.rho) is given (see :func:`_increment`): second order with the
-    ``history`` of the step before, first order without.  A candidate that
-    is degenerate or increases the energy excess is halved and retried
-    with the same history.  Returns the accepted state and its velocity
-    (see :func:`accept`).  Raises StepFailure when the retry budget is
-    exhausted.
+    state.rho) is given (see :func:`_increment`): third order with the
+    records of the two steps before in ``history``, second order with one,
+    first order without.  A candidate that is degenerate or increases the
+    energy excess is halved and retried with the same history: at the
+    linearization F = -L, variable-step SBDF3 damps every mode through a
+    step ratio of 0.5 (or 2^-20) and the growth by 1.1 that follows.
+    Returns the accepted state and its velocity (see :func:`accept`).
+    Raises StepFailure when the retry budget is exhausted.
 
     ``history`` is a list, empty before the first step of a run.  On
-    acceptance it is overwritten in place with this step's, before the new
-    velocity is evaluated: the fields of the step before are freed first,
-    so the velocity's temporaries come on top of two history fields, not
-    four."""
+    acceptance it is overwritten in place, this step's record first and
+    the one from three steps back dropped, before the new velocity is
+    evaluated: the dropped fields are freed first, so the velocity's
+    temporaries come on top of four history fields, not six."""
     dt_start = min(state.dt, dt_max)
     last_error = "energy increased"
     for retry in range(max_retries + 1):
@@ -274,7 +300,7 @@ def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
             last_error = str(err)
             continue
         if e_new.excess <= state.excess:
-            history[:] = (cand - state.rho, velocity, dt)
+            history[:] = [(cand - state.rho, velocity, dt)] + history[:1]
             return accept(grid, cand, state.t + dt, min(dt * 1.1, dt_max),
                           e_new, coh0)
         last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
@@ -283,7 +309,7 @@ def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
         diagnostic={
             "t": state.t,
             "dt": dt,
-            "order": 2 if history else 1,
+            "order": len(history) + 1,
             "error": last_error,
             "u_min": float(ext.u_of(state.rho).min()),
             "energy": state.monitors["energy"],

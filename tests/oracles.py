@@ -210,24 +210,28 @@ def sbdf_amplitudes(lam, lap, hs, y0):
     is ``lap``, under IMEX steps of sizes ``hs`` on y' = F(y) = -lam y.
 
     The linear part -lap y is implicit and N(y) = F(y) + lap y explicit.
-    The first step is IMEX Euler, (1 + h lap) y_1 = y_0 + h N(y_0).  Each
-    later one is variable-step BDF2 with a linearly extrapolated N: with
-    w = h_k / h_{k-1},
+    Step k (from 0) is variable-step BDFq, q = min(k + 1, 3), with N
+    extrapolated through its last q values.  On the times s_0 = t_{k+1},
+    s_1 = t_k, ..., s_q, in units of h_k from s_0, the BDF weights a_j
+    solve the Vandermonde system sum_j a_j s_j^m = m s_0^(m-1), m <= q
+    (they differentiate every polynomial of degree q exactly at s_0), and
+    the extrapolation weights b_j solve sum_{j>=1} b_j s_j^m = s_0^m,
+    m < q.  Then
 
-        (1 + 2w) / (1 + w) y_{k+1} - (1 + w) y_k + w^2 / (1 + w) y_{k-1}
-            = h_k ((1 + w) N(y_k) - w N(y_{k-1})) - h_k lap y_{k+1}.
+        sum_j a_j y_{k+1-j} = h_k (sum_{j>=1} b_j N(y_{k+1-j}) - lap y_{k+1}).
     """
     def explicit(y):
         return (lap - lam) * y
 
-    ys = [float(y0)]
-    for k, h in enumerate(hs):
-        y = ys[-1]
-        if k == 0:
-            ys.append((y + h * explicit(y)) / (1.0 + h * lap))
-            continue
-        w, y_prev = h / hs[k - 1], ys[-2]
-        rhs = ((1.0 + w) * y - w * w / (1.0 + w) * y_prev
-               + h * ((1.0 + w) * explicit(y) - w * explicit(y_prev)))
-        ys.append(rhs / ((1.0 + 2.0 * w) / (1.0 + w) + h * lap))
+    ys, times = [float(y0)], [0.0]
+    for h in hs:
+        times.append(times[-1] + h)
+        q = min(len(ys), 3)
+        s = (np.array(times[:-q - 2:-1]) - times[-1]) / h
+        powers = np.arange(q + 1)[:, None]
+        a = np.linalg.solve(s ** powers, (powers[:, 0] == 1).astype(float))
+        b = np.linalg.solve(s[1:] ** powers[:q], (powers[:q, 0] == 0).astype(float))
+        past = ys[:-q - 1:-1]
+        rhs = h * sum(bj * explicit(y) for bj, y in zip(b, past)) - a[1:] @ past
+        ys.append(rhs / (a[0] + h * lap))
     return ys[1:]

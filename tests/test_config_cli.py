@@ -167,7 +167,8 @@ def test_l1_violation_is_a_step_failure(tmp_path, monkeypatch):
     g = lat.Grid(8)
     omega = g.constant(OMEGA1)
     with pytest.raises(flow.StepFailure) as err:
-        flow.l1_report(g, omega, flow.energy(g, omega), 0.5)
+        flow.l1_report(g, omega, flow.energy(g, omega), 0.5,
+                       lat.cohomology(g, omega))
     diag = err.value.diagnostic
     assert sorted(diag) == ["energy", "l1_bound", "l1_norm", "t"]
     assert (diag["t"], diag["l1_bound"], diag["energy"]) == (0.5, 0.0, 1.0)

@@ -190,25 +190,40 @@ def test_hessian_polarization_symmetric(rng):
     assert abs(bil_ab - bil_ba) < 1e-10 * scale
 
 
+def _l1_report(grid, rho):
+    return flow.l1_report(grid, rho, flow.energy(grid, rho), 0.0,
+                          lat.cohomology(grid, rho))
+
+
 def test_l1_report_equality_cases(rng):
     g = sgrid(8)
     omega = g.constant(ext.OMEGA1)
-    rep = flow.l1_report(g, omega, flow.energy(g, omega), 0.0)
+    rep = _l1_report(g, omega)
     assert rep.l1_norm == pytest.approx(math.sqrt(2), rel=1e-12)
     assert rep.l1_bound == pytest.approx(math.sqrt(2), rel=1e-12)
-    omega3 = g.constant(3.0 * ext.OMEGA1)
-    rep3 = flow.l1_report(g, omega3, flow.energy(g, omega3), 0.0)
+    rep3 = _l1_report(g, g.constant(3.0 * ext.OMEGA1))
     assert rep3.l1_norm == pytest.approx(rep3.l1_bound, rel=1e-12)
     rho = g.constant([1.5, 0, 0, 0.5, 0, 0])
-    rep2 = flow.l1_report(g, rho, flow.energy(g, rho), 0.0)
+    rep2 = _l1_report(g, rho)
     # c = int rho ^ rho = 1.5 and E = 8/3, so the bound sqrt(1.5 * 5/3) is
     # attained: constant fields always sit on the Cauchy-Schwarz equality
     assert rep2.l1_norm == pytest.approx(math.sqrt(2.5), rel=1e-12)
     assert rep2.l1_bound == pytest.approx(math.sqrt(2.5), rel=1e-12)
     pert = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    repp = flow.l1_report(g, pert, flow.energy(g, pert), 0.0)
+    repp = _l1_report(g, pert)
     assert repp.l1_norm <= repp.l1_bound + 1e-10
     assert repp.l1_norm < repp.l1_bound
+
+
+@pytest.mark.parametrize("scheme", ["spectral", "fd2"])
+def test_l1_bound_reads_the_class_invariant(rng, scheme):
+    # the exact part of rho wedges to an integral of zero, so the c of the
+    # bound, read from the class, is the lattice integral of rho ^ rho
+    g = lat.Grid(8, scheme)
+    pert = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
+    coh = lat.cohomology(g, pert)
+    c = lat.integrate(g, ext.wedge22(pert, pert))
+    assert float(ext.wedge22(coh, coh)) == pytest.approx(c, rel=1e-14)
 
 
 def _state(grid, rho, dt):
@@ -268,8 +283,8 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
 
 
 def test_step_makes_no_transforms(monkeypatch):
-    # the implicit solve of SBDF1 and SBDF2 is gemms in the real Fourier
-    # basis; rhs, energy and the monitors make no transform either
+    # the implicit solve of SBDF1, SBDF2 and SBDF3 is gemms in the real
+    # Fourier basis; rhs, energy and the monitors make no transform either
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
@@ -285,10 +300,10 @@ def test_step_makes_no_transforms(monkeypatch):
                  "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     history = []
-    for _ in range(2):
+    for _ in range(3):
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
         flow.rhs(g, st.rho)
-    assert len(history) == 3
+    assert len(history) == 2
     assert calls == []
 
 
@@ -314,13 +329,15 @@ def test_package_makes_no_transforms(monkeypatch, tmp_path):
 
 def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
     # the history is overwritten in place on acceptance, so the fields of
-    # the step before are gone when the new velocity is evaluated
+    # the step from three steps back are gone when the new velocity is
+    # evaluated, and those of the step before are kept
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
     history = []
-    st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-    old = [weakref.ref(field) for field in history[:2]]
+    for _ in range(2):
+        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+    kept, old = history[0], [weakref.ref(field) for field in history[1][:2]]
     rhs, freed = flow.rhs, []
 
     def probe(grid, rho):
@@ -330,15 +347,20 @@ def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
     monkeypatch.setattr(flow, "rhs", probe)
     st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
     assert freed == [[True, True]]
+    assert len(history) == 2 and history[1] is kept
 
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 3.0])
 def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
     # one Fourier mode y cos(2 pi x0) on omega2 over omega1 with
     # F = -lambda y, lambda = ratio * L for the mode's Laplace symbol L:
-    # the amplitudes follow the scalar SBDF1/SBDF2 recurrence, through
-    # step ratios w = 1.1, 1.1, 0.5, 1.5 and 1; the perturbation is
-    # self-dual, so the excess stays 0 and no step is rejected
+    # the amplitudes follow the scalar SBDF1/SBDF2/SBDF3 recurrence, the
+    # third order from the third step on, through step ratios w = 1.1,
+    # 1.1, 0.5, 1.5 and 1; the perturbation is self-dual, so the excess
+    # stays 0 and no step is rejected.  A self-dual mode is not closed
+    # (closed and self-dual is constant), so the field leaves its class and
+    # its integral of rho ^ rho is not the class's: the monitors, whose L1
+    # bound reads that integral from the class, do not apply to it
     g = sgrid(4)
     lap = (2 * np.pi) ** 2
     lam = ratio * lap
@@ -346,6 +368,8 @@ def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
     mode = np.cos(2 * np.pi * g.coords()[0]) * ext.OMEGA2.reshape(6, 1, 1, 1, 1)
     mode = mode + np.zeros((6,) + g.shape)
     monkeypatch.setattr(flow, "rhs", lambda grid, rho: -lam * (rho - base))
+    monkeypatch.setattr(flow, "monitors", lambda grid, rho, e, velocity, coh0,
+                        t: {"energy": e})
     hs = [0.01, 0.011, 0.0121, 0.00605, 0.009075, 0.009075]
     y0 = 0.1
     st, v, coh0 = _state(g, base + y0 * mode, hs[0])
@@ -369,6 +393,25 @@ def test_step_is_stationary_at_minimum():
                          history=history)
     assert np.array_equal(again.rho, st.rho)
     assert new.monitors["energy"] == pytest.approx(2.0, abs=1e-13)
+
+
+def test_sbdf3_damps_every_mode_through_a_halving():
+    # a rejected step is retried at half the size with the same history,
+    # and the next step is 1.1 times the accepted one: at the linearization
+    # F = -L (lam = lap) the one-mode amplitudes through a halving, or 20,
+    # and the growth back to the cap never exceed those before it, from
+    # the smoothest mode to the stiffest (h lap up to 1e5)
+    cap = flow.DT_ACCURACY
+    for halvings in (1, 2, 20):
+        hs = [cap] * 10 + [cap * 0.5 ** halvings]
+        while hs[-1] < cap:
+            hs.append(min(hs[-1] * 1.1, cap))
+        hs += [cap] * 5
+        for h_lap in np.geomspace(1e-3, 1e5, 50):
+            lap = h_lap / cap
+            ys = np.abs([1.0] + oracles.sbdf_amplitudes(lap, lap, hs, 1.0))
+            before = ys[8:11].max()
+            assert ys[11:].max() <= before * (1 + 1e-12), (halvings, h_lap)
 
 
 def test_step_decreases_energy(rng):
@@ -416,6 +459,27 @@ def test_step_failure_near_degenerate():
     with pytest.raises(flow.StepFailure) as err:
         flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=[], max_retries=8)
     assert err.value.diagnostic["t"] == 0.0
+
+
+def test_step_failure_reports_the_order(monkeypatch):
+    # the diagnostic names the order of the scheme of the last attempt: one
+    # more than the length of the history, 3 once it holds two steps
+    g = sgrid(8)
+    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
+    st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
+    history, orders = [], []
+    energy = flow.energy
+    for _ in range(3):
+        monkeypatch.setattr(flow, "energy",
+                            lambda grid, rho: flow.Energy(math.inf))
+        with pytest.raises(flow.StepFailure) as err:
+            flow.step(g, st, v, coh0, flow.DT_ACCURACY, history,
+                      max_retries=2)
+        orders.append(err.value.diagnostic["order"])
+        monkeypatch.setattr(flow, "energy", energy)
+        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+    assert orders == [1, 2, 3]
+    assert len(history) == 2
 
 
 def test_step_with_dealiasing(rng):
@@ -596,10 +660,12 @@ def test_run_ignores_a_stale_lock(tmp_path):
     assert not (out / ".lock").exists()
 
 
-def test_run_decays_at_the_spectral_gap(tmp_path):
+@pytest.mark.parametrize("n", [8, 16])
+def test_run_decays_at_the_spectral_gap(tmp_path, n):
     # near the minimum the flow is the flat Laplacian on exact 2-forms, so
-    # the residual decays at its spectral gap 4 pi^2
-    cfg = RunConfig(n=8, scheme="spectral", T=50.0, tol_stationary=1e-8,
+    # the residual decays at its spectral gap 4 pi^2; at the step cap the
+    # BDF3 root is 0.90% below it
+    cfg = RunConfig(n=n, scheme="spectral", T=50.0, tol_stationary=1e-8,
                     seed=7, epsilon=0.05, kmax=2, out_every=1,
                     out_dir=str(tmp_path / "out"))
     res = flow.run(cfg)
@@ -629,28 +695,41 @@ def test_run_decays_at_the_fd2_gap(tmp_path):
     assert rate == pytest.approx(64 * math.sin(2 * math.pi / 8) ** 2, rel=0.01)
 
 
-def _fixed_steps(grid, rho0, t_end, k):
-    """rho0 advanced to t_end by k steps of one size."""
+def _fixed_steps(grid, start, t_end, k):
+    """The fields at the ends of k steps of size h = t_end / k, the first
+    len(start) - 1 of them given: ``start`` holds the fields at t = 0, h,
+    ..., which seed the history, so with three the first step taken is
+    SBDF3 and with one it is SBDF1."""
     h = t_end / k
-    coh0 = lat.cohomology(grid, rho0)
-    st, v = flow.accept(grid, rho0, 0.0, h, flow.energy(grid, rho0), coh0)
-    history = []
-    for _ in range(k):
+    coh0 = lat.cohomology(grid, start[0])
+    fields, history = [start[0]], []
+    st, v = flow.accept(grid, start[0], 0.0, h, flow.energy(grid, start[0]),
+                        coh0)
+    for i, rho in enumerate(start[1:], 1):
+        history[:] = [(rho - fields[-1], v, h)] + history[:1]
+        st, v = flow.accept(grid, rho, i * h, h, flow.energy(grid, rho), coh0)
+        fields.append(rho)
+    while len(fields) <= k:
         st.dt = h
         st, v = flow.step(grid, st, v, coh0, h, history)
-    return st.rho
+        fields.append(st.rho)
+    assert st.t == pytest.approx(t_end, rel=1e-12)   # no step was rejected
+    return fields
 
 
-def test_step_is_second_order():
+def test_step_is_third_order():
     # fixed-step self-convergence to T = 0.004 against 160 steps: halving
-    # the step divides the error by 4 +- 20%
+    # the step divides the error by 8 +- 20%.  A first-order start caps
+    # the order at 2, so every run takes its first two steps from the
+    # reference and starts with SBDF3
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(1)))
-    ref = _fixed_steps(g, rho0, 0.004, 160)
-    errs = [lat.l2_norm(g, _fixed_steps(g, rho0, 0.004, k) - ref)
+    ref = _fixed_steps(g, [rho0], 0.004, 160)
+    errs = [lat.l2_norm(g, _fixed_steps(g, ref[:2 * 160 // k + 1:160 // k],
+                                        0.004, k)[-1] - ref[-1])
             for k in (10, 20, 40)]
     for coarse, fine in zip(errs, errs[1:]):
-        assert 3.2 < coarse / fine < 4.8
+        assert 6.4 < coarse / fine < 9.6
 
 
 @pytest.mark.parametrize("n, tol", [(8, 0.1), (16, 1e-2)])
@@ -667,6 +746,6 @@ def test_run_matches_a_fine_reference(tmp_path, n, tol):
                     out_dir=str(tmp_path / "out"))
     res = flow.run(cfg)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(1)))
-    ref = _fixed_steps(g, rho0, res.state.t, 40)
+    ref = _fixed_steps(g, [rho0], res.state.t, 40)[-1]
     err = lat.l2_norm(g, res.state.rho - ref) / lat.l2_norm(g, ref - rho0)
     assert err < tol
