@@ -8,8 +8,7 @@ line counts the stationary rows and gives their step range; the exit code
 is 1 when any row ends other than stationary, so the sweep is a gate.
 
     python3 scripts/convergence_experiment.py --n 8 --epsilons 0.02 0.05 0.1
-    python3 scripts/convergence_experiment.py --seeds $(seq 1 43) \
-        --epsilons 0.05 --dt-max 2.2e-3
+    python3 scripts/convergence_experiment.py --seeds $(seq 1 43) --epsilons 0.05
 """
 
 import argparse
@@ -35,8 +34,6 @@ def main(argv=None):
                     default=[0.02, 0.05, 0.1])
     ap.add_argument("--seeds", type=int, nargs="+", default=[7])
     ap.add_argument("--tol", type=float, default=1e-8)
-    ap.add_argument("--dt-max", type=float, default=None,
-                    help="step-size cap (default: the run's default)")
     ap.add_argument("--out", type=Path, default=Path("convergence_sweep.csv"))
     args = ap.parse_args(argv)
 
@@ -46,8 +43,7 @@ def main(argv=None):
             with tempfile.TemporaryDirectory() as tmp:
                 cfg = RunConfig(n=args.n, scheme=args.scheme, T=100.0,
                                 tol_stationary=args.tol, seed=seed,
-                                epsilon=eps, dt_max=args.dt_max,
-                                out_every=50, out_dir=tmp)
+                                epsilon=eps, out_every=50, out_dir=tmp)
                 t0 = time.monotonic()
                 res = flow.run(cfg)
                 wall = time.monotonic() - t0

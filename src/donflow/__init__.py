@@ -17,13 +17,12 @@ from donflow.exterior import (
     NonPositiveMetric,
     NotPositivePlane,
 )
-from donflow.flow import EnergyReport, FlowState, StepFailure, run
+from donflow.flow import FlowState, StepFailure, run
 from donflow.lattice import Grid, NoConvergence, NotExact
 
 __all__ = [
     "ConfigError",
     "DegenerateForm",
-    "EnergyReport",
     "FlowState",
     "Grid",
     "NoConvergence",

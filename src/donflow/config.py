@@ -19,9 +19,6 @@ class ConfigError(ValueError):
 class RunConfig:
     n: int = 8
     scheme: str = "spectral"
-    dealias: bool = False
-    sigma_cfl: float = 0.2
-    dt_max: float | None = None          # None: flow.DT_ACCURACY
     T: float = 10.0
     tol_stationary: float = 1e-8
     seed: int = 0
@@ -34,18 +31,14 @@ class RunConfig:
     samples: int = 20000
     report_path: str | None = None
 
-    @property
-    def dt0(self):
-        return self.sigma_cfl / self.n ** 2
-
     def validate(self):
         if self.n < 4 or self.n % 2:
             raise ConfigError(f"n: must be even and >= 4, got {self.n}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme: {self.scheme!r} not in {SCHEMES}")
-        for key in ("epsilon", "sigma_cfl", "dt_max", "T", "tol_stationary"):
+        for key in ("epsilon", "T", "tol_stationary"):
             value = getattr(self, key)
-            if not (value is None and key == "dt_max" or value > 0):
+            if not value > 0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
         for key in ("kmax", "out_every", "samples"):
             if getattr(self, key) < 1:
@@ -64,10 +57,9 @@ class RunConfig:
 
 
 # each field's annotation (a string) and the JSON values each one takes;
-# bool is an int to Python but not to JSON
+# bool is an int to Python but not to JSON, and no key takes one
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
-               "list": list, "float | None": (int, float, type(None)),
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list,
                "str | None": (str, type(None))}
 
 
@@ -79,7 +71,7 @@ def from_dict(data):
         raise ConfigError(f"{unknown[0]}: unknown configuration key")
     for key, value in data.items():
         want = _JSON_TYPES[_FIELDS[key]]
-        if isinstance(value, bool) != (want is bool) or not isinstance(value, want):
+        if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"{key}: expected {_FIELDS[key]}, "
                               f"got {type(value).__name__}")
     return RunConfig(**data).validate()

@@ -62,20 +62,11 @@ class FlowState:
 
 
 @dataclass
-class EnergyReport:
-    energy: float
-    excess: float
-    l1_norm: float
-    l1_bound: float
-
-
-@dataclass
 class RunResult:
     reason: str            # "stationary" | "time"
     state: FlowState
     steps: int
     csv_path: Path
-    snapshot_paths: list
 
 
 class Energy(float):
@@ -140,9 +131,9 @@ def hessian_form(grid, rho, rhohat):
 
 
 def l1_report(grid, rho, e, t, coh):
-    """Energy report for rho, whose energy is the Energy e and whose
-    cohomology class is coh, with the L1 bound |rho|_L1 <= sqrt(c (E - Vol)),
-    c = integral of rho ^ rho.
+    """The L1 norm of rho, whose energy is the Energy e and whose
+    cohomology class is coh, and its bound sqrt(c (E - Vol)), c = integral
+    of rho ^ rho, as the pair (l1_norm, l1_bound).
 
     c is a class invariant: for rho = coh + an exact form, the exact part
     wedges to an integral of zero, so c = coh ^ coh and no integral is
@@ -157,21 +148,21 @@ def l1_report(grid, rho, e, t, coh):
             f"L1 bound violated at t = {t:g}: {l1:.15g} > {bound:.15g}",
             diagnostic={"t": t, "l1_norm": l1, "l1_bound": bound,
                         "energy": e})
-    return EnergyReport(energy=e, excess=e.excess, l1_norm=l1, l1_bound=bound)
+    return l1, bound
 
 
 def monitors(grid, rho, e, velocity, coh0, t):
     """Monitor values of the field rho at flow time t, given its energy e
     and its velocity rhs(grid, rho); residual_l2 is the velocity's flat L2
     norm (the stationarity test)."""
-    rep = l1_report(grid, rho, e, t, coh0)
+    l1, bound = l1_report(grid, rho, e, t, coh0)
     drift = float(np.abs(lat.cohomology(grid, rho) - coh0).max())
     return {
-        "energy": rep.energy,
+        "energy": e,
         "residual_l2": lat.l2_norm(grid, velocity),
         "u_min": float(ext.u_of(rho).min()),
-        "l1_norm": rep.l1_norm,
-        "l1_bound": rep.l1_bound,
+        "l1_norm": l1,
+        "l1_bound": bound,
         "coh_drift_max": drift,
     }
 
@@ -213,7 +204,7 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2):
 # time stepping
 # ---------------------------------------------------------------------------
 
-DT_ACCURACY = 0.0075    # default step-size cap, in flow time
+DT_ACCURACY = 0.0075    # step-size cap, in flow time
 
 
 def _sbdf_weights(steps):
@@ -269,8 +260,7 @@ def _increment(grid, velocity, history, h):
     return incr
 
 
-def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
-         dealias=False):
+def step(grid, state, velocity, coh0, dt_max, history, max_retries=20):
     """One accepted SBDF step from state, whose velocity rhs(grid,
     state.rho) is given (see :func:`_increment`): third order with the
     records of the two steps before in ``history``, second order with one,
@@ -292,8 +282,6 @@ def step(grid, state, velocity, coh0, dt_max, history, max_retries=20,
         dt = dt_start * 0.5 ** retry
         cand = _increment(grid, velocity, history, dt)
         cand += state.rho
-        if dealias:
-            cand = lat.dealias(grid, cand)
         try:
             e_new = energy(grid, cand)
         except DegenerateForm as err:
@@ -363,6 +351,18 @@ def _u_where_finite(rho):
     return u
 
 
+def _require_closed(grid, rho):
+    """Raise StepFailure at t = 0 unless d rho vanishes to round-off
+    (relative to n max|rho|): the flow moves closed forms in their class,
+    and the L1 bound reads its c from the class."""
+    closure = float(np.abs(lat.d2(grid, rho)).max())
+    bound = 1e-10 * grid.n * float(np.abs(rho).max())
+    if closure > bound:
+        raise StepFailure(
+            f"rho0 is not closed: max |d rho0| = {closure:.3e} > {bound:.3e}",
+            diagnostic={"t": 0.0, "d_rho_max": closure, "d_rho_bound": bound})
+
+
 def run(config, rho0=None):
     """Integrate the flow until stationarity or final time: the run stops
     at the first accepted step with residual_l2 < tol_stationary or t >= T,
@@ -370,7 +370,8 @@ def run(config, rho0=None):
 
     Writes the monitor CSV and the initial/final snapshots into
     ``config.out_dir``.  On StepFailure the partial CSV, a failure snapshot
-    and a diagnostic JSON are flushed before the exception propagates.
+    and a diagnostic JSON are flushed before the exception propagates; a
+    ``rho0`` that is not closed fails at t = 0 (:func:`_require_closed`).
     """
     config.validate()
     grid = lat.Grid(config.n, config.scheme)
@@ -380,17 +381,16 @@ def run(config, rho0=None):
         rng = np.random.Generator(np.random.Philox(config.seed))
         rho0 = initial_data(grid, rng, config.epsilon, config.kmax)
 
-    dt_cap = config.dt_max if config.dt_max is not None else DT_ACCURACY
-
     csv_path = out_dir / "monitors.csv"
-    snaps = []
     with _OutputLock(out_dir):
         try:
             ext.require_u(_u_where_finite(rho0))  # before the sums see rho0
+            _require_closed(grid, rho0)
             e0 = energy(grid, rho0)
             coh0 = lat.cohomology(grid, rho0)
-            state, velocity = accept(grid, rho0, 0.0, min(config.dt0, dt_cap),
-                                     e0, coh0)
+            # a CFL-style start below the cap; the step then grows by 1.1
+            dt0 = min(0.2 / config.n ** 2, DT_ACCURACY)
+            state, velocity = accept(grid, rho0, 0.0, dt0, e0, coh0)
         except DegenerateForm as err:
             u = _u_where_finite(rho0)
             finite = np.isfinite(u)
@@ -402,8 +402,8 @@ def run(config, rho0=None):
         except StepFailure as err:
             _write_failure(out_dir, err.diagnostic)
             raise
-        snaps.append(save_snapshot(out_dir / "snapshot_initial", grid,
-                                   state.rho, state.t, state.monitors))
+        save_snapshot(out_dir / "snapshot_initial", grid, state.rho, state.t,
+                      state.monitors)
         steps, history = 0, []
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
@@ -418,24 +418,23 @@ def run(config, rho0=None):
                 while (state.monitors["residual_l2"] >= config.tol_stationary
                        and state.t < config.T):
                     state, velocity = step(grid, state, velocity, coh0,
-                                           dt_cap, history,
-                                           dealias=config.dealias)
+                                           DT_ACCURACY, history)
                     steps += 1
                     if steps % config.out_every == 0:
                         emit(state)
             except StepFailure as err:
                 if steps % config.out_every:
                     emit(state)
-                snaps.append(save_snapshot(out_dir / "snapshot_failed", grid,
-                                           state.rho, state.t, state.monitors))
+                save_snapshot(out_dir / "snapshot_failed", grid, state.rho,
+                              state.t, state.monitors)
                 _write_failure(out_dir, err.diagnostic)
                 raise
             if steps % config.out_every:
                 emit(state)
-        snaps.append(save_snapshot(out_dir / "snapshot_final", grid,
-                                   state.rho, state.t, state.monitors))
+        save_snapshot(out_dir / "snapshot_final", grid, state.rho, state.t,
+                      state.monitors)
     reason = ("stationary"
               if state.monitors["residual_l2"] < config.tol_stationary
               else "time")
     return RunResult(reason=reason, state=state, steps=steps,
-                     csv_path=csv_path, snapshot_paths=snaps)
+                     csv_path=csv_path)

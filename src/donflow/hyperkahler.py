@@ -66,9 +66,10 @@ def grad_hk(grid, rho):
 
 
 def vector_from_potential(rho, mu):
-    """The vector field X with i(X) rho = -mu (pointwise solve)."""
-    pinv = ext.form2_matrix_inv(rho)
-    return np.einsum("...ij,j...->i...", pinv, np.asarray(mu))
+    """The vector field X with i(X) rho = -mu, pointwise: P(rho)^-1 =
+    -P(star rho) / pf(rho), so X is mu contracted into star rho over pf."""
+    return ext.interior2(mu, ext.star2_flat(rho)) / ext.require_pf(
+        ext.pfaffian(rho))
 
 
 def _khat(rho, rhohat, k, u):
@@ -115,10 +116,13 @@ def lie_derivative_k(grid, rho, x):
                      for ki in k_functions(rho)])
 
 
-def _nabla(grid, y, x):
-    """Flat covariant derivative of the vector field x along y."""
-    dx = np.stack([lat.d0(grid, x[a]) for a in range(4)], axis=1)
-    # dx[c, a] = partial_c x^a
+def _gradient(grid, x):
+    """Flat derivatives dx[c, a] = partial_c x^a of the vector field x."""
+    return np.stack([lat.d0(grid, x[a]) for a in range(4)], axis=1)
+
+
+def _nabla(y, dx):
+    """Flat covariant derivative along y of the field whose gradient is dx."""
     return np.einsum("c...,ca...->a...", y, dx)
 
 
@@ -162,14 +166,16 @@ def hessiancov_check(grid, rho, rhohat, mu):
     e_val = lat.integrate(grid, np.sum(hhat * lxk, axis=0) * u)
     nab_kx = 0.0   # sum_i omega_i(X, nabla_{X_Ki} X) dvol_rho
     nab_xk = 0.0   # sum_i omega_i(X, nabla_X X_Ki) dvol_rho
+    dx = _gradient(grid, x)
     for i in range(3):
         ixkw = ext.interior2(xk[i], OMEGAS[i])
         b_val += lat.integrate(
             grid, ext.wedge22(ext.wedge11(ixkw, ixrho), rhohat))
-        bracket = _nabla(grid, x, xk[i]) - _nabla(grid, xk[i], x)
-        c_val += lat.integrate(grid, _omega_pair(i, x, bracket) * u)
-        nab_kx += lat.integrate(grid, _omega_pair(i, x, _nabla(grid, xk[i], x)) * u)
-        nab_xk += lat.integrate(grid, _omega_pair(i, x, _nabla(grid, x, xk[i])) * u)
+        cov_kx = _nabla(xk[i], dx)
+        cov_xk = _nabla(x, _gradient(grid, xk[i]))
+        c_val += lat.integrate(grid, _omega_pair(i, x, cov_xk - cov_kx) * u)
+        nab_kx += lat.integrate(grid, _omega_pair(i, x, cov_kx) * u)
+        nab_xk += lat.integrate(grid, _omega_pair(i, x, cov_xk) * u)
 
     hh = lat.integrate(grid, np.sum(hhat ** 2, axis=0) * u)
     kk = lat.integrate(grid, _hessian_density(khat, k, u, rr))

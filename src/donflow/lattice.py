@@ -23,10 +23,10 @@ The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
 :func:`harmonic_projection` is a mean over parity classes of sites.
-:func:`inv_laplace`, :func:`resolvent` (the flow's implicit solve) and
-:func:`dealias` are Fourier multipliers that depend on each frequency only
-through b(k)^2 or |k|, so they are even in every k_i and diagonal in the
-real basis of cos(2 pi k x / n) and sin(2 pi k x / n) along each axis
+:func:`inv_laplace` and :func:`resolvent` (the flow's implicit solve) are
+Fourier multipliers that depend on each frequency only through b(k)^2, so
+they are even in every k_i and diagonal in the real basis of
+cos(2 pi k x / n) and sin(2 pi k x / n) along each axis
 (``Grid.real_basis``): a product of one such function per axis is a sum
 of the plane waves e^{2 pi i k.x} over the sign flips of the k_i, on
 which an even multiplier takes one value.  They are applied like d, by
@@ -286,12 +286,6 @@ def harmonic_projection(grid, f):
     for axis in (-8, -6, -4, -2):  # n/2 terms per mean: fast and accurate
         means = means.mean(axis=axis, keepdims=True)
     return np.broadcast_to(means, pairs.shape).reshape(np.shape(f))
-
-
-def dealias(grid, f):
-    """Two-thirds rule truncation of a field's spectrum."""
-    k0, k1, k2, k3 = _on_axes(grid.real_basis[1] <= grid.n / 3.0)
-    return _multiply(grid, f, k0 & k1 & k2 & k3)
 
 
 def integrate(grid, f4):

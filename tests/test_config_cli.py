@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +25,25 @@ json_values = st.recursive(
 
 
 def test_config_defaults_valid():
-    cfg = RunConfig().validate()
-    assert cfg.dt0 == pytest.approx(0.2 / 64)
-    assert cfg.dt_max is None
+    assert RunConfig().validate() == RunConfig()
+
+
+def test_run_starts_at_the_cfl_step(tmp_path):
+    from donflow import flow
+
+    res = flow.run(RunConfig(n=8, T=0.001, out_dir=str(tmp_path / "out")))
+    with open(res.csv_path, newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert float(first["dt"]) == 0.2 / 64
+
+
+def test_readme_lists_exactly_the_configuration_keys():
+    # the block under "### Configuration keys": one key per line at an
+    # indent of four, its continuation lines indented further
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Configuration keys\n\n", 1)[1].split("\n\n")[0]
+    keys = re.findall(r"^    (\w+)", block, flags=re.MULTILINE)
+    assert keys == list(template())
 
 
 def test_config_rejects_unknown_key():
@@ -49,6 +68,10 @@ def test_config_rejects_unknown_key():
     ({"n": True}, "n"),
     ({"out_dir": "a\0b"}, "out_dir"),
     ({"out_dir": "\ud800"}, "out_dir"),
+    ({"T": True}, "T"),
+    ({"dealias": False}, "dealias"),
+    ({"sigma_cfl": 0.2}, "sigma_cfl"),
+    ({"dt_max": None}, "dt_max"),
 ])
 def test_config_invariants(bad, key):
     with pytest.raises(ConfigError, match=key):

@@ -8,6 +8,7 @@ import oracles
 import pytest
 
 from donflow import checks
+from donflow import cli
 from donflow import exterior as ext
 from donflow import flow
 from donflow import hyperkahler as hk
@@ -198,21 +199,21 @@ def _l1_report(grid, rho):
 def test_l1_report_equality_cases(rng):
     g = sgrid(8)
     omega = g.constant(ext.OMEGA1)
-    rep = _l1_report(g, omega)
-    assert rep.l1_norm == pytest.approx(math.sqrt(2), rel=1e-12)
-    assert rep.l1_bound == pytest.approx(math.sqrt(2), rel=1e-12)
-    rep3 = _l1_report(g, g.constant(3.0 * ext.OMEGA1))
-    assert rep3.l1_norm == pytest.approx(rep3.l1_bound, rel=1e-12)
+    l1, bound = _l1_report(g, omega)
+    assert l1 == pytest.approx(math.sqrt(2), rel=1e-12)
+    assert bound == pytest.approx(math.sqrt(2), rel=1e-12)
+    l1, bound = _l1_report(g, g.constant(3.0 * ext.OMEGA1))
+    assert l1 == pytest.approx(bound, rel=1e-12)
     rho = g.constant([1.5, 0, 0, 0.5, 0, 0])
-    rep2 = _l1_report(g, rho)
+    l1, bound = _l1_report(g, rho)
     # c = int rho ^ rho = 1.5 and E = 8/3, so the bound sqrt(1.5 * 5/3) is
     # attained: constant fields always sit on the Cauchy-Schwarz equality
-    assert rep2.l1_norm == pytest.approx(math.sqrt(2.5), rel=1e-12)
-    assert rep2.l1_bound == pytest.approx(math.sqrt(2.5), rel=1e-12)
+    assert l1 == pytest.approx(math.sqrt(2.5), rel=1e-12)
+    assert bound == pytest.approx(math.sqrt(2.5), rel=1e-12)
     pert = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    repp = _l1_report(g, pert)
-    assert repp.l1_norm <= repp.l1_bound + 1e-10
-    assert repp.l1_norm < repp.l1_bound
+    l1, bound = _l1_report(g, pert)
+    assert l1 <= bound + 1e-10
+    assert l1 < bound
 
 
 @pytest.mark.parametrize("scheme", ["spectral", "fd2"])
@@ -308,8 +309,8 @@ def test_step_makes_no_transforms(monkeypatch):
 
 
 def test_package_makes_no_transforms(monkeypatch, tmp_path):
-    # on fresh grids, a dealiased run and every check suite call no
-    # numpy.fft entry point, set-up included
+    # on fresh grids, a run and every check suite call no numpy.fft entry
+    # point, set-up included
     calls = []
 
     def counting(name, fn):
@@ -320,7 +321,7 @@ def test_package_makes_no_transforms(monkeypatch, tmp_path):
 
     for name in np.fft.__all__:
         monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    cfg = RunConfig(n=4, T=0.02, dealias=True, out_dir=str(tmp_path / "out"))
+    cfg = RunConfig(n=4, T=0.02, out_dir=str(tmp_path / "out"))
     assert flow.run(cfg).steps > 0
     _, passed = checks.run_suites(["all"], 0, 20)
     assert passed
@@ -482,25 +483,6 @@ def test_step_failure_reports_the_order(monkeypatch):
     assert len(history) == 2
 
 
-def test_step_with_dealiasing(rng):
-    g = sgrid(8)
-    rng2 = np.random.Generator(np.random.Philox(9))
-    rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
-    st, v, coh0 = _state(g, rho0, dt=flow.DT_ACCURACY)
-    history = []
-    for _ in range(5):
-        st, v = flow.step(g, st, v, coh0, dt_max=flow.DT_ACCURACY,
-                          history=history, dealias=True)
-    # dealiased iterates have no spectrum beyond the two-thirds cutoff
-    spec = np.abs(np.fft.fftn(st.rho, axes=(1, 2, 3, 4)))
-    keep = np.abs(np.fft.fftfreq(g.n) * g.n) <= g.n / 3.0
-    zero = ~(keep.reshape(-1, 1, 1, 1) & keep.reshape(1, -1, 1, 1)
-             & keep.reshape(1, 1, -1, 1) & keep.reshape(1, 1, 1, -1))
-    assert spec[:, zero].max() < 1e-10 * spec.max()
-    assert st.monitors["coh_drift_max"] < 1e-12
-    assert st.monitors["energy"] <= 2.0 + (rho0 ** 2).sum()
-
-
 def test_run_fd2_scheme(tmp_path):
     cfg = RunConfig(n=8, scheme="fd2", T=0.05, epsilon=0.05, seed=11,
                     out_every=5, out_dir=str(tmp_path / "fd2"))
@@ -574,7 +556,7 @@ def test_run_reaches_stationarity_on_seed_28(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 28])
 def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed):
-    # dt_max = 2.2e-3 was 12% above the stability bound of the RK4 stepper
+    # a cap of 2.2e-3 was 12% above the stability bound of the RK4 stepper
     # this one replaced: when the guard compared the energies 2 + excess,
     # quantized at ulp(2), that run spun for thousands of steps with the
     # energy at 2.0; comparing the excess rejected the unstable steps
@@ -586,9 +568,10 @@ def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed
         return step(*args, **kwargs)
 
     monkeypatch.setattr(flow, "step", budgeted)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 2.2e-3)
     cfg = RunConfig(n=8, scheme="spectral", T=50.0, tol_stationary=1e-8,
                     seed=seed, epsilon=0.05, kmax=2, out_every=10,
-                    dt_max=2.2e-3, out_dir=str(tmp_path / "out"))
+                    out_dir=str(tmp_path / "out"))
     assert flow.run(cfg).reason == "stationary"
 
 
@@ -609,6 +592,31 @@ def test_run_flush_on_failure(tmp_path):
     for r in rows:
         assert all(math.isfinite(float(v)) for v in r.values())
     assert not (out / ".lock").exists()
+
+
+def test_run_rejects_a_rho0_that_is_not_closed(tmp_path, monkeypatch, capsys):
+    # omega1 + 0.1 cos(2 pi x0) omega2 has d = 0.2 pi sin(2 pi x0) times a
+    # 3-form; its integral of rho ^ rho is not the class's, so the L1 bound
+    # read from the class would stop the run with a misleading violation
+    def not_closed(grid):
+        x0 = grid.coords()[0] + np.zeros(grid.shape)
+        return grid.constant(ext.OMEGA1) + 0.1 * np.cos(2 * np.pi * x0) * (
+            grid.constant(ext.OMEGA2))
+
+    g = lat.Grid(4)
+    cfg = RunConfig(n=4, T=1.0, out_dir=str(tmp_path / "out"))
+    with pytest.raises(flow.StepFailure, match="rho0 is not closed"):
+        flow.run(cfg, rho0=not_closed(g))
+    diag = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert diag["t"] == 0.0
+    assert diag["d_rho_max"] == pytest.approx(0.2 * np.pi, rel=1e-12)
+    assert diag["d_rho_bound"] == pytest.approx(4e-10, rel=1e-12)  # n max|rho0|
+    # the same field from the command line is a step failure, exit code 2
+    monkeypatch.setattr(flow, "initial_data", lambda grid, *a: not_closed(grid))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 4, "out_dir": str(tmp_path / "cli")}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "rho0 is not closed" in capsys.readouterr().err
 
 
 def test_run_stops_on_nan_initial_data(tmp_path):
@@ -734,10 +742,10 @@ def test_step_is_third_order():
 
 @pytest.mark.parametrize("n, tol", [(8, 0.1), (16, 1e-2)])
 def test_run_matches_a_fine_reference(tmp_path, n, tol):
-    # the controlled one-call run to T = 0.004 from dt0 = sigma_cfl / n^2
+    # the controlled one-call run to T = 0.004 from a first step 0.2 / n^2
     # against 40 fixed steps to the same end, whose own error is ~8e-5: at
     # n = 16 (five steps) the transient error is within 1% of the change
-    # rho(T) - rho0.  At n = 8 dt0 = 0.003125 and the second step is near
+    # rho(T) - rho0.  At n = 8 that is 0.003125 and the second step is near
     # the 0.004 cap, large against the data's stiffest modes (h lambda ~ 2
     # at |k|^2 = 16): 7e-2 on seeds 1-3, and as much with a first step
     # exact in L, so the step size sets it, not the first-order start

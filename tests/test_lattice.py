@@ -160,7 +160,6 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     lat.harmonic_projection(g, fields[1])
     lat.inv_laplace(g, rho)
     lat.resolvent(g, rho, 250.0)
-    lat.dealias(g, rho)
     assert calls == []
 
 
@@ -275,14 +274,6 @@ def test_delta2_is_adjoint_of_d1(grid, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
-def test_dealias_truncates_spectrum():
-    g = sgrid(12)
-    x0, x1 = (c + np.zeros(g.shape) for c in g.coords()[:2])
-    f = np.cos(2 * np.pi * 2 * x0) + np.cos(2 * np.pi * 5 * x1)
-    out = lat.dealias(g, f)
-    assert_allclose(out, np.cos(2 * np.pi * 2 * x0), atol=1e-12)
-
-
 def test_resolvent_on_cosine_modes(grid):
     # cos(2 pi k.x) is an eigenfunction of the scheme Laplacian with
     # eigenvalue sum_i b(k_i)^2, so (s + L)^-1 divides it by s + that
@@ -306,16 +297,11 @@ def test_multipliers_match_fourier_oracle(n, scheme, rng):
     g = lat.Grid(n, scheme)
     lap = orc.laplace_fourier(n, scheme)
     inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0)
-    k = np.abs(np.fft.fftfreq(n) * n)
-    keep = np.ones((n,) * 4, dtype=bool)
-    for a in range(4):
-        keep &= (k <= n / 3.0).reshape([n if b == a else 1 for b in range(4)])
     for shape in ((6,) + g.shape, g.shape):
         f = rng.normal(size=shape)
         for got, mult in ((lat.inv_laplace(g, f), inv),
                           (lat.resolvent(g, f, 0.5), 1.0 / (0.5 + lap)),
-                          (lat.resolvent(g, f, 250.0), 1.0 / (250.0 + lap)),
-                          (lat.dealias(g, f), keep)):
+                          (lat.resolvent(g, f, 250.0), 1.0 / (250.0 + lap))):
             ref = orc.fourier_multiply(f, mult)
             assert got.shape == f.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
