@@ -50,12 +50,9 @@ def main(argv=None):
         grad_rel = (lat.l2_norm(g, hk.grad_hk(g, rho) + r)
                     / lat.l2_norm(g, r))
 
-        k = hk.k_functions(rho)
-        tot = g.zeros(1)
-        for i, jr in enumerate(hk.j_rho_fields(rho)):
-            tot += np.einsum("...ji,j...->i...", jr, lat.d0(g, k[i]))
         star_rel = float(np.abs(lat.d2(g, ext.theta_point(rho))
-                                - ext.star_rho1(tot, rho)).max())
+                                - ext.star_rho1(hk.grad_potential(g, rho),
+                                                rho)).max())
 
         rep = hk.hessiancov_check(g, rho, rh, mu=mu)
         rows.append({

@@ -43,13 +43,19 @@ class RunConfig:
         for key in ("kmax", "out_every", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        # a NUL or a character the OS cannot encode raises ValueError, a
+        # path under an unsearchable directory OSError
         try:
-            parent = Path(self.out_dir).resolve().parent
-            writable = os.access(parent, os.W_OK)
-        except ValueError as err:  # a NUL or a character the OS cannot encode
+            out = Path(self.out_dir).resolve()
+            not_dir = out.exists() and not out.is_dir()
+            writable = out.parent.is_dir() and os.access(out.parent, os.W_OK)
+        except (OSError, ValueError) as err:
             raise ConfigError(f"out_dir: {err}") from err
+        if not_dir:
+            raise ConfigError(f"out_dir: {out} exists and is not a directory")
         if not writable:
-            raise ConfigError(f"out_dir: parent {parent} is not writable")
+            raise ConfigError(
+                f"out_dir: parent {out.parent} is not a writable directory")
         if not isinstance(self.check_suite, list) or not all(
                 isinstance(s, str) for s in self.check_suite):
             raise ConfigError("check_suite: must be a list of suite names")

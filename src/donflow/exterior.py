@@ -25,18 +25,16 @@ brute-force permutation oracle.
 
 The flow runs on the flat T^4, so the twisted stars, Theta and its
 derivative, ``norm2_sq`` and ``sd_split`` are flat closed forms.  Only the
-metric layer of the appendix A checks takes a metric ``g``: ``vol_coeff``,
-``hodge1/2/3``, ``self_dual_basis``, ``u_of``, ``a_of`` and ``g_rho``.
+metric layer of the appendix A checks takes a metric ``g``: ``hodge1/2/3``,
+``self_dual_basis``, ``u_of``, ``a_of`` and ``g_rho``.
 
-The determinant, inverse and solve of a metric stay LAPACK's: g_rho reaches
-condition numbers near 1e5, where cofactor formulas raised the
-``twisted_metric`` check's error from 2e-14..2e-13 to 6.1e-10 (tolerance
-1e-9) and an unpivoted Cholesky factorization was 16 times less accurate
-than LU.  :class:`Metric` is the one place a metric is factored: it keeps
-its inverse, determinant, volume and 2-form Gram matrix for as long as it
-lives, and every function taking a metric ``g`` accepts an array or a
-``Metric``, so a caller that wraps a batch once factors it once.  Only
-``a_of``'s solve is not shared.
+A metric argument is a :class:`Metric`, the one place a metric is
+factored: it keeps its inverse, determinant, volume and 2-form Gram matrix
+for as long as it lives, so a caller that wraps a batch once factors it
+once.  The determinant and inverse stay LAPACK's: g_rho reaches condition
+numbers near 1e5, where cofactor formulas raised the ``twisted_metric``
+check's error from 2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an
+unpivoted Cholesky factorization was 16 times less accurate than LU.
 """
 
 from __future__ import annotations
@@ -215,27 +213,6 @@ class Metric:
         # minor (I, J) is the J-component of row_i1 ^ row_i2
         return np.moveaxis(wedge11(rows[..., i1], rows[..., i2]), 0, -1)
 
-    def expand(self):
-        """This metric with a unit axis before the matrix axes,
-        ``g[..., None, :, :]``, whose factors are views of this one's."""
-        out = Metric(self.g[..., None, :, :])
-        out.inv = self.inv[..., None, :, :]
-        out.det = self.det[..., None]
-        out.vol = self.vol[..., None]
-        out.form2 = self.form2[..., None, :, :]
-        return out
-
-
-def as_metric(g):
-    """``g`` as a :class:`Metric`; a Metric, or None (the flat metric), is
-    returned as it is."""
-    return g if g is None or isinstance(g, Metric) else Metric(g)
-
-
-def vol_coeff(g):
-    """Coefficient of the volume form dvol_g (orientation e0123 > 0)."""
-    return as_metric(g).vol
-
 
 def norm2_sq(w):
     """Squared Euclidean norm of a 2-form."""
@@ -245,7 +222,6 @@ def norm2_sq(w):
 
 def hodge1(g, l):
     """Hodge star of a 1-form, as a 3-form."""
-    g = as_metric(g)
     y = np.einsum("...ij,j...->i...", g.inv, np.asarray(l))
     return g.vol * star1_flat(y)
 
@@ -256,14 +232,12 @@ def hodge2(g, w):
     Defined through a ^ (star b) = <a, b>_g dvol_g; for the Euclidean metric
     this swaps the (c01,c02,c03) and (c23,c31,c12) triples.
     """
-    g = as_metric(g)
     y = np.einsum("...ij,j...->i...", g.form2, np.asarray(w))
     return g.vol * y[DUAL2]
 
 
 def hodge3(g, f):
     """Hodge star of a 3-form, as a 1-form (inverse of hodge1 up to sign)."""
-    g = as_metric(g)
     return np.einsum("...ij,j...->i...", g.g, star3_flat(f)) / g.vol
 
 
@@ -300,10 +274,9 @@ def self_dual_basis(g):
     by (1 + star_g) / 2, which is injective on them since they are
     wedge-positive and its kernel, the g-anti-self-dual forms, is not.
     """
-    g = as_metric(g)
-    flat = np.transpose([OMEGA1, OMEGA2, OMEGA3])
-    flat = flat.reshape((6,) + (1,) * (g.g.ndim - 2) + (3,))  # (6, ..., 3)
-    plus = (flat + hodge2(g.expand(), flat)) / 2
+    unit = (6,) + (1,) * (g.g.ndim - 2)
+    plus = [(w.reshape(unit) + hodge2(g, w)) / 2
+            for w in (OMEGA1, OMEGA2, OMEGA3)]
     return np.stack(_wedge_gram_schmidt(plus, g.vol), axis=-1)
 
 
@@ -316,7 +289,7 @@ def u_of(rho, g=None):
     u = pfaffian(np.asarray(rho))
     if g is None:
         return u
-    return u / as_metric(g).vol
+    return u / g.vol
 
 
 def a_of(rho, g=None):
@@ -326,11 +299,8 @@ def a_of(rho, g=None):
     so for rho = omega1 and the Euclidean metric A is the standard complex
     structure (A d0 = d1, A d2 = d3, squares to -1).
     """
-    p = form2_matrix(np.asarray(rho))
-    pt = np.swapaxes(p, -1, -2)
-    if g is None:
-        return pt
-    return np.linalg.solve(np.broadcast_to(as_metric(g).g, pt.shape), pt)
+    pt = np.swapaxes(form2_matrix(np.asarray(rho)), -1, -2)
+    return pt if g is None else g.inv @ pt
 
 
 def _require_above_floor(size, what, least):
@@ -365,15 +335,14 @@ def g_rho(rho, g=None):
     """The unique metric with the volume form of g whose self-dual forms are
     the R^rho image of the self-dual forms of g.
 
-    Computed as g_rho(v, w) = u^{-1} g(Av, Aw); requires u > U_FLOOR.
+    g_rho(v, w) = u^{-1} g(Av, Aw), which with A = g^{-1} P^T is the closed
+    form P g^{-1} P^T / u; requires u > U_FLOOR.
     """
-    rho, g = np.asarray(rho), as_metric(g)
+    rho = np.asarray(rho)
     u = require_u(u_of(rho, g))
-    a = a_of(rho, g)
-    if g is None:
-        gram = np.einsum("...ki,...kj->...ij", a, a)
-    else:
-        gram = np.einsum("...ki,...kl,...lj->...ij", a, g.g, a)
+    p = form2_matrix(rho)
+    inv = EUCLID if g is None else g.inv
+    gram = np.einsum("...ik,...kl,...jl->...ij", p, inv, p)
     return gram / u[..., None, None]
 
 
@@ -468,11 +437,10 @@ def quaternion_triple(w1, w2, w3):
     return inv[2] @ ps[1], inv[0] @ ps[2], inv[1] @ ps[0]
 
 
-def _wedge_gram_schmidt(basis, vol):
+def _wedge_gram_schmidt(forms, vol):
     """Orthonormalize three 2-forms to w_i ^ w_j = 2 delta_ij vol."""
     out = []
-    for a in range(3):
-        w = np.asarray(basis[..., a], dtype=float)
+    for a, w in enumerate(forms):
         for b in range(a):
             w = w - wedge22(w, out[b]) / (2.0 * vol) * out[b]
         sq = wedge22(w, w) / (2.0 * vol)
@@ -506,7 +474,7 @@ def metric_from_vol_and_plane(vol, basis):
         raise NotPositivePlane("volume form must be positive")
     # its pivots are the ratios of the Gram matrix's leading minors, so it
     # raises NotPositivePlane unless the Gram matrix is positive definite
-    w1, w2, w3 = _wedge_gram_schmidt(basis, vol)
+    w1, w2, w3 = _wedge_gram_schmidt(np.moveaxis(basis, -1, 0), vol)
     # J1 of quaternion_triple, w3(., J1 .) = w2, alone
     j1 = form2_matrix_inv(w3) @ form2_matrix(w2)
 

@@ -351,6 +351,16 @@ def _u_where_finite(rho):
     return u
 
 
+def _require_shape(grid, rho):
+    """Raise StepFailure at t = 0 unless rho is a 2-form field on grid."""
+    shape, want = np.shape(rho), (6,) + grid.shape
+    if shape != want:
+        raise StepFailure(
+            f"rho0 has shape {shape}, expected {want}",
+            diagnostic={"t": 0.0, "rho0_shape": list(shape),
+                        "expected_shape": list(want)})
+
+
 def _require_closed(grid, rho):
     """Raise StepFailure at t = 0 unless d rho vanishes to round-off
     (relative to n max|rho|): the flow moves closed forms in their class,
@@ -371,7 +381,8 @@ def run(config, rho0=None):
     Writes the monitor CSV and the initial/final snapshots into
     ``config.out_dir``.  On StepFailure the partial CSV, a failure snapshot
     and a diagnostic JSON are flushed before the exception propagates; a
-    ``rho0`` that is not closed fails at t = 0 (:func:`_require_closed`).
+    ``rho0`` of the wrong shape or not closed fails at t = 0
+    (:func:`_require_shape`, :func:`_require_closed`).
     """
     config.validate()
     grid = lat.Grid(config.n, config.scheme)
@@ -384,6 +395,7 @@ def run(config, rho0=None):
     csv_path = out_dir / "monitors.csv"
     with _OutputLock(out_dir):
         try:
+            _require_shape(grid, rho0)
             ext.require_u(_u_where_finite(rho0))  # before the sums see rho0
             _require_closed(grid, rho0)
             e0 = energy(grid, rho0)

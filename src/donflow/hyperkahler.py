@@ -49,20 +49,21 @@ def theta_hk(rho):
     return lin - 0.5 * np.sum(k ** 2, axis=0) * rho
 
 
-def j_rho_fields(rho):
-    """The three twisted complex structures J_i^rho at every point."""
-    return [ext.j_rho(j, rho) for j in JS]
+def grad_potential(grid, rho):
+    """The 1-form sum_i dK_i o J_i^rho, with J_i^rho the twisted complex
+    structure, rho(J_i^rho v, w) = rho(v, J_i w).  With X_i the vector field
+    of i(X_i) rho = -dK_i, dK_i(J_i^rho v) = -rho(J_i X_i, v), so the sum
+    is -i(sum_i J_i X_i) rho, with no 4x4 matrix per site."""
+    jx = sum(np.einsum("ab,b...->a...", j,
+                       vector_from_potential(rho, lat.d0(grid, ki)))
+             for j, ki in zip(JS, k_functions(rho)))
+    return -ext.interior2(jx, rho)
 
 
 def grad_hk(grid, rho):
-    """Energy gradient as sum_i d(dK_i o J_i^rho); equals -rhs up to
-    discretization error."""
-    k = k_functions(rho)
-    total = grid.zeros(1)
-    for i, jr in enumerate(j_rho_fields(rho)):
-        dk = lat.d0(grid, k[i])
-        total += np.einsum("...ji,j...->i...", jr, dk)   # dK o J = J^T dK
-    return lat.d1(grid, total)
+    """Energy gradient as sum_i d(dK_i o J_i^rho), the d of
+    :func:`grad_potential`; equals -rhs up to discretization error."""
+    return lat.d1(grid, grad_potential(grid, rho))
 
 
 def vector_from_potential(rho, mu):
@@ -78,6 +79,12 @@ def _khat(rho, rhohat, k, u):
     return (wr - k * ext.wedge22(rho, rhohat)) / u
 
 
+def _hhat(grid, rho, x, u):
+    """H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho, shape (3, ...)."""
+    return np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), rho)
+                     for w in OMEGAS]) / u
+
+
 def khat_hhat(grid, rho, rhohat, x):
     """Linearized moment maps along rhohat and along the flow of X.
 
@@ -88,10 +95,7 @@ def khat_hhat(grid, rho, rhohat, x):
     """
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = ext.u_of(rho)
-    khat = _khat(rho, rhohat, k_functions(rho), u)
-    hhat = np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), rho)
-                     for w in OMEGAS]) / u
-    return khat, hhat
+    return _khat(rho, rhohat, k_functions(rho), u), _hhat(grid, rho, x, u)
 
 
 def _hessian_density(khat, k, u, rr):
@@ -110,10 +114,14 @@ def hessian_hk(grid, rho, rhohat):
         grid, _hessian_density(khat, k, u, ext.wedge22(rhohat, rhohat)))
 
 
+def _lie_derivative(x, dk):
+    """L_X K_i = i(X) dK_i from the three dK_i, shape (3, ...)."""
+    return np.stack([ext.interior1(x, dki) for dki in dk])
+
+
 def lie_derivative_k(grid, rho, x):
     """L_X K_i = i(X) dK_i, shape (3, ...)."""
-    return np.stack([ext.interior1(x, lat.d0(grid, ki))
-                     for ki in k_functions(rho)])
+    return _lie_derivative(x, [lat.d0(grid, ki) for ki in k_functions(rho)])
 
 
 def _gradient(grid, x):
@@ -150,12 +158,13 @@ def hessiancov_check(grid, rho, rhohat, mu):
     rho, rhohat = np.asarray(rho), np.asarray(rhohat)
     u = ext.u_of(rho)
     k = k_functions(rho)
+    dk = [lat.d0(grid, ki) for ki in k]
     x = vector_from_potential(rho, mu)
-    khat, hhat = khat_hhat(grid, rho, rhohat, x)
-    lxk = lie_derivative_k(grid, rho, x)
+    khat, hhat = _khat(rho, rhohat, k, u), _hhat(grid, rho, x, u)
+    lxk = _lie_derivative(x, dk)
 
     # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i
-    xk = [-vector_from_potential(rho, lat.d0(grid, k[i])) for i in range(3)]
+    xk = [-vector_from_potential(rho, dki) for dki in dk]
     ixrho = ext.interior2(x, rho)
     rr = ext.wedge22(rhohat, rhohat)
 

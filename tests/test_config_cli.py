@@ -164,6 +164,18 @@ def test_cli_run_config_error(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
+def test_cli_run_rejects_an_out_dir_that_is_not_a_directory(tmp_path, capsys):
+    # an existing file, and a path under one, are configuration errors
+    cfg = _write_cfg(tmp_path, T=0.01)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "out_dir" in err and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
     # a state hovering just above the degeneracy floor cannot take any
     # admissible step, so the run aborts with a diagnostic and exit code 2

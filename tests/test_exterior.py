@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,14 +54,15 @@ def test_interior_tables_match_tensor_oracle(rng):
 def test_hodge_matches_levi_civita_oracle(rng):
     for _ in range(25):
         g = random_spd(rng)
+        gm = ext.Metric(g)
         l, w, f = rng.normal(size=4), rng.normal(size=6), rng.normal(size=4)
-        assert_allclose(ext.hodge1(g, l),
+        assert_allclose(ext.hodge1(gm, l),
                         orc.tensor_to_form(orc.hodge_tensor(g, orc.form_to_tensor(l, 1), 1), 3),
                         atol=1e-10)
-        assert_allclose(ext.hodge2(g, w),
+        assert_allclose(ext.hodge2(gm, w),
                         orc.tensor_to_form(orc.hodge_tensor(g, orc.form_to_tensor(w, 2), 2), 2),
                         atol=1e-10)
-        assert_allclose(ext.hodge3(g, f),
+        assert_allclose(ext.hodge3(gm, f),
                         orc.tensor_to_form(orc.hodge_tensor(g, orc.form_to_tensor(f, 3), 3), 1),
                         atol=1e-10)
 
@@ -129,16 +132,18 @@ def test_interior_leibniz_on_2_wedge_2(rng):
 
 def test_hodge_flat_tables():
     e0 = np.array([1., 0, 0, 0])
-    assert_allclose(ext.hodge1(ext.EUCLID, e0), [1, 0, 0, 0])  # e123
-    assert_allclose(ext.hodge2(ext.EUCLID, ext.OMEGA1), ext.OMEGA1)
+    flat = ext.Metric(ext.EUCLID)
+    assert_allclose(ext.hodge1(flat, e0), [1, 0, 0, 0])  # e123
+    assert_allclose(ext.hodge2(flat, ext.OMEGA1), ext.OMEGA1)
     assert_allclose(ext.star2_flat(np.arange(6.)), [3, 4, 5, 0, 1, 2])
-    assert_allclose(ext.star1_flat(e0), ext.hodge1(ext.EUCLID, e0))
+    assert_allclose(ext.star1_flat(e0), ext.hodge1(flat, e0))
 
 
 def test_hodge_defining_identity_6x6_solve(rng):
     # solve a ^ (star b) = <a,b>_g dvol_g for star b over the 2-form basis
     g = np.diag([0.5, 0.5, 2.0, 2.0])
-    s = ext.vol_coeff(g)
+    gm = ext.Metric(g)
+    s = gm.vol
     basis = np.eye(6)
     pair = np.array([[ext.wedge22(basis[i], basis[j]) for j in range(6)]
                      for i in range(6)])
@@ -148,16 +153,16 @@ def test_hodge_defining_identity_6x6_solve(rng):
                                            orc.form_to_tensor(b, 2), 2)
                           for i in range(6)])
         star_b = np.linalg.solve(pair, inner * s)
-        assert_allclose(ext.hodge2(g, b), star_b, atol=1e-10)
+        assert_allclose(ext.hodge2(gm, b), star_b, atol=1e-10)
     e01 = basis[0]
     expect = np.linalg.solve(pair, s * np.array(
         [orc.inner_tensor(g, orc.form_to_tensor(basis[i], 2),
                           orc.form_to_tensor(e01, 2), 2) for i in range(6)]))
-    assert_allclose(ext.hodge2(g, e01), expect, atol=1e-12)
+    assert_allclose(ext.hodge2(gm, e01), expect, atol=1e-12)
 
 
 def test_hodge_squares(rng):
-    g = random_spd(rng, (50,), unit_vol=True)
+    g = ext.Metric(random_spd(rng, (50,), unit_vol=True))
     l = rng.normal(size=(50, 4)).T
     w = rng.normal(size=(50, 6)).T
     f = rng.normal(size=(50, 4)).T
@@ -168,65 +173,45 @@ def test_hodge_squares(rng):
 
 def test_hodge_duality_vector_identities(rng):
     # star(g(v,.)) = i(v) dvol_g  and  star(i(v) dvol_g) = -g(v,.)
-    g = random_spd(rng, (50,))
+    g = ext.Metric(random_spd(rng, (50,)))
     v = rng.normal(size=(50, 4)).T
-    gv = np.einsum("...ij,j...->i...", g, v)
-    ivvol = ext.interior4(v, ext.vol_coeff(g))
+    gv = np.einsum("...ij,j...->i...", g.g, v)
+    ivvol = ext.interior4(v, g.vol)
     assert_allclose(ext.hodge1(g, gv), ivvol, atol=1e-10)
     assert_allclose(ext.hodge3(g, ivvol), -gv, atol=1e-10)
 
 
 def test_nonpositive_metric_rejected():
     with pytest.raises(ext.NonPositiveMetric):
-        ext.vol_coeff(np.diag([1.0, -1.0, 1.0, 1.0]))
+        ext.Metric(np.diag([1.0, -1.0, 1.0, 1.0])).vol
     with pytest.raises(ext.NonPositiveMetric):
-        ext.vol_coeff(np.diag([1.0, 1.0, 0.0, 1.0]))
+        ext.Metric(np.diag([1.0, 1.0, 0.0, 1.0])).vol
     with np.errstate(invalid="ignore"), pytest.raises(ext.NonPositiveMetric):
-        ext.vol_coeff(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
+        ext.Metric(np.stack([np.eye(4), np.full((4, 4), np.nan)])).vol
 
 
-# every function of a metric g, called with g as an array or a Metric
-G_FUNCTIONS = {
-    "as_metric": lambda g, a: ext.as_metric(g).inv,
-    "vol_coeff": lambda g, a: ext.vol_coeff(g),
-    "hodge1": lambda g, a: ext.hodge1(g, a["l"]),
-    "hodge2": lambda g, a: ext.hodge2(g, a["w"]),
-    "hodge3": lambda g, a: ext.hodge3(g, a["f"]),
-    "self_dual_basis": lambda g, a: ext.self_dual_basis(g),
-    "u_of": lambda g, a: ext.u_of(a["rho"], g),
-    "a_of": lambda g, a: ext.a_of(a["rho"], g),
-    "g_rho": lambda g, a: ext.g_rho(a["rho"], g),
-}
+# every function of a metric g (an ``exterior.Metric``)
+G_FUNCTIONS = {"hodge1", "hodge2", "hodge3", "self_dual_basis", "u_of", "a_of",
+               "g_rho"}
 
 
 def test_g_functions_lists_every_function_of_a_metric():
     takes_g = {name for name, fn in inspect.getmembers(ext, inspect.isfunction)
                if not name.startswith("_") and fn.__module__ == ext.__name__
                and "g" in inspect.signature(fn).parameters}
-    assert takes_g == set(G_FUNCTIONS)
+    assert takes_g == G_FUNCTIONS
 
 
-@pytest.mark.parametrize("name", sorted(G_FUNCTIONS))
-def test_metric_value_and_array_share_one_code_path(rng, name):
-    g = random_spd(rng, (50,))
-    args = {"rho": random_rho(rng, (50,), 0.05, g),
-            "l": rng.normal(size=(4, 50)), "w": rng.normal(size=(6, 50)),
-            "f": rng.normal(size=(4, 50))}
-    raw = G_FUNCTIONS[name](g, args)
-    wrapped = G_FUNCTIONS[name](ext.Metric(g), args)
-    assert np.array_equal(np.asarray(raw), np.asarray(wrapped))  # bitwise
-
-
-def test_metric_expand_matches_the_expanded_array(rng):
-    g = random_spd(rng, (50,))
-    expanded, direct = ext.Metric(g).expand(), ext.Metric(g[..., None, :, :])
-    for factor in ("g", "inv", "det", "vol", "form2"):
-        a, b = getattr(expanded, factor), getattr(direct, factor)
-        assert a.shape == b.shape and np.array_equal(a, b), factor
+def test_readme_lists_exactly_the_functions_of_a_metric():
+    # the first sentence of the paragraph "A metric argument `g` ..."
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = re.split(r"\.\s", readme.split("A metric argument `g`", 1)[1],
+                    maxsplit=1)[0]
+    assert set(re.findall(r"`(\w+)`", text)) == G_FUNCTIONS
 
 
 def test_appendixA_factors_each_metric_once(monkeypatch):
-    calls = {"inv": 0, "det": 0}
+    calls = {"inv": 0, "det": 0, "solve": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
@@ -238,6 +223,7 @@ def test_appendixA_factors_each_metric_once(monkeypatch):
     # quaternion frames
     assert calls["inv"] == 5
     assert calls["det"] <= 10
+    assert calls["solve"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +246,7 @@ def test_det_a_is_u_squared(rho):
 
 
 def test_det_a_is_u_squared_general_metric(rng):
-    g = random_spd(rng, (200,))
+    g = ext.Metric(random_spd(rng, (200,)))
     rho = rng.uniform(-1, 1, size=(200, 6)).T
     assert_allclose(np.linalg.det(ext.a_of(rho, g)), ext.u_of(rho, g) ** 2,
                     atol=1e-10)
@@ -280,10 +266,10 @@ def test_g_rho_worked_example():
 
 
 def test_g_rho_volume_preserved(rng):
-    g = random_spd(rng, (100,))
+    g = ext.Metric(random_spd(rng, (100,)))
     rho = random_rho(rng, (100,), u_min=0.05, g=g)
     gr = ext.g_rho(rho, g)
-    assert_allclose(np.linalg.det(gr), np.linalg.det(g), rtol=1e-9)
+    assert_allclose(np.linalg.det(gr), np.linalg.det(g.g), rtol=1e-9)
 
 
 def test_g_rho_rejects_degenerate():
@@ -495,12 +481,13 @@ def test_anticommuting_compatible_triple_closes(rng):
 
 def _sd_basis_oracle(g):
     """Wedge-orthonormal self-dual basis from the eigenspace projector."""
+    g = ext.Metric(g)
     star = np.stack([ext.hodge2(g, e) for e in np.eye(6)], axis=1)
     proj = 0.5 * (np.eye(6) + star)     # projector onto the +1 eigenspace
     uu, ss, _ = np.linalg.svd(proj)
     assert np.sum(ss > 0.5) == 3
     cols = [uu[:, i] for i in range(3)]
-    vol = ext.vol_coeff(g)
+    vol = g.vol
     out = []
     for w in cols:
         for prev in out:
@@ -511,9 +498,11 @@ def _sd_basis_oracle(g):
 
 def test_self_dual_basis_spans_the_oracle_plane(rng):
     g = random_spd(rng, (200,))
-    basis = ext.self_dual_basis(g)                      # (6, 200, 3)
-    vol = ext.vol_coeff(g)
-    assert_allclose(ext.hodge2(g[:, None], basis), basis, rtol=0, atol=1e-12)
+    gm = ext.Metric(g)
+    basis = ext.self_dual_basis(gm)                     # (6, 200, 3)
+    vol = gm.vol
+    assert_allclose(ext.hodge2(ext.Metric(g[:, None]), basis), basis, rtol=0,
+                    atol=1e-12)
     gram = np.stack([[ext.wedge22(basis[..., a], basis[..., b]) for b in range(3)]
                      for a in range(3)])                # (3, 3, 200)
     assert_allclose(gram / vol, np.broadcast_to(2 * np.eye(3)[..., None], gram.shape),
@@ -552,8 +541,9 @@ def test_compatible_pair_properties(rng):
     # identity star(w ^ l) = -l o J
     for _ in range(20):
         w, g, j = _compatible_triple(rng)
+        g = ext.Metric(g)
         assert_allclose(j @ j, -np.eye(4), atol=1e-9)
-        assert ext.wedge22(w, w) / 2 == pytest.approx(ext.vol_coeff(g), rel=1e-9)
+        assert ext.wedge22(w, w) / 2 == pytest.approx(g.vol, rel=1e-9)
         assert_allclose(ext.hodge2(g, w), w, atol=1e-9)
         for _ in range(5):
             l = rng.normal(size=4)
@@ -570,7 +560,7 @@ def test_unit_volume_self_dual_form_is_compatible(rng):
         t = rng.normal(size=3)
         t /= np.linalg.norm(t)
         w = t @ basis
-        assert ext.wedge22(w, w) / 2 == pytest.approx(ext.vol_coeff(g), rel=1e-9)
+        assert ext.wedge22(w, w) / 2 == pytest.approx(ext.Metric(g).vol, rel=1e-9)
         j = np.linalg.solve(ext.form2_matrix(w), g)
         assert_allclose(j @ j, -np.eye(4), atol=1e-8)
         assert np.linalg.det(j) == pytest.approx(1.0, abs=1e-8)
@@ -580,15 +570,16 @@ def test_metric_equivalences(rng):
     # the characterizations of the induced metric g_rho agree pairwise
     for _ in range(20):
         w, g, j = _compatible_triple(rng)
-        rho = random_rho(rng, u_min=0.1, g=g)
-        gr = ext.g_rho(rho, g)
-        u = ext.u_of(rho, g)
+        gm = ext.Metric(g)
+        rho = random_rho(rng, u_min=0.1, g=gm)
+        gr = ext.Metric(ext.g_rho(rho, gm))
+        u = ext.u_of(rho, gm)
         # volume matches
-        assert np.linalg.det(gr) == pytest.approx(np.linalg.det(g), rel=1e-9)
+        assert np.linalg.det(gr.g) == pytest.approx(np.linalg.det(g), rel=1e-9)
         # 1-form star is the closed formula
         l = rng.normal(size=4)
         assert_allclose(ext.hodge1(gr, l),
-                        ext.wedge12(ext.hodge3(g, ext.wedge12(l, rho)), rho) / u,
+                        ext.wedge12(ext.hodge3(gm, ext.wedge12(l, rho)), rho) / u,
                         atol=1e-8)
         # vector identity
         x = rng.normal(size=4)
@@ -597,7 +588,7 @@ def test_metric_equivalences(rng):
         # g_rho = (R w)(., J^rho .)
         jr = ext.j_rho(j, rho)
         pw = ext.form2_matrix(ext.r_rho(w, rho))
-        assert_allclose(pw @ jr, gr, atol=1e-8)
+        assert_allclose(pw @ jr, gr.g, atol=1e-8)
         # self-dual spaces are exchanged by R
         for wa in _sd_basis_oracle(g):
             rwa = ext.r_rho(wa, rho)
@@ -605,7 +596,7 @@ def test_metric_equivalences(rng):
         # 2-form star is R star R
         t = rng.normal(size=6)
         assert_allclose(ext.hodge2(gr, t),
-                        ext.r_rho(ext.hodge2(g, ext.r_rho(t, rho)), rho),
+                        ext.r_rho(ext.hodge2(gm, ext.r_rho(t, rho)), rho),
                         atol=1e-8)
 
 
@@ -627,10 +618,11 @@ def test_metric_from_vol_and_plane_roundtrip(rng):
     for _ in range(25):
         g0 = random_spd(rng, unit_vol=True)
         basis = _sd_basis_oracle(g0)
-        vol = ext.vol_coeff(g0)
+        vol = ext.Metric(g0).vol
         g = ext.metric_from_vol_and_plane(vol, basis.T)
         assert_allclose(g, g0, atol=1e-9)
-        assert ext.vol_coeff(g) == pytest.approx(vol, rel=1e-9)
+        g = ext.Metric(g)
+        assert g.vol == pytest.approx(vol, rel=1e-9)
         for w in basis:
             assert_allclose(ext.hodge2(g, w), w, atol=1e-9)
 

@@ -619,6 +619,20 @@ def test_run_rejects_a_rho0_that_is_not_closed(tmp_path, monkeypatch, capsys):
     assert "rho0 is not closed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(6, 8, 8, 8, 8), (6, 4, 4, 4)],
+                         ids=["n8_field", "missing_axis"])
+def test_run_rejects_a_rho0_of_the_wrong_shape(tmp_path, shape):
+    # an n = 8 field under n = 4, or a field missing an axis, stops at t = 0
+    # on its shape, with both shapes in failure.json
+    cfg = RunConfig(n=4, T=1.0, out_dir=str(tmp_path / "out"))
+    rho0 = np.ones(shape) * ext.OMEGA1.reshape((6,) + (1,) * (len(shape) - 1))
+    with pytest.raises(flow.StepFailure, match="rho0 has shape"):
+        flow.run(cfg, rho0=rho0)
+    diag = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert diag == {"t": 0.0, "rho0_shape": list(shape),
+                    "expected_shape": [6, 4, 4, 4, 4]}
+
+
 def test_run_stops_on_nan_initial_data(tmp_path):
     g = lat.Grid(4)
 

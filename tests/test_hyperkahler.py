@@ -120,11 +120,13 @@ def test_exact_gradient_identity_pointwise_star(rng):
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.01)
     lhs = lat.d2(g, ext.theta_point(rho))
-    k = hk.k_functions(rho)
-    tot = g.zeros(1)
-    for i, jr in enumerate(hk.j_rho_fields(rho)):
-        tot += np.einsum("...ji,j...->i...", jr, lat.d0(g, k[i]))
+    tot = hk.grad_potential(g, rho)
     assert np.abs(lhs - ext.star_rho1(tot, rho)).max() < 1e-6
+    # the matrix form sum_i (J_i^rho)^T dK_i is the reference of the
+    # contraction form
+    ref = sum(np.einsum("...ji,j...->i...", ext.j_rho(j, rho), lat.d0(g, ki))
+              for j, ki in zip(hk.JS, hk.k_functions(rho)))
+    assert np.abs(tot - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_hessian_hk_matches_hessian_form(rng):

@@ -400,7 +400,7 @@ def test_least_norm_gauge_orthogonality_curved(rng):
     assert lat.l2_norm(g, lat.d1(g, lam) - rhohat) < 1e-9
 
     def star1(a):
-        return ext.hodge1(ext.g_rho(rho), a)
+        return ext.hodge1(ext.Metric(ext.g_rho(rho)), a)
 
     # orthogonal to exact and to constant (harmonic) test 1-forms
     for _ in range(3):
@@ -423,7 +423,7 @@ def test_donaldson_pairing_symmetric(rng):
     lam2 = lat.least_norm_potential(g, rh2, rho)
 
     def star1(a):
-        return ext.hodge1(ext.g_rho(rho), a)
+        return ext.hodge1(ext.Metric(ext.g_rho(rho)), a)
 
     v12 = lat.integrate(g, ext.wedge13(lam1, star1(lam2)))
     v21 = lat.integrate(g, ext.wedge13(lam2, star1(lam1)))
