@@ -43,18 +43,18 @@ def main(argv=None):
     rows = []
     for n in args.sizes:
         g = lat.Grid(n, args.scheme)
-        rho = perturbed_omega1(g, rho_fn, args.eps)
+        base = ext.Base(perturbed_omega1(g, rho_fn, args.eps))
         mu, rh = exact_direction(g, mu_fn, 0.3)
 
-        r = flow.rhs(g, rho)
-        grad_rel = (lat.l2_norm(g, hk.grad_hk(g, rho) + r)
+        r = flow.rhs(g, base)
+        grad_rel = (lat.l2_norm(g, hk.grad_hk(g, base) + r)
                     / lat.l2_norm(g, r))
 
-        star_rel = float(np.abs(lat.d2(g, ext.theta_point(rho))
-                                - ext.star_rho1(hk.grad_potential(g, rho),
-                                                rho)).max())
+        star_rel = float(np.abs(lat.d2(g, ext.theta_point(base))
+                                - ext.star_rho1(hk.grad_potential(g, base),
+                                                base)).max())
 
-        rep = hk.hessiancov_check(g, rho, rh, mu=mu)
+        rep = hk.hessiancov_check(g, base, rh, mu=mu)
         rows.append({
             "n": n,
             "scheme": args.scheme,

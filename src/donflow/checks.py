@@ -172,13 +172,14 @@ def suite_appendixA(seed, samples):
     e3 = np.abs(ext.hodge1(gr, ext.interior2(x, rho2))
                 + ext.wedge12(np.einsum("...ij,j...->i...", gc.g, x), rho2)).max()
     jr = ext.j_rho(jc, rho2)
-    e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, rho2)) @ jr - gr.g).max()
-    rsd = ext.r_rho(sd, rho2[..., None])
+    base2 = ext.Base(rho2)
+    e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, base2)) @ jr - gr.g).max()
+    rsd = ext.r_rho(sd, ext.Base(rho2[..., None]))
     e5 = max(np.abs(ext.hodge2(gr, rsd[..., a]) - rsd[..., a]).max()
              for a in range(3))
     t = rng.normal(size=(b, 6)).T
     e6 = np.abs(ext.hodge2(gr, t)
-                - ext.r_rho(ext.hodge2(gc, ext.r_rho(t, rho2)), rho2)).max()
+                - ext.r_rho(ext.hodge2(gc, ext.r_rho(t, base2)), base2)).max()
     evol = np.abs(gr.det - gc.det).max()
     del gc, gr
     out.append(_record("twisted_metric",
@@ -195,8 +196,8 @@ def suite_appendixA(seed, samples):
                        rel_scale=max(1.0, np.abs(g0.g).max())))
     del g0
 
-    rr = ext.r_rho(ext.r_rho(t, rho2), rho2)
-    ew = np.abs(ext.wedge22(ext.r_rho(t, rho2), ext.r_rho(w, rho2))
+    rr = ext.r_rho(ext.r_rho(t, base2), base2)
+    ew = np.abs(ext.wedge22(ext.r_rho(t, base2), ext.r_rho(w, base2))
                 - ext.wedge22(t, w)).max()
     out.append(_record("reflection", "R^2 = id and R preserves the pairing",
                        rr, t, max(np.abs(rr - t).max(), ew), 1e-9, b,
@@ -222,8 +223,9 @@ def suite_theta(seed, samples):
     b = int(samples)
     out = []
     rho = random_rho(rng, (b,), 0.3)
-    u = ext.u_of(rho)
-    th = ext.theta_point(rho)
+    base = ext.Base(rho)
+    u = base.u
+    th = ext.theta_point(base)
     scale = max(1.0, float(np.abs(th).max() * np.abs(rho).max()))
     out.append(_record("theta_wedge_rho", "Theta ^ rho = 0",
                        th, rho, np.abs(ext.wedge22(th, rho)).max(), 1e-11,
@@ -246,16 +248,17 @@ def suite_theta(seed, samples):
                        rel_scale=max(1.0, float(np.abs(rhs).max()))))
 
     sd = (rng.uniform(0.3, 2.0, size=(b, 1)) * ext.OMEGA1).T
+    th_sd = ext.theta_point(ext.Base(sd))
     out.append(_record("theta_self_dual", "Theta = 0 iff rho self-dual",
-                       ext.theta_point(sd), 0.0,
-                       np.abs(ext.theta_point(sd)).max(), 1e-12, b,
+                       th_sd, 0.0, np.abs(th_sd).max(), 1e-12, b,
                        rel_scale=1.0))
 
     rh = rng.normal(size=(b, 6)).T
-    td = ext.theta_dot_point(rho, rh)
+    td = ext.theta_dot_point(base, rh)
 
     def fd(t):
-        return (ext.theta_point(rho + t * rh) - ext.theta_point(rho - t * rh)) / (2 * t)
+        return (ext.theta_point(ext.Base(rho + t * rh))
+                - ext.theta_point(ext.Base(rho - t * rh))) / (2 * t)
 
     e1 = np.abs(fd(1e-3) - td).max()
     e2 = np.abs(fd(5e-4) - td).max()
@@ -272,8 +275,9 @@ def suite_hyperkahler(seed, samples):
     b = int(samples)
     out = []
     rho = random_rho(rng, (b,), 0.05)
-    u = ext.u_of(rho)
-    k = hk.k_functions(rho)
+    base = ext.Base(rho)
+    u = base.u
+    k = hk.k_functions(base)
     plus, minus = ext.sd_split(rho)
     recon = 0.5 * u * np.einsum("i...,ic->c...", k, hk.OMEGAS)
     e1 = np.abs(recon - plus).max()
@@ -284,28 +288,30 @@ def suite_hyperkahler(seed, samples):
                        recon, plus, max(e1, e2, e3), 1e-10, b,
                        rel_scale=max(1.0, float(np.abs(plus).max() ** 2))))
 
-    dev = np.abs(hk.theta_hk(rho) - ext.theta_point(rho)).max()
+    dev = np.abs(hk.theta_hk(base) - ext.theta_point(base)).max()
     out.append(_record("theta_cross", "moment-map Theta = direct Theta",
                        1.0, 1.0, dev, 1e-11, b,
                        rel_scale=max(1.0, float(np.abs(rho).max()))))
 
     g = lat.Grid(GRID_N, SCHEME)
     gen = np.random.Generator(np.random.Philox(2000 * int(seed) + 5))
-    rho_f = perturbed_omega1(g, lat.random_trig_field(gen, 2, 4), 0.25)
-    ea, eb = flow.energy(g, rho_f), hk.energy_hk(g, rho_f)
+    base_f = ext.Base(
+        perturbed_omega1(g, lat.random_trig_field(gen, 2, 4), 0.25))
+    ea, eb = flow.energy(g, base_f), hk.energy_hk(g, base_f)
     out.append(_record("energy_cross", "conformal energy = moment-map energy",
                        ea, eb, abs(ea - eb), 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=abs(ea)))
     _, rh_f = exact_direction(g, lat.random_trig_field(gen, 2, 4), 0.4)
-    ha = flow.hessian_form(g, rho_f, rh_f)
-    hb = hk.hessian_hk(g, rho_f, rh_f)
+    ha = flow.hessian_form(g, base_f, rh_f)
+    hb = hk.hessian_hk(g, base_f, rh_f)
     out.append(_record("hessian_cross", "Hessian = moment-map Hessian",
                        ha, hb, abs(ha - hb), 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=max(1.0, abs(ha))))
 
-    rho_g = perturbed_omega1(g, lat.random_trig_field(gen, 1, 4), 0.003)
-    r = flow.rhs(g, rho_g)
-    num = lat.l2_norm(g, hk.grad_hk(g, rho_g) + r)
+    base_g = ext.Base(
+        perturbed_omega1(g, lat.random_trig_field(gen, 1, 4), 0.003))
+    r = flow.rhs(g, base_g)
+    num = lat.l2_norm(g, hk.grad_hk(g, base_g) + r)
     den = lat.l2_norm(g, r)
     out.append(_record("gradient_cross",
                        "moment-map gradient = minus flow rhs (band limited)",
@@ -323,11 +329,11 @@ def suite_gradient(seed, samples):
     for _ in range(pairs):
         # the closure draws its modes before gen draws the amplitude;
         # that order fixes the report
-        rho = perturbed_omega1(g, lat.random_trig_field(gen, 2, 4),
-                               gen.uniform(0.05, 0.3))
+        base = ext.Base(perturbed_omega1(g, lat.random_trig_field(gen, 2, 4),
+                                         gen.uniform(0.05, 0.3)))
         _, rh = exact_direction(g, lat.random_trig_field(gen, 2, 4), 0.4)
-        lhs = flow.first_variation(g, rho, rh)
-        rhs = -flow.donaldson_pairing(g, rh, flow.rhs(g, rho), rho)
+        lhs = flow.first_variation(g, base, rh)
+        rhs = -flow.donaldson_pairing(g, rh, flow.rhs(g, base), base)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
         last = (lhs, rhs)
     return [_record("gradient_consistency",
@@ -344,9 +350,9 @@ def suite_hessiancov(seed, samples):
     res = {}
     for n in (GRID_N, 12):
         g = lat.Grid(n, SCHEME)
-        rho = perturbed_omega1(g, rho_fn, 0.1)
+        base = ext.Base(perturbed_omega1(g, rho_fn, 0.1))
         mu, rh = exact_direction(g, mu_fn, 0.3)
-        rep = hk.hessiancov_check(g, rho, rh, mu=mu)
+        rep = hk.hessiancov_check(g, base, rh, mu=mu)
         res[n] = rep["abcde_relative"]
         out.append(_record(f"covariant_ledger_n{n}",
                            "A + B + C + D = 2E for the Hessian ledger",
@@ -359,8 +365,8 @@ def suite_hessiancov(seed, samples):
                        SCHEME, rel_scale=1.0))
     g = lat.Grid(GRID_N, SCHEME)
     mu0 = mu_fn(g)
-    rep0 = hk.hessiancov_check(g, g.constant(ext.OMEGA1), lat.d1(g, mu0),
-                               mu=mu0)
+    rep0 = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)),
+                               lat.d1(g, mu0), mu=mu0)
     out.append(_record("covariant_ledger_minimum",
                        "ledger vanishes identically at the minimum",
                        rep0["cov_lhs"], rep0["cov_rhs"],

@@ -19,7 +19,7 @@ from donflow import checks
 from donflow import flow
 from donflow import lattice as lat
 from donflow.config import ConfigError, RunConfig, load_config, save_template
-from donflow.exterior import DegenerateForm, norm2_sq, require_u, u_of
+from donflow.exterior import Base, DegenerateForm, norm2_sq, u_of
 from donflow.snapshots import load_snapshot
 
 
@@ -130,37 +130,31 @@ def _cmd_hessian(args):
         print(f"donflow hessian: bad snapshot: {err}", file=sys.stderr)
         return 1
     path = _report_path(cfg, "hessian_report.json")
-    u = u_of(rho)
-    u_min = float(u.min())
     try:
-        require_u(u)
+        b = Base(rho)
     except DegenerateForm as err:
         error = f"degenerate snapshot: {err}"
         path.write_text(json.dumps(
-            {"snapshot": str(args.snapshot), "u_min": u_min,
+            {"snapshot": str(args.snapshot), "u_min": float(u_of(rho).min()),
              "error": error}, indent=2, sort_keys=True) + "\n")
         print(f"donflow hessian: {error}", file=sys.stderr)
         return 2
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     values, quotients = [], []
-    try:
-        for _ in range(args.directions):
-            mu = lat.random_trig_field(rng, cfg.kmax, ncomp=4)(grid)
-            rh = lat.d1(grid, mu)
-            rh *= 1.0 / np.abs(rh).max()
-            h = flow.hessian_form(grid, rho, rh)
-            flat = lat.integrate(grid, norm2_sq(rh))
-            values.append(h)
-            quotients.append(h / flat)
-    except DegenerateForm as err:
-        print(f"donflow hessian: {err}", file=sys.stderr)
-        return 2
+    for _ in range(args.directions):
+        mu = lat.random_trig_field(rng, cfg.kmax, ncomp=4)(grid)
+        rh = lat.d1(grid, mu)
+        rh *= 1.0 / np.abs(rh).max()
+        h = flow.hessian_form(grid, b, rh)
+        flat = lat.integrate(grid, norm2_sq(rh))
+        values.append(h)
+        quotients.append(h / flat)
     report = {
         "snapshot": str(args.snapshot),
         "time": time,
         "n": grid.n,
         "scheme": grid.scheme,
-        "u_min": u_min,
+        "u_min": float(b.u.min()),
         "directions": args.directions,
         "hessian_values": values,
         "quotients": quotients,

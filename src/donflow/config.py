@@ -43,6 +43,8 @@ class RunConfig:
         for key in ("kmax", "out_every", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:   # Philox takes no negative key
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         # a NUL or a character the OS cannot encode raises ValueError, a
         # path under an unsearchable directory OSError
         try:
@@ -59,6 +61,8 @@ class RunConfig:
         if not isinstance(self.check_suite, list) or not all(
                 isinstance(s, str) for s in self.check_suite):
             raise ConfigError("check_suite: must be a list of suite names")
+        if not self.check_suite:
+            raise ConfigError("check_suite: must name at least one suite")
         return self
 
 

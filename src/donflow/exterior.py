@@ -28,6 +28,9 @@ derivative, ``norm2_sq`` and ``sd_split`` are flat closed forms.  Only the
 metric layer of the appendix A checks takes a metric ``g``: ``hodge1/2/3``,
 ``self_dual_basis``, ``u_of``, ``a_of`` and ``g_rho``.
 
+The rho-twisted geometry takes its base point as a :class:`Base`: u is
+checked once, when the Base is built, and never by a function taking it.
+
 A metric argument is a :class:`Metric`, the one place a metric is
 factored: it keeps its inverse, determinant, volume and 2-form Gram matrix
 for as long as it lives, so a caller that wraps a batch once factors it
@@ -84,10 +87,10 @@ OMEGA3_ASD = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])
 # wedge and interior products
 # ---------------------------------------------------------------------------
 
-def wedge11(a, b):
+def wedge11(l1, l2):
     """Wedge of two 1-forms, as a 2-form."""
-    a0, a1, a2, a3 = np.asarray(a)
-    b0, b1, b2, b3 = np.asarray(b)
+    a0, a1, a2, a3 = np.asarray(l1)
+    b0, b1, b2, b3 = np.asarray(l2)
     return np.stack([
         a0 * b1 - a1 * b0,
         a0 * b2 - a2 * b0,
@@ -115,9 +118,9 @@ def wedge13(l, f):
     return np.einsum("i...,i,i...->...", np.asarray(l), W13_SIGN, np.asarray(f))
 
 
-def wedge22(a, b):
+def wedge22(w1, w2):
     """Wedge of two 2-forms: coefficient of the output 4-form."""
-    return np.einsum("i...,i...->...", np.asarray(a), np.asarray(b)[DUAL2])
+    return np.einsum("i...,i...->...", np.asarray(w1), np.asarray(w2)[DUAL2])
 
 
 def interior1(v, l):
@@ -331,6 +334,15 @@ def require_pf(pf):
     return pf
 
 
+class Base:
+    """A base point ``rho`` of the rho-twisted geometry and its volume
+    ratio ``u``, checked by :func:`require_u` when the Base is built."""
+
+    def __init__(self, rho):
+        self.rho = np.asarray(rho)
+        self.u = require_u(u_of(self.rho))
+
+
 def g_rho(rho, g=None):
     """The unique metric with the volume form of g whose self-dual forms are
     the R^rho image of the self-dual forms of g.
@@ -346,39 +358,29 @@ def g_rho(rho, g=None):
     return gram / u[..., None, None]
 
 
-def r_rho(w, rho, pf=None):
+def r_rho(w, b):
     """Wedge-preserving involution R w = w - (w^rho / dvol_rho) rho.
 
     Sends rho to -rho and fixes the wedge-orthogonal complement of rho.
-    Metric independent; requires rho ^ rho != 0.  ``pf`` is the Pfaffian
-    of rho, when the caller has it checked already.
+    Metric independent.
     """
-    w, rho = np.asarray(w), np.asarray(rho)
-    if pf is None:
-        pf = require_pf(pfaffian(rho))
-    return w - wedge22(w, rho) / pf * rho
+    return w - wedge22(w, b.rho) / b.u * b.rho
 
 
-def star_rho1(l, rho):
+def star_rho1(l, b):
     """rho-twisted Hodge star on 1-forms: rho ^ star(rho ^ l) / u.
 
     Agrees with the Hodge star of g_rho(rho).
     """
-    rho = np.asarray(rho)
-    u = require_u(u_of(rho))
-    return wedge12(star3_flat(wedge12(l, rho)), rho) / u
+    return wedge12(star3_flat(wedge12(l, b.rho)), b.rho) / b.u
 
 
-def star_rho2(w, rho, u=None):
-    """rho-twisted Hodge star on 2-forms: R star R, an involution.  ``u``
-    is the volume ratio of rho, when the caller has it checked already."""
-    rho = np.asarray(rho)
-    if u is None:
-        u = require_u(u_of(rho))
-    return r_rho(star2_flat(r_rho(w, rho, u)), rho, u)
+def star_rho2(w, b):
+    """rho-twisted Hodge star on 2-forms: R star R, an involution."""
+    return r_rho(star2_flat(r_rho(w, b)), b)
 
 
-def star_rho3(f, rho):
+def star_rho3(f, b):
     """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho).
 
     Closed form -P P^T (W13_SIGN f) / u, with P the component matrix of
@@ -386,32 +388,28 @@ def star_rho3(f, rho):
     P^T y is the contraction of rho with y, and -P z that of rho with z, no
     matrix is built.  Satisfies star_rho3(star_rho1(l)) = -l.
     """
-    rho = np.asarray(rho)
-    u = require_u(u_of(rho))
-    return interior2(interior2(star1_flat(f), rho), rho) / u
+    return interior2(interior2(star1_flat(f), b.rho), b.rho) / b.u
 
 
-def theta_point(rho):
-    """The 2-form Theta = star(rho/u) - (|rho/u|^2 / 2) rho.
+def theta_point(b):
+    """The 2-form Theta = star(rho/u) - (|rho/u|^2 / 2) rho at the Base b.
 
     Wedge-orthogonal to rho; vanishes exactly when rho is self-dual.
     """
-    rho = np.asarray(rho)
-    u = require_u(u_of(rho))
+    rho, u = b.rho, b.u
     return star2_flat(rho) / u - (0.5 * norm2_sq(rho) / u ** 2) * rho
 
 
-def theta_dot_point(rho, rhohat):
-    """Directional derivative of theta_point at rho in direction rhohat:
+def theta_dot_point(b, rhohat):
+    """Directional derivative of theta_point at b in direction rhohat:
 
         (rhohat + star_rho rhohat) / u - |rho^+ / u|^2 rhohat,
 
     with |rho^+|^2 = |rho|^2 / 2 + u, as |rho^+|^2 - |rho^-|^2 = 2u.
     """
-    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    u = require_u(u_of(rho))
-    coeff = (0.5 * norm2_sq(rho) + u) / u ** 2
-    return (rhohat + star_rho2(rhohat, rho, u)) / u - coeff * rhohat
+    rhohat, u = np.asarray(rhohat), b.u
+    coeff = (0.5 * norm2_sq(b.rho) + u) / u ** 2
+    return (rhohat + star_rho2(rhohat, b)) / u - coeff * rhohat
 
 
 def j_rho(jmap, rho):

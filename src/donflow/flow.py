@@ -80,14 +80,14 @@ class Energy(float):
         return self
 
 
-def energy(grid, rho):
+def energy(grid, b):
     """Total energy 2 Vol + integral of |rho-|^2 / u (as |rho+|^2 - |rho-|^2
     = 2u): >= 2 Vol with equality iff rho is self-dual pointwise.  Returns
     an :class:`Energy`, whose excess is summed without cancellation.
 
     The flat star swaps the triples (0, 1, 2) and (3, 4, 5), so |rho-|^2
     = 1/2 sum_i (rho_i - rho_{i+3})^2, i < 3: one pass, one scratch plane."""
-    u = ext.require_u(ext.u_of(rho))
+    rho = b.rho
     density = np.subtract(rho[0], rho[3])
     density *= density
     plane = np.empty_like(density)
@@ -96,37 +96,37 @@ def energy(grid, rho):
         plane *= plane
         density += plane
     density *= 0.5
-    density /= u
+    density /= b.u
     return Energy(lat.integrate(grid, density))
 
 
-def rhs(grid, rho):
-    """Minus the energy gradient: d star_rho d Theta(rho).  Exact by
-    construction, so the cohomology class is conserved."""
+def rhs(grid, b):
+    """Minus the energy gradient at the Base b: d star_rho d Theta(rho).
+    Exact by construction, so the cohomology class is conserved."""
     # nested, so Theta and d Theta are freed as soon as they are consumed
-    return lat.d1(grid, ext.star_rho3(lat.d2(grid, ext.theta_point(rho)), rho))
+    return lat.d1(grid, ext.star_rho3(lat.d2(grid, ext.theta_point(b)), b))
 
 
-def first_variation(grid, rho, rhohat):
+def first_variation(grid, b, rhohat):
     """Differential of the energy: integral of Theta(rho) ^ rhohat."""
-    th = ext.theta_point(rho)
+    th = ext.theta_point(b)
     return lat.integrate(grid, ext.wedge22(th, rhohat))
 
 
-def donaldson_pairing(grid, rha, rhb, rho):
-    """Donaldson inner product of two exact 2-forms at base point rho.
+def donaldson_pairing(grid, rha, rhb, b):
+    """Donaldson inner product of two exact 2-forms at the Base b.
 
     Only the second argument's potential needs the gauge fix; the first may
     use any potential, which saves a CG solve.
     """
-    lam_b = lat.least_norm_potential(grid, rhb, rho)
+    lam_b = lat.least_norm_potential(grid, rhb, b)
     lam_a = lat.exact_potential_flat(grid, rha)
-    return lat.integrate(grid, ext.wedge13(lam_a, ext.star_rho1(lam_b, rho)))
+    return lat.integrate(grid, ext.wedge13(lam_a, ext.star_rho1(lam_b, b)))
 
 
-def hessian_form(grid, rho, rhohat):
+def hessian_form(grid, b, rhohat):
     """Quadratic form of the energy Hessian: integral of Theta_dot ^ rhohat."""
-    td = ext.theta_dot_point(rho, rhohat)
+    td = ext.theta_dot_point(b, rhohat)
     return lat.integrate(grid, ext.wedge22(td, rhohat))
 
 
@@ -151,29 +151,29 @@ def l1_report(grid, rho, e, t, coh):
     return l1, bound
 
 
-def monitors(grid, rho, e, velocity, coh0, t):
-    """Monitor values of the field rho at flow time t, given its energy e
-    and its velocity rhs(grid, rho); residual_l2 is the velocity's flat L2
-    norm (the stationarity test)."""
-    l1, bound = l1_report(grid, rho, e, t, coh0)
-    drift = float(np.abs(lat.cohomology(grid, rho) - coh0).max())
+def monitors(grid, b, e, velocity, coh0, t):
+    """Monitor values of the field at the Base b at flow time t, given its
+    energy e and its velocity rhs(grid, b); residual_l2 is the velocity's
+    flat L2 norm (the stationarity test)."""
+    l1, bound = l1_report(grid, b.rho, e, t, coh0)
+    drift = float(np.abs(lat.cohomology(grid, b.rho) - coh0).max())
     return {
         "energy": e,
         "residual_l2": lat.l2_norm(grid, velocity),
-        "u_min": float(ext.u_of(rho).min()),
+        "u_min": float(b.u.min()),
         "l1_norm": l1,
         "l1_bound": bound,
         "coh_drift_max": drift,
     }
 
 
-def accept(grid, rho, t, dt, e, coh0):
-    """The accepted state at rho, whose energy is the Energy e, and the
-    flow's velocity there.  The velocity is evaluated once: the residual
-    monitor reads it and the next step takes it as its F_n."""
-    velocity = rhs(grid, rho)
-    mon = monitors(grid, rho, e, velocity, coh0, t)
-    return FlowState(rho, t, dt, e.excess, mon), velocity
+def accept(grid, b, t, dt, e, coh0):
+    """The accepted state at the Base b, whose energy is the Energy e, and
+    the flow's velocity there.  The velocity is evaluated once: the
+    residual monitor reads it and the next step takes it as its F_n."""
+    velocity = rhs(grid, b)
+    mon = monitors(grid, b, e, velocity, coh0, t)
+    return FlowState(b.rho, t, dt, e.excess, mon), velocity
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,7 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2):
 # ---------------------------------------------------------------------------
 
 DT_ACCURACY = 0.0075    # step-size cap, in flow time
+MAX_HALVINGS = 20       # retries of a step before it fails
 
 
 def _sbdf_weights(steps):
@@ -260,16 +261,17 @@ def _increment(grid, velocity, history, h):
     return incr
 
 
-def step(grid, state, velocity, coh0, dt_max, history, max_retries=20):
-    """One accepted SBDF step from state, whose velocity rhs(grid,
-    state.rho) is given (see :func:`_increment`): third order with the
-    records of the two steps before in ``history``, second order with one,
-    first order without.  A candidate that is degenerate or increases the
-    energy excess is halved and retried with the same history: at the
+def step(grid, state, velocity, coh0, dt_max, history):
+    """One accepted SBDF step from state, whose velocity at state.rho is
+    given (see :func:`_increment`): third order with the records of the
+    two steps before in ``history``, second order with one, first order
+    without.  A candidate that is degenerate or increases the energy
+    excess is halved and retried with the same history: at the
     linearization F = -L, variable-step SBDF3 damps every mode through a
     step ratio of 0.5 (or 2^-20) and the growth by 1.1 that follows.
-    Returns the accepted state and its velocity (see :func:`accept`).
-    Raises StepFailure when the retry budget is exhausted.
+    Returns the accepted state and its velocity (see :func:`accept`, which
+    shares the candidate's Base with its energy: one Pfaffian per step).
+    Raises StepFailure after MAX_HALVINGS halvings.
 
     ``history`` is a list, empty before the first step of a run.  On
     acceptance it is overwritten in place, this step's record first and
@@ -278,28 +280,29 @@ def step(grid, state, velocity, coh0, dt_max, history, max_retries=20):
     temporaries come on top of four history fields, not six."""
     dt_start = min(state.dt, dt_max)
     last_error = "energy increased"
-    for retry in range(max_retries + 1):
+    for retry in range(MAX_HALVINGS + 1):
         dt = dt_start * 0.5 ** retry
         cand = _increment(grid, velocity, history, dt)
         cand += state.rho
         try:
-            e_new = energy(grid, cand)
+            b = ext.Base(cand)
         except DegenerateForm as err:
             last_error = str(err)
             continue
+        e_new = energy(grid, b)
         if e_new.excess <= state.excess:
             history[:] = [(cand - state.rho, velocity, dt)] + history[:1]
-            return accept(grid, cand, state.t + dt, min(dt * 1.1, dt_max),
+            return accept(grid, b, state.t + dt, min(dt * 1.1, dt_max),
                           e_new, coh0)
         last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
     raise StepFailure(
-        f"no admissible step after {max_retries} halvings: {last_error}",
+        f"no admissible step after {MAX_HALVINGS} halvings: {last_error}",
         diagnostic={
             "t": state.t,
             "dt": dt,
             "order": len(history) + 1,
             "error": last_error,
-            "u_min": float(ext.u_of(state.rho).min()),
+            "u_min": state.monitors["u_min"],
             "energy": state.monitors["energy"],
         })
 
@@ -398,11 +401,13 @@ def run(config, rho0=None):
             _require_shape(grid, rho0)
             ext.require_u(_u_where_finite(rho0))  # before the sums see rho0
             _require_closed(grid, rho0)
-            e0 = energy(grid, rho0)
+            b0 = ext.Base(rho0)
+            e0 = energy(grid, b0)
             coh0 = lat.cohomology(grid, rho0)
             # a CFL-style start below the cap; the step then grows by 1.1
             dt0 = min(0.2 / config.n ** 2, DT_ACCURACY)
-            state, velocity = accept(grid, rho0, 0.0, dt0, e0, coh0)
+            state, velocity = accept(grid, b0, 0.0, dt0, e0, coh0)
+            del b0  # its u is not kept beside the steps
         except DegenerateForm as err:
             u = _u_where_finite(rho0)
             finite = np.isfinite(u)

@@ -27,65 +27,60 @@ JS = np.stack([J1, J2, J3])
 _P_OMEGAS = np.stack([ext.form2_matrix(w) for w in OMEGAS])
 
 
-def k_functions(rho):
+def k_functions(b):
     """Moment-map functions K_i = (omega_i ^ rho)/dvol_rho, shape (3, ...)."""
-    rho = np.asarray(rho)
-    u = ext.require_u(ext.u_of(rho))
-    return np.stack([ext.wedge22(w, rho) for w in OMEGAS]) / u
+    return np.stack([ext.wedge22(w, b.rho) for w in OMEGAS]) / b.u
 
 
-def energy_hk(grid, rho):
+def energy_hk(grid, b):
     """Energy as half the L2 norm squared of K against dvol_rho."""
-    u = ext.u_of(rho)
-    k = k_functions(rho)
-    return 0.5 * lat.integrate(grid, np.sum(k ** 2, axis=0) * u)
+    k = k_functions(b)
+    return 0.5 * lat.integrate(grid, np.sum(k ** 2, axis=0) * b.u)
 
 
-def theta_hk(rho):
+def theta_hk(b):
     """Theta through the moment maps: sum_i (K_i omega_i - K_i^2 rho / 2)."""
-    rho = np.asarray(rho)
-    k = k_functions(rho)
+    k = k_functions(b)
     lin = np.einsum("i...,ic->c...", k, OMEGAS)
-    return lin - 0.5 * np.sum(k ** 2, axis=0) * rho
+    return lin - 0.5 * np.sum(k ** 2, axis=0) * b.rho
 
 
-def grad_potential(grid, rho):
+def grad_potential(grid, b):
     """The 1-form sum_i dK_i o J_i^rho, with J_i^rho the twisted complex
     structure, rho(J_i^rho v, w) = rho(v, J_i w).  With X_i the vector field
     of i(X_i) rho = -dK_i, dK_i(J_i^rho v) = -rho(J_i X_i, v), so the sum
     is -i(sum_i J_i X_i) rho, with no 4x4 matrix per site."""
     jx = sum(np.einsum("ab,b...->a...", j,
-                       vector_from_potential(rho, lat.d0(grid, ki)))
-             for j, ki in zip(JS, k_functions(rho)))
-    return -ext.interior2(jx, rho)
+                       vector_from_potential(b, lat.d0(grid, ki)))
+             for j, ki in zip(JS, k_functions(b)))
+    return -ext.interior2(jx, b.rho)
 
 
-def grad_hk(grid, rho):
+def grad_hk(grid, b):
     """Energy gradient as sum_i d(dK_i o J_i^rho), the d of
     :func:`grad_potential`; equals -rhs up to discretization error."""
-    return lat.d1(grid, grad_potential(grid, rho))
+    return lat.d1(grid, grad_potential(grid, b))
 
 
-def vector_from_potential(rho, mu):
+def vector_from_potential(b, mu):
     """The vector field X with i(X) rho = -mu, pointwise: P(rho)^-1 =
-    -P(star rho) / pf(rho), so X is mu contracted into star rho over pf."""
-    return ext.interior2(mu, ext.star2_flat(rho)) / ext.require_pf(
-        ext.pfaffian(rho))
+    -P(star rho) / pf(rho), so X is mu contracted into star rho over pf = u."""
+    return ext.interior2(mu, ext.star2_flat(b.rho)) / b.u
 
 
-def _khat(rho, rhohat, k, u):
+def _khat(b, rhohat, k):
     """K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho, shape (3, ...)."""
     wr = np.stack([ext.wedge22(w, rhohat) for w in OMEGAS])
-    return (wr - k * ext.wedge22(rho, rhohat)) / u
+    return (wr - k * ext.wedge22(b.rho, rhohat)) / b.u
 
 
-def _hhat(grid, rho, x, u):
+def _hhat(grid, b, x):
     """H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho, shape (3, ...)."""
-    return np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), rho)
-                     for w in OMEGAS]) / u
+    return np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), b.rho)
+                     for w in OMEGAS]) / b.u
 
 
-def khat_hhat(grid, rho, rhohat, x):
+def khat_hhat(grid, b, rhohat, x):
     """Linearized moment maps along rhohat and along the flow of X.
 
     K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho,
@@ -93,9 +88,8 @@ def khat_hhat(grid, rho, rhohat, x):
     with X any vector field satisfying -d i(X) rho = rhohat.
     Returns two (3, ...) arrays.
     """
-    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    u = ext.u_of(rho)
-    return _khat(rho, rhohat, k_functions(rho), u), _hhat(grid, rho, x, u)
+    rhohat = np.asarray(rhohat)
+    return _khat(b, rhohat, k_functions(b)), _hhat(grid, b, x)
 
 
 def _hessian_density(khat, k, u, rr):
@@ -103,15 +97,14 @@ def _hessian_density(khat, k, u, rr):
     return np.sum(khat ** 2, axis=0) * u - 0.5 * np.sum(k ** 2, axis=0) * rr
 
 
-def hessian_hk(grid, rho, rhohat):
+def hessian_hk(grid, b, rhohat):
     """Hessian through the moment maps:
     integral of sum_i (K_hat_i^2 dvol_rho - K_i^2 rhohat^2 / 2)."""
-    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    u = ext.u_of(rho)
-    k = k_functions(rho)
-    khat = _khat(rho, rhohat, k, u)
+    rhohat = np.asarray(rhohat)
+    k = k_functions(b)
+    khat = _khat(b, rhohat, k)
     return lat.integrate(
-        grid, _hessian_density(khat, k, u, ext.wedge22(rhohat, rhohat)))
+        grid, _hessian_density(khat, k, b.u, ext.wedge22(rhohat, rhohat)))
 
 
 def _lie_derivative(x, dk):
@@ -119,9 +112,9 @@ def _lie_derivative(x, dk):
     return np.stack([ext.interior1(x, dki) for dki in dk])
 
 
-def lie_derivative_k(grid, rho, x):
+def lie_derivative_k(grid, b, x):
     """L_X K_i = i(X) dK_i, shape (3, ...)."""
-    return _lie_derivative(x, [lat.d0(grid, ki) for ki in k_functions(rho)])
+    return _lie_derivative(x, [lat.d0(grid, ki) for ki in k_functions(b)])
 
 
 def _gradient(grid, x):
@@ -139,7 +132,7 @@ def _omega_pair(i, x, y):
     return np.einsum("a...,ab,b...->...", x, _P_OMEGAS[i], y)
 
 
-def hessiancov_check(grid, rho, rhohat, mu):
+def hessiancov_check(grid, b, rhohat, mu):
     """Covariant-Hessian bookkeeping at (rho, rhohat).
 
     Evaluates the five integrals
@@ -155,17 +148,16 @@ def hessiancov_check(grid, rho, rhohat, mu):
     convention [Y, Z] = nabla_Z Y - nabla_Y Z and X solves i(X) rho = -mu
     with d mu = rhohat.  Returns a report dict.
     """
-    rho, rhohat = np.asarray(rho), np.asarray(rhohat)
-    u = ext.u_of(rho)
-    k = k_functions(rho)
+    rhohat, u = np.asarray(rhohat), b.u
+    k = k_functions(b)
     dk = [lat.d0(grid, ki) for ki in k]
-    x = vector_from_potential(rho, mu)
-    khat, hhat = _khat(rho, rhohat, k, u), _hhat(grid, rho, x, u)
+    x = vector_from_potential(b, mu)
+    khat, hhat = _khat(b, rhohat, k), _hhat(grid, b, x)
     lxk = _lie_derivative(x, dk)
 
     # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i
-    xk = [-vector_from_potential(rho, dki) for dki in dk]
-    ixrho = ext.interior2(x, rho)
+    xk = [-vector_from_potential(b, dki) for dki in dk]
+    ixrho = ext.interior2(x, b.rho)
     rr = ext.wedge22(rhohat, rhohat)
 
     a_val = lat.integrate(grid, -0.5 * np.sum(k ** 2, axis=0) * rr)

@@ -335,7 +335,7 @@ def exact_potential_flat(grid, rhohat):
     return lam0
 
 
-def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
+def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     """Gauge-fixed potential of an exact 2-form field.
 
     Returns the 1-form lam minimizing the metric energy
@@ -349,8 +349,8 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
     ----------
     rhohat : (6,n,n,n,n) array
         Must lie in the image of d up to 1e-10 (relative L2).
-    rho : (6,n,n,n,n) array
-        Base point; its volume ratio must stay above the floor.
+    b : donflow.exterior.Base
+        Base point, a (6,n,n,n,n) field.
     rtol : float
         Relative residual target of the preconditioned CG solve.
     max_iter : int
@@ -358,7 +358,7 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
 
     Raises
     ------
-    NotExact, NoConvergence, DegenerateForm
+    NotExact, NoConvergence
     """
     lam0 = exact_potential_flat(grid, rhohat)
     if max_iter is None:
@@ -376,12 +376,12 @@ def least_norm_potential(grid, rhohat, rho, rtol=1e-10, max_iter=None):
         return -d3(grid, w3), harmonic_projection(grid, -ext.star3_flat(w3))
 
     def normal_op(phi, nu):
-        return apply_bt(ext.star_rho1(apply_b(phi, nu), rho))
+        return apply_bt(ext.star_rho1(apply_b(phi, nu), b))
 
     def precond(r_phi, r_nu):
         return inv_laplace(grid, r_phi), r_nu
 
-    b_phi, b_nu = apply_bt(ext.star_rho1(lam0, rho))
+    b_phi, b_nu = apply_bt(ext.star_rho1(lam0, b))
     r_phi, r_nu = -b_phi, -b_nu
     phi = np.zeros(grid.shape)
     nu = grid.zeros(1)

@@ -112,7 +112,7 @@ def test_criterion_5_flow_convergence(convergence_run):
 
 def test_criterion_6_hessian_at_minimum():
     g = lat.Grid(8, "spectral")
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     gen = np.random.Generator(np.random.Philox(SEED + 2))
     worst = 0.0
     for _ in range(50):

@@ -72,6 +72,8 @@ def test_config_rejects_unknown_key():
     ({"dealias": False}, "dealias"),
     ({"sigma_cfl": 0.2}, "sigma_cfl"),
     ({"dt_max": None}, "dt_max"),
+    ({"seed": -1}, "seed"),
+    ({"check_suite": []}, "check_suite"),
 ])
 def test_config_invariants(bad, key):
     with pytest.raises(ConfigError, match=key):
@@ -278,6 +280,26 @@ def test_cli_hessian_needs_a_direction(tmp_path, capsys):
 def test_cli_check_unknown_suite(tmp_path):
     cfg = _write_cfg(tmp_path, check_suite=["nonsense"])
     assert cli.main(["check", "--config", str(cfg)]) == 1
+
+
+def test_cli_check_rejects_an_empty_suite_list(tmp_path, capsys):
+    # no suite would run, and an empty report would read as passed
+    cfg = _write_cfg(tmp_path, check_suite=[])
+    assert cli.main(["check", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "donflow: configuration error: check_suite: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, command):
+    # the seed keys Philox, which takes no negative key: a configuration
+    # error naming the key, before any output directory is made
+    cfg = _write_cfg(tmp_path)
+    assert cli.main([command, "--config", str(cfg), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "donflow: configuration error: seed: must be >= 0, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_hessian_at_minimum(tmp_path):

@@ -1,4 +1,6 @@
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import donflow
 from donflow import exterior as ext
 from donflow.checks import random_rho, random_spd, suite_appendixA
 import oracles as orc
@@ -202,12 +205,48 @@ def test_g_functions_lists_every_function_of_a_metric():
     assert takes_g == G_FUNCTIONS
 
 
-def test_readme_lists_exactly_the_functions_of_a_metric():
-    # the first sentence of the paragraph "A metric argument `g` ..."
+def _readme_sentence(start):
+    """The README sentence that begins with ``start``, less ``start``."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    text = re.split(r"\.\s", readme.split("A metric argument `g`", 1)[1],
-                    maxsplit=1)[0]
+    return re.split(r"\.\s", readme.split(start, 1)[1], maxsplit=1)[0]
+
+
+def test_readme_lists_exactly_the_functions_of_a_metric():
+    text = _readme_sentence("A metric argument `g`")
     assert set(re.findall(r"`(\w+)`", text)) == G_FUNCTIONS
+
+
+# the public functions of the package that take a base point, an
+# exterior.Base b
+BASE_FUNCTIONS = {
+    # exterior
+    "r_rho", "star_rho1", "star_rho2", "star_rho3", "theta_point",
+    "theta_dot_point",
+    # flow
+    "energy", "rhs", "first_variation", "hessian_form", "donaldson_pairing",
+    "monitors", "accept",
+    # lattice
+    "least_norm_potential",
+    # hyperkahler
+    "k_functions", "energy_hk", "theta_hk", "grad_potential", "grad_hk",
+    "vector_from_potential", "khat_hhat", "hessian_hk", "lie_derivative_k",
+    "hessiancov_check",
+}
+
+
+def test_base_functions_lists_every_function_of_a_base_point():
+    modules = [importlib.import_module(f"donflow.{info.name}")
+               for info in pkgutil.iter_modules(donflow.__path__)]
+    takes_b = {name for mod in modules
+               for name, fn in inspect.getmembers(mod, inspect.isfunction)
+               if not name.startswith("_") and fn.__module__ == mod.__name__
+               and "b" in inspect.signature(fn).parameters}
+    assert takes_b == BASE_FUNCTIONS
+
+
+def test_readme_lists_exactly_the_functions_of_a_base_point():
+    text = _readme_sentence("A base point `b`")
+    assert set(re.findall(r"`(\w+)`", text)) == BASE_FUNCTIONS
 
 
 def test_appendixA_factors_each_metric_once(monkeypatch):
@@ -277,29 +316,41 @@ def test_g_rho_rejects_degenerate():
         ext.g_rho(np.array([1., 0, 0, 0, 0, 0]))
 
 
+def test_base_keeps_the_checked_volume_ratio(rng):
+    rho = random_rho(rng, (50,), u_min=0.05)
+    b = ext.Base(rho)
+    assert b.rho is rho
+    assert np.array_equal(b.u, ext.u_of(rho))
+    for bad in ([1., 0, 0, 0, 0, 0], [1., 0, 0, -1, 0, 0], [np.nan] * 6):
+        with pytest.raises(ext.DegenerateForm, match="volume ratio u"):
+            ext.Base(np.array(bad))
+
+
 # ---------------------------------------------------------------------------
 # R and the twisted stars
 # ---------------------------------------------------------------------------
 
 def test_r_rho_basics(rng):
-    assert_allclose(ext.r_rho(ext.OMEGA1, ext.OMEGA1), -ext.OMEGA1, atol=1e-14)
-    assert_allclose(ext.r_rho(ext.OMEGA2, ext.OMEGA1), ext.OMEGA2, atol=1e-14)
-    rho = np.array([1.5, 0, 0, 0.5, 0, 0])[:, None]
+    omega = ext.Base(ext.OMEGA1)
+    assert_allclose(ext.r_rho(ext.OMEGA1, omega), -ext.OMEGA1, atol=1e-14)
+    assert_allclose(ext.r_rho(ext.OMEGA2, omega), ext.OMEGA2, atol=1e-14)
+    b = ext.Base(np.array([1.5, 0, 0, 0.5, 0, 0])[:, None])
     w = rng.normal(size=(50, 6)).T
-    assert_allclose(ext.r_rho(ext.r_rho(w, rho), rho), w, atol=1e-13)
+    assert_allclose(ext.r_rho(ext.r_rho(w, b), b), w, atol=1e-13)
 
 
 def test_r_rho_preserves_wedge(rng):
-    rho = random_rho(rng, (100,), u_min=0.05)
+    b = ext.Base(random_rho(rng, (100,), u_min=0.05))
     w = rng.normal(size=(100, 6)).T
     t = rng.normal(size=(100, 6)).T
-    assert_allclose(ext.wedge22(ext.r_rho(w, rho), ext.r_rho(t, rho)),
+    assert_allclose(ext.wedge22(ext.r_rho(w, b), ext.r_rho(t, b)),
                     ext.wedge22(w, t), atol=1e-10)
 
 
 def test_star_rho_at_compatible_form(rng):
     w = rng.normal(size=(20, 6)).T
-    assert_allclose(ext.star_rho2(w, ext.OMEGA1[:, None]), ext.star2_flat(w),
+    assert_allclose(ext.star_rho2(w, ext.Base(ext.OMEGA1[:, None])),
+                    ext.star2_flat(w),
                     atol=1e-13)
 
 
@@ -307,22 +358,23 @@ def test_star_rho_interior_identity(rng):
     # star_rho(i(X) rho) = -rho ^ g(X, .), g Euclidean
     rho = random_rho(rng, (60,), u_min=0.05)
     x = rng.normal(size=(60, 4)).T
-    lhs = ext.star_rho1(ext.interior2(x, rho), rho)
+    lhs = ext.star_rho1(ext.interior2(x, rho), ext.Base(rho))
     assert_allclose(lhs, -ext.wedge12(x, rho), atol=1e-9)
 
 
 def test_star_rho_agrees_with_hodge_of_g_rho(rng):
     rho = random_rho(rng, (60,), u_min=0.05)
     gr = ext.Metric(ext.g_rho(rho))
+    b = ext.Base(rho)
     l = rng.normal(size=(60, 4)).T
     w = rng.normal(size=(60, 6)).T
     f = rng.normal(size=(60, 4)).T
-    assert_allclose(ext.star_rho1(l, rho), ext.hodge1(gr, l), atol=1e-9)
-    assert_allclose(ext.star_rho2(w, rho), ext.hodge2(gr, w), atol=1e-9)
-    assert_allclose(ext.star_rho3(f, rho), ext.hodge3(gr, f), atol=1e-9)
+    assert_allclose(ext.star_rho1(l, b), ext.hodge1(gr, l), atol=1e-9)
+    assert_allclose(ext.star_rho2(w, b), ext.hodge2(gr, w), atol=1e-9)
+    assert_allclose(ext.star_rho3(f, b), ext.hodge3(gr, f), atol=1e-9)
     # odd-degree square: star_rho3(star_rho1(l)) = -l
-    assert_allclose(ext.star_rho3(ext.star_rho1(l, rho), rho), -l, atol=1e-9)
-    assert_allclose(ext.star_rho2(ext.star_rho2(w, rho), rho), w, atol=1e-9)
+    assert_allclose(ext.star_rho3(ext.star_rho1(l, b), b), -l, atol=1e-9)
+    assert_allclose(ext.star_rho2(ext.star_rho2(w, b), b), w, atol=1e-9)
 
 
 def test_sd_split_values(rng):
@@ -345,13 +397,14 @@ def test_sd_split_values(rng):
 # ---------------------------------------------------------------------------
 
 def test_theta_vanishes_at_self_dual():
-    assert_allclose(ext.theta_point(ext.OMEGA1), np.zeros(6), atol=0)
-    assert_allclose(ext.theta_point(2.5 * ext.OMEGA2), np.zeros(6), atol=1e-15)
+    assert_allclose(ext.theta_point(ext.Base(ext.OMEGA1)), np.zeros(6), atol=0)
+    assert_allclose(ext.theta_point(ext.Base(2.5 * ext.OMEGA2)), np.zeros(6),
+                    atol=1e-15)
 
 
 def test_theta_worked_example():
     rho = np.array([1.5, 0, 0, 0.5, 0, 0])
-    th = ext.theta_point(rho)
+    th = ext.theta_point(ext.Base(rho))
     assert_allclose(th, [-8 / 3, 0, 0, 8 / 9, 0, 0], atol=1e-13)
     assert ext.wedge22(th, rho) == pytest.approx(0.0, abs=1e-13)
     assert ext.wedge22(th, th) == pytest.approx(-128 / 27)
@@ -360,7 +413,7 @@ def test_theta_worked_example():
 def test_theta_identities(rng):
     rho = random_rho(rng, (200,), u_min=0.1)
     u = ext.u_of(rho)
-    th = ext.theta_point(rho)
+    th = ext.theta_point(ext.Base(rho))
     assert_allclose(ext.wedge22(th, rho), 0, atol=1e-10)
     p, m = ext.sd_split(rho)
     np2, nm2 = ext.norm2_sq(p), ext.norm2_sq(m)
@@ -379,27 +432,28 @@ def test_theta_wedge_rho_zero_on_sd_families(rng):
         rho = c * ext.OMEGA1 + ext.OMEGA2
         if ext.u_of(rho) <= 0.05:
             continue
-        th = ext.theta_point(rho)
+        th = ext.theta_point(ext.Base(rho))
         assert ext.wedge22(th, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_theta_dot_at_minimum(rng):
     rh = rng.normal(size=(30, 6)).T
-    td = ext.theta_dot_point(np.broadcast_to(ext.OMEGA1[:, None], (6, 30)), rh)
+    omega = ext.Base(np.broadcast_to(ext.OMEGA1[:, None], (6, 30)))
+    td = ext.theta_dot_point(omega, rh)
     _, minus = ext.sd_split(rh)
     assert_allclose(td, -2 * minus, atol=1e-13)
-    assert_allclose(ext.theta_dot_point(ext.OMEGA1, ext.OMEGA2), np.zeros(6),
-                    atol=1e-15)
+    assert_allclose(ext.theta_dot_point(ext.Base(ext.OMEGA1), ext.OMEGA2),
+                    np.zeros(6), atol=1e-15)
 
 
 def test_theta_dot_matches_finite_differences(rng):
     rho = random_rho(rng, (50,), u_min=0.5)
     rh = rng.normal(size=(50, 6)).T
-    td = ext.theta_dot_point(rho, rh)
+    td = ext.theta_dot_point(ext.Base(rho), rh)
 
     def fd(t):
-        return (ext.theta_point(rho + t * rh)
-                - ext.theta_point(rho - t * rh)) / (2 * t)
+        return (ext.theta_point(ext.Base(rho + t * rh))
+                - ext.theta_point(ext.Base(rho - t * rh))) / (2 * t)
 
     e1 = np.abs(fd(1e-3) - td).max()
     e2 = np.abs(fd(5e-4) - td).max()
@@ -574,6 +628,7 @@ def test_metric_equivalences(rng):
         rho = random_rho(rng, u_min=0.1, g=gm)
         gr = ext.Metric(ext.g_rho(rho, gm))
         u = ext.u_of(rho, gm)
+        base = ext.Base(rho)
         # volume matches
         assert np.linalg.det(gr.g) == pytest.approx(np.linalg.det(g), rel=1e-9)
         # 1-form star is the closed formula
@@ -587,16 +642,16 @@ def test_metric_equivalences(rng):
                         -ext.wedge12(g @ x, rho), atol=1e-8)
         # g_rho = (R w)(., J^rho .)
         jr = ext.j_rho(j, rho)
-        pw = ext.form2_matrix(ext.r_rho(w, rho))
+        pw = ext.form2_matrix(ext.r_rho(w, base))
         assert_allclose(pw @ jr, gr.g, atol=1e-8)
         # self-dual spaces are exchanged by R
         for wa in _sd_basis_oracle(g):
-            rwa = ext.r_rho(wa, rho)
+            rwa = ext.r_rho(wa, base)
             assert_allclose(ext.hodge2(gr, rwa), rwa, atol=1e-8)
         # 2-form star is R star R
         t = rng.normal(size=6)
         assert_allclose(ext.hodge2(gr, t),
-                        ext.r_rho(ext.hodge2(gm, ext.r_rho(t, rho)), rho),
+                        ext.r_rho(ext.hodge2(gm, ext.r_rho(t, base)), base),
                         atol=1e-8)
 
 

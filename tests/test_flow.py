@@ -24,17 +24,19 @@ def sgrid(n=8):
 
 def test_energy_values():
     g = sgrid(8)
-    assert flow.energy(g, g.constant(ext.OMEGA1)) == pytest.approx(2.0, abs=1e-13)
-    assert flow.energy(g, g.constant(0.7 * ext.OMEGA1)) == pytest.approx(2.0, abs=1e-12)
+    assert flow.energy(g, ext.Base(g.constant(ext.OMEGA1))) == pytest.approx(
+        2.0, abs=1e-13)
+    assert flow.energy(g, ext.Base(g.constant(0.7 * ext.OMEGA1))) == (
+        pytest.approx(2.0, abs=1e-12))
     rho = g.constant([1.5, 0, 0, 0.5, 0, 0])
-    assert flow.energy(g, rho) == pytest.approx(8 / 3, abs=1e-12)
+    assert flow.energy(g, ext.Base(rho)) == pytest.approx(8 / 3, abs=1e-12)
 
 
 def test_energy_lower_bound(rng):
     g = sgrid(8)
     for eps in (0.1, 0.4, 0.7):
         rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), eps)
-        e = flow.energy(g, rho)
+        e = flow.energy(g, ext.Base(rho))
         assert e >= 2.0 - 1e-12
         minus = ext.sd_split(rho)[1]
         if np.abs(minus).max() > 1e-12:
@@ -42,27 +44,57 @@ def test_energy_lower_bound(rng):
 
 
 @pytest.mark.parametrize("call", [
-    flow.energy,
-    flow.rhs,
-    lambda g, rho: ext.theta_point(rho),
-    lambda g, rho: ext.star_rho3(np.ones((4,) + g.shape), rho),
-    lambda g, rho: hk.k_functions(rho),
-], ids=["energy", "rhs", "theta_point", "star_rho3", "k_functions"])
-def test_degenerate_reports_first_index(call):
+    lambda rho, out: ext.Base(rho),
+    lambda rho, out: flow.run(RunConfig(n=4, T=1.0, out_dir=out), rho0=rho),
+], ids=["Base", "run"])
+def test_degenerate_reports_first_index(call, tmp_path):
+    # u is checked where a Base is built, and by a run at t = 0; every
+    # function of the twisted geometry takes a Base
     g = sgrid(4)
     rho = g.constant(ext.OMEGA1)
     rho[:, 1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1
     rho[:, 2, 0, 0, 1] = 0.0                   # u = 0, later in C order
     with pytest.raises(DegenerateForm, match=r"first index \(1, 2, 3, 0\)"):
-        call(g, rho)
+        call(rho, str(tmp_path / "out"))
+
+
+def test_one_pfaffian_per_base_point(tmp_path, monkeypatch, rng):
+    # u is computed once per base point, when its Base is built: a run
+    # computes one Pfaffian per energy and one in its check at t = 0, and
+    # a function handed a Base computes none
+    pfaffian, calls = ext.pfaffian, []
+
+    def counted(w):
+        calls.append(None)
+        return pfaffian(w)
+
+    g = sgrid(8)
+    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(7)))
+    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2)
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
+    energies = _count_calls(monkeypatch, "energy")
+    monkeypatch.setattr(ext, "pfaffian", counted)
+    cfg = RunConfig(n=8, T=0.1, seed=7, out_dir=str(tmp_path / "out"))
+    assert flow.run(cfg, rho0=rho0).steps > 5
+    assert len(calls) == len(energies) + 1
+    calls.clear()
+    hk.grad_hk(g, ext.Base(rho))
+    assert len(calls) == 1
+    calls.clear()
+    hk.hessiancov_check(g, ext.Base(rho), rh, mu)
+    assert len(calls) == 1
+    b = ext.Base(rho)
+    calls.clear()
+    lat.least_norm_potential(g, rh, b)
+    assert calls == []
 
 
 def test_rhs_vanishes_at_stationary_points(rng):
     g = sgrid(8)
-    assert np.abs(flow.rhs(g, g.constant(ext.OMEGA1))).max() == 0.0
+    assert np.abs(flow.rhs(g, ext.Base(g.constant(ext.OMEGA1)))).max() == 0.0
     const = g.constant([1.2, 0.1, -0.3, 0.9, 0.2, 0.0])
     assert ext.u_of(const).min() > 0.5
-    assert np.abs(flow.rhs(g, const)).max() < 1e-11
+    assert np.abs(flow.rhs(g, ext.Base(const))).max() < 1e-11
 
 
 def test_rhs_linearization_at_minimum(rng):
@@ -72,7 +104,7 @@ def test_rhs_linearization_at_minimum(rng):
     minus = ext.sd_split(rh)[1]
     lin = lat.d1(g, ext.star3_flat(lat.d2(g, -2.0 * minus)))
     for eps in (1e-4, 5e-5):
-        r = flow.rhs(g, g.constant(ext.OMEGA1) + eps * rh) / eps
+        r = flow.rhs(g, ext.Base(g.constant(ext.OMEGA1) + eps * rh)) / eps
         err = lat.l2_norm(g, r - lin)
         assert err < 10 * eps * lat.l2_norm(g, lin)
 
@@ -80,7 +112,7 @@ def test_rhs_linearization_at_minimum(rng):
 def test_first_variation_vanishes_at_minimum(rng):
     g = sgrid(8)
     _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
-    val = flow.first_variation(g, g.constant(ext.OMEGA1), rh)
+    val = flow.first_variation(g, ext.Base(g.constant(ext.OMEGA1)), rh)
     assert abs(val) < 1e-12
 
 
@@ -88,10 +120,11 @@ def test_first_variation_matches_energy_differences(rng):
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
     _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
-    val = flow.first_variation(g, rho, rh)
+    val = flow.first_variation(g, ext.Base(rho), rh)
 
     def fd(t):
-        return (flow.energy(g, rho + t * rh) - flow.energy(g, rho - t * rh)) / (2 * t)
+        return (flow.energy(g, ext.Base(rho + t * rh))
+                - flow.energy(g, ext.Base(rho - t * rh))) / (2 * t)
 
     e1, e2 = abs(fd(1e-3) - val), abs(fd(5e-4) - val)
     assert e1 < 1e-5 * max(1.0, abs(val))
@@ -100,7 +133,7 @@ def test_first_variation_matches_energy_differences(rng):
 
 def test_donaldson_norm_values(rng):
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     zero = g.zeros(2)
     assert flow.donaldson_pairing(g, zero, zero, omega) == 0.0
     x0 = g.coords()[0] + np.zeros(g.shape)
@@ -115,25 +148,26 @@ def test_donaldson_norm_values(rng):
 def test_gradient_metric_consistency(rng):
     g = sgrid(8)
     for _ in range(5):
-        rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25)
+        b = ext.Base(
+            perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25))
         _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
-        lhs = flow.first_variation(g, rho, rh)
-        rhs_val = flow.donaldson_pairing(g, rh, flow.rhs(g, rho), rho)
+        lhs = flow.first_variation(g, b, rh)
+        rhs_val = flow.donaldson_pairing(g, rh, flow.rhs(g, b), b)
         assert lhs == pytest.approx(-rhs_val, rel=1e-6, abs=1e-10)
 
 
 def test_energy_decay_rate_is_gradient_norm(rng):
     g = sgrid(8)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
-    r = flow.rhs(g, rho)
-    de = flow.first_variation(g, rho, r)
+    b = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3))
+    r = flow.rhs(g, b)
+    de = flow.first_variation(g, b, r)
     assert de <= 0
-    assert de == pytest.approx(-flow.donaldson_pairing(g, r, r, rho), rel=1e-6)
+    assert de == pytest.approx(-flow.donaldson_pairing(g, r, r, b), rel=1e-6)
 
 
 def test_donaldson_metric_builds_no_metric_matrices(rng, monkeypatch):
     g = sgrid(8)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
+    b = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3))
     _, rh1 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
     _, rh2 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
 
@@ -143,13 +177,13 @@ def test_donaldson_metric_builds_no_metric_matrices(rng, monkeypatch):
     monkeypatch.setattr(ext, "g_rho", forbidden)
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
-    assert flow.donaldson_pairing(g, rh1, rh1, rho) > 0
-    assert math.isfinite(flow.donaldson_pairing(g, rh1, rh2, rho))
+    assert flow.donaldson_pairing(g, rh1, rh1, b) > 0
+    assert math.isfinite(flow.donaldson_pairing(g, rh1, rh2, b))
 
 
 def test_hessian_at_minimum_worked_value():
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     assert flow.hessian_form(g, omega, g.zeros(2)) == 0.0
     x0 = g.coords()[0] + np.zeros(g.shape)
     mu = g.zeros(1)
@@ -169,11 +203,11 @@ def test_hessian_matches_first_variation_differences(rng):
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2)
     _, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
-    val = flow.hessian_form(g, rho, rh)
+    val = flow.hessian_form(g, ext.Base(rho), rh)
 
     def fd(t):
-        return (flow.first_variation(g, rho + t * rh, rh)
-                - flow.first_variation(g, rho - t * rh, rh)) / (2 * t)
+        return (flow.first_variation(g, ext.Base(rho + t * rh), rh)
+                - flow.first_variation(g, ext.Base(rho - t * rh), rh)) / (2 * t)
 
     e1, e2 = abs(fd(1e-3) - val), abs(fd(5e-4) - val)
     assert e1 < 1e-4 * max(1.0, abs(val))
@@ -182,17 +216,18 @@ def test_hessian_matches_first_variation_differences(rng):
 
 def test_hessian_polarization_symmetric(rng):
     g = sgrid(8)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2)
+    base = ext.Base(
+        perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.2))
     _, a = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
     _, b = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.3)
-    bil_ab = lat.integrate(g, ext.wedge22(ext.theta_dot_point(rho, a), b))
-    bil_ba = lat.integrate(g, ext.wedge22(ext.theta_dot_point(rho, b), a))
+    bil_ab = lat.integrate(g, ext.wedge22(ext.theta_dot_point(base, a), b))
+    bil_ba = lat.integrate(g, ext.wedge22(ext.theta_dot_point(base, b), a))
     scale = abs(bil_ab) + abs(bil_ba) + 1.0
     assert abs(bil_ab - bil_ba) < 1e-10 * scale
 
 
 def _l1_report(grid, rho):
-    return flow.l1_report(grid, rho, flow.energy(grid, rho), 0.0,
+    return flow.l1_report(grid, rho, flow.energy(grid, ext.Base(rho)), 0.0,
                           lat.cohomology(grid, rho))
 
 
@@ -229,7 +264,8 @@ def test_l1_bound_reads_the_class_invariant(rng, scheme):
 
 def _state(grid, rho, dt):
     coh0 = lat.cohomology(grid, rho)
-    st, velocity = flow.accept(grid, rho, 0.0, dt, flow.energy(grid, rho), coh0)
+    b = ext.Base(rho)
+    st, velocity = flow.accept(grid, b, 0.0, dt, flow.energy(grid, b), coh0)
     return st, velocity, coh0
 
 
@@ -238,9 +274,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     fn = getattr(flow, name)
 
-    def counted(grid, rho):
-        calls.append(rho)
-        return fn(grid, rho)
+    def counted(grid, b):
+        calls.append(b)
+        return fn(grid, b)
 
     monkeypatch.setattr(flow, name, counted)
     return calls
@@ -258,7 +294,7 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
     # one rhs: the velocity at the accepted field
     assert len(calls) == 1
     assert len(energies) == 1
-    assert calls[-1] is new.rho
+    assert calls[-1].rho is new.rho
     assert lat.l2_norm(g, new_v) == new.monitors["residual_l2"]
 
     # the first candidate reads as an energy increase, so it is rejected;
@@ -267,8 +303,8 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
     energy = flow.energy
     verdicts = []
 
-    def guard(grid, rho):
-        e = energy(grid, rho)
+    def guard(grid, b):
+        e = energy(grid, b)
         return verdicts.pop() if verdicts else e
 
     monkeypatch.setattr(flow, "energy", guard)
@@ -303,7 +339,7 @@ def test_step_makes_no_transforms(monkeypatch):
     history = []
     for _ in range(3):
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-        flow.rhs(g, st.rho)
+        flow.rhs(g, ext.Base(st.rho))
     assert len(history) == 2
     assert calls == []
 
@@ -341,9 +377,9 @@ def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
     kept, old = history[0], [weakref.ref(field) for field in history[1][:2]]
     rhs, freed = flow.rhs, []
 
-    def probe(grid, rho):
+    def probe(grid, b):
         freed.append([ref() is None for ref in old])
-        return rhs(grid, rho)
+        return rhs(grid, b)
 
     monkeypatch.setattr(flow, "rhs", probe)
     st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
@@ -368,8 +404,8 @@ def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
     base = g.constant(ext.OMEGA1)
     mode = np.cos(2 * np.pi * g.coords()[0]) * ext.OMEGA2.reshape(6, 1, 1, 1, 1)
     mode = mode + np.zeros((6,) + g.shape)
-    monkeypatch.setattr(flow, "rhs", lambda grid, rho: -lam * (rho - base))
-    monkeypatch.setattr(flow, "monitors", lambda grid, rho, e, velocity, coh0,
+    monkeypatch.setattr(flow, "rhs", lambda grid, b: -lam * (b.rho - base))
+    monkeypatch.setattr(flow, "monitors", lambda grid, b, e, velocity, coh0,
                         t: {"energy": e})
     hs = [0.01, 0.011, 0.0121, 0.00605, 0.009075, 0.009075]
     y0 = 0.1
@@ -448,7 +484,7 @@ def test_step_survives_huge_dt():
         st = new
 
 
-def test_step_failure_near_degenerate():
+def test_step_failure_near_degenerate(monkeypatch):
     g = sgrid(8)
     x0 = g.coords()[0] + np.zeros(g.shape)
     mu = g.zeros(1)
@@ -457,8 +493,9 @@ def test_step_failure_near_degenerate():
     u = ext.u_of(rho)
     assert 0 < u.min() < 2e-4
     st, v, coh0 = _state(g, rho, dt=0.2 / 64)
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 8)
     with pytest.raises(flow.StepFailure) as err:
-        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=[], max_retries=8)
+        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=[])
     assert err.value.diagnostic["t"] == 0.0
 
 
@@ -470,12 +507,12 @@ def test_step_failure_reports_the_order(monkeypatch):
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
     history, orders = [], []
     energy = flow.energy
+    monkeypatch.setattr(flow, "MAX_HALVINGS", 2)
     for _ in range(3):
         monkeypatch.setattr(flow, "energy",
-                            lambda grid, rho: flow.Energy(math.inf))
+                            lambda grid, b: flow.Energy(math.inf))
         with pytest.raises(flow.StepFailure) as err:
-            flow.step(g, st, v, coh0, flow.DT_ACCURACY, history,
-                      max_retries=2)
+            flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
         orders.append(err.value.diagnostic["order"])
         monkeypatch.setattr(flow, "energy", energy)
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
@@ -725,11 +762,12 @@ def _fixed_steps(grid, start, t_end, k):
     h = t_end / k
     coh0 = lat.cohomology(grid, start[0])
     fields, history = [start[0]], []
-    st, v = flow.accept(grid, start[0], 0.0, h, flow.energy(grid, start[0]),
-                        coh0)
+    b = ext.Base(start[0])
+    st, v = flow.accept(grid, b, 0.0, h, flow.energy(grid, b), coh0)
     for i, rho in enumerate(start[1:], 1):
         history[:] = [(rho - fields[-1], v, h)] + history[:1]
-        st, v = flow.accept(grid, rho, i * h, h, flow.energy(grid, rho), coh0)
+        b = ext.Base(rho)
+        st, v = flow.accept(grid, b, i * h, h, flow.energy(grid, b), coh0)
         fields.append(rho)
     while len(fields) <= k:
         st.dt = h

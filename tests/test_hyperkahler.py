@@ -45,10 +45,10 @@ def test_triple_self_dual():
 # ---------------------------------------------------------------------------
 
 def test_k_functions_worked_values():
-    assert_allclose(hk.k_functions(ext.OMEGA1), [2, 0, 0], atol=1e-14)
-    assert_allclose(hk.k_functions(ext.OMEGA2), [0, 2, 0], atol=1e-14)
+    assert_allclose(hk.k_functions(ext.Base(ext.OMEGA1)), [2, 0, 0], atol=1e-14)
+    assert_allclose(hk.k_functions(ext.Base(ext.OMEGA2)), [0, 2, 0], atol=1e-14)
     rho = np.array([1.5, 0, 0, 0.5, 0, 0])
-    k = hk.k_functions(rho)
+    k = hk.k_functions(ext.Base(rho))
     assert_allclose(k, [8 / 3, 0, 0], atol=1e-14)
     u = ext.u_of(rho)
     plus, _ = ext.sd_split(rho)
@@ -58,7 +58,7 @@ def test_k_functions_worked_values():
 def test_k_identities_pointwise(rng):
     rho = random_rho(rng, (3000,), u_min=0.05)
     u = ext.u_of(rho)
-    k = hk.k_functions(rho)
+    k = hk.k_functions(ext.Base(rho))
     plus, minus = ext.sd_split(rho)
     recon = 0.5 * u * np.einsum("i...,ic->c...", k, hk.OMEGAS)
     assert_allclose(recon, plus, atol=1e-11)
@@ -69,7 +69,7 @@ def test_k_identities_pointwise(rng):
 
 def test_k_functions_degenerate():
     with pytest.raises(ext.DegenerateForm):
-        hk.k_functions(np.array([1.0, 0, 0, 0, 0, 0]))
+        hk.k_functions(ext.Base(np.array([1.0, 0, 0, 0, 0, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -78,25 +78,26 @@ def test_k_functions_degenerate():
 
 def test_energy_hk_values_and_cross(rng):
     g = sgrid(8)
-    assert hk.energy_hk(g, g.constant(ext.OMEGA1)) == pytest.approx(2.0, abs=1e-13)
-    rho_c = g.constant([1.5, 0, 0, 0.5, 0, 0])
+    assert hk.energy_hk(g, ext.Base(g.constant(ext.OMEGA1))) == pytest.approx(
+        2.0, abs=1e-13)
+    rho_c = ext.Base(g.constant([1.5, 0, 0, 0.5, 0, 0]))
     assert hk.energy_hk(g, rho_c) == pytest.approx(8 / 3, rel=1e-13)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    ea, eb = flow.energy(g, rho), hk.energy_hk(g, rho)
+    b = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.4))
+    ea, eb = flow.energy(g, b), hk.energy_hk(g, b)
     assert abs(ea - eb) < 1e-11 * ea
 
 
 def test_theta_hk_matches_theta_point(rng):
-    rho = np.array([1.5, 0, 0, 0.5, 0, 0])
-    assert_allclose(hk.theta_hk(rho), ext.theta_point(rho), atol=1e-13)
-    sample = random_rho(rng, (100000,), u_min=0.05)
+    b = ext.Base(np.array([1.5, 0, 0, 0.5, 0, 0]))
+    assert_allclose(hk.theta_hk(b), ext.theta_point(b), atol=1e-13)
+    sample = ext.Base(random_rho(rng, (100000,), u_min=0.05))
     dev = np.abs(hk.theta_hk(sample) - ext.theta_point(sample)).max()
     assert dev < 1e-11
 
 
 def test_grad_hk_zero_at_minimum():
     g = sgrid(8)
-    assert np.abs(hk.grad_hk(g, g.constant(ext.OMEGA1))).max() < 1e-12
+    assert np.abs(hk.grad_hk(g, ext.Base(g.constant(ext.OMEGA1)))).max() < 1e-12
 
 
 def test_grad_hk_is_minus_rhs_with_refinement(rng):
@@ -108,9 +109,9 @@ def test_grad_hk_is_minus_rhs_with_refinement(rng):
         lam = fn(g)
         pert = lat.d1(g, lam)
         pert *= 0.03 / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
-        r = flow.rhs(g, rho)
-        rel[n] = lat.l2_norm(g, hk.grad_hk(g, rho) + r) / lat.l2_norm(g, r)
+        b = ext.Base(g.constant(ext.OMEGA1) + pert)
+        r = flow.rhs(g, b)
+        rel[n] = lat.l2_norm(g, hk.grad_hk(g, b) + r) / lat.l2_norm(g, r)
     assert rel[12] < rel[8]
     assert rel[12] < 1e-8
 
@@ -119,29 +120,30 @@ def test_exact_gradient_identity_pointwise_star(rng):
     # d Theta = star_rho( sum_i dK_i o J_i^rho ) on smooth fields
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.01)
-    lhs = lat.d2(g, ext.theta_point(rho))
-    tot = hk.grad_potential(g, rho)
-    assert np.abs(lhs - ext.star_rho1(tot, rho)).max() < 1e-6
+    b = ext.Base(rho)
+    lhs = lat.d2(g, ext.theta_point(b))
+    tot = hk.grad_potential(g, b)
+    assert np.abs(lhs - ext.star_rho1(tot, b)).max() < 1e-6
     # the matrix form sum_i (J_i^rho)^T dK_i is the reference of the
     # contraction form
     ref = sum(np.einsum("...ji,j...->i...", ext.j_rho(j, rho), lat.d0(g, ki))
-              for j, ki in zip(hk.JS, hk.k_functions(rho)))
+              for j, ki in zip(hk.JS, hk.k_functions(b)))
     assert np.abs(tot - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_hessian_hk_matches_hessian_form(rng):
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     assert hk.hessian_hk(g, omega, g.zeros(2)) == 0.0
     x0 = g.coords()[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert hk.hessian_hk(g, omega, rh) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25)
+    base = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.25))
     _, rh2 = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    a = flow.hessian_form(g, rho, rh2)
-    b = hk.hessian_hk(g, rho, rh2)
+    a = flow.hessian_form(g, base, rh2)
+    b = hk.hessian_hk(g, base, rh2)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -153,13 +155,13 @@ def test_vector_from_potential_solves_contraction(rng):
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
     mu, _ = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
-    x = hk.vector_from_potential(rho, mu)
+    x = hk.vector_from_potential(ext.Base(rho), mu)
     assert np.abs(ext.interior2(x, rho) + mu).max() < 1e-11
 
 
 def test_khat_hhat_zero_direction():
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     zero_mu = g.zeros(1)
     x = hk.vector_from_potential(omega, zero_mu)
     khat, hhat = hk.khat_hhat(g, omega, g.zeros(2), x)
@@ -170,7 +172,7 @@ def test_khat_hhat_zero_direction():
 def test_khat_equals_hhat_at_minimum(rng):
     # constant K: L_X K = 0, so the two linearizations agree pointwise
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
     x = hk.vector_from_potential(omega, mu)
     khat, hhat = hk.khat_hhat(g, omega, rh, x)
@@ -199,18 +201,18 @@ def test_self_dual_contraction_star_identity(rng):
         w = np.broadcast_to(hk.OMEGAS[i][:, None], rho.shape)
         lhs = ext.wedge12(ext.interior2(x, w), rho)
         jx = np.einsum("ab,b...->a...", hk.JS[i], x)
-        rhs = -ext.star_rho1(ext.interior2(jx, rho), rho)
+        rhs = -ext.star_rho1(ext.interior2(jx, rho), ext.Base(rho))
         assert_allclose(lhs, rhs, atol=1e-9)
 
 
 def test_lie_derivative_relation(rng):
     # L_X K_i = H_hat_i - K_hat_i up to discretization error
     g = sgrid(8)
-    rho = perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.02)
+    b = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.02))
     mu, rh = exact_direction(g, lat.random_trig_field(rng, 1, 4), 0.05)
-    x = hk.vector_from_potential(rho, mu)
-    khat, hhat = hk.khat_hhat(g, rho, rh, x)
-    lxk = hk.lie_derivative_k(g, rho, x)
+    x = hk.vector_from_potential(b, mu)
+    khat, hhat = hk.khat_hhat(g, b, rh, x)
+    lxk = hk.lie_derivative_k(g, b, x)
     dev = np.abs(lxk - (hhat - khat)).max()
     assert dev < 1e-5 * max(1.0, np.abs(hhat).max())
 
@@ -222,7 +224,7 @@ def test_lie_derivative_relation(rng):
 def test_hessiancov_at_minimum(rng):
     g = sgrid(8)
     mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.5)
-    rep = hk.hessiancov_check(g, g.constant(ext.OMEGA1), rh, mu=mu)
+    rep = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)), rh, mu=mu)
     for key in ("B", "C", "D", "E"):
         assert abs(rep[key]) < 1e-10
     assert abs(rep["A"]) < 1e-10          # int rhohat ^ rhohat = 0 for exact
@@ -232,7 +234,7 @@ def test_hessiancov_at_minimum(rng):
 
 def test_hessiancov_zero_direction():
     g = sgrid(8)
-    rep = hk.hessiancov_check(g, g.constant(ext.OMEGA1), g.zeros(2),
+    rep = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)), g.zeros(2),
                               mu=g.zeros(1))
     for key in ("A", "B", "C", "D", "E"):
         assert rep[key] == 0.0
@@ -247,10 +249,10 @@ def test_hessiancov_refines(rng):
         g = lat.Grid(n)
         pert = lat.d1(g, rho_fn(g))
         pert *= 0.1 / np.abs(pert).max()
-        rho = g.constant(ext.OMEGA1) + pert
+        b = ext.Base(g.constant(ext.OMEGA1) + pert)
         mu = mu_fn(g)
         mu *= 0.3 / np.abs(mu).max()
-        rep = hk.hessiancov_check(g, rho, lat.d1(g, mu), mu=mu)
+        rep = hk.hessiancov_check(g, b, lat.d1(g, mu), mu=mu)
         res[n] = rep["abcde_relative"]
         assert rep["cov_residual"] < 1e-6
     assert res[8] < 1e-3
@@ -261,11 +263,11 @@ def test_hessian3_at_critical_point(rng):
     # at the minimum the Hamiltonian fields of K vanish, so the Hessian is
     # the plain L2 norm of H_hat against dvol_rho
     g = sgrid(8)
-    omega = g.constant(ext.OMEGA1)
+    omega = ext.Base(g.constant(ext.OMEGA1))
     mu, rh = exact_direction(g, lat.random_trig_field(rng, 2, 4), 0.4)
     x = hk.vector_from_potential(omega, mu)
     _, hhat = hk.khat_hhat(g, omega, rh, x)
-    val = lat.integrate(g, np.sum(hhat ** 2, axis=0) * ext.u_of(omega))
+    val = lat.integrate(g, np.sum(hhat ** 2, axis=0) * omega.u)
     assert val == pytest.approx(flow.hessian_form(g, omega, rh), rel=1e-10)
 
 
@@ -282,7 +284,7 @@ def test_constant_k_forces_u_at_least_one(rng):
     minus = np.sqrt(u * (u - 1.0))[:, None] * np.einsum("bi,ic->bc", nu, asd)
     rho = (u[:, None] * ext.OMEGA1 + minus).T
     assert_allclose(ext.u_of(rho), u, atol=1e-12)
-    k = hk.k_functions(rho)
+    k = hk.k_functions(ext.Base(rho))
     assert_allclose(k[0], 2.0, atol=1e-12)
     assert np.abs(k[1:]).max() < 1e-12
     assert ext.u_of(rho).min() >= 1.0 - 1e-12
@@ -291,12 +293,12 @@ def test_constant_k_forces_u_at_least_one(rng):
 def test_nonminimal_fields_have_nonconstant_k(rng):
     g = sgrid(8)
     rho = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 0.3)
-    k = hk.k_functions(rho)
+    k = hk.k_functions(ext.Base(rho))
     spread = max(k[i].max() - k[i].min() for i in range(3))
     assert spread > 1e-3
     # converse: tiny moment-map variation pins the field to omega1
     tiny = perturbed_omega1(g, lat.random_trig_field(rng, 2, 4), 1e-10)
-    kt = hk.k_functions(tiny)
+    kt = hk.k_functions(ext.Base(tiny))
     spread_t = max(kt[i].max() - kt[i].min() for i in range(3))
     assert spread_t < 1e-9
     assert np.abs(tiny - g.constant(ext.OMEGA1)).max() < 1e-6

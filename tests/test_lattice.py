@@ -153,7 +153,7 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     # random_trig_field makes no transform either
     fields = [_random_field(g, rng, lat.FORM_COMPS[deg]) for deg in range(4)]
-    flow.rhs(g, rho)
+    flow.rhs(g, ext.Base(rho))
     for deg, f in enumerate(fields):
         lat.d(g, f, deg)
     lat.delta2(g, rho)
@@ -346,15 +346,16 @@ def test_exactness_rejects_harmonic_and_nonclosed(grid, rng):
     assert res > 0.99
     omega = grid.constant(ext.OMEGA1)
     with pytest.raises(lat.NotExact):
-        lat.least_norm_potential(grid, harmonic, omega)
+        lat.least_norm_potential(grid, harmonic, ext.Base(omega))
     closed_not_exact = omega + 0.01 * lat.d1(grid, _random_field(grid, rng, 4))
     with pytest.raises(lat.NotExact):
-        lat.least_norm_potential(grid, closed_not_exact, omega)
+        lat.least_norm_potential(grid, closed_not_exact, ext.Base(omega))
 
 
 def test_least_norm_zero():
     g = sgrid(8)
-    lam = lat.least_norm_potential(g, g.zeros(2), g.constant(ext.OMEGA1))
+    lam = lat.least_norm_potential(g, g.zeros(2),
+                                   ext.Base(g.constant(ext.OMEGA1)))
     assert np.abs(lam).max() == 0.0
 
 
@@ -364,7 +365,7 @@ def test_least_norm_recovers_coexact_potential():
     lam_true = g.zeros(1)
     lam_true[1] = np.sin(2 * np.pi * x0)
     rhohat = lat.d1(g, lam_true)
-    lam = lat.least_norm_potential(g, rhohat, g.constant(ext.OMEGA1))
+    lam = lat.least_norm_potential(g, rhohat, ext.Base(g.constant(ext.OMEGA1)))
     assert_allclose(lam, lam_true, atol=1e-9)
     val = lat.integrate(g, ext.wedge13(lam, ext.star1_flat(lam)))
     assert val == pytest.approx(0.5, abs=1e-9)
@@ -375,7 +376,7 @@ def test_least_norm_strips_gauge_part(rng):
     lam0 = 0.3 * _random_field(g, rng, 4)
     phi = _random_field(g, rng, 1)
     rhohat = lat.d1(g, lam0 + lat.d0(g, phi))
-    lam = lat.least_norm_potential(g, rhohat, g.constant(ext.OMEGA1))
+    lam = lat.least_norm_potential(g, rhohat, ext.Base(g.constant(ext.OMEGA1)))
     assert lat.l2_norm(g, lat.d1(g, lam) - rhohat) < 1e-9
     # star lam is closed with zero periods (flat metric: star = table)
     star = ext.star1_flat(lam)
@@ -396,7 +397,7 @@ def test_least_norm_gauge_orthogonality_curved(rng):
     g = sgrid(8)
     rho = _perturbed_rho(g, rng)
     rhohat = lat.d1(g, 0.1 * _random_field(g, rng, 4))
-    lam = lat.least_norm_potential(g, rhohat, rho)
+    lam = lat.least_norm_potential(g, rhohat, ext.Base(rho))
     assert lat.l2_norm(g, lat.d1(g, lam) - rhohat) < 1e-9
 
     def star1(a):
@@ -419,8 +420,9 @@ def test_donaldson_pairing_symmetric(rng):
     rho = _perturbed_rho(g, rng)
     rh1 = lat.d1(g, 0.1 * _random_field(g, rng, 4))
     rh2 = lat.d1(g, 0.1 * _random_field(g, rng, 4))
-    lam1 = lat.least_norm_potential(g, rh1, rho)
-    lam2 = lat.least_norm_potential(g, rh2, rho)
+    b = ext.Base(rho)
+    lam1 = lat.least_norm_potential(g, rh1, b)
+    lam2 = lat.least_norm_potential(g, rh2, b)
 
     def star1(a):
         return ext.hodge1(ext.Metric(ext.g_rho(rho)), a)
@@ -435,4 +437,5 @@ def test_least_norm_no_convergence_budget(rng):
     rho = _perturbed_rho(g, rng)
     rhohat = lat.d1(g, 0.1 * _random_field(g, rng, 4))
     with pytest.raises(lat.NoConvergence):
-        lat.least_norm_potential(g, rhohat, rho, rtol=1e-16, max_iter=2)
+        lat.least_norm_potential(g, rhohat, ext.Base(rho), rtol=1e-16,
+                                 max_iter=2)
