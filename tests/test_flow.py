@@ -44,12 +44,20 @@ def test_energy_lower_bound(rng):
 
 
 @pytest.mark.parametrize("call", [
+    lambda rho, out: flow.energy(sgrid(4), ext.Base(rho)),
+    lambda rho, out: flow.rhs(sgrid(4), ext.Base(rho)),
+    lambda rho, out: ext.theta_point(ext.Base(rho)),
+    lambda rho, out: ext.star_rho3(np.ones((4,) + rho.shape[1:]),
+                                   ext.Base(rho)),
+    lambda rho, out: hk.k_functions(ext.Base(rho)),
     lambda rho, out: ext.Base(rho),
     lambda rho, out: flow.run(RunConfig(n=4, T=1.0, out_dir=out), rho0=rho),
-], ids=["Base", "run"])
+], ids=["energy", "rhs", "theta_point", "star_rho3", "k_functions", "Base",
+        "run"])
 def test_degenerate_reports_first_index(call, tmp_path):
     # u is checked where a Base is built, and by a run at t = 0; every
-    # function of the twisted geometry takes a Base
+    # function of the twisted geometry takes a Base, so a degenerate rho
+    # is reported before any of them runs
     g = sgrid(4)
     rho = g.constant(ext.OMEGA1)
     rho[:, 1, 2, 3, 0] = [1, 0, 0, -1, 0, 0]   # u = -1
