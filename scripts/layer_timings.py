@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Median wall time of each layer of one flow step, per grid size.
+
+At each size the input is the seed-7 ``flow.initial_data`` field
+(spectral, epsilon 0.05, kmax 2), and each layer is called on what the
+step hands it: Theta, d2 of Theta, its rho-twisted star, d1 of that, the
+whole rhs, the implicit solve on a 2-form (shift 1 / DT_ACCURACY), the
+energy, the monitors and the cohomology class.  After one warm-up call a
+layer is repeated for about a second (5 to 200 times); the CSV holds the
+median in ms and the repetition count.  BLAS and OpenMP are pinned to one
+thread.
+
+    python3 scripts/layer_timings.py --sizes 8 16 24
+"""
+
+import os
+
+# before numpy loads its BLAS
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import csv
+import math
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from donflow import exterior as ext
+from donflow import flow
+from donflow import lattice as lat
+
+
+def _layers(g, rho):
+    """The layers of a step as zero-argument calls on their own inputs."""
+    b = ext.Base(rho)
+    theta = ext.theta_point(b)
+    dtheta = lat.d2(g, theta)
+    star = ext.star_rho3(dtheta, b)
+    e = flow.energy(g, b)
+    velocity = flow.rhs(g, b)
+    coh0 = lat.cohomology(g, rho)
+    return {
+        "theta_point": lambda: ext.theta_point(b),
+        "d2": lambda: lat.d2(g, theta),
+        "star_rho3": lambda: ext.star_rho3(dtheta, b),
+        "d1": lambda: lat.d1(g, star),
+        "rhs": lambda: flow.rhs(g, b),
+        "resolvent": lambda: lat.resolvent(g, velocity,
+                                           1 / flow.DT_ACCURACY),
+        "energy": lambda: flow.energy(g, b),
+        "monitors": lambda: flow.monitors(g, b, e, velocity, coh0, 0.0),
+        "cohomology": lambda: lat.cohomology(g, rho),
+    }
+
+
+def _median_ms(call):
+    start = time.perf_counter()
+    call()
+    first = time.perf_counter() - start
+    reps = min(200, max(5, math.ceil(1.0 / max(first, 1e-9))))
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3, reps
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 24])
+    ap.add_argument("--out", type=Path, default=Path("layer_timings.csv"))
+    args = ap.parse_args(argv)
+
+    rows = []
+    for n in args.sizes:
+        g = lat.Grid(n)
+        rng = np.random.Generator(np.random.Philox(7))
+        for layer, call in _layers(g, flow.initial_data(g, rng)).items():
+            ms, reps = _median_ms(call)
+            rows.append({"n": n, "layer": layer, "median_ms": f"{ms:.4g}",
+                         "reps": reps})
+            print(f"n={n:<3d} {layer:<12s} {ms:9.4g} ms  ({reps} reps)")
+
+    with open(args.out, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

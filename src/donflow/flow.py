@@ -347,7 +347,8 @@ def _write_failure(out_dir, diagnostic):
 
 def _u_where_finite(rho):
     """u of rho, NaN at the sites with a non-finite component, where the
-    pfaffian's products would warn (inf * 0)."""
+    pfaffian's products would warn (inf * 0).  Only the failure diagnostic
+    of a degenerate rho0 reads it."""
     finite = np.isfinite(rho).all(axis=0)
     u = np.full(finite.shape, np.nan)
     u[finite] = ext.u_of(rho[:, finite])
@@ -399,9 +400,12 @@ def run(config, rho0=None):
     with _OutputLock(out_dir):
         try:
             _require_shape(grid, rho0)
-            ext.require_u(_u_where_finite(rho0))  # before the sums see rho0
+            # a non-finite entry makes u NaN or +-inf, since each component
+            # is in exactly one product of u: the Base rejects it before d
+            # sees it (d must not, as 0 * inf spreads NaN along an axis)
+            with np.errstate(invalid="ignore", over="ignore"):
+                b0 = ext.Base(rho0)
             _require_closed(grid, rho0)
-            b0 = ext.Base(rho0)
             e0 = energy(grid, b0)
             coh0 = lat.cohomology(grid, rho0)
             # a CFL-style start below the cap; the step then grows by 1.1

@@ -13,12 +13,16 @@ k = 0 and at the Nyquist entry k = n/2, so d/dx = M (S - S^-1), where S is
 the one-site cyclic shift along the axis and M the real symmetric
 circulant n x n matrix with the even symbol b(k) / (2 sin(2 pi k / n))
 (free at k = 0, n/2: 0 for spectral, n/2 for fd2, whose M is (n/2) I).
-(S - S^-1) f = f(x + h) - f(x - h) is an exact subtraction, so a field
-constant or alternating along the axis has derivative exactly 0; M is then
-one small gemm along the axis of a component's ``(sites before, n, sites
-after)`` view.  d on degree k is a table of entries ``(out, in, axis, sign)``,
-``e_axis ^ E_in = sign * E_out``, derived from the basis permutation
-signs, each applied as one such derivative; ``delta2`` is its adjoint.
+Both factors are small gemms along the axis of a component's ``(sites
+before, n, sites after)`` view.  S - S^-1 is the 0/+-1 matrix
+``Grid.shift_difference``: each entry of its product is one subtraction
+f(x + h) - f(x - h) plus exact zeros, so it is bit for bit that
+subtraction, and a field constant or alternating along the axis has
+derivative exactly 0.  The input must be finite (0 * inf is NaN, which
+would spread along the axis).  d on degree k is a table of entries
+``(out, in, axis, sign)``, ``e_axis ^ E_in = sign * E_out``, derived from
+the basis permutation signs, each applied as one such derivative;
+``delta2`` is its adjoint.
 The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
@@ -118,6 +122,16 @@ class Grid:
         return col.astype(float)[(site[:, None] - site) % n]
 
     @cached_property
+    def shift_difference(self):
+        """S - S^-1 as an n x n matrix of 0 and +-1: row j holds +1 at
+        j + 1 and -1 at j - 1 (mod n).  Each entry of a product with a
+        finite f is the one rounding of f(x + h) - f(x - h) plus n - 2 exact
+        zeros, so the gemm equals the subtraction bit for bit whatever the
+        kernel's summation order, up to the sign of a zero."""
+        eye = np.eye(self.n)
+        return np.roll(eye, 1, axis=1) - np.roll(eye, -1, axis=1)
+
+    @cached_property
     def real_basis(self):
         """Orthonormal real Fourier basis along one axis: the n x n matrix Q
         whose rows are cos(2 pi k x / n) for k = 0..n/2 and sin(2 pi k x / n)
@@ -181,24 +195,22 @@ def _multiply(grid, f, mult):
 
 def _derivative(grid, f, table, ncomp):
     """Apply a first order operator given as (out, in, axis, sign) entries:
-    out_o = sum of sign * d/dx_axis in_i, each as M (S - S^-1) along the
-    axis.  One output component comes back as a scalar field."""
+    out_o = sum of sign * d/dx_axis in_i, each as two small gemms along the
+    axis, M ((S - S^-1) f), the inner one exact (``Grid.shift_difference``).
+    f must be finite.  One output component comes back as a scalar field."""
     n = grid.n
     comps = np.reshape(f, (-1,) + grid.shape)
     out = np.zeros((ncomp,) + grid.shape)
+    shift = grid.shift_difference
     for o, i, axis, sign in table:
         # the axis in the middle: (sites before it, n, sites after it)
         pre, post = n ** axis, n ** (3 - axis)
         fi = comps[i].reshape(pre, n, post)
-        diff = np.empty_like(fi)  # (S - S^-1) f, exact
-        np.subtract(fi[:, 2:], fi[:, :-2], out=diff[:, 1:-1])
-        np.subtract(fi[:, 1], fi[:, -1], out=diff[:, 0])
-        np.subtract(fi[:, 0], fi[:, -2], out=diff[:, -1])
-        # M along the middle axis; on the last one a single gemm with M = M^T
+        # on the last axis single gemms from the right, with M = M^T
         if post == 1:
-            deriv = diff.reshape(pre, n) @ grid.axis_matrix
+            deriv = (fi.reshape(pre, n) @ shift.T) @ grid.axis_matrix
         else:
-            deriv = grid.axis_matrix @ diff
+            deriv = grid.axis_matrix @ (shift @ fi)
         acc = out[o].reshape(deriv.shape)
         (np.add if sign > 0 else np.subtract)(acc, deriv, out=acc)
     return out if ncomp > 1 else out[0]
@@ -231,7 +243,8 @@ DELTA2_TABLE = tuple((i, o, axis, -sign) for o, i, axis, sign in D_TABLES[1])
 
 
 def d(grid, fld, k):
-    """Exterior derivative of a degree-k field."""
+    """Exterior derivative of a finite degree-k field, each table entry two
+    small gemms M ((S - S^-1) f) along its axis."""
     return _derivative(grid, fld, D_TABLES[k], FORM_COMPS[k + 1])
 
 

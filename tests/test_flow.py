@@ -68,8 +68,7 @@ def test_degenerate_reports_first_index(call, tmp_path):
 
 def test_one_pfaffian_per_base_point(tmp_path, monkeypatch, rng):
     # u is computed once per base point, when its Base is built: a run
-    # computes one Pfaffian per energy and one in its check at t = 0, and
-    # a function handed a Base computes none
+    # computes one Pfaffian per energy, and a function handed a Base none
     pfaffian, calls = ext.pfaffian, []
 
     def counted(w):
@@ -84,7 +83,7 @@ def test_one_pfaffian_per_base_point(tmp_path, monkeypatch, rng):
     monkeypatch.setattr(ext, "pfaffian", counted)
     cfg = RunConfig(n=8, T=0.1, seed=7, out_dir=str(tmp_path / "out"))
     assert flow.run(cfg, rho0=rho0).steps > 5
-    assert len(calls) == len(energies) + 1
+    assert len(calls) == len(energies)
     calls.clear()
     hk.grad_hk(g, ext.Base(rho))
     assert len(calls) == 1

@@ -51,15 +51,33 @@ def test_fd2_derivative_has_central_difference_symbol():
     assert_allclose(df[0], fac * np.cos(2 * np.pi * x0), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
 def test_fd2_derivative_is_the_exact_central_difference(rng, n):
-    # d/dx_a f = (n/2) (f(x + h) - f(x - h)), bit for bit, along every axis
+    # every table entry of d0..d3 and delta2 adds sign * (n/2) (f(x + h) -
+    # f(x - h)) into its output component, bit for bit, in table order
     g = lat.Grid(n, "fd2")
-    f = rng.normal(size=g.shape)
-    df = lat.d0(g, f)
-    for a in range(4):
-        want = (n / 2) * (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a))
-        assert np.array_equal(df[a], want), a
+    ops = [(lambda f, k=k: lat.d(g, f, k), lat.D_TABLES[k], k)
+           for k in range(4)]
+    ops.append((lambda f: lat.delta2(g, f), lat.DELTA2_TABLE, 2))
+    for op, table, deg in ops:
+        f = rng.normal(size=(lat.FORM_COMPS[deg],) + g.shape)
+        want = np.zeros((max(o for o, *_ in table) + 1,) + g.shape)
+        for o, i, a, sign in table:
+            diff = (n / 2) * (np.roll(f[i], -1, axis=a)
+                              - np.roll(f[i], 1, axis=a))
+            want[o] += sign * diff
+        assert np.array_equal(np.reshape(op(f), want.shape), want), table
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_shift_difference_is_s_minus_s_inverse(n):
+    s = lat.Grid(n).shift_difference
+    assert set(np.unique(s)) == {-1.0, 0.0, 1.0}
+    want = np.zeros((n, n))
+    for j in range(n):
+        want[j, (j + 1) % n] = 1.0
+        want[j, (j - 1) % n] = -1.0
+    assert np.array_equal(s, want)
 
 
 def _scheme_symbol(grid, k):

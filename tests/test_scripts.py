@@ -21,6 +21,7 @@ def _main(name):
 
 @pytest.mark.parametrize("name, args, rows", [
     ("refinement_study", ["--sizes", "4", "6"], 2),
+    ("layer_timings", ["--sizes", "4"], 9),
     ("convergence_experiment",
      ["--n", "4", "--seeds", "1", "2", "--epsilons", "0.05", "--tol", "1e-4"],
      2),
