@@ -21,10 +21,10 @@ def _main(name):
 
 @pytest.mark.parametrize("name, args, rows", [
     ("refinement_study", ["--sizes", "4", "6"], 2),
-    ("layer_timings", ["--sizes", "4"], 9),
     ("convergence_experiment",
      ["--n", "4", "--seeds", "1", "2", "--epsilons", "0.05", "--tol", "1e-4"],
      2),
+    ("layer_timings", ["--sizes", "4"], 9),
 ])
 def test_script_writes_csv(tmp_path, name, args, rows):
     out = tmp_path / f"{name}.csv"
