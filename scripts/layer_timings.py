@@ -5,10 +5,13 @@ At each size the input is the seed-7 ``flow.initial_data`` field
 (spectral, epsilon 0.05, kmax 2), and each layer is called on what the
 step hands it: Theta, d2 of Theta, its rho-twisted star, d1 of that, the
 whole rhs, the implicit solve on a 2-form (shift 1 / DT_ACCURACY), the
-energy, the monitors and the cohomology class.  After one warm-up call a
-layer is repeated for about a second (5 to 200 times); the CSV holds the
-median in ms and the repetition count.  BLAS and OpenMP are pinned to one
-thread.
+energy, the monitors and the cohomology class.  The monitors no longer
+include the class: a run computes it only for the rows it writes, so it
+is timed on its own row.  After one warm-up call a layer is repeated for
+about a second (5 to 200 times); the CSV holds the median in ms, the
+repetition count and the minor page faults per call (the ``ru_minflt``
+of ``resource.getrusage`` over the repetitions, divided by their count).
+BLAS and OpenMP are pinned to one thread.
 
     python3 scripts/layer_timings.py --sizes 8 16 24
 """
@@ -24,6 +27,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse
 import csv
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -58,17 +62,24 @@ def _layers(g, rho):
     }
 
 
-def _median_ms(call):
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(call):
+    """Median ms per call, the repetition count and minor faults per call."""
     start = time.perf_counter()
     call()
     first = time.perf_counter() - start
     reps = min(200, max(5, math.ceil(1.0 / max(first, 1e-9))))
     times = []
+    faults = _minflt()
     for _ in range(reps):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
-    return float(np.median(times)) * 1e3, reps
+    faults = _minflt() - faults
+    return float(np.median(times)) * 1e3, reps, faults / reps
 
 
 def main(argv=None):
@@ -82,10 +93,11 @@ def main(argv=None):
         g = lat.Grid(n)
         rng = np.random.Generator(np.random.Philox(7))
         for layer, call in _layers(g, flow.initial_data(g, rng)).items():
-            ms, reps = _median_ms(call)
+            ms, reps, faults = _measure(call)
             rows.append({"n": n, "layer": layer, "median_ms": f"{ms:.4g}",
-                         "reps": reps})
-            print(f"n={n:<3d} {layer:<12s} {ms:9.4g} ms  ({reps} reps)")
+                         "reps": reps, "minflt_per_call": f"{faults:.4g}"})
+            print(f"n={n:<3d} {layer:<12s} {ms:9.4g} ms  ({reps} reps, "
+                  f"{faults:.4g} minor faults per call)")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -128,16 +128,41 @@ def interior1(v, l):
     return np.einsum("i...,i...->...", np.asarray(v), np.asarray(l))
 
 
+# interior2 as signed products v_a * w_J, each component summed left to
+# right: -v1 w01 - v2 w02 - v3 w03, v0 w01 - v2 w12 + v3 w31,
+# v0 w02 + v1 w12 - v3 w23, v0 w03 - v1 w31 + v2 w23
+_INTERIOR2 = (((-1, 1, 0), (-1, 2, 1), (-1, 3, 2)),
+             ((1, 0, 0), (-1, 2, 5), (1, 3, 4)),
+             ((1, 0, 1), (1, 1, 5), (-1, 3, 3)),
+             ((1, 0, 2), (-1, 1, 4), (1, 2, 3)))
+
+
+def _contract2(v, w, table):
+    """The 1-form whose i-th component is the signed sum table[i] of
+    products v_a * w_J, filled in place through one scratch plane.  A
+    leading minus negates v_a before the product, so each component is
+    rounded exactly as the expression it stands for."""
+    v, w = np.asarray(v), np.asarray(w)
+    out = np.empty((4,) + np.broadcast_shapes(v.shape[1:], w.shape[1:]),
+                   np.result_type(v, w))
+    plane = np.empty_like(out[0, ...])
+    v, w = list(v), list(w)
+    for i, ((sign, a, j), *rest) in enumerate(table):
+        y = out[i, ...]     # a view, also for a point (c,)
+        if sign < 0:
+            np.negative(v[a], out=y)
+            np.multiply(y, w[j], out=y)
+        else:
+            np.multiply(v[a], w[j], out=y)
+        for sign, a, j in rest:
+            np.multiply(v[a], w[j], out=plane)
+            (np.add if sign > 0 else np.subtract)(y, plane, out=y)
+    return out
+
+
 def interior2(v, w):
     """Contraction of a 2-form with a vector, as a 1-form."""
-    v0, v1, v2, v3 = np.asarray(v)
-    w01, w02, w03, w23, w31, w12 = np.asarray(w)
-    return np.stack([
-        -v1 * w01 - v2 * w02 - v3 * w03,
-        v0 * w01 - v2 * w12 + v3 * w31,
-        v0 * w02 + v1 * w12 - v3 * w23,
-        v0 * w03 - v1 * w31 + v2 * w23,
-    ])
+    return _contract2(v, w, _INTERIOR2)
 
 
 def interior4(v, c):
@@ -380,6 +405,11 @@ def star_rho2(w, b):
     return r_rho(star2_flat(r_rho(w, b)), b)
 
 
+# interior2(star1_flat(f), w) as a table on f: W13_SIGN folded into its signs
+_STAR1_INTERIOR2 = tuple(tuple((sign * int(W13_SIGN[a]), a, j)
+                               for sign, a, j in row) for row in _INTERIOR2)
+
+
 def star_rho3(f, b):
     """rho-twisted Hodge star on 3-forms, the Hodge star of g_rho(rho).
 
@@ -387,17 +417,33 @@ def star_rho3(f, b):
     rho: g_rho = P P^T / u, and its volume is 1 since det P = u^2.  Since
     P^T y is the contraction of rho with y, and -P z that of rho with z, no
     matrix is built.  Satisfies star_rho3(star_rho1(l)) = -l.
+
+    The signs of the flat star are folded into the first contraction's
+    table (exact: they are +-1), and the division by u is in place.
     """
-    return interior2(interior2(star1_flat(f), b.rho), b.rho) / b.u
+    out = interior2(_contract2(f, b.rho, _STAR1_INTERIOR2), b.rho)
+    out /= b.u
+    return out
 
 
 def theta_point(b):
     """The 2-form Theta = star(rho/u) - (|rho/u|^2 / 2) rho at the Base b.
 
     Wedge-orthogonal to rho; vanishes exactly when rho is self-dual.
+    star(rho) / u is two slice divisions, as the flat star swaps the
+    triples (0, 1, 2) and (3, 4, 5); the rest is subtracted in place,
+    one component at a time through one scratch plane.
     """
     rho, u = b.rho, b.u
-    return star2_flat(rho) / u - (0.5 * norm2_sq(rho) / u ** 2) * rho
+    out = np.empty(rho.shape, np.result_type(rho, u, 1.0))
+    np.divide(rho[3:], u, out=out[:3])
+    np.divide(rho[:3], u, out=out[3:])
+    coeff = 0.5 * norm2_sq(rho) / u ** 2
+    plane = np.empty_like(coeff)
+    for i in range(6):
+        y = out[i, ...]     # a view, also for a point (6,)
+        y -= np.multiply(coeff, rho[i], out=plane)
+    return out
 
 
 def theta_dot_point(b, rhohat):

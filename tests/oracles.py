@@ -235,3 +235,31 @@ def sbdf_amplitudes(lam, lap, hs, y0):
         rhs = h * sum(bj * explicit(y) for bj, y in zip(b, past)) - a[1:] @ past
         ys.append(rhs / (a[0] + h * lap))
     return ys[1:]
+
+
+# interior2, star_rho3 and theta_point as stacked textbook expressions, a
+# temporary per term.  The package fills the same sums in place, term by
+# term in the same order, so its results must equal these bit for bit.
+
+def interior2_stacked(v, w):
+    v0, v1, v2, v3 = np.asarray(v)
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
+    return np.stack([
+        -v1 * w01 - v2 * w02 - v3 * w03,
+        v0 * w01 - v2 * w12 + v3 * w31,
+        v0 * w02 + v1 * w12 - v3 * w23,
+        v0 * w03 - v1 * w31 + v2 * w23,
+    ])
+
+
+def star_rho3_stacked(f, rho, u):
+    f = np.asarray(f)
+    signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * (f.ndim - 1))
+    star1 = signs * f
+    return interior2_stacked(interior2_stacked(star1, rho), rho) / u
+
+
+def theta_point_stacked(rho, u):
+    rho = np.asarray(rho)
+    norm_sq = np.einsum("i...,i...->...", rho, rho)
+    return rho[[3, 4, 5, 0, 1, 2]] / u - (0.5 * norm_sq / u ** 2) * rho

@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 
 import donflow
 from donflow import exterior as ext
+from donflow import flow
+from donflow import lattice as lat
 from donflow.checks import random_rho, random_spd, suite_appendixA
 import oracles as orc
 
@@ -460,6 +462,40 @@ def test_theta_dot_matches_finite_differences(rng):
     assert e1 < 1e-2 * max(1.0, np.abs(td).max())
     ratio = e1 / e2
     assert 3.2 < ratio < 4.8
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels, bit for bit
+# ---------------------------------------------------------------------------
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def test_in_place_kernels_equal_the_stacked_expressions(rng):
+    # interior2, star_rho3 and theta_point fill their outputs in place, each
+    # component summed term by term in the order of its stacked expression
+    # in oracles, so the two agree bit for bit, signed zeros included
+    g = lat.Grid(8)
+    field = flow.initial_data(g, np.random.Generator(np.random.Philox(7)))
+    dtheta = lat.d2(g, ext.theta_point(ext.Base(field)))
+    batch = random_rho(rng, (50,), u_min=0.1)
+    cases = [  # (a vector or 3-form, a 2-form)
+        (np.array([0.0, -0.0, 1.5, -2.0]), batch[:, 0]),   # a point (c,)
+        (rng.normal(size=(4, 50)), batch),                 # a 1-d batch
+        (rng.normal(size=4), field),            # a constant against a field
+        (dtheta, field),                        # the n = 8, seed-7 field
+    ]
+    for f, rho in cases:
+        b = ext.Base(rho)
+        assert _same_bits(ext.interior2(f, rho), orc.interior2_stacked(f, rho))
+        assert _same_bits(ext.star_rho3(f, b),
+                          orc.star_rho3_stacked(f, rho, b.u))
+        assert _same_bits(ext.theta_point(b), orc.theta_point_stacked(rho, b.u))
+    # a constant 2-form against a field of vectors, as hyperkahler has it
+    assert _same_bits(ext.interior2(dtheta, ext.OMEGA2),
+                      orc.interior2_stacked(dtheta, ext.OMEGA2))
 
 
 # ---------------------------------------------------------------------------
