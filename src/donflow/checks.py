@@ -9,6 +9,17 @@ and returns one JSON-able record per check:
 ``lhs``/``rhs`` hold representative magnitudes (largest values seen), the
 errors are maxima over the whole batch.  Identical seed and sizes give a
 bit-identical report.
+
+The pointwise suites (appendixA, theta, and the first two records of
+hyperkahler) draw each input for the whole batch, in a fixed stream
+order, and evaluate their identities on slices of ``CHUNK`` samples.
+Each term's largest (or smallest) magnitude is folded across the slices
+with np.maximum (np.minimum); no sum or mean is folded, so no record
+depends on CHUNK.
+Only the drawn inputs grow with the batch, and each is dropped after the
+last record that reads it: ``donflow check`` peaks at about 0.6 kB per
+sample above a fixed 55 MB (ru_maxrss of appendixA: 54.5 MB at 20,000
+samples, 102 MB at 100,000; whole-batch evaluation took 92 and 326 MB).
 """
 
 from __future__ import annotations
@@ -25,6 +36,38 @@ SUITE_ORDER = ("appendixA", "theta", "hyperkahler", "gradient", "hessiancov")
 # the lattice of the field suites (hessiancov refines it to n = 12 as well)
 GRID_N = 8
 SCHEME = "spectral"
+
+
+# samples per slice of a pointwise suite, read at call time
+CHUNK = 4096
+
+
+def _slices(samples):
+    """Consecutive slices of CHUNK samples covering the batch.  A slice of
+    one sample is widened to two with a neighbour, where the batch has
+    two: on a batch of one, einsum finds each sample's components
+    contiguous and sums them with vector instructions, in another order
+    than on a longer batch, while a sample seen twice changes no maximum
+    or minimum."""
+    for start in range(0, samples, CHUNK):
+        lo = max(0, min(start, samples - 2))
+        yield slice(lo, min(samples, max(start + CHUNK, lo + 2)))
+
+
+def _fold(samples, terms, minima=()):
+    """The whole-batch np.max of |term| for each array in the dict
+    ``terms(s)`` (np.min for the names in ``minima``), evaluated on the
+    slices s of :func:`_slices` and folded across them with np.maximum
+    (np.minimum).  These propagate NaN as np.max and np.min do, and a
+    maximum of maxima is exact, so each value equals the whole-batch one
+    bit for bit."""
+    folded = {}
+    for s in _slices(samples):
+        for name, term in terms(s).items():
+            op = np.minimum if name in minima else np.maximum
+            value = op.reduce(np.abs(term), axis=None)
+            folded[name] = op(folded[name], value) if name in folded else value
+    return folded
 
 
 def _record(name, identity, lhs, rhs, err, tol, samples=None, grid_n=None,
@@ -98,122 +141,166 @@ def exact_direction(grid, field, amp):
 
 
 def suite_appendixA(seed, samples):
-    """Appendix A's pointwise identities.  Each of its five metric batches
-    is wrapped in one ``exterior.Metric``, so it is factored once, and
-    dropped after its last check."""
+    """Appendix A's pointwise identities.  Each metric batch is one
+    ``exterior.Metric``; each slice of it, ``g[s]``, is factored once and
+    shares what the batch has factored already (the determinant of gc,
+    which random_rho reads).  Each input is dropped after the last record
+    that reads it."""
     rng = _rng(seed, 0)
-    out = []
     b = int(samples)
-
     rho = rng.uniform(-1, 1, size=(b, 6)).T
-    det = np.linalg.det(ext.a_of(rho))
-    u2 = ext.u_of(rho) ** 2
-    out.append(_record("det_a", "det(A) = u^2 (euclidean)", det, u2,
-                       np.abs(det - u2).max(), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(u2).max())))
-
     g = ext.Metric(random_spd(rng, (b,)))
-    detg = np.linalg.det(ext.a_of(rho, g))
-    u2g = ext.u_of(rho, g) ** 2
-    out.append(_record("det_a_metric", "det(A) = u^2 (general metric)",
-                       detg, u2g, np.abs(detg - u2g).max(), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(u2g).max())))
-
     gu = ext.Metric(random_spd(rng, (b,), unit_vol=True))
     l = rng.normal(size=(b, 4)).T
     w = rng.normal(size=(b, 6)).T
     f = rng.normal(size=(b, 4)).T
-    errs = max(
-        np.abs(ext.hodge3(gu, ext.hodge1(gu, l)) + l).max(),
-        np.abs(ext.hodge2(gu, ext.hodge2(gu, w)) - w).max(),
-        np.abs(ext.hodge1(gu, ext.hodge3(gu, f)) + f).max(),
-    )
-    del gu
-    out.append(_record("hodge_square", "star(star) = (-1)^k on degree k",
-                       1.0, 1.0, errs, 1e-9, b,
-                       rel_scale=max(1.0, np.abs(w).max())))
-
     v = rng.normal(size=(b, 4)).T
-    gv = np.einsum("...ij,j...->i...", g.g, v)
-    ivvol = ext.interior4(v, g.vol)
-    dual1 = np.abs(ext.hodge1(g, gv) - ivvol).max()
-    dual2 = np.abs(ext.hodge3(g, ivvol) + gv).max()
-    del g
-    out.append(_record("vector_duality",
-                       "star g(v,.) = i(v) dvol; star i(v) dvol = -g(v,.)",
-                       gv, ivvol, max(dual1, dual2), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(ivvol).max())))
 
-    # random compatible triples (omega, g, J) with g = omega(., J.)
+    def metric_terms(s):
+        rs, vs, gs = rho[:, s], v[:, s], g[s]
+        det = np.linalg.det(ext.a_of(rs))
+        u2 = ext.u_of(rs) ** 2
+        detg = np.linalg.det(ext.a_of(rs, gs))
+        u2g = ext.u_of(rs, gs) ** 2
+        gv = np.einsum("...ij,j...->i...", gs.g, vs)
+        ivvol = ext.interior4(vs, gs.vol)
+        return {"det": det, "u2": u2, "det_err": det - u2,
+                "detg": detg, "u2g": u2g, "detg_err": detg - u2g,
+                "gv": gv, "ivvol": ivvol,
+                "dual1": ext.hodge1(gs, gv) - ivvol,
+                "dual2": ext.hodge3(gs, ivvol) + gv}
+
+    def hodge_terms(s):
+        ls, ws, fs, gs = l[:, s], w[:, s], f[:, s], gu[s]
+        return {"e1": ext.hodge3(gs, ext.hodge1(gs, ls)) + ls,
+                "e2": ext.hodge2(gs, ext.hodge2(gs, ws)) - ws,
+                "e3": ext.hodge1(gs, ext.hodge3(gs, fs)) + fs,
+                "w": ws}
+
+    m = _fold(b, metric_terms)
+    del rho, g, v
+    h = _fold(b, hodge_terms)
+    del gu, l, f
+    out = [
+        _record("det_a", "det(A) = u^2 (euclidean)", m["det"], m["u2"],
+                m["det_err"], 1e-9, b, rel_scale=max(1.0, m["u2"])),
+        _record("det_a_metric", "det(A) = u^2 (general metric)",
+                m["detg"], m["u2g"], m["detg_err"], 1e-9, b,
+                rel_scale=max(1.0, m["u2g"])),
+        _record("hodge_square", "star(star) = (-1)^k on degree k",
+                1.0, 1.0, max(h["e1"], h["e2"], h["e3"]), 1e-9, b,
+                rel_scale=max(1.0, h["w"])),
+        _record("vector_duality",
+                "star g(v,.) = i(v) dvol; star i(v) dvol = -g(v,.)",
+                m["gv"], m["ivvol"], max(m["dual1"], m["dual2"]), 1e-9, b,
+                rel_scale=max(1.0, m["ivvol"])),
+    ]
+
     gc = ext.Metric(random_spd(rng, (b,)))
-    sd = ext.self_dual_basis(gc)
-    wc = sd[..., 0]
-    jc = ext.form2_matrix_inv(wc) @ gc.g
-    errc = np.abs(jc @ jc + np.eye(4)).max()
     lam = rng.normal(size=(b, 4)).T
-    lhs = ext.hodge3(gc, ext.wedge12(lam, wc))
-    rhs = -np.einsum("...ji,j...->i...", jc, lam)
+    rho2 = random_rho(rng, (b,), 0.05, gc)   # factors gc.det for the slices
+    x = rng.normal(size=(b, 4)).T
+    t = rng.normal(size=(b, 6)).T
+
+    def twisted_terms(s):
+        gs, ls, r2 = gc[s], lam[:, s], rho2[:, s]
+        xs, ts = x[:, s], t[:, s]
+        # random compatible triples (omega, g, J) with g = omega(., J.)
+        sd = ext.self_dual_basis(gs)
+        wc = sd[..., 0]
+        jc = ext.form2_matrix_inv(wc) @ gs.g
+        lhs = ext.hodge3(gs, ext.wedge12(ls, wc))
+        rhs = -np.einsum("...ji,j...->i...", jc, ls)
+        gr = ext.Metric(ext.g_rho(r2, gs))
+        u = ext.u_of(r2, gs)
+        base2 = ext.Base(r2)
+        rsd = ext.r_rho(sd, ext.Base(r2[..., None]))
+        terms = {
+            "lhs": lhs, "rhs": rhs,
+            "j_square": jc @ jc + np.eye(4),
+            "star": lhs - rhs,
+            "vol": ext.wedge22(wc, wc) / 2 - gs.vol,
+            "self_dual": ext.hodge2(gs, wc) - wc,
+            "gr": gr.g,
+            "e2": (ext.hodge1(gr, ls)
+                   - ext.wedge12(ext.hodge3(gs, ext.wedge12(ls, r2)), r2)
+                   / u),
+            "e3": (ext.hodge1(gr, ext.interior2(xs, r2))
+                   + ext.wedge12(np.einsum("...ij,j...->i...", gs.g, xs),
+                                 r2)),
+            "e4": (ext.form2_matrix(ext.r_rho(wc, base2))
+                   @ ext.j_rho(jc, r2) - gr.g),
+            "e6": (ext.hodge2(gr, ts)
+                   - ext.r_rho(ext.hodge2(gs, ext.r_rho(ts, base2)), base2)),
+            "evol": gr.det - gs.det,
+        }
+        for a in range(3):
+            terms[f"e5_{a}"] = ext.hodge2(gr, rsd[..., a]) - rsd[..., a]
+        return terms
+
+    tw = _fold(b, twisted_terms)
+    del gc, lam, x
     out.append(_record("compatible_star",
                        "g = w(., J.) iff star(w ^ l) = -l o J and vol match",
-                       lhs, rhs,
-                       max(errc, np.abs(lhs - rhs).max(),
-                           np.abs(ext.wedge22(wc, wc) / 2 - gc.vol).max(),
-                           np.abs(ext.hodge2(gc, wc) - wc).max()),
-                       1e-9, b, rel_scale=max(1.0, np.abs(lhs).max())))
-
-    rho2 = random_rho(rng, (b,), 0.05, gc)
-    gr = ext.Metric(ext.g_rho(rho2, gc))
-    u = ext.u_of(rho2, gc)
-    scale = max(1.0, float(np.abs(gr.g).max()))
-    e2 = np.abs(ext.hodge1(gr, lam)
-                - ext.wedge12(ext.hodge3(gc, ext.wedge12(lam, rho2)), rho2)
-                / u).max()
-    x = rng.normal(size=(b, 4)).T
-    e3 = np.abs(ext.hodge1(gr, ext.interior2(x, rho2))
-                + ext.wedge12(np.einsum("...ij,j...->i...", gc.g, x), rho2)).max()
-    jr = ext.j_rho(jc, rho2)
-    base2 = ext.Base(rho2)
-    e4 = np.abs(ext.form2_matrix(ext.r_rho(wc, base2)) @ jr - gr.g).max()
-    rsd = ext.r_rho(sd, ext.Base(rho2[..., None]))
-    e5 = max(np.abs(ext.hodge2(gr, rsd[..., a]) - rsd[..., a]).max()
-             for a in range(3))
-    t = rng.normal(size=(b, 6)).T
-    e6 = np.abs(ext.hodge2(gr, t)
-                - ext.r_rho(ext.hodge2(gc, ext.r_rho(t, base2)), base2)).max()
-    evol = np.abs(gr.det - gc.det).max()
-    del gc, gr
+                       tw["lhs"], tw["rhs"],
+                       max(tw["j_square"], tw["star"], tw["vol"],
+                           tw["self_dual"]),
+                       1e-9, b, rel_scale=max(1.0, tw["lhs"])))
+    e5 = max(tw[f"e5_{a}"] for a in range(3))
+    scale = max(1.0, float(tw["gr"]))
     out.append(_record("twisted_metric",
                        "six characterizations of g_rho agree pairwise",
-                       1.0, 1.0, max(e2, e3, e4, e5, e6, evol), 1e-9, b,
-                       rel_scale=scale ** 2))
+                       1.0, 1.0,
+                       max(tw["e2"], tw["e3"], tw["e4"], e5, tw["e6"],
+                           tw["evol"]),
+                       1e-9, b, rel_scale=scale ** 2))
 
     g0 = ext.Metric(random_spd(rng, (b,), unit_vol=True))
-    basis = ext.self_dual_basis(g0)
-    grec = ext.metric_from_vol_and_plane(g0.vol, basis)
+
+    def reconstruction_terms(s):
+        gs = g0[s]
+        grec = ext.metric_from_vol_and_plane(gs.vol, ext.self_dual_basis(gs))
+        return {"grec": grec, "g": gs.g, "err": grec - gs.g}
+
+    rec = _fold(b, reconstruction_terms)
+    del g0
     out.append(_record("metric_reconstruction",
                        "unique metric from volume form and self-dual plane",
-                       grec, g0.g, np.abs(grec - g0.g).max(), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(g0.g).max())))
-    del g0
+                       rec["grec"], rec["g"], rec["err"], 1e-9, b,
+                       rel_scale=max(1.0, rec["g"])))
 
-    rr = ext.r_rho(ext.r_rho(t, base2), base2)
-    ew = np.abs(ext.wedge22(ext.r_rho(t, base2), ext.r_rho(w, base2))
-                - ext.wedge22(t, w)).max()
+    def reflection_terms(s):
+        ts, ws, base2 = t[:, s], w[:, s], ext.Base(rho2[:, s])
+        rt = ext.r_rho(ts, base2)
+        rr = ext.r_rho(rt, base2)
+        return {"rr": rr, "t": ts, "err": rr - ts,
+                "pairing": (ext.wedge22(rt, ext.r_rho(ws, base2))
+                            - ext.wedge22(ts, ws))}
+
+    ref = _fold(b, reflection_terms)
+    del t, w, rho2
     out.append(_record("reflection", "R^2 = id and R preserves the pairing",
-                       rr, t, max(np.abs(rr - t).max(), ew), 1e-9, b,
-                       rel_scale=max(1.0, np.abs(t).max() ** 2)))
+                       ref["rr"], ref["t"], max(ref["err"], ref["pairing"]),
+                       1e-9, b, rel_scale=max(1.0, ref["t"] ** 2)))
 
     j1, j2, j3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
     eq = max(np.abs(j1 @ j2 - j3).max(), np.abs(j2 @ j1 + j3).max(),
              np.abs(j1 @ j1 + np.eye(4)).max())
     vv = rng.normal(size=(b, 4))
-    cols = np.stack([vv, vv @ j1.T, vv @ j2.T, vv @ j3.T], axis=-1)
-    dets = np.linalg.det(cols)
-    norms = np.einsum("...i,...i->...", vv, vv)
-    frame_ok = float(np.min(np.abs(dets) / np.maximum(norms ** 2, 1e-30)))
+
+    def frame_terms(s):
+        vs = vv[s]
+        cols = np.stack([vs, vs @ j1.T, vs @ j2.T, vs @ j3.T], axis=-1)
+        dets = np.linalg.det(cols)
+        norms2 = np.einsum("...i,...i->...", vs, vs) ** 2
+        return {"dets": dets, "norms2": norms2,
+                "frame": dets / np.maximum(norms2, 1e-30)}
+
+    q = _fold(b, frame_terms, minima=("frame",))
+    frame_ok = float(q["frame"])
     out.append(_record("quaternion_triple",
                        "cyclic solves give quaternion relations and frames",
-                       dets, norms ** 2, eq + max(0.0, 1e-6 - frame_ok),
+                       q["dets"], q["norms2"], eq + max(0.0, 1e-6 - frame_ok),
                        1e-9, b, rel_scale=1.0))
     return out
 
@@ -221,77 +308,94 @@ def suite_appendixA(seed, samples):
 def suite_theta(seed, samples):
     rng = _rng(seed, 1)
     b = int(samples)
-    out = []
     rho = random_rho(rng, (b,), 0.3)
-    base = ext.Base(rho)
-    u = base.u
-    th = ext.theta_point(base)
-    scale = max(1.0, float(np.abs(th).max() * np.abs(rho).max()))
-    out.append(_record("theta_wedge_rho", "Theta ^ rho = 0",
-                       th, rho, np.abs(ext.wedge22(th, rho)).max(), 1e-11,
-                       b, rel_scale=scale))
 
-    plus, minus = ext.sd_split(rho)
-    np2, nm2 = ext.norm2_sq(plus), ext.norm2_sq(minus)
-    alt1 = 2 * plus / u - (np2 / u ** 2) * rho
-    alt2 = -(nm2 * plus + np2 * minus) / u ** 2
-    out.append(_record("theta_forms", "the closed forms of Theta agree",
-                       alt1, alt2,
-                       max(np.abs(th - alt1).max(), np.abs(th - alt2).max()),
-                       1e-10, b, rel_scale=max(1.0, float(np.abs(th).max()))))
+    def theta_terms(s):
+        rs = rho[:, s]
+        base = ext.Base(rs)
+        u = base.u
+        th = ext.theta_point(base)
+        plus, minus = ext.sd_split(rs)
+        np2, nm2 = ext.norm2_sq(plus), ext.norm2_sq(minus)
+        alt1 = 2 * plus / u - (np2 / u ** 2) * rs
+        alt2 = -(nm2 * plus + np2 * minus) / u ** 2
+        lhs = ext.wedge22(th, th)
+        rhs = -2 * np2 * nm2 / u ** 3
+        return {"th": th, "rho": rs, "wedge": ext.wedge22(th, rs),
+                "alt1": alt1, "alt2": alt2,
+                "alt1_err": th - alt1, "alt2_err": th - alt2,
+                "lhs": lhs, "rhs": rhs, "square_err": lhs - rhs}
 
-    lhs = ext.wedge22(th, th)
-    rhs = -2 * np2 * nm2 / u ** 3
-    out.append(_record("theta_square",
-                       "Theta ^ Theta = -2|r+|^2 |r-|^2 / u^3 dvol",
-                       lhs, rhs, np.abs(lhs - rhs).max(), 1e-9, b,
-                       rel_scale=max(1.0, float(np.abs(rhs).max()))))
+    m = _fold(b, theta_terms)
+    scale = max(1.0, float(m["th"] * m["rho"]))
+    out = [
+        _record("theta_wedge_rho", "Theta ^ rho = 0", m["th"], m["rho"],
+                m["wedge"], 1e-11, b, rel_scale=scale),
+        _record("theta_forms", "the closed forms of Theta agree",
+                m["alt1"], m["alt2"], max(m["alt1_err"], m["alt2_err"]),
+                1e-10, b, rel_scale=max(1.0, float(m["th"]))),
+        _record("theta_square", "Theta ^ Theta = -2|r+|^2 |r-|^2 / u^3 dvol",
+                m["lhs"], m["rhs"], m["square_err"], 1e-9, b,
+                rel_scale=max(1.0, float(m["rhs"]))),
+    ]
 
     sd = (rng.uniform(0.3, 2.0, size=(b, 1)) * ext.OMEGA1).T
-    th_sd = ext.theta_point(ext.Base(sd))
+    th_sd = _fold(b, lambda s: {"th": ext.theta_point(ext.Base(sd[:, s]))})
+    th_sd = th_sd["th"]
+    del sd
     out.append(_record("theta_self_dual", "Theta = 0 iff rho self-dual",
-                       th_sd, 0.0, np.abs(th_sd).max(), 1e-12, b,
-                       rel_scale=1.0))
+                       th_sd, 0.0, th_sd, 1e-12, b, rel_scale=1.0))
 
     rh = rng.normal(size=(b, 6)).T
-    td = ext.theta_dot_point(base, rh)
 
-    def fd(t):
-        return (ext.theta_point(ext.Base(rho + t * rh))
-                - ext.theta_point(ext.Base(rho - t * rh))) / (2 * t)
+    def derivative_terms(s):
+        rs, hs = rho[:, s], rh[:, s]
+        td = ext.theta_dot_point(ext.Base(rs), hs)
 
-    e1 = np.abs(fd(1e-3) - td).max()
-    e2 = np.abs(fd(5e-4) - td).max()
-    ratio = e1 / e2
-    rec = _record("theta_derivative",
-                  "Theta_dot matches second order differences (ratio 4)",
-                  ratio, 4.0, abs(ratio - 4.0), 0.8, b, rel_scale=1.0)
-    out.append(rec)
+        def fd(t):
+            return (ext.theta_point(ext.Base(rs + t * hs))
+                    - ext.theta_point(ext.Base(rs - t * hs))) / (2 * t)
+
+        return {"e1": fd(1e-3) - td, "e2": fd(5e-4) - td}
+
+    d = _fold(b, derivative_terms)
+    ratio = d["e1"] / d["e2"]
+    out.append(_record("theta_derivative",
+                       "Theta_dot matches second order differences (ratio 4)",
+                       ratio, 4.0, abs(ratio - 4.0), 0.8, b, rel_scale=1.0))
     return out
 
 
 def suite_hyperkahler(seed, samples):
     rng = _rng(seed, 2)
     b = int(samples)
-    out = []
     rho = random_rho(rng, (b,), 0.05)
-    base = ext.Base(rho)
-    u = base.u
-    k = hk.k_functions(base)
-    plus, minus = ext.sd_split(rho)
-    recon = 0.5 * u * np.einsum("i...,ic->c...", k, hk.OMEGAS)
-    e1 = np.abs(recon - plus).max()
-    e2 = np.abs(2 * ext.norm2_sq(plus) - u ** 2 * np.sum(k ** 2, axis=0)).max()
-    e3 = np.abs(ext.norm2_sq(plus) - ext.norm2_sq(minus) - 2 * u).max()
-    out.append(_record("moment_map_split",
-                       "r+ = (u/2) sum K_i w_i and the norm identities",
-                       recon, plus, max(e1, e2, e3), 1e-10, b,
-                       rel_scale=max(1.0, float(np.abs(plus).max() ** 2))))
 
-    dev = np.abs(hk.theta_hk(base) - ext.theta_point(base)).max()
-    out.append(_record("theta_cross", "moment-map Theta = direct Theta",
-                       1.0, 1.0, dev, 1e-11, b,
-                       rel_scale=max(1.0, float(np.abs(rho).max()))))
+    def moment_terms(s):
+        rs = rho[:, s]
+        base = ext.Base(rs)
+        u = base.u
+        k = hk.k_functions(base)
+        plus, minus = ext.sd_split(rs)
+        recon = 0.5 * u * np.einsum("i...,ic->c...", k, hk.OMEGAS)
+        return {
+            "recon": recon, "plus": plus, "e1": recon - plus,
+            "e2": 2 * ext.norm2_sq(plus) - u ** 2 * np.sum(k ** 2, axis=0),
+            "e3": ext.norm2_sq(plus) - ext.norm2_sq(minus) - 2 * u,
+            "dev": hk.theta_hk(base) - ext.theta_point(base),
+            "rho": rs}
+
+    m = _fold(b, moment_terms)
+    del rho
+    out = [
+        _record("moment_map_split",
+                "r+ = (u/2) sum K_i w_i and the norm identities",
+                m["recon"], m["plus"], max(m["e1"], m["e2"], m["e3"]), 1e-10,
+                b, rel_scale=max(1.0, float(m["plus"] ** 2))),
+        _record("theta_cross", "moment-map Theta = direct Theta",
+                1.0, 1.0, m["dev"], 1e-11, b,
+                rel_scale=max(1.0, float(m["rho"]))),
+    ]
 
     g = lat.Grid(GRID_N, SCHEME)
     gen = np.random.Generator(np.random.Philox(2000 * int(seed) + 5))

@@ -34,8 +34,9 @@ checked once, when the Base is built, and never by a function taking it.
 A metric argument is a :class:`Metric`, the one place a metric is
 factored: it keeps its inverse, determinant, volume and 2-form Gram matrix
 for as long as it lives, so a caller that wraps a batch once factors it
-once.  The determinant and inverse stay LAPACK's: g_rho reaches condition
-numbers near 1e5, where cofactor formulas raised the ``twisted_metric``
+once, and a slice ``g[s]`` shares the factors computed so far.  The
+determinant and inverse stay LAPACK's: g_rho reaches condition numbers
+near 1e5, where cofactor formulas raised the ``twisted_metric``
 check's error from 2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an
 unpivoted Cholesky factorization was 16 times less accurate than LU.
 """
@@ -87,32 +88,6 @@ OMEGA3_ASD = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0])
 # wedge and interior products
 # ---------------------------------------------------------------------------
 
-def wedge11(l1, l2):
-    """Wedge of two 1-forms, as a 2-form."""
-    a0, a1, a2, a3 = np.asarray(l1)
-    b0, b1, b2, b3 = np.asarray(l2)
-    return np.stack([
-        a0 * b1 - a1 * b0,
-        a0 * b2 - a2 * b0,
-        a0 * b3 - a3 * b0,
-        a2 * b3 - a3 * b2,
-        a3 * b1 - a1 * b3,
-        a1 * b2 - a2 * b1,
-    ])
-
-
-def wedge12(l, w):
-    """Wedge of a 1-form with a 2-form, as a 3-form."""
-    l0, l1, l2, l3 = np.asarray(l)
-    w01, w02, w03, w23, w31, w12 = np.asarray(w)
-    return np.stack([
-        l1 * w23 + l2 * w31 + l3 * w12,
-        l0 * w23 - l2 * w03 + l3 * w02,
-        -l0 * w31 - l1 * w03 + l3 * w01,
-        l0 * w12 - l1 * w02 + l2 * w01,
-    ])
-
-
 def wedge13(l, f):
     """Wedge of a 1-form with a 3-form: coefficient of the output 4-form."""
     return np.einsum("i...,i,i...->...", np.asarray(l), W13_SIGN, np.asarray(f))
@@ -128,8 +103,23 @@ def interior1(v, l):
     return np.einsum("i...,i...->...", np.asarray(v), np.asarray(l))
 
 
-# interior2 as signed products v_a * w_J, each component summed left to
-# right: -v1 w01 - v2 w02 - v3 w03, v0 w01 - v2 w12 + v3 w31,
+# bilinear maps as tables of signed products v_a * w_J, one row per output
+# component, each summed left to right as the expression it stands for
+
+# wedge11: a0 b1 - a1 b0, a0 b2 - a2 b0, a0 b3 - a3 b0, a2 b3 - a3 b2,
+# a3 b1 - a1 b3, a1 b2 - a2 b1
+_WEDGE11 = (((1, 0, 1), (-1, 1, 0)), ((1, 0, 2), (-1, 2, 0)),
+            ((1, 0, 3), (-1, 3, 0)), ((1, 2, 3), (-1, 3, 2)),
+            ((1, 3, 1), (-1, 1, 3)), ((1, 1, 2), (-1, 2, 1)))
+
+# wedge12: l1 w23 + l2 w31 + l3 w12, l0 w23 - l2 w03 + l3 w02,
+# -l0 w31 - l1 w03 + l3 w01, l0 w12 - l1 w02 + l2 w01
+_WEDGE12 = (((1, 1, 3), (1, 2, 4), (1, 3, 5)),
+            ((1, 0, 3), (-1, 2, 2), (1, 3, 1)),
+            ((-1, 0, 4), (-1, 1, 2), (1, 3, 0)),
+            ((1, 0, 5), (-1, 1, 1), (1, 2, 0)))
+
+# interior2: -v1 w01 - v2 w02 - v3 w03, v0 w01 - v2 w12 + v3 w31,
 # v0 w02 + v1 w12 - v3 w23, v0 w03 - v1 w31 + v2 w23
 _INTERIOR2 = (((-1, 1, 0), (-1, 2, 1), (-1, 3, 2)),
              ((1, 0, 0), (-1, 2, 5), (1, 3, 4)),
@@ -137,13 +127,14 @@ _INTERIOR2 = (((-1, 1, 0), (-1, 2, 1), (-1, 3, 2)),
              ((1, 0, 2), (-1, 1, 4), (1, 2, 3)))
 
 
-def _contract2(v, w, table):
-    """The 1-form whose i-th component is the signed sum table[i] of
+def _bilinear(v, w, table):
+    """The form whose i-th component is the signed sum table[i] of
     products v_a * w_J, filled in place through one scratch plane.  A
     leading minus negates v_a before the product, so each component is
     rounded exactly as the expression it stands for."""
     v, w = np.asarray(v), np.asarray(w)
-    out = np.empty((4,) + np.broadcast_shapes(v.shape[1:], w.shape[1:]),
+    out = np.empty((len(table),)
+                   + np.broadcast_shapes(v.shape[1:], w.shape[1:]),
                    np.result_type(v, w))
     plane = np.empty_like(out[0, ...])
     v, w = list(v), list(w)
@@ -160,9 +151,19 @@ def _contract2(v, w, table):
     return out
 
 
+def wedge11(l1, l2):
+    """Wedge of two 1-forms, as a 2-form."""
+    return _bilinear(l1, l2, _WEDGE11)
+
+
+def wedge12(l, w):
+    """Wedge of a 1-form with a 2-form, as a 3-form."""
+    return _bilinear(l, w, _WEDGE12)
+
+
 def interior2(v, w):
     """Contraction of a 2-form with a vector, as a 1-form."""
-    return _contract2(v, w, _INTERIOR2)
+    return _bilinear(v, w, _INTERIOR2)
 
 
 def interior4(v, c):
@@ -176,16 +177,14 @@ def interior4(v, c):
 
 def form2_matrix(w):
     """Antisymmetric matrix P with P[i,j] = w(d_i, d_j), shape
-    (*batch, 4, 4)."""
-    w01, w02, w03, w23, w31, w12 = np.asarray(w)
-    z = np.zeros_like(w01)
-    rows = [
-        np.stack([z, w01, w02, w03], axis=-1),
-        np.stack([-w01, z, w12, -w31], axis=-1),
-        np.stack([-w02, -w12, z, w23], axis=-1),
-        np.stack([-w03, w31, -w23, z], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    (*batch, 4, 4): each component w[c] is copied to P[IDX2[c]] and
+    negated into its transpose, in one preallocated output."""
+    w = np.asarray(w)
+    out = np.zeros(w.shape[1:] + (4, 4), w.dtype)
+    for c, (i, j) in enumerate(IDX2):
+        out[..., i, j] = w[c]
+        np.negative(w[c], out=out[..., j, i])
+    return out
 
 
 def pfaffian(w):
@@ -215,6 +214,15 @@ class Metric:
 
     def __init__(self, g):
         self.g = np.asarray(g)
+
+    def __getitem__(self, index):
+        """The metrics at ``index`` of the batch, with each factor computed
+        so far sliced along, not computed again."""
+        part = Metric(self.g[index])
+        for name in ("inv", "det", "vol", "form2"):
+            if name in self.__dict__:
+                part.__dict__[name] = self.__dict__[name][index]
+        return part
 
     @cached_property
     def inv(self):
@@ -421,7 +429,7 @@ def star_rho3(f, b):
     The signs of the flat star are folded into the first contraction's
     table (exact: they are +-1), and the division by u is in place.
     """
-    out = interior2(_contract2(f, b.rho, _STAR1_INTERIOR2), b.rho)
+    out = interior2(_bilinear(f, b.rho, _STAR1_INTERIOR2), b.rho)
     out /= b.u
     return out
 

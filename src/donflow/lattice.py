@@ -148,6 +148,13 @@ class Grid:
         (n, n, n, n)."""
         return sum(b ** 2 for b in _on_axes(self._b(self.real_basis[1])))
 
+    @cached_property
+    def inv_laplace_symbol(self):
+        """1 / laplace_symbol, and 0 on its kernel modes: the multiplier of
+        :func:`inv_laplace`."""
+        sym = self.laplace_symbol
+        return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
+
     def coords(self):
         """Coordinate arrays x0..x3, each broadcastable to the lattice."""
         x = np.arange(self.n) / self.n
@@ -275,9 +282,7 @@ def delta2(grid, w):
 
 def inv_laplace(grid, f):
     """Inverse of the (scheme) Laplacian, zero on its kernel modes."""
-    sym = grid.laplace_symbol
-    return _multiply(grid, f, np.divide(1.0, sym, out=np.zeros_like(sym),
-                                        where=sym > 0))
+    return _multiply(grid, f, grid.inv_laplace_symbol)
 
 
 def resolvent(grid, f, shift):

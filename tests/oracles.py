@@ -237,9 +237,46 @@ def sbdf_amplitudes(lam, lap, hs, y0):
     return ys[1:]
 
 
-# interior2, star_rho3 and theta_point as stacked textbook expressions, a
-# temporary per term.  The package fills the same sums in place, term by
-# term in the same order, so its results must equal these bit for bit.
+# wedge11, wedge12, interior2, form2_matrix, star_rho3 and theta_point as
+# stacked textbook expressions, a temporary per term.  The package fills
+# the same sums in place, term by term in the same order, so its results
+# must equal these bit for bit.
+
+def wedge11_stacked(l1, l2):
+    a0, a1, a2, a3 = np.asarray(l1)
+    b0, b1, b2, b3 = np.asarray(l2)
+    return np.stack([
+        a0 * b1 - a1 * b0,
+        a0 * b2 - a2 * b0,
+        a0 * b3 - a3 * b0,
+        a2 * b3 - a3 * b2,
+        a3 * b1 - a1 * b3,
+        a1 * b2 - a2 * b1,
+    ])
+
+
+def wedge12_stacked(l, w):
+    l0, l1, l2, l3 = np.asarray(l)
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
+    return np.stack([
+        l1 * w23 + l2 * w31 + l3 * w12,
+        l0 * w23 - l2 * w03 + l3 * w02,
+        -l0 * w31 - l1 * w03 + l3 * w01,
+        l0 * w12 - l1 * w02 + l2 * w01,
+    ])
+
+
+def form2_matrix_stacked(w):
+    w01, w02, w03, w23, w31, w12 = np.asarray(w)
+    z = np.zeros_like(w01)
+    rows = [
+        np.stack([z, w01, w02, w03], axis=-1),
+        np.stack([-w01, z, w12, -w31], axis=-1),
+        np.stack([-w02, -w12, z, w23], axis=-1),
+        np.stack([-w03, w31, -w23, z], axis=-1),
+    ]
+    return np.stack(rows, axis=-2)
+
 
 def interior2_stacked(v, w):
     v0, v1, v2, v3 = np.asarray(v)

@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from donflow import checks
@@ -35,3 +37,49 @@ def test_suite_order_does_not_matter():
     a, _ = checks.run_suites(["gradient", "theta"], seed=5, samples=600)
     b, _ = checks.run_suites(["theta", "gradient"], seed=5, samples=600)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, seed):
+    # 23 samples: slices of one (each widened to two), of 7 with a last
+    # slice of 2, and the whole batch in one slice
+    reports = []
+    for chunk in (1, 7, 23, 4096):
+        monkeypatch.setattr(checks, "CHUNK", chunk)
+        records, _ = checks.run_suites(["appendixA", "theta", "hyperkahler"],
+                                       seed, 23)
+        reports.append(json.dumps(records, sort_keys=True))
+    assert len(set(reports)) == 1
+
+
+def test_fold_propagates_nan_as_the_whole_batch_max(monkeypatch):
+    monkeypatch.setattr(checks, "CHUNK", 2)
+    x = np.array([1.0, 2.0, np.nan, 0.5, 3.0])
+    assert [(s.start, s.stop) for s in checks._slices(5)] == [(0, 2), (2, 4),
+                                                             (3, 5)]
+    folded = checks._fold(5, lambda s: {"max": x[s], "min": x[s]},
+                          minima=("min",))
+    assert np.isnan(folded["max"]) and np.isnan(np.max(x))
+    assert np.isnan(folded["min"]) and np.isnan(np.min(x))
+    rec = checks._record("nan", "a NaN in the second slice", 1.0, 1.0,
+                         folded["max"], 1e-9, 5)
+    assert not rec["passed"]
+    y = np.where(np.isnan(x), -4.0, -x)
+    folded = checks._fold(5, lambda s: {"max": y[s], "min": y[s]},
+                          minima=("min",))
+    assert (folded["max"], folded["min"]) == (4.0, 0.5)
+
+
+def test_appendixA_memory_does_not_grow_with_whole_batch_temporaries():
+    # tracemalloc peaks of suite_appendixA(0, 40000) under numpy 2.4: 24 MB
+    # folded over slices of CHUNK samples, 113 MB for the whole-batch
+    # evaluation it replaced (57 MB at 20,000 samples); the drawn inputs
+    # alone are 0.9 kB per sample, 36 MB if all were live at once
+    tracemalloc.start()
+    try:
+        records = checks.suite_appendixA(0, 40000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rec["passed"] for rec in records)
+    assert peak < 48e6, f"peak {peak / 1e6:.1f} MB"

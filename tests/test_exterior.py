@@ -267,6 +267,16 @@ def test_appendixA_factors_each_metric_once(monkeypatch):
     assert calls["solve"] == 0
 
 
+def test_metric_slice_shares_the_factors_computed_so_far(rng):
+    g = ext.Metric(random_spd(rng, (10,)))
+    det = g.det
+    part = g[2:5]
+    assert np.shares_memory(part.det, det) and "inv" not in part.__dict__
+    fresh = ext.Metric(g.g[2:5])
+    for name in ("det", "vol", "inv", "form2"):
+        assert getattr(part, name).tobytes() == getattr(fresh, name).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # u, A and the induced metric
 # ---------------------------------------------------------------------------
@@ -496,6 +506,21 @@ def test_in_place_kernels_equal_the_stacked_expressions(rng):
     # a constant 2-form against a field of vectors, as hyperkahler has it
     assert _same_bits(ext.interior2(dtheta, ext.OMEGA2),
                       orc.interior2_stacked(dtheta, ext.OMEGA2))
+    # wedge11, wedge12 and form2_matrix the same way: a point with signed
+    # zeros, a batch, and a constant against a field either way round
+    zeros1 = np.array([0.0, -0.0, 1.5, -2.0])
+    zeros2 = np.array([-0.0, 0.0, -0.0, 3.0, 0.0, -1.0])
+    vectors = rng.normal(size=(4, 50))
+    cases = [  # (a 1-form, a 1-form, a 2-form)
+        (zeros1, -zeros1[::-1], zeros2),              # a point (c,)
+        (vectors, rng.normal(size=(4, 50)), batch),   # a 1-d batch
+        (rng.normal(size=4), dtheta, field),          # a constant, a field
+        (dtheta, zeros1, ext.OMEGA2),                 # a field, a constant
+    ]
+    for l1, l2, w in cases:
+        assert _same_bits(ext.wedge11(l1, l2), orc.wedge11_stacked(l1, l2))
+        assert _same_bits(ext.wedge12(l1, w), orc.wedge12_stacked(l1, w))
+        assert _same_bits(ext.form2_matrix(w), orc.form2_matrix_stacked(w))
 
 
 # ---------------------------------------------------------------------------

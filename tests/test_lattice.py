@@ -325,6 +325,24 @@ def test_multipliers_match_fourier_oracle(n, scheme, rng):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_inv_laplace_reads_its_symbol_from_the_grid(monkeypatch, rng):
+    # 1/|k|^2 is built once per Grid, bit for bit the guarded division it
+    # replaces, and a later inv_laplace divides nothing
+    g = lat.Grid(8)
+    sym = g.laplace_symbol
+    want = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
+    assert g.inv_laplace_symbol.tobytes() == want.tobytes()
+    f = rng.normal(size=(6,) + g.shape)
+    first = lat.inv_laplace(g, f)
+
+    def no_divide(*args, **kwargs):
+        raise AssertionError("inv_laplace rebuilt its symbol")
+
+    monkeypatch.setattr(np, "divide", no_divide)
+    assert lat.inv_laplace(g, f).tobytes() == first.tobytes()
+    assert lat._multiply(g, f, want).tobytes() == first.tobytes()
+
+
 def test_random_trig_field_aliases_like_sampled_cosines():
     # at n = 4 the modes +-2 of kmax = 2 both land on the Nyquist frequency,
     # and those of kmax = 3 also fold +-3 onto -+1
