@@ -7,11 +7,15 @@ step hands it: Theta, d2 of Theta, its rho-twisted star, d1 of that, the
 whole rhs, the implicit solve on a 2-form (shift 1 / DT_ACCURACY), the
 energy, the monitors and the cohomology class.  The monitors no longer
 include the class: a run computes it only for the rows it writes, so it
-is timed on its own row.  After one warm-up call a layer is repeated for
-about a second (5 to 200 times); the CSV holds the median in ms, the
-repetition count and the minor page faults per call (the ``ru_minflt``
-of ``resource.getrusage`` over the repetitions, divided by their count).
-BLAS and OpenMP are pinned to one thread.
+is timed on its own row.  Two layers of the set-up and the checks close
+the table: a ``random_trig_field`` closure drawn as ``initial_data``
+draws one (kmax 2, four components), evaluated on the grid, and the CG
+solve ``least_norm_potential`` of the rhs at the input, as the Donaldson
+pairing of the gradient check calls it.  After one warm-up call a layer
+is repeated for about a second (5 to 200 times); the CSV holds the
+median in ms, the repetition count and the minor page faults per call
+(the ``ru_minflt`` of ``resource.getrusage`` over the repetitions,
+divided by their count).  BLAS and OpenMP are pinned to one thread.
 
     python3 scripts/layer_timings.py --sizes 8 16 24
 """
@@ -39,8 +43,9 @@ from donflow import flow
 from donflow import lattice as lat
 
 
-def _layers(g, rho):
-    """The layers of a step as zero-argument calls on their own inputs."""
+def _layers(g, rho, field):
+    """The layers of a step, then the trig field closure ``field`` and the
+    CG potential solve, as zero-argument calls on their own inputs."""
     b = ext.Base(rho)
     theta = ext.theta_point(b)
     dtheta = lat.d2(g, theta)
@@ -59,6 +64,9 @@ def _layers(g, rho):
         "energy": lambda: flow.energy(g, b),
         "monitors": lambda: flow.monitors(g, b, e, velocity, coh0, 0.0),
         "cohomology": lambda: lat.cohomology(g, rho),
+        "random_trig_field": lambda: field(g),
+        "least_norm_potential": lambda: lat.least_norm_potential(g, velocity,
+                                                                 b),
     }
 
 
@@ -92,11 +100,13 @@ def main(argv=None):
     for n in args.sizes:
         g = lat.Grid(n)
         rng = np.random.Generator(np.random.Philox(7))
-        for layer, call in _layers(g, flow.initial_data(g, rng)).items():
+        rho = flow.initial_data(g, rng)
+        field = lat.random_trig_field(rng, 2, ncomp=4)
+        for layer, call in _layers(g, rho, field).items():
             ms, reps, faults = _measure(call)
             rows.append({"n": n, "layer": layer, "median_ms": f"{ms:.4g}",
                          "reps": reps, "minflt_per_call": f"{faults:.4g}"})
-            print(f"n={n:<3d} {layer:<12s} {ms:9.4g} ms  ({reps} reps, "
+            print(f"n={n:<3d} {layer:<20s} {ms:9.4g} ms  ({reps} reps, "
                   f"{faults:.4g} minor faults per call)")
 
     with open(args.out, "w", newline="") as fh:

@@ -13,6 +13,11 @@ bit-identical report.
 The pointwise suites (appendixA, theta, and the first two records of
 hyperkahler) draw each input for the whole batch, in a fixed stream
 order, and evaluate their identities on slices of ``CHUNK`` samples.
+A 2-form with a volume-ratio floor comes from :func:`random_rho`, which
+draws the whole batch once and then redraws only the samples still
+below the floor, so how many numbers a suite's stream holds depends on
+the data; the records it feeds, and those of later draws, differ from
+the reports of the earlier sampler that redrew the whole batch.
 Each term's largest (or smallest) magnitude is folded across the slices
 with np.maximum (np.minimum); no sum or mean is folded, so no record
 depends on CHUNK.
@@ -33,8 +38,10 @@ from donflow import lattice as lat
 
 SUITE_ORDER = ("appendixA", "theta", "hyperkahler", "gradient", "hessiancov")
 
-# the lattice of the field suites (hessiancov refines it to n = 12 as well)
+# the lattice of the field suites, and the refined one on which
+# hessiancov repeats its ledger and hyperkahler compares gradients
 GRID_N = 8
+FINE_N = 12
 SCHEME = "spectral"
 
 
@@ -93,26 +100,28 @@ def _rng(seed, idx):
 
 
 def random_rho(rng, batch=(), u_min=0.05, g=None):
-    """Random 2-forms of shape (6,) + batch with volume ratio above u_min
-    (for the ``exterior.Metric`` g, flat if None), resampling the entries
-    that fall below it.  Each draw is batch + (6,) uniform numbers,
-    moved to component-first; every round draws the whole batch, so the
-    stream does not depend on how many entries are redrawn."""
+    """Random 2-forms of shape (6,) + batch with volume ratio u / vol above
+    u_min (for the ``exterior.Metric`` g, flat if None), each component
+    uniform in (-1, 1) scaled by sqrt(vol).  The first round draws
+    batch + (6,) numbers and moves them to component-first, so each
+    sample's 6 components stay contiguous in memory; each of up to 500
+    later rounds draws (pending, 6) numbers for the samples still at or
+    below u_min, and no others.  Raises RuntimeError if some remain."""
     vol = np.broadcast_to(1.0 if g is None else g.vol, batch)
     vol = vol.reshape(-1)
     root = np.sqrt(vol)
-    rho = todo = None
-    for _ in range(501):
-        # (6, batch size), in the draw's transposed memory order
-        draw = rng.uniform(-1.0, 1.0, size=batch + (6,)).reshape(-1, 6).T
-        if rho is None:
-            rho, todo = root * draw, np.arange(draw.shape[1])
-        else:
-            rho[:, todo] = root[todo] * draw[:, todo]
-        todo = todo[ext.u_of(rho[:, todo]) / vol[todo] <= u_min]
+    # (6, batch size), in the draw's transposed memory order
+    rho = root * rng.uniform(-1.0, 1.0, size=batch + (6,)).reshape(-1, 6).T
+    todo = np.flatnonzero(ext.u_of(rho) / vol <= u_min)
+    for _ in range(500):
         if not todo.size:
-            return rho.reshape((6,) + batch)
-    raise RuntimeError("sampling admissible forms failed")
+            break
+        draw = rng.uniform(-1.0, 1.0, size=(todo.size, 6)).T
+        rho[:, todo] = root[todo] * draw
+        todo = todo[ext.u_of(rho[:, todo]) / vol[todo] <= u_min]
+    if todo.size:
+        raise RuntimeError("sampling admissible forms failed")
+    return rho.reshape((6,) + batch)
 
 
 def random_spd(rng, batch=(), unit_vol=False):
@@ -412,14 +421,18 @@ def suite_hyperkahler(seed, samples):
                        ha, hb, abs(ha - hb), 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=max(1.0, abs(ha))))
 
+    # the two gradients are different discretizations: over seeds 0-399
+    # their gap reaches 1.24e-8 at n = 8, above the tolerance, and 2.4e-12
+    # at n = 12
+    fine = lat.Grid(FINE_N, SCHEME)
     base_g = ext.Base(
-        perturbed_omega1(g, lat.random_trig_field(gen, 1, 4), 0.003))
-    r = flow.rhs(g, base_g)
-    num = lat.l2_norm(g, hk.grad_hk(g, base_g) + r)
-    den = lat.l2_norm(g, r)
+        perturbed_omega1(fine, lat.random_trig_field(gen, 1, 4), 0.003))
+    r = flow.rhs(fine, base_g)
+    num = lat.l2_norm(fine, hk.grad_hk(fine, base_g) + r)
+    den = lat.l2_norm(fine, r)
     out.append(_record("gradient_cross",
                        "moment-map gradient = minus flow rhs (band limited)",
-                       num, den, num / den, 1e-8, 1, GRID_N, SCHEME,
+                       num, den, num / den, 1e-8, 1, FINE_N, SCHEME,
                        rel_scale=1.0))
     return out
 
@@ -452,7 +465,7 @@ def suite_hessiancov(seed, samples):
     rho_fn = lat.random_trig_field(gen, 1, 4)
     mu_fn = lat.random_trig_field(gen, 1, 4)
     res = {}
-    for n in (GRID_N, 12):
+    for n in (GRID_N, FINE_N):
         g = lat.Grid(n, SCHEME)
         base = ext.Base(perturbed_omega1(g, rho_fn, 0.1))
         mu, rh = exact_direction(g, mu_fn, 0.3)
@@ -464,9 +477,9 @@ def suite_hessiancov(seed, samples):
                            res[n], 1e-3, 1, n, SCHEME, rel_scale=1.0))
     out.append(_record("covariant_ledger_refines",
                        "ledger residual decreases under refinement",
-                       res[GRID_N], res[12],
-                       0.0 if res[12] <= res[GRID_N] else 1.0, 0.5, 2, 12,
-                       SCHEME, rel_scale=1.0))
+                       res[GRID_N], res[FINE_N],
+                       0.0 if res[FINE_N] <= res[GRID_N] else 1.0, 0.5, 2,
+                       FINE_N, SCHEME, rel_scale=1.0))
     g = lat.Grid(GRID_N, SCHEME)
     mu0 = mu_fn(g)
     rep0 = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)),

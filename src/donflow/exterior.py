@@ -72,8 +72,6 @@ DUAL2 = np.array([3, 4, 5, 0, 1, 2])
 # e_i ^ f_i = W13_SIGN[i] * dvol  (f_i the i-th 3-form basis element)
 W13_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
-EUCLID = np.eye(4)
-
 # standard self-dual basis omega_i = e0^ei + ej^ek (i,j,k cyclic) and the
 # anti-self-dual partners
 OMEGA1 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
@@ -246,8 +244,11 @@ class Metric:
         basis under g^{-1}."""
         rows = np.moveaxis(self.inv, -1, 0)  # rows[j, ..., i] = inv[..., i, j]
         i1, i2 = np.array(IDX2).T
-        # minor (I, J) is the J-component of row_i1 ^ row_i2
-        return np.moveaxis(wedge11(rows[..., i1], rows[..., i2]), 0, -1)
+        # minor (I, J) is the J-component of row_i1 ^ row_i2; np.take
+        # gathers each side C-contiguous, where rows[..., i1] would leave
+        # every component plane strided
+        return np.moveaxis(wedge11(np.take(rows, i1, axis=-1),
+                                   np.take(rows, i2, axis=-1)), 0, -1)
 
 
 def norm2_sq(w):
@@ -381,14 +382,17 @@ def g_rho(rho, g=None):
     the R^rho image of the self-dual forms of g.
 
     g_rho(v, w) = u^{-1} g(Av, Aw), which with A = g^{-1} P^T is the closed
-    form P g^{-1} P^T / u; requires u > U_FLOOR.
+    form P g^{-1} P^T / u, computed as that product of batched matrices,
+    left to right (P P^T / u for the flat metric, g None); requires
+    u > U_FLOOR.
     """
     rho = np.asarray(rho)
     u = require_u(u_of(rho, g))
     p = form2_matrix(rho)
-    inv = EUCLID if g is None else g.inv
-    gram = np.einsum("...ik,...kl,...jl->...ij", p, inv, p)
-    return gram / u[..., None, None]
+    pt = np.swapaxes(p, -1, -2)
+    gram = p @ pt if g is None else p @ g.inv @ pt
+    gram /= u[..., None, None]
+    return gram
 
 
 def r_rho(w, b):

@@ -300,3 +300,24 @@ def theta_point_stacked(rho, u):
     rho = np.asarray(rho)
     norm_sq = np.einsum("i...,i...->...", rho, rho)
     return rho[[3, 4, 5, 0, 1, 2]] / u - (0.5 * norm_sq / u ** 2) * rho
+
+
+# the metric layer as direct expressions: Metric.form2's minors read
+# through fancy-indexed (strided) views of the inverse, and g_rho as one
+# three-operand einsum
+
+def metric_form2_strided(inv):
+    """Gram matrix of the 2-form basis under the inverse metric ``inv``:
+    minor (I, J) is the J-component of row_i1 ^ row_i2."""
+    rows = np.moveaxis(inv, -1, 0)
+    i1, i2 = np.array(IDX2).T
+    return np.moveaxis(wedge11_stacked(rows[..., i1], rows[..., i2]), 0, -1)
+
+
+def g_rho_einsum(rho, inv, vol):
+    """P g^-1 P^T / u, u = pf(rho) / vol."""
+    w01, w02, w03, w23, w31, w12 = np.asarray(rho)
+    u = (w01 * w23 + w02 * w31 + w03 * w12) / vol
+    p = form2_matrix_stacked(rho)
+    gram = np.einsum("...ik,...kl,...jl->...ij", p, inv, p)
+    return gram / u[..., None, None]

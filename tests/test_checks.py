@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from donflow import checks
+from donflow import exterior as ext
 
 
 def test_all_suites_pass_at_small_samples():
@@ -37,6 +38,69 @@ def test_suite_order_does_not_matter():
     a, _ = checks.run_suites(["gradient", "theta"], seed=5, samples=600)
     b, _ = checks.run_suites(["theta", "gradient"], seed=5, samples=600)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_random_rho_samples_are_admissible(metric):
+    rng = np.random.Generator(np.random.Philox(3))
+    g = ext.Metric(checks.random_spd(rng, (2000,))) if metric else None
+    rho = checks.random_rho(rng, (2000,), 0.3, g)
+    assert rho.shape == (6, 2000)
+    assert np.all(ext.u_of(rho, g) > 0.3)
+
+
+class _CountingRng:
+    """A generator that records the size of each uniform draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.Generator(np.random.Philox(seed))
+        self.sizes = []
+
+    def uniform(self, low, high, size):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size=size)
+
+
+def test_random_rho_redraws_only_the_pending_samples():
+    b, u_min = 3000, 0.3
+    first = np.random.Generator(np.random.Philox(4)).uniform(
+        -1, 1, size=(b, 6)).T
+    rng = _CountingRng(4)
+    rho = checks.random_rho(rng, (b,), u_min)
+    # the samples admissible in the first draw are that draw, bit for bit
+    kept = ext.u_of(first) > u_min
+    assert 0 < kept.sum() < b
+    assert rho[:, kept].tobytes() == first[:, kept].tobytes()
+    assert not np.any(np.all(rho[:, ~kept] == first[:, ~kept], axis=0))
+    # each later round draws the samples still pending, and no others
+    pending = [size[0] for size in rng.sizes[1:]]
+    assert rng.sizes[0] == (b, 6) and pending[0] == b - kept.sum()
+    assert all(size[1:] == (6,) for size in rng.sizes[1:])
+    assert all(a >= c for a, c in zip(pending, pending[1:]))
+
+
+def test_random_rho_keeps_each_sample_contiguous():
+    # the transposed draw: a sample's 6 components are adjacent in memory
+    rng = np.random.Generator(np.random.Philox(5))
+    assert checks.random_rho(rng, (50,), 0.3).strides == (8, 48)
+    assert checks.random_rho(rng, (3, 5), 0.3).strides == (8, 240, 48)
+    assert checks.random_rho(rng, (), 0.3).shape == (6,)
+
+
+def test_random_rho_gives_up_on_an_unattainable_bound():
+    # on the flat cube u = c01 c23 + c02 c31 + c03 c12 <= 3
+    rng = np.random.Generator(np.random.Philox(0))
+    with pytest.raises(RuntimeError, match="sampling admissible forms failed"):
+        checks.random_rho(rng, (4,), 3.0)
+
+
+def test_gradient_cross_passes_where_the_n8_gradients_part():
+    # at seed 85 the two discretized gradients differ by 1.24e-8 at n = 8,
+    # above the record's tolerance; on the n = 12 grid by 1.6e-12
+    (rec,) = [r for r in checks.suite_hyperkahler(85, 2)
+              if r["name"] == "gradient_cross"]
+    assert rec["grid_n"] == checks.FINE_N == 12 and rec["tol"] == 1e-8
+    assert rec["passed"] and rec["rel_err"] < 1e-10, rec
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -137,7 +137,7 @@ def test_interior_leibniz_on_2_wedge_2(rng):
 
 def test_hodge_flat_tables():
     e0 = np.array([1., 0, 0, 0])
-    flat = ext.Metric(ext.EUCLID)
+    flat = ext.Metric(np.eye(4))
     assert_allclose(ext.hodge1(flat, e0), [1, 0, 0, 0])  # e123
     assert_allclose(ext.hodge2(flat, ext.OMEGA1), ext.OMEGA1)
     assert_allclose(ext.star2_flat(np.arange(6.)), [3, 4, 5, 0, 1, 2])
@@ -321,6 +321,27 @@ def test_g_rho_volume_preserved(rng):
     rho = random_rho(rng, (100,), u_min=0.05, g=g)
     gr = ext.g_rho(rho, g)
     assert_allclose(np.linalg.det(gr), np.linalg.det(g.g), rtol=1e-9)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_g_rho_is_the_einsum_product(rng, metric):
+    g = ext.Metric(random_spd(rng, (300,))) if metric else None
+    rho = random_rho(rng, (300,), u_min=0.05, g=g)
+    gr = ext.g_rho(rho, g)
+    inv, det = (np.eye(4), 1.0) if g is None else (g.inv, g.det)
+    want = orc.g_rho_einsum(rho, inv, np.sqrt(det))
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(gr - want) <= 1e-14 * scale)
+    assert np.all(np.abs(gr - np.swapaxes(gr, -1, -2)) <= 1e-14 * scale)
+    assert_allclose(np.linalg.det(gr), det, rtol=1e-9)
+
+
+def test_metric_form2_equals_the_strided_expression(rng):
+    # the minors are gathered into contiguous rows; the arithmetic is the
+    # strided expression's, so the bits are too
+    for batch in ((), (300,), (3, 7)):
+        g = ext.Metric(random_spd(rng, batch))
+        assert _same_bits(g.form2, orc.metric_form2_strided(g.inv))
 
 
 def test_g_rho_rejects_degenerate():
