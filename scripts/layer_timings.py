@@ -7,11 +7,13 @@ step hands it: Theta, d2 of Theta, its rho-twisted star, d1 of that, the
 whole rhs, the implicit solve on a 2-form (shift 1 / DT_ACCURACY), the
 energy, the monitors and the cohomology class.  The monitors no longer
 include the class: a run computes it only for the rows it writes, so it
-is timed on its own row.  Two layers of the set-up and the checks close
+is timed on its own row.  Three layers of the set-up and the checks close
 the table: a ``random_trig_field`` closure drawn as ``initial_data``
-draws one (kmax 2, four components), evaluated on the grid, and the CG
+draws one (kmax 2, four components), evaluated on the grid, the CG
 solve ``least_norm_potential`` of the rhs at the input, as the Donaldson
-pairing of the gradient check calls it.  After one warm-up call a layer
+pairing of the gradient check calls it, and that whole pairing
+(``donaldson_pairing`` of the rhs with itself: one CG solve, one flat
+potential and the pairing integral).  After one warm-up call a layer
 is repeated for about a second (5 to 200 times); the CSV holds the
 median in ms, the repetition count and the minor page faults per call
 (the ``ru_minflt`` of ``resource.getrusage`` over the repetitions,
@@ -44,8 +46,9 @@ from donflow import lattice as lat
 
 
 def _layers(g, rho, field):
-    """The layers of a step, then the trig field closure ``field`` and the
-    CG potential solve, as zero-argument calls on their own inputs."""
+    """The layers of a step, then the trig field closure ``field``, the
+    CG potential solve and the Donaldson pairing, as zero-argument calls
+    on their own inputs."""
     b = ext.Base(rho)
     theta = ext.theta_point(b)
     dtheta = lat.d2(g, theta)
@@ -67,6 +70,8 @@ def _layers(g, rho, field):
         "random_trig_field": lambda: field(g),
         "least_norm_potential": lambda: lat.least_norm_potential(g, velocity,
                                                                  b),
+        "donaldson_pairing": lambda: flow.donaldson_pairing(g, velocity,
+                                                            velocity, b),
     }
 
 

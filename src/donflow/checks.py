@@ -22,9 +22,11 @@ Each term's largest (or smallest) magnitude is folded across the slices
 with np.maximum (np.minimum); no sum or mean is folded, so no record
 depends on CHUNK.
 Only the drawn inputs grow with the batch, and each is dropped after the
-last record that reads it: ``donflow check`` peaks at about 0.6 kB per
-sample above a fixed 55 MB (ru_maxrss of appendixA: 54.5 MB at 20,000
-samples, 102 MB at 100,000; whole-batch evaluation took 92 and 326 MB).
+last record that reads it.  At 20,000 samples appendixA and hessiancov,
+whose fields do not grow with the samples, peak close together
+(ru_maxrss 53.6 and 52.8 MB, each alone); above that appendixA sets the
+peak at about 0.6 kB per sample (102 MB at 100,000; whole-batch
+evaluation took 92 and 326 MB).
 """
 
 from __future__ import annotations

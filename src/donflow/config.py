@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,9 @@ class RunConfig:
             value = getattr(self, key)
             if not value > 0:
                 raise ConfigError(f"{key}: must be positive, got {value}")
+            # JSON allows Infinity; T = inf runs until stationary
+            if key != "T" and value == math.inf:
+                raise ConfigError(f"{key}: must be finite, got {value}")
         for key in ("kmax", "out_every", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")

@@ -125,15 +125,17 @@ _INTERIOR2 = (((-1, 1, 0), (-1, 2, 1), (-1, 3, 2)),
              ((1, 0, 2), (-1, 1, 4), (1, 2, 3)))
 
 
-def _bilinear(v, w, table):
+def _bilinear(v, w, table, out=None):
     """The form whose i-th component is the signed sum table[i] of
-    products v_a * w_J, filled in place through one scratch plane.  A
-    leading minus negates v_a before the product, so each component is
-    rounded exactly as the expression it stands for."""
+    products v_a * w_J, filled in place (into ``out``, if given, apart
+    from v and w) through one scratch plane.  A leading minus negates v_a
+    before the product, so each component is rounded exactly as the
+    expression it stands for."""
     v, w = np.asarray(v), np.asarray(w)
-    out = np.empty((len(table),)
-                   + np.broadcast_shapes(v.shape[1:], w.shape[1:]),
-                   np.result_type(v, w))
+    if out is None:
+        out = np.empty((len(table),)
+                       + np.broadcast_shapes(v.shape[1:], w.shape[1:]),
+                       np.result_type(v, w))
     plane = np.empty_like(out[0, ...])
     v, w = list(v), list(w)
     for i, ((sign, a, j), *rest) in enumerate(table):
@@ -404,12 +406,23 @@ def r_rho(w, b):
     return w - wedge22(w, b.rho) / b.u * b.rho
 
 
-def star_rho1(l, b):
+# wedge12(star3_flat(y), w) as a table on y: -W13_SIGN folded into its signs
+_STAR3_WEDGE12 = tuple(tuple((-sign * int(W13_SIGN[a]), a, j)
+                             for sign, a, j in row) for row in _WEDGE12)
+
+
+def star_rho1(l, b, out=None):
     """rho-twisted Hodge star on 1-forms: rho ^ star(rho ^ l) / u.
 
-    Agrees with the Hodge star of g_rho(rho).
+    Agrees with the Hodge star of g_rho(rho).  The flat star's signs are
+    folded into the table of the wedge12 that reads it (exact: they are
+    +-1), which writes into ``out`` if given, l itself allowed; the
+    division by u is in place.
     """
-    return wedge12(star3_flat(wedge12(l, b.rho)), b.rho) / b.u
+    out = _bilinear(_bilinear(l, b.rho, _WEDGE12), b.rho, _STAR3_WEDGE12,
+                    out)
+    out /= b.u
+    return out
 
 
 def star_rho2(w, b):

@@ -119,7 +119,10 @@ def lie_derivative_k(grid, b, x):
 
 def _gradient(grid, x):
     """Flat derivatives dx[c, a] = partial_c x^a of the vector field x."""
-    return np.stack([lat.d0(grid, x[a]) for a in range(4)], axis=1)
+    out = np.empty((4,) + np.shape(x))
+    for a in range(4):
+        out[:, a] = lat.d0(grid, x[a])
+    return out
 
 
 def _nabla(y, dx):
@@ -155,8 +158,10 @@ def hessiancov_check(grid, b, rhohat, mu):
     khat, hhat = _khat(b, rhohat, k), _hhat(grid, b, x)
     lxk = _lie_derivative(x, dk)
 
-    # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i
+    # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i; each field is
+    # dropped once the last term that reads it is taken
     xk = [-vector_from_potential(b, dki) for dki in dk]
+    del dk
     ixrho = ext.interior2(x, b.rho)
     rr = ext.wedge22(rhohat, rhohat)
 
@@ -165,6 +170,9 @@ def hessiancov_check(grid, b, rhohat, mu):
     c_val = 0.0
     d_val = lat.integrate(grid, np.sum(lxk ** 2, axis=0) * u)
     e_val = lat.integrate(grid, np.sum(hhat * lxk, axis=0) * u)
+    hh = lat.integrate(grid, np.sum(hhat ** 2, axis=0) * u)
+    kk = lat.integrate(grid, _hessian_density(khat, k, u, rr))
+    del hhat, khat, k, lxk
     nab_kx = 0.0   # sum_i omega_i(X, nabla_{X_Ki} X) dvol_rho
     nab_xk = 0.0   # sum_i omega_i(X, nabla_X X_Ki) dvol_rho
     dx = _gradient(grid, x)
@@ -177,9 +185,8 @@ def hessiancov_check(grid, b, rhohat, mu):
         c_val += lat.integrate(grid, _omega_pair(i, x, cov_xk - cov_kx) * u)
         nab_kx += lat.integrate(grid, _omega_pair(i, x, cov_kx) * u)
         nab_xk += lat.integrate(grid, _omega_pair(i, x, cov_xk) * u)
+        xk[i] = None
 
-    hh = lat.integrate(grid, np.sum(hhat ** 2, axis=0) * u)
-    kk = lat.integrate(grid, _hessian_density(khat, k, u, rr))
     abcde = a_val + b_val + c_val + d_val - 2.0 * e_val
     scale = sum(abs(v) for v in (a_val, b_val, c_val, d_val, 2 * e_val)) + 1e-300
     cov_lhs = hh + nab_kx

@@ -26,7 +26,9 @@ the basis permutation signs, each applied as one such derivative;
 The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
-:func:`harmonic_projection` is a mean over parity classes of sites.
+:func:`harmonic_projection` is a mean over parity classes of sites,
+broadcast back; :func:`least_norm_potential` keeps the harmonic part of
+its unknown as those 4 x 16 class values.
 :func:`inv_laplace` and :func:`resolvent` (the flow's implicit solve) are
 Fourier multipliers that depend on each frequency only through b(k)^2, so
 they are even in every k_i and diagonal in the real basis of
@@ -292,6 +294,15 @@ def resolvent(grid, f, shift):
     return _multiply(grid, f, np.reciprocal(mult, out=mult))
 
 
+def _class_means(grid, f):
+    """Means of f over the 16 parity classes of sites, shaped
+    ``f.shape[:-4] + (1, 2) * 4`` to broadcast over a ``(n/2, 2) * 4`` view."""
+    means = np.reshape(f, np.shape(f)[:-4] + (grid.n // 2, 2) * 4)
+    for axis in (-8, -6, -4, -2):  # n/2 terms per mean: fast and accurate
+        means = means.mean(axis=axis, keepdims=True)
+    return means
+
+
 def harmonic_projection(grid, f):
     """Project onto the discrete-harmonic modes (all derivative symbols zero).
 
@@ -300,10 +311,9 @@ def harmonic_projection(grid, f):
     as the k = 0 member: the fields unchanged by a two-site shift, so the
     projection is the mean over each of the 16 parity classes of sites.
     """
-    means = pairs = np.reshape(f, np.shape(f)[:-4] + (grid.n // 2, 2) * 4)
-    for axis in (-8, -6, -4, -2):  # n/2 terms per mean: fast and accurate
-        means = means.mean(axis=axis, keepdims=True)
-    return np.broadcast_to(means, pairs.shape).reshape(np.shape(f))
+    means = _class_means(grid, f)
+    return np.broadcast_to(means, means.shape[:-8] + (grid.n // 2, 2) * 4
+                           ).reshape(np.shape(f))
 
 
 def integrate(grid, f4):
@@ -338,8 +348,10 @@ def exactness_residual(grid, rhohat):
     flat-metric potential lam0 = delta (laplace^-1 rhohat), whose d is the
     projection of rhohat onto that image."""
     lam0 = delta2(grid, inv_laplace(grid, rhohat))
-    num = l2_norm(grid, d1(grid, lam0) - rhohat)
     den = l2_norm(grid, rhohat)
+    gap = d1(grid, lam0)  # l2_norm(gap - rhohat), squared in place
+    gap -= rhohat
+    num = math.sqrt(float(np.sum(np.square(gap, out=gap))) * grid.h ** 4)
     return 0.0 if den == 0 else num / den, lam0
 
 
@@ -361,7 +373,9 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     where ``star`` is the Hodge star of the metric g_rho(rho), in closed
     form :func:`donflow.exterior.star_rho1` (the flat metric is rho =
     omega1).  The minimizer is the potential whose ``star lam`` is exact
-    (closed with zero periods).
+    (closed with zero periods): lam0 + d phi + nu, lam0 the flat potential,
+    by CG with nu held as its 4 x 16 parity-class values, each weighted by
+    the (n/2)^4 sites of its class, and the Krylov vectors updated in place.
 
     Parameters
     ----------
@@ -381,32 +395,46 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     lam0 = exact_potential_flat(grid, rhohat)
     if max_iter is None:
         max_iter = 50 * grid.n
-
     # the closed corrections are d(phi) plus the discrete-harmonic 1-forms
-    # nu (constants and the zero-symbol Nyquist combinations); nu iterates
-    # live inside that subspace throughout
+    # nu (constants and the zero-symbol Nyquist combinations)
+    n, half = grid.n, grid.n // 2
+    weight = half ** 4
+    scratch = np.empty(grid.shape)
+
     def apply_b(phi, nu):
-        return d0(grid, phi) + nu
+        # nu tiled over the last two axes: inner loops of n^2 sites
+        out = d0(grid, phi)
+        tail = np.broadcast_to(nu, (4, 1, 2, 1, 2) + (half, 2) * 2)
+        view = out.reshape((4, half, 2, half, 2, n * n))
+        view += tail.reshape((4, 1, 2, 1, 2, n * n))
+        return out
 
     def apply_bt(w3):
         # adjoint of apply_b through the wedge pairing with 3-forms:
-        # l ^ w3 = sum_i l_i W13_SIGN_i w3_i, and -star3_flat(w3) = W13_SIGN w3
-        return -d3(grid, w3), harmonic_projection(grid, -ext.star3_flat(w3))
+        # l ^ w3 = sum_i l_i W13_SIGN_i w3_i; the nu part sums w3 over each
+        # class, a class mean times the weight that inner products carry
+        q_phi = d3(grid, w3)
+        return (np.negative(q_phi, out=q_phi),
+                ext.star1_flat(_class_means(grid, w3)))
 
     def normal_op(phi, nu):
-        return apply_bt(ext.star_rho1(apply_b(phi, nu), b))
+        # the star overwrites the 1-form it reads: one field less per step
+        lam = apply_b(phi, nu)
+        return apply_bt(ext.star_rho1(lam, b, out=lam))
 
-    def precond(r_phi, r_nu):
-        return inv_laplace(grid, r_phi), r_nu
+    def inner(a_phi, a_nu, b_phi, b_nu):
+        return float(np.multiply(a_phi, b_phi, out=scratch).sum()
+                     + weight * np.sum(a_nu * b_nu))
 
-    b_phi, b_nu = apply_bt(ext.star_rho1(lam0, b))
-    r_phi, r_nu = -b_phi, -b_nu
+    # r = -B^T star(lam0); the preconditioner is inv_laplace on phi and the
+    # identity on nu, so z_nu is r_nu itself
+    r_phi, r_nu = apply_bt(ext.star_rho1(-lam0, b))
     phi = np.zeros(grid.shape)
-    nu = grid.zeros(1)
-    z_phi, z_nu = precond(r_phi, r_nu)
-    p_phi, p_nu = z_phi.copy(), z_nu.copy()
-    rz = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))
-    r0 = math.sqrt(float(np.sum(r_phi ** 2) + np.sum(r_nu ** 2)))
+    nu = np.zeros_like(r_nu)
+    z_phi = inv_laplace(grid, r_phi)
+    p_phi, p_nu = z_phi.copy(), r_nu.copy()
+    rz = inner(r_phi, r_nu, z_phi, r_nu)
+    r0 = math.sqrt(inner(r_phi, r_nu, r_phi, r_nu))
     # sqrt(r' M^-1 r) is in potential units and can be compared against the
     # particular solution's own scale; this terminates cleanly when the
     # initial residual is pure round-off (lam0 already gauge-fixed)
@@ -422,20 +450,23 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     rnorm = r0
     for _ in range(max_iter):
         q_phi, q_nu = normal_op(p_phi, p_nu)
-        alpha = rz / float(np.sum(p_phi * q_phi) + np.sum(p_nu * q_nu))
-        phi += alpha * p_phi
-        nu += alpha * p_nu
-        r_phi -= alpha * q_phi
+        alpha = rz / inner(p_phi, p_nu, q_phi, q_nu)
+        # r -= alpha q, then phi += alpha p through q's buffer
+        q_phi *= alpha
+        r_phi -= q_phi
         r_nu -= alpha * q_nu
-        rnorm = math.sqrt(float(np.sum(r_phi ** 2) + np.sum(r_nu ** 2)))
-        z_phi, z_nu = precond(r_phi, r_nu)
-        rz_new = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))
+        phi += np.multiply(p_phi, alpha, out=q_phi)
+        nu += alpha * p_nu
+        rnorm = math.sqrt(inner(r_phi, r_nu, r_phi, r_nu))
+        z_phi = inv_laplace(grid, r_phi)
+        rz_new = inner(r_phi, r_nu, z_phi, r_nu)
         if converged(rnorm, rz_new):
-            return lam0 + apply_b(phi, nu)
+            return np.add(lam0, apply_b(phi, nu), out=lam0)
         beta = rz_new / rz
         rz = rz_new
-        p_phi = z_phi + beta * p_phi
-        p_nu = z_nu + beta * p_nu
+        p_phi *= beta
+        p_phi += z_phi
+        p_nu = r_nu + beta * p_nu
     raise NoConvergence(
         f"CG stalled at relative residual {rnorm / r0:.3e} after {max_iter} steps")
 

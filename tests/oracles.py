@@ -2,7 +2,9 @@
 
 Everything here works on fully antisymmetric index tensors and enumerates
 permutations, sums sampled cosines mode by mode, or runs a scalar
-recurrence, so it shares no code (and no sign tables) with the package.
+recurrence, so it shares no code (and no sign tables) with the package;
+the one exception is the full-field CG at the end, kept to check how the
+package's solve stores and updates its vectors.
 """
 
 import math
@@ -10,6 +12,8 @@ from itertools import permutations, product
 
 import numpy as np
 
+from donflow import exterior as ext
+from donflow import lattice as lat
 from donflow.exterior import IDX2, IDX3
 
 
@@ -321,3 +325,68 @@ def g_rho_einsum(rho, inv, vol):
     p = form2_matrix_stacked(rho)
     gram = np.einsum("...ik,...kl,...jl->...ij", p, inv, p)
     return gram / u[..., None, None]
+
+
+def star_rho1_stacked(l, rho, u):
+    """rho ^ star(rho ^ l) / u, the flat star a sign table between two
+    stacked wedges."""
+    y = wedge12_stacked(l, rho)
+    signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * (y.ndim - 1))
+    return wedge12_stacked(-(signs * y), rho) / u
+
+
+# the textbook form of lattice.least_norm_potential: CG on full fields,
+# with the harmonic part nu a (4, n, n, n, n) field kept in the harmonic
+# subspace by projecting every nu iterate, and fresh Krylov vectors each
+# step.  It runs on the package's operators, so it checks the
+# representation of nu and the in-place updates, not d or the star
+
+def least_norm_potential_full(grid, rhohat, b, rtol=1e-10, max_iter=None):
+    """The gauge-fixed potential and the number of CG iterations taken."""
+    lam0 = lat.exact_potential_flat(grid, rhohat)
+    if max_iter is None:
+        max_iter = 50 * grid.n
+
+    def apply_b(phi, nu):
+        return lat.d0(grid, phi) + nu
+
+    def apply_bt(w3):
+        return -lat.d3(grid, w3), lat.harmonic_projection(
+            grid, -ext.star3_flat(w3))
+
+    def normal_op(phi, nu):
+        return apply_bt(ext.star_rho1(apply_b(phi, nu), b))
+
+    b_phi, b_nu = apply_bt(ext.star_rho1(lam0, b))
+    r_phi, r_nu = -b_phi, -b_nu
+    phi = np.zeros(grid.shape)
+    nu = grid.zeros(1)
+    z_phi, z_nu = lat.inv_laplace(grid, r_phi), r_nu
+    p_phi, p_nu = z_phi.copy(), z_nu.copy()
+    rz = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))
+    r0 = math.sqrt(float(np.sum(r_phi ** 2) + np.sum(r_nu ** 2)))
+    lam_scale = math.sqrt(float(np.sum(lam0 ** 2))) + 1e-300
+
+    def converged(rnorm, rz_val):
+        return (rnorm <= rtol * r0
+                or math.sqrt(max(rz_val, 0.0)) <= rtol * lam_scale)
+
+    if r0 == 0.0 or converged(r0, rz):
+        return lam0, 0
+    for it in range(1, max_iter + 1):
+        q_phi, q_nu = normal_op(p_phi, p_nu)
+        alpha = rz / float(np.sum(p_phi * q_phi) + np.sum(p_nu * q_nu))
+        phi += alpha * p_phi
+        nu += alpha * p_nu
+        r_phi -= alpha * q_phi
+        r_nu -= alpha * q_nu
+        rnorm = math.sqrt(float(np.sum(r_phi ** 2) + np.sum(r_nu ** 2)))
+        z_phi, z_nu = lat.inv_laplace(grid, r_phi), r_nu
+        rz_new = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))
+        if converged(rnorm, rz_new):
+            return lam0 + apply_b(phi, nu), it
+        beta = rz_new / rz
+        rz = rz_new
+        p_phi = z_phi + beta * p_phi
+        p_nu = z_nu + beta * p_nu
+    raise lat.NoConvergence(f"no convergence in {max_iter} steps")

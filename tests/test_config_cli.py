@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -74,10 +75,18 @@ def test_config_rejects_unknown_key():
     ({"dt_max": None}, "dt_max"),
     ({"seed": -1}, "seed"),
     ({"check_suite": []}, "check_suite"),
+    ({"epsilon": math.inf}, "epsilon"),
+    ({"tol_stationary": math.inf}, "tol_stationary"),
+    ({"epsilon": math.nan}, "epsilon"),
 ])
 def test_config_invariants(bad, key):
     with pytest.raises(ConfigError, match=key):
         from_dict(bad)
+
+
+def test_config_takes_an_infinite_flow_time():
+    # T = Infinity means "until stationary"
+    assert from_dict({"T": math.inf}).T == math.inf
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +173,17 @@ def test_cli_run_config_error(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 1
     path.write_text(json.dumps({"n": "8"}))
     assert cli.main(["run", "--config", str(path)]) == 1
+
+
+def test_cli_run_rejects_an_infinite_epsilon(tmp_path, capsys):
+    # JSON's Infinity is a configuration error naming the key, raised
+    # before any derivative is taken or the output directory is made
+    path = _write_cfg(tmp_path, epsilon=math.inf)
+    assert '"epsilon": Infinity' in path.read_text()
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "donflow: configuration error: epsilon: must be finite, got inf\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_an_out_dir_that_is_not_a_directory(tmp_path, capsys):

@@ -505,9 +505,10 @@ def _same_bits(got, want):
 
 
 def test_in_place_kernels_equal_the_stacked_expressions(rng):
-    # interior2, star_rho3 and theta_point fill their outputs in place, each
-    # component summed term by term in the order of its stacked expression
-    # in oracles, so the two agree bit for bit, signed zeros included
+    # interior2, star_rho1, star_rho3 and theta_point fill their outputs in
+    # place, each component summed term by term in the order of its stacked
+    # expression in oracles, so the two agree bit for bit, signed zeros
+    # included
     g = lat.Grid(8)
     field = flow.initial_data(g, np.random.Generator(np.random.Philox(7)))
     dtheta = lat.d2(g, ext.theta_point(ext.Base(field)))
@@ -523,6 +524,8 @@ def test_in_place_kernels_equal_the_stacked_expressions(rng):
         assert _same_bits(ext.interior2(f, rho), orc.interior2_stacked(f, rho))
         assert _same_bits(ext.star_rho3(f, b),
                           orc.star_rho3_stacked(f, rho, b.u))
+        assert _same_bits(ext.star_rho1(f, b),
+                          orc.star_rho1_stacked(f, rho, b.u))
         assert _same_bits(ext.theta_point(b), orc.theta_point_stacked(rho, b.u))
     # a constant 2-form against a field of vectors, as hyperkahler has it
     assert _same_bits(ext.interior2(dtheta, ext.OMEGA2),
