@@ -12,21 +12,20 @@ bit-identical report.
 
 The pointwise suites (appendixA, theta, and the first two records of
 hyperkahler) draw each input for the whole batch, in a fixed stream
-order, and evaluate their identities on slices of ``CHUNK`` samples.
-A 2-form with a volume-ratio floor comes from :func:`random_rho`, which
+order and component-first, as every form in the package is stored: a
+(c, samples) array whose components are each one contiguous row.  A
+2-form with a volume-ratio floor comes from :func:`random_rho`, which
 draws the whole batch once and then redraws only the samples still
 below the floor, so how many numbers a suite's stream holds depends on
-the data; the records it feeds, and those of later draws, differ from
-the reports of the earlier sampler that redrew the whole batch.
-Each term's largest (or smallest) magnitude is folded across the slices
-with np.maximum (np.minimum); no sum or mean is folded, so no record
-depends on CHUNK.
+the data.  The identities are evaluated on slices of ``CHUNK`` samples,
+and each term's largest (or smallest) magnitude is folded across the
+slices with np.maximum (np.minimum); no sum or mean is folded, so no
+record depends on CHUNK.
 Only the drawn inputs grow with the batch, and each is dropped after the
 last record that reads it.  At 20,000 samples appendixA and hessiancov,
 whose fields do not grow with the samples, peak close together
-(ru_maxrss 53.6 and 52.8 MB, each alone); above that appendixA sets the
-peak at about 0.6 kB per sample (102 MB at 100,000; whole-batch
-evaluation took 92 and 326 MB).
+(ru_maxrss 53.8 and 53.3 MB, each alone); above that appendixA sets
+the peak at about 0.6 kB per sample (102 MB at 100,000).
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ CHUNK = 4096
 def _slices(samples):
     """Consecutive slices of CHUNK samples covering the batch.  A slice of
     one sample is widened to two with a neighbour, where the batch has
-    two: on a batch of one, einsum finds each sample's components
-    contiguous and sums them with vector instructions, in another order
-    than on a longer batch, while a sample seen twice changes no maximum
-    or minimum."""
+    two: einsum sums the contiguous components of a (c, 1) slice with
+    vector instructions, in another order than on a longer slice, while a
+    sample seen twice changes no maximum or minimum."""
     for start in range(0, samples, CHUNK):
         lo = max(0, min(start, samples - 2))
         yield slice(lo, min(samples, max(start + CHUNK, lo + 2)))
@@ -105,21 +103,17 @@ def random_rho(rng, batch=(), u_min=0.05, g=None):
     """Random 2-forms of shape (6,) + batch with volume ratio u / vol above
     u_min (for the ``exterior.Metric`` g, flat if None), each component
     uniform in (-1, 1) scaled by sqrt(vol).  The first round draws
-    batch + (6,) numbers and moves them to component-first, so each
-    sample's 6 components stay contiguous in memory; each of up to 500
-    later rounds draws (pending, 6) numbers for the samples still at or
-    below u_min, and no others.  Raises RuntimeError if some remain."""
-    vol = np.broadcast_to(1.0 if g is None else g.vol, batch)
-    vol = vol.reshape(-1)
+    (6, batch size) numbers, component-first; each of up to 500 later
+    rounds draws (6, pending) numbers for the samples still at or below
+    u_min, and no others.  Raises RuntimeError if some remain."""
+    vol = np.broadcast_to(1.0 if g is None else g.vol, batch).reshape(-1)
     root = np.sqrt(vol)
-    # (6, batch size), in the draw's transposed memory order
-    rho = root * rng.uniform(-1.0, 1.0, size=batch + (6,)).reshape(-1, 6).T
+    rho = root * rng.uniform(-1.0, 1.0, size=(6, vol.size))
     todo = np.flatnonzero(ext.u_of(rho) / vol <= u_min)
     for _ in range(500):
         if not todo.size:
             break
-        draw = rng.uniform(-1.0, 1.0, size=(todo.size, 6)).T
-        rho[:, todo] = root[todo] * draw
+        rho[:, todo] = root[todo] * rng.uniform(-1.0, 1.0, size=(6, todo.size))
         todo = todo[ext.u_of(rho[:, todo]) / vol[todo] <= u_min]
     if todo.size:
         raise RuntimeError("sampling admissible forms failed")
@@ -130,7 +124,7 @@ def random_spd(rng, batch=(), unit_vol=False):
     """Random symmetric positive definite 4x4 matrices of shape
     batch + (4, 4), scaled to unit determinant if unit_vol."""
     m = rng.normal(size=batch + (4, 4))
-    g = np.einsum("...ki,...kj->...ij", m, m) + 0.4 * np.eye(4)
+    g = np.swapaxes(m, -1, -2) @ m + 0.4 * np.eye(4)
     if unit_vol:
         g = g / np.linalg.det(g)[..., None, None] ** 0.25
     return g
@@ -159,13 +153,13 @@ def suite_appendixA(seed, samples):
     that reads it."""
     rng = _rng(seed, 0)
     b = int(samples)
-    rho = rng.uniform(-1, 1, size=(b, 6)).T
+    rho = rng.uniform(-1, 1, size=(6, b))
     g = ext.Metric(random_spd(rng, (b,)))
     gu = ext.Metric(random_spd(rng, (b,), unit_vol=True))
-    l = rng.normal(size=(b, 4)).T
-    w = rng.normal(size=(b, 6)).T
-    f = rng.normal(size=(b, 4)).T
-    v = rng.normal(size=(b, 4)).T
+    l = rng.normal(size=(4, b))
+    w = rng.normal(size=(6, b))
+    f = rng.normal(size=(4, b))
+    v = rng.normal(size=(4, b))
 
     def metric_terms(s):
         rs, vs, gs = rho[:, s], v[:, s], g[s]
@@ -208,10 +202,10 @@ def suite_appendixA(seed, samples):
     ]
 
     gc = ext.Metric(random_spd(rng, (b,)))
-    lam = rng.normal(size=(b, 4)).T
+    lam = rng.normal(size=(4, b))
     rho2 = random_rho(rng, (b,), 0.05, gc)   # factors gc.det for the slices
-    x = rng.normal(size=(b, 4)).T
-    t = rng.normal(size=(b, 6)).T
+    x = rng.normal(size=(4, b))
+    t = rng.normal(size=(6, b))
 
     def twisted_terms(s):
         gs, ls, r2 = gc[s], lam[:, s], rho2[:, s]
@@ -350,14 +344,14 @@ def suite_theta(seed, samples):
                 rel_scale=max(1.0, float(m["rhs"]))),
     ]
 
-    sd = (rng.uniform(0.3, 2.0, size=(b, 1)) * ext.OMEGA1).T
+    sd = rng.uniform(0.3, 2.0, size=b) * ext.OMEGA1[:, None]
     th_sd = _fold(b, lambda s: {"th": ext.theta_point(ext.Base(sd[:, s]))})
     th_sd = th_sd["th"]
     del sd
     out.append(_record("theta_self_dual", "Theta = 0 iff rho self-dual",
                        th_sd, 0.0, th_sd, 1e-12, b, rel_scale=1.0))
 
-    rh = rng.normal(size=(b, 6)).T
+    rh = rng.normal(size=(6, b))
 
     def derivative_terms(s):
         rs, hs = rho[:, s], rh[:, s]
@@ -461,6 +455,11 @@ def suite_gradient(seed, samples):
                     rel_scale=1.0)]
 
 
+def _ledger_sides(rep):
+    """The two sides A + B + C + D and 2E of a hessiancov_check ledger."""
+    return rep["A"] + rep["B"] + rep["C"] + rep["D"], 2.0 * rep["E"]
+
+
 def suite_hessiancov(seed, samples):
     gen = np.random.Generator(np.random.Philox(4000 * int(seed) + 9))
     out = []
@@ -475,7 +474,7 @@ def suite_hessiancov(seed, samples):
         res[n] = rep["abcde_relative"]
         out.append(_record(f"covariant_ledger_n{n}",
                            "A + B + C + D = 2E for the Hessian ledger",
-                           rep["cov_lhs"], rep["cov_rhs"],
+                           *_ledger_sides(rep),
                            res[n], 1e-3, 1, n, SCHEME, rel_scale=1.0))
     out.append(_record("covariant_ledger_refines",
                        "ledger residual decreases under refinement",
@@ -488,7 +487,7 @@ def suite_hessiancov(seed, samples):
                                lat.d1(g, mu0), mu=mu0)
     out.append(_record("covariant_ledger_minimum",
                        "ledger vanishes identically at the minimum",
-                       rep0["cov_lhs"], rep0["cov_rhs"],
+                       *_ledger_sides(rep0),
                        rep0["abcde_residual"], 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=1.0))
     return out

@@ -47,6 +47,9 @@ class RunConfig:
         for key in ("kmax", "out_every", "samples"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {getattr(self, key)}")
+        if self.kmax > self.n // 2:   # higher modes alias onto lower ones
+            raise ConfigError(f"kmax: must be <= n/2 = {self.n // 2}, "
+                              f"got {self.kmax}")
         if self.seed < 0:   # Philox takes no negative key
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         # a NUL or a character the OS cannot encode raises ValueError, a

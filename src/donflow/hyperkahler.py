@@ -19,12 +19,10 @@ from donflow import lattice as lat
 
 OMEGAS = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3])
 
-# quaternionic complex structures solving the cyclic compatibility relations;
-# integer matrices (left multiplication by i, j, k)
+# quaternionic complex structures (left multiplication by i, j, k) solving
+# the cyclic compatibility relations; J_i v = i(v) omega_i, the form used below
 J1, J2, J3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
 JS = np.stack([J1, J2, J3])
-
-_P_OMEGAS = np.stack([ext.form2_matrix(w) for w in OMEGAS])
 
 
 def k_functions(b):
@@ -49,10 +47,9 @@ def grad_potential(grid, b):
     """The 1-form sum_i dK_i o J_i^rho, with J_i^rho the twisted complex
     structure, rho(J_i^rho v, w) = rho(v, J_i w).  With X_i the vector field
     of i(X_i) rho = -dK_i, dK_i(J_i^rho v) = -rho(J_i X_i, v), so the sum
-    is -i(sum_i J_i X_i) rho, with no 4x4 matrix per site."""
-    jx = sum(np.einsum("ab,b...->a...", j,
-                       vector_from_potential(b, lat.d0(grid, ki)))
-             for j, ki in zip(JS, k_functions(b)))
+    is -i(sum_i J_i X_i) rho, with J_i X_i = i(X_i) omega_i."""
+    jx = sum(ext.interior2(vector_from_potential(b, lat.d0(grid, ki)), w)
+             for w, ki in zip(OMEGAS, k_functions(b)))
     return -ext.interior2(jx, b.rho)
 
 
@@ -131,8 +128,8 @@ def _nabla(y, dx):
 
 
 def _omega_pair(i, x, y):
-    """omega_i(x, y) pointwise for the constant triple."""
-    return np.einsum("a...,ab,b...->...", x, _P_OMEGAS[i], y)
+    """omega_i(x, y) = i(y) i(x) omega_i pointwise."""
+    return ext.interior1(y, ext.interior2(x, OMEGAS[i]))
 
 
 def hessiancov_check(grid, b, rhohat, mu):
@@ -167,7 +164,6 @@ def hessiancov_check(grid, b, rhohat, mu):
 
     a_val = lat.integrate(grid, -0.5 * np.sum(k ** 2, axis=0) * rr)
     b_val = 0.0
-    c_val = 0.0
     d_val = lat.integrate(grid, np.sum(lxk ** 2, axis=0) * u)
     e_val = lat.integrate(grid, np.sum(hhat * lxk, axis=0) * u)
     hh = lat.integrate(grid, np.sum(hhat ** 2, axis=0) * u)
@@ -182,11 +178,12 @@ def hessiancov_check(grid, b, rhohat, mu):
             grid, ext.wedge22(ext.wedge11(ixkw, ixrho), rhohat))
         cov_kx = _nabla(xk[i], dx)
         cov_xk = _nabla(x, _gradient(grid, xk[i]))
-        c_val += lat.integrate(grid, _omega_pair(i, x, cov_xk - cov_kx) * u)
         nab_kx += lat.integrate(grid, _omega_pair(i, x, cov_kx) * u)
         nab_xk += lat.integrate(grid, _omega_pair(i, x, cov_xk) * u)
         xk[i] = None
 
+    # [X_Ki, X] = nabla_X X_Ki - nabla_{X_Ki} X, and C is linear in it
+    c_val = nab_xk - nab_kx
     abcde = a_val + b_val + c_val + d_val - 2.0 * e_val
     scale = sum(abs(v) for v in (a_val, b_val, c_val, d_val, 2 * e_val)) + 1e-300
     cov_lhs = hh + nab_kx

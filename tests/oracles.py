@@ -244,7 +244,9 @@ def sbdf_amplitudes(lam, lap, hs, y0):
 # wedge11, wedge12, interior2, form2_matrix, star_rho3 and theta_point as
 # stacked textbook expressions, a temporary per term.  The package fills
 # the same sums in place, term by term in the same order, so its results
-# must equal these bit for bit.
+# must equal these bit for bit; omega_pair_matrix, the pairing of a
+# constant 2-form through its matrix, agrees with hyperkahler's
+# contractions to round-off.
 
 def wedge11_stacked(l1, l2):
     a0, a1, a2, a3 = np.asarray(l1)
@@ -291,6 +293,11 @@ def interior2_stacked(v, w):
         v0 * w02 + v1 * w12 - v3 * w23,
         v0 * w03 - v1 * w31 + v2 * w23,
     ])
+
+
+def omega_pair_matrix(w, x, y):
+    """w(x, y) as x^T P y, with P the antisymmetric matrix of w."""
+    return np.einsum("a...,ab,b...->...", x, form2_matrix_stacked(w), y)
 
 
 def star_rho3_stacked(f, rho, u):

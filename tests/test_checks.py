@@ -6,6 +6,8 @@ import pytest
 
 from donflow import checks
 from donflow import exterior as ext
+from donflow import hyperkahler as hk
+from donflow import lattice as lat
 
 
 def test_all_suites_pass_at_small_samples():
@@ -64,7 +66,7 @@ class _CountingRng:
 def test_random_rho_redraws_only_the_pending_samples():
     b, u_min = 3000, 0.3
     first = np.random.Generator(np.random.Philox(4)).uniform(
-        -1, 1, size=(b, 6)).T
+        -1, 1, size=(6, b))
     rng = _CountingRng(4)
     rho = checks.random_rho(rng, (b,), u_min)
     # the samples admissible in the first draw are that draw, bit for bit
@@ -73,17 +75,18 @@ def test_random_rho_redraws_only_the_pending_samples():
     assert rho[:, kept].tobytes() == first[:, kept].tobytes()
     assert not np.any(np.all(rho[:, ~kept] == first[:, ~kept], axis=0))
     # each later round draws the samples still pending, and no others
-    pending = [size[0] for size in rng.sizes[1:]]
-    assert rng.sizes[0] == (b, 6) and pending[0] == b - kept.sum()
-    assert all(size[1:] == (6,) for size in rng.sizes[1:])
+    pending = [size[1] for size in rng.sizes[1:]]
+    assert rng.sizes[0] == (6, b) and pending[0] == b - kept.sum()
+    assert all(size[0] == 6 for size in rng.sizes[1:])
     assert all(a >= c for a, c in zip(pending, pending[1:]))
 
 
-def test_random_rho_keeps_each_sample_contiguous():
-    # the transposed draw: a sample's 6 components are adjacent in memory
+def test_random_rho_is_component_first():
+    # each component is one contiguous row, as for every form in the package
     rng = np.random.Generator(np.random.Philox(5))
-    assert checks.random_rho(rng, (50,), 0.3).strides == (8, 48)
-    assert checks.random_rho(rng, (3, 5), 0.3).strides == (8, 240, 48)
+    for batch, strides in (((50,), (400, 8)), ((3, 5), (120, 40, 8))):
+        rho = checks.random_rho(rng, batch, 0.3)
+        assert rho.flags.c_contiguous and rho.strides == strides
     assert checks.random_rho(rng, (), 0.3).shape == (6,)
 
 
@@ -114,6 +117,32 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, seed):
                                        seed, 23)
         reports.append(json.dumps(records, sort_keys=True))
     assert len(set(reports)) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_ledger_records_report_the_ledger_sides(seed):
+    # lhs and rhs are |A + B + C + D| and |2E| of the ledger each record
+    # names, on the inputs suite_hessiancov draws
+    gen = np.random.Generator(np.random.Philox(4000 * seed + 9))
+    rho_fn = lat.random_trig_field(gen, 1, 4)
+    mu_fn = lat.random_trig_field(gen, 1, 4)
+    reps = {}
+    for n in (checks.GRID_N, checks.FINE_N):
+        g = lat.Grid(n, checks.SCHEME)
+        base = ext.Base(checks.perturbed_omega1(g, rho_fn, 0.1))
+        mu, rh = checks.exact_direction(g, mu_fn, 0.3)
+        reps[f"covariant_ledger_n{n}"] = hk.hessiancov_check(g, base, rh,
+                                                             mu=mu)
+    g = lat.Grid(checks.GRID_N, checks.SCHEME)
+    mu0 = mu_fn(g)
+    reps["covariant_ledger_minimum"] = hk.hessiancov_check(
+        g, ext.Base(g.constant(ext.OMEGA1)), lat.d1(g, mu0), mu=mu0)
+    records = {r["name"]: r for r in checks.suite_hessiancov(seed, 1)}
+    for name, rep in reps.items():
+        assert records[name]["lhs"] == abs(rep["A"] + rep["B"] + rep["C"]
+                                           + rep["D"])
+        assert records[name]["rhs"] == abs(2 * rep["E"])
+        assert records[name]["lhs"] != abs(rep["cov_lhs"])
 
 
 def test_fold_propagates_nan_as_the_whole_batch_max(monkeypatch):

@@ -78,6 +78,8 @@ def test_config_rejects_unknown_key():
     ({"epsilon": math.inf}, "epsilon"),
     ({"tol_stationary": math.inf}, "tol_stationary"),
     ({"epsilon": math.nan}, "epsilon"),
+    ({"kmax": 5}, "kmax"),
+    ({"n": 4, "kmax": 3}, "kmax"),
 ])
 def test_config_invariants(bad, key):
     with pytest.raises(ConfigError, match=key):
@@ -183,6 +185,17 @@ def test_cli_run_rejects_an_infinite_epsilon(tmp_path, capsys):
     assert cli.main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == (
         "donflow: configuration error: epsilon: must be finite, got inf\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_an_aliasing_kmax(tmp_path, capsys):
+    # above n/2 every mode aliases; a large kmax would build its
+    # (2 kmax + 1)^4 coefficient table before the first step
+    assert from_dict({"n": 4, "kmax": 2}).kmax == 2
+    path = _write_cfg(tmp_path, n=8, kmax=30)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "donflow: configuration error: kmax: must be <= n/2 = 4, got 30\n")
     assert not (tmp_path / "out").exists()
 
 

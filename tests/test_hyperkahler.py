@@ -7,6 +7,7 @@ from donflow import flow
 from donflow import hyperkahler as hk
 from donflow import lattice as lat
 from donflow.checks import exact_direction, perturbed_omega1, random_rho
+import oracles as orc
 
 
 def sgrid(n=8):
@@ -129,6 +130,39 @@ def test_exact_gradient_identity_pointwise_star(rng):
     ref = sum(np.einsum("...ji,j...->i...", ext.j_rho(j, rho), lat.d0(g, ki))
               for j, ki in zip(hk.JS, hk.k_functions(b)))
     assert np.abs(tot - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_interior2_applies_the_complex_structures(rng):
+    # J_i v = i(v) omega_i for the flat triple, bit for bit
+    for v in (rng.normal(size=(4, 500)), rng.normal(size=(4, 8, 8, 8, 8))):
+        for j, w in zip(hk.JS, hk.OMEGAS):
+            assert np.array_equal(ext.interior2(v, w),
+                                  np.einsum("ab,b...->a...", j, v))
+
+
+def test_omega_pair_matches_the_matrix_form(rng):
+    x, y = rng.normal(size=(2, 4, 500))
+    for i, w in enumerate(hk.OMEGAS):
+        ref = orc.omega_pair_matrix(w, x, y)
+        assert np.abs(hk._omega_pair(i, x, y) - ref).max() <= (
+            1e-15 * np.abs(ref).max())
+
+
+def test_hessiancov_c_is_the_bracket_integral(rng):
+    # C = int sum omega_i(X, [X_Ki, X]) dvol_rho, taken directly
+    g = sgrid(8)
+    b = ext.Base(perturbed_omega1(g, lat.random_trig_field(rng, 1, 4), 0.1))
+    mu, rh = exact_direction(g, lat.random_trig_field(rng, 1, 4), 0.3)
+    x = hk.vector_from_potential(b, mu)
+    dx = hk._gradient(g, x)
+    c = 0.0
+    for w, ki in zip(hk.OMEGAS, hk.k_functions(b)):
+        xk = -hk.vector_from_potential(b, lat.d0(g, ki))
+        bracket = hk._nabla(x, hk._gradient(g, xk)) - hk._nabla(xk, dx)
+        c += lat.integrate(g, orc.omega_pair_matrix(w, x, bracket) * b.u)
+    rep = hk.hessiancov_check(g, b, rh, mu=mu)
+    assert abs(c) > 1e-4
+    assert abs(rep["C"] - c) <= 1e-13 * abs(c)
 
 
 def test_hessian_hk_matches_hessian_form(rng):
