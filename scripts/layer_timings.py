@@ -13,7 +13,11 @@ draws one (kmax 2, four components), evaluated on the grid, the CG
 solve ``least_norm_potential`` of the rhs at the input, as the Donaldson
 pairing of the gradient check calls it, and that whole pairing
 (``donaldson_pairing`` of the rhs with itself: one CG solve, one flat
-potential and the pairing integral).  After one warm-up call a layer
+potential and the pairing integral).  The last row, ``metric_factors``,
+is the metric layer of the appendix A checks and does not depend on n:
+the inverse and determinant of a fresh ``exterior.Metric`` of 4,096
+``random_spd`` matrices (seed 7), one ``exterior.lu4`` elimination, as a
+check slice factors its metric batch.  After one warm-up call a layer
 is repeated for about a second (5 to 200 times); the CSV holds the
 median in ms, the repetition count and the minor page faults per call
 (the ``ru_minflt`` of ``resource.getrusage`` over the repetitions,
@@ -43,12 +47,20 @@ import numpy as np
 from donflow import exterior as ext
 from donflow import flow
 from donflow import lattice as lat
+from donflow.checks import random_spd
+
+
+def _metric_factors(g):
+    """The inverse and determinant of a fresh Metric of the batch g."""
+    m = ext.Metric(g)
+    return m.inv, m.det
 
 
 def _layers(g, rho, field):
     """The layers of a step, then the trig field closure ``field``, the
-    CG potential solve and the Donaldson pairing, as zero-argument calls
-    on their own inputs."""
+    CG potential solve, the Donaldson pairing and the metric factors, as
+    zero-argument calls on their own inputs."""
+    spd = random_spd(np.random.Generator(np.random.Philox(7)), (4096,))
     b = ext.Base(rho)
     theta = ext.theta_point(b)
     dtheta = lat.d2(g, theta)
@@ -72,6 +84,7 @@ def _layers(g, rho, field):
                                                                  b),
         "donaldson_pairing": lambda: flow.donaldson_pairing(g, velocity,
                                                             velocity, b),
+        "metric_factors": lambda: _metric_factors(spd),
     }
 
 

@@ -129,6 +129,9 @@ def _cmd_hessian(args):
     except ValueError as err:
         print(f"donflow hessian: bad snapshot: {err}", file=sys.stderr)
         return 1
+    if cfg.kmax > grid.n // 2:   # the directions live on the snapshot's grid
+        raise ConfigError(f"kmax: must be <= n/2 = {grid.n // 2} of the "
+                          f"snapshot, got {cfg.kmax}")
     path = _report_path(cfg, "hessian_report.json")
     try:
         b = Base(rho)

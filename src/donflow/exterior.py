@@ -4,7 +4,7 @@ Every operation here acts on a single tangent space.  A k-form is an array
 with its components on the first axis, ``(c, *batch)``, so a point ``(c,)``
 and a lattice field ``(c, n, n, n, n)`` go through the same code; scalars
 and 4-forms have no component axis.  Linear maps and metrics keep their two
-matrix axes last, ``(*batch, 4, 4)``, as ``numpy.linalg`` and ``@`` expect.
+matrix axes last, ``(*batch, 4, 4)``, as ``@`` expects.
 
 Component conventions (frozen; the rest of the package depends on them):
 
@@ -35,10 +35,12 @@ A metric argument is a :class:`Metric`, the one place a metric is
 factored: it keeps its inverse, determinant, volume and 2-form Gram matrix
 for as long as it lives, so a caller that wraps a batch once factors it
 once, and a slice ``g[s]`` shares the factors computed so far.  The
-determinant and inverse stay LAPACK's: g_rho reaches condition numbers
-near 1e5, where cofactor formulas raised the ``twisted_metric``
-check's error from 2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an
-unpivoted Cholesky factorization was 16 times less accurate than LU.
+determinant and inverse come from one pivoted LU, :func:`lu4`: g_rho
+reaches condition numbers near 1e5, where cofactor formulas raised the
+``twisted_metric`` check's error from 2e-14..2e-13 to 6.1e-10 (tolerance
+1e-9) and an unpivoted Cholesky factorization was 16 times less accurate
+than LU; over check seeds 0-24 no appendix A record's largest error
+moved by more than 1.3 times from LAPACK's.
 """
 
 from __future__ import annotations
@@ -208,9 +210,54 @@ def form2_matrix_inv(w):
 # metrics and Hodge stars
 # ---------------------------------------------------------------------------
 
+def lu4(m, inverse=False):
+    """Determinants of the 4x4 matrices m (*batch, 4, 4), or with
+    ``inverse`` (det, inverses), by LU with partial pivoting (Golub & Van
+    Loan, Matrix Computations, 3.4) on the 16 entries as contiguous planes
+    of the batch.  Each column's pivot is the first row of maximal |entry|,
+    as in LAPACK's getrf; the inverse swaps the multipliers with the rows
+    and solves L U x = P e_c.  A zero pivot has zeros below it and takes
+    zero multipliers: a singular matrix has det exactly 0, raises no
+    warning and has a NaN inverse.  NaN propagates."""
+    m = np.asarray(m, dtype=float)
+    size = m.size // 16
+    a = np.empty((4, 4 + inverse, size))  # a[i, 4]: the row's place in m
+    a[:, :4] = np.moveaxis(m.reshape(size, 4, 4), 0, -1)
+    a[:, 4:] = np.arange(4)[:, None, None]
+    odd, recip = np.zeros(size, bool), np.empty((4, size))
+    for k in range(4):
+        lo = 0 if inverse else k
+        best, beats, later = np.abs(a[k, k]), [], np.zeros(size, bool)
+        for mag in np.abs(a[k + 1:, k]):
+            beats.append(mag > best)
+            best = np.maximum(best, mag)
+        for r in range(3, k, -1):   # the last row to beat all above it
+            sel = beats[r - k - 1] & ~later
+            later |= sel
+            a[k, lo:], a[r, lo:] = (np.where(sel, a[r, lo:], a[k, lo:]),
+                                    np.where(sel, a[k, lo:], a[r, lo:]))
+        odd ^= later
+        np.divide(1.0, a[k, k] + (a[k, k] == 0), out=recip[k])
+        a[k + 1:, k] *= recip[k]
+        a[k + 1:, k + 1:4] -= a[k + 1:, k, None] * a[k, k + 1:4]
+    det = np.where(odd, -1.0, 1.0) * a[0, 0] * a[1, 1] * a[2, 2] * a[3, 3]
+    if not inverse:
+        return det.reshape(m.shape[:-2])
+    x = (a[:, 4, None] == np.arange(4)[:, None]).astype(float)  # P e_c
+    for i in range(4):
+        for j in range(i):
+            x[i] -= a[i, j] * x[j]
+    for i in range(3, -1, -1):
+        for j in range(i + 1, 4):
+            x[i] -= a[i, j] * x[j]
+        x[i] *= recip[i]
+    x[..., det == 0] = np.nan
+    return det.reshape(m.shape[:-2]), np.moveaxis(x, -1, 0).reshape(m.shape)
+
+
 class Metric:
-    """A metric batch ``g`` of shape (*batch, 4, 4) with its LAPACK factors,
-    each computed on first use and kept for as long as the value lives."""
+    """A metric batch ``g`` of shape (*batch, 4, 4) with its factors, each
+    computed on first use and kept for as long as the value lives."""
 
     def __init__(self, g):
         self.g = np.asarray(g)
@@ -226,11 +273,13 @@ class Metric:
 
     @cached_property
     def inv(self):
-        return np.linalg.inv(self.g)
+        det, inv = lu4(self.g, inverse=True)
+        self.__dict__.setdefault("det", det)  # a det g[s] shares stays
+        return inv
 
     @cached_property
     def det(self):
-        return np.linalg.det(self.g)
+        return lu4(self.g)
 
     @cached_property
     def vol(self):

@@ -17,12 +17,9 @@ import numpy as np
 from donflow import exterior as ext
 from donflow import lattice as lat
 
+# the quaternionic complex structures J_i (left multiplication by i, j, k)
+# enter only as J_i v = i(v) omega_i
 OMEGAS = np.stack([ext.OMEGA1, ext.OMEGA2, ext.OMEGA3])
-
-# quaternionic complex structures (left multiplication by i, j, k) solving
-# the cyclic compatibility relations; J_i v = i(v) omega_i, the form used below
-J1, J2, J3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
-JS = np.stack([J1, J2, J3])
 
 
 def k_functions(b):
@@ -71,24 +68,6 @@ def _khat(b, rhohat, k):
     return (wr - k * ext.wedge22(b.rho, rhohat)) / b.u
 
 
-def _hhat(grid, b, x):
-    """H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho, shape (3, ...)."""
-    return np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), b.rho)
-                     for w in OMEGAS]) / b.u
-
-
-def khat_hhat(grid, b, rhohat, x):
-    """Linearized moment maps along rhohat and along the flow of X.
-
-    K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho,
-    H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho,
-    with X any vector field satisfying -d i(X) rho = rhohat.
-    Returns two (3, ...) arrays.
-    """
-    rhohat = np.asarray(rhohat)
-    return _khat(b, rhohat, k_functions(b)), _hhat(grid, b, x)
-
-
 def _hessian_density(khat, k, u, rr):
     """sum_i (K_hat_i^2 u - K_i^2 rr / 2), with rr = rhohat ^ rhohat."""
     return np.sum(khat ** 2, axis=0) * u - 0.5 * np.sum(k ** 2, axis=0) * rr
@@ -102,16 +81,6 @@ def hessian_hk(grid, b, rhohat):
     khat = _khat(b, rhohat, k)
     return lat.integrate(
         grid, _hessian_density(khat, k, b.u, ext.wedge22(rhohat, rhohat)))
-
-
-def _lie_derivative(x, dk):
-    """L_X K_i = i(X) dK_i from the three dK_i, shape (3, ...)."""
-    return np.stack([ext.interior1(x, dki) for dki in dk])
-
-
-def lie_derivative_k(grid, b, x):
-    """L_X K_i = i(X) dK_i, shape (3, ...)."""
-    return _lie_derivative(x, [lat.d0(grid, ki) for ki in k_functions(b)])
 
 
 def _gradient(grid, x):
@@ -152,8 +121,11 @@ def hessiancov_check(grid, b, rhohat, mu):
     k = k_functions(b)
     dk = [lat.d0(grid, ki) for ki in k]
     x = vector_from_potential(b, mu)
-    khat, hhat = _khat(b, rhohat, k), _hhat(grid, b, x)
-    lxk = _lie_derivative(x, dk)
+    khat = _khat(b, rhohat, k)
+    # H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho
+    hhat = np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), b.rho)
+                     for w in OMEGAS]) / b.u
+    lxk = np.stack([ext.interior1(x, dki) for dki in dk])  # L_X K_i
 
     # the Hamiltonian fields X_Ki, i(X_Ki) rho = dK_i; each field is
     # dropped once the last term that reads it is taken

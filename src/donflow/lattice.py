@@ -142,7 +142,7 @@ class Grid:
         k = np.concatenate([np.arange(n // 2 + 1), np.arange(1, n // 2)])
         arg = 2 * np.pi * np.outer(k, np.arange(n)) / n
         q = np.concatenate([np.cos(arg[:n // 2 + 1]), np.sin(arg[n // 2 + 1:])])
-        return q / np.linalg.norm(q, axis=1, keepdims=True), k
+        return q / np.sqrt((q * q).sum(axis=1, keepdims=True)), k
 
     @cached_property
     def laplace_symbol(self):

@@ -1,18 +1,21 @@
 """Brute-force oracles for the exterior algebra, lattice and flow tests.
 
 Everything here works on fully antisymmetric index tensors and enumerates
-permutations, sums sampled cosines mode by mode, or runs a scalar
-recurrence, so it shares no code (and no sign tables) with the package;
-the one exception is the full-field CG at the end, kept to check how the
-package's solve stores and updates its vectors.
+permutations, sums sampled cosines mode by mode, runs a scalar recurrence
+or eliminates in exact rational arithmetic, so it shares no code (and no
+sign tables) with the package.  The exceptions come last: the
+hyperkaehler names that only tests read, and the full-field CG, kept to
+check how the package's solve stores and updates its vectors.
 """
 
 import math
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
 from donflow import exterior as ext
+from donflow import hyperkahler as hk
 from donflow import lattice as lat
 from donflow.exterior import IDX2, IDX3
 
@@ -340,6 +343,56 @@ def star_rho1_stacked(l, rho, u):
     y = wedge12_stacked(l, rho)
     signs = np.array([1.0, -1.0, 1.0, -1.0]).reshape((4,) + (1,) * (y.ndim - 1))
     return wedge12_stacked(-(signs * y), rho) / u
+
+
+def exact_det_inv(m):
+    """Determinant and inverse of one 4x4 float matrix by Gauss-Jordan
+    elimination in exact rational arithmetic, each rounded once to a
+    float at the end."""
+    a = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j))
+                                              for j in range(4)]
+         for i, row in enumerate(np.asarray(m))]
+    det = Fraction(1)
+    for k in range(4):
+        p = next(r for r in range(k, 4) if a[r][k] != 0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for r in range(4):
+            if r != k:
+                a[r] = [x - a[r][k] * y for x, y in zip(a[r], a[k])]
+    return float(det), np.array([[float(x) for x in row[4:]] for row in a])
+
+
+# hyperkahler's test-only names: the quaternionic complex structures
+# (left multiplication by i, j, k) solving the cyclic compatibility
+# relations, the linearized moment maps and the Lie derivative of K
+
+J1, J2, J3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
+JS = np.stack([J1, J2, J3])
+
+
+def khat_hhat(grid, b, rhohat, x):
+    """Linearized moment maps along rhohat and along the flow of X,
+
+        K_hat_i = (omega_i - K_i rho) ^ rhohat / dvol_rho,
+        H_hat_i = (d i(X) omega_i) ^ rho / dvol_rho,
+
+    with X any vector field of -d i(X) rho = rhohat; two (3, ...) arrays."""
+    rr = ext.wedge22(b.rho, rhohat)
+    khat = np.stack([ext.wedge22(w, rhohat) - ki * rr
+                     for w, ki in zip(hk.OMEGAS, hk.k_functions(b))])
+    hhat = np.stack([ext.wedge22(lat.d1(grid, ext.interior2(x, w)), b.rho)
+                     for w in hk.OMEGAS])
+    return khat / b.u, hhat / b.u
+
+
+def lie_derivative_k(grid, b, x):
+    """L_X K_i = i(X) dK_i, shape (3, ...)."""
+    return np.stack([ext.interior1(x, lat.d0(grid, ki))
+                     for ki in hk.k_functions(b)])
 
 
 # the textbook form of lattice.least_norm_potential: CG on full fields,

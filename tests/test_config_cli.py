@@ -310,6 +310,23 @@ def test_cli_hessian_needs_a_direction(tmp_path, capsys):
     assert not (tmp_path / "hess.json").exists()
 
 
+def test_cli_hessian_rejects_a_kmax_aliasing_on_the_snapshot_grid(tmp_path,
+                                                                  capsys):
+    # kmax = 4 passes the config's n = 8, but the probe directions are
+    # drawn on the n = 4 grid of the snapshot, where modes above 2 alias
+    g = lat.Grid(4)
+    snap = save_snapshot(tmp_path / "snap", g, g.constant(OMEGA1), 0.0)
+    cfg = _write_cfg(tmp_path, n=8, kmax=4,
+                     report_path=str(tmp_path / "rep" / "hess.json"))
+    code = cli.main(["hessian", "--config", str(cfg), "--snapshot", str(snap),
+                     "--directions", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "donflow: configuration error: kmax: must be <= n/2 = 2 of the "
+        "snapshot, got 4\n")
+    assert not (tmp_path / "rep").exists()
+
+
 def test_cli_check_unknown_suite(tmp_path):
     cfg = _write_cfg(tmp_path, check_suite=["nonsense"])
     assert cli.main(["check", "--config", str(cfg)]) == 1

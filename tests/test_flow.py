@@ -182,8 +182,7 @@ def test_donaldson_metric_builds_no_metric_matrices(rng, monkeypatch):
         raise AssertionError("4x4 metric matrix built")
 
     monkeypatch.setattr(ext, "g_rho", forbidden)
-    monkeypatch.setattr(np.linalg, "inv", forbidden)
-    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(ext, "lu4", forbidden)
     assert flow.donaldson_pairing(g, rh1, rh1, b) > 0
     assert math.isfinite(flow.donaldson_pairing(g, rh1, rh2, b))
 
@@ -351,23 +350,42 @@ def test_step_makes_no_transforms(monkeypatch):
     assert calls == []
 
 
-def test_package_makes_no_transforms(monkeypatch, tmp_path):
-    # on fresh grids, a run and every check suite call no numpy.fft entry
-    # point, set-up included
-    calls = []
-
+def _wrap_every_function(monkeypatch, module, calls):
+    """Make each function of ``module`` append its name to ``calls``."""
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in np.fft.__all__:
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(module, name, counting(name, fn))
+
+
+def _run_and_check(tmp_path, samples):
     cfg = RunConfig(n=4, T=0.02, out_dir=str(tmp_path / "out"))
     assert flow.run(cfg).steps > 0
-    _, passed = checks.run_suites(["all"], 0, 20)
+    _, passed = checks.run_suites(["all"], 0, samples)
     assert passed
+
+
+def test_package_makes_no_transforms(monkeypatch, tmp_path):
+    # on fresh grids, a run and every check suite call no numpy.fft entry
+    # point, set-up included
+    calls = []
+    _wrap_every_function(monkeypatch, np.fft, calls)
+    _run_and_check(tmp_path, 20)
+    assert calls == []
+
+
+def test_package_makes_no_linalg_calls(monkeypatch, tmp_path):
+    # nor any numpy.linalg function: every 4x4 factorization is
+    # exterior.lu4, and the real Fourier basis normalizes its own rows
+    calls = []
+    _wrap_every_function(monkeypatch, np.linalg, calls)
+    _run_and_check(tmp_path, 200)
     assert calls == []
 
 

@@ -24,7 +24,7 @@ def _main(name):
     ("convergence_experiment",
      ["--n", "4", "--seeds", "1", "2", "--epsilons", "0.05", "--tol", "1e-4"],
      2),
-    ("layer_timings", ["--sizes", "4"], 12),
+    ("layer_timings", ["--sizes", "4"], 13),
 ])
 def test_script_writes_csv(tmp_path, name, args, rows):
     out = tmp_path / f"{name}.csv"
