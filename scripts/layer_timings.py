@@ -21,7 +21,11 @@ check slice factors its metric batch.  After one warm-up call a layer
 is repeated for about a second (5 to 200 times); the CSV holds the
 median in ms, the repetition count and the minor page faults per call
 (the ``ru_minflt`` of ``resource.getrusage`` over the repetitions,
-divided by their count).  BLAS and OpenMP are pinned to one thread.
+divided by their count).  The faults of a row depend on the rows
+measured before it in the same process, not only on its layer: each call
+starts from the heap the earlier rows left (``least_norm_potential`` at
+n = 8 reads 0 per call run alone, 104 to 160 after the
+``random_trig_field`` row).  BLAS and OpenMP are pinned to one thread.
 
     python3 scripts/layer_timings.py --sizes 8 16 24
 """

@@ -6,6 +6,9 @@ Evaluates, on one fixed smooth field sampled at several resolutions,
 * the mismatch between the moment-map gradient and the flow right hand side,
 * the pointwise-star gradient identity,
 * the covariant-Hessian ledger A + B + C + D - 2E,
+* the covariant-Hessian identity (``cov_identity_rel``; ``donflow
+  check`` reports it at n = 8, 12 and the minimum as the
+  ``covariant_identity_*`` records of suite hessiancov),
 
 and writes the residuals per grid size as CSV (spectral rates show up as
 near-exponential decay, fd2 as second order).

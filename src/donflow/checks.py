@@ -146,23 +146,22 @@ def exact_direction(grid, field, amp):
 
 
 def suite_appendixA(seed, samples):
-    """Appendix A's pointwise identities.  Each metric batch is one
-    ``exterior.Metric``; each slice of it, ``g[s]``, is factored once and
-    shares what the batch has factored already (the determinant of gc,
-    which random_rho reads).  Each input is dropped after the last record
-    that reads it."""
+    """Appendix A's pointwise identities.  Each metric batch is drawn
+    whole, as matrices; each slice of it is wrapped as one
+    ``exterior.Metric`` and factored once, for every term that reads it.
+    Each input is dropped after the last record that reads it."""
     rng = _rng(seed, 0)
     b = int(samples)
     rho = rng.uniform(-1, 1, size=(6, b))
-    g = ext.Metric(random_spd(rng, (b,)))
-    gu = ext.Metric(random_spd(rng, (b,), unit_vol=True))
+    g = random_spd(rng, (b,))
+    gu = random_spd(rng, (b,), unit_vol=True)
     l = rng.normal(size=(4, b))
     w = rng.normal(size=(6, b))
     f = rng.normal(size=(4, b))
     v = rng.normal(size=(4, b))
 
     def metric_terms(s):
-        rs, vs, gs = rho[:, s], v[:, s], g[s]
+        rs, vs, gs = rho[:, s], v[:, s], ext.Metric(g[s])
         det = ext.lu4(ext.a_of(rs))
         u2 = ext.u_of(rs) ** 2
         detg = ext.lu4(ext.a_of(rs, gs))
@@ -176,7 +175,7 @@ def suite_appendixA(seed, samples):
                 "dual2": ext.hodge3(gs, ivvol) + gv}
 
     def hodge_terms(s):
-        ls, ws, fs, gs = l[:, s], w[:, s], f[:, s], gu[s]
+        ls, ws, fs, gs = l[:, s], w[:, s], f[:, s], ext.Metric(gu[s])
         return {"e1": ext.hodge3(gs, ext.hodge1(gs, ls)) + ls,
                 "e2": ext.hodge2(gs, ext.hodge2(gs, ws)) - ws,
                 "e3": ext.hodge1(gs, ext.hodge3(gs, fs)) + fs,
@@ -201,14 +200,14 @@ def suite_appendixA(seed, samples):
                 rel_scale=max(1.0, m["ivvol"])),
     ]
 
-    gc = ext.Metric(random_spd(rng, (b,)))
+    gc = random_spd(rng, (b,))
     lam = rng.normal(size=(4, b))
-    rho2 = random_rho(rng, (b,), 0.05, gc)   # factors gc.det for the slices
+    rho2 = random_rho(rng, (b,), 0.05, ext.Metric(gc))
     x = rng.normal(size=(4, b))
     t = rng.normal(size=(6, b))
 
     def twisted_terms(s):
-        gs, ls, r2 = gc[s], lam[:, s], rho2[:, s]
+        gs, ls, r2 = ext.Metric(gc[s]), lam[:, s], rho2[:, s]
         xs, ts = x[:, s], t[:, s]
         # random compatible triples (omega, g, J) with g = omega(., J.)
         sd = ext.self_dual_basis(gs)
@@ -260,10 +259,10 @@ def suite_appendixA(seed, samples):
                            tw["evol"]),
                        1e-9, b, rel_scale=scale ** 2))
 
-    g0 = ext.Metric(random_spd(rng, (b,), unit_vol=True))
+    g0 = random_spd(rng, (b,), unit_vol=True)
 
     def reconstruction_terms(s):
-        gs = g0[s]
+        gs = ext.Metric(g0[s])
         basis = ext.self_dual_basis(gs)   # first: its inverse brings gs.vol
         grec = ext.metric_from_vol_and_plane(gs.vol, basis)
         return {"grec": grec, "g": gs.g, "err": grec - gs.g}
@@ -461,6 +460,15 @@ def _ledger_sides(rep):
     return rep["A"] + rep["B"] + rep["C"] + rep["D"], 2.0 * rep["E"]
 
 
+def _covariant_identity(name, rep, tol, n):
+    """The covariant-Hessian identity of a hessiancov_check report: its two
+    sides and their relative residual."""
+    return _record(name, "|H_hat|^2 + sum w_i(X, nabla_XKi X) = Hessian + B"
+                   " + sum w_i(X, nabla_X XKi) (covariant Hessian)",
+                   rep["cov_lhs"], rep["cov_rhs"], rep["cov_residual"], tol,
+                   1, n, SCHEME, rel_scale=1.0)
+
+
 def suite_hessiancov(seed, samples):
     gen = np.random.Generator(np.random.Philox(4000 * int(seed) + 9))
     out = []
@@ -477,6 +485,8 @@ def suite_hessiancov(seed, samples):
                            "A + B + C + D = 2E for the Hessian ledger",
                            *_ledger_sides(rep),
                            res[n], 1e-3, 1, n, SCHEME, rel_scale=1.0))
+        out.append(_covariant_identity(f"covariant_identity_n{n}", rep,
+                                       1e-6, n))
     out.append(_record("covariant_ledger_refines",
                        "ledger residual decreases under refinement",
                        res[GRID_N], res[FINE_N],
@@ -491,6 +501,8 @@ def suite_hessiancov(seed, samples):
                        *_ledger_sides(rep0),
                        rep0["abcde_residual"], 1e-10, 1, GRID_N, SCHEME,
                        rel_scale=1.0))
+    out.append(_covariant_identity("covariant_identity_minimum", rep0,
+                                   1e-12, GRID_N))
     return out
 
 

@@ -32,15 +32,15 @@ The rho-twisted geometry takes its base point as a :class:`Base`: u is
 checked once, when the Base is built, and never by a function taking it.
 
 A metric argument is a :class:`Metric`, the one place a metric is
-factored: it keeps its inverse, determinant, volume and 2-form Gram matrix
-for as long as it lives, so a caller that wraps a batch once factors it
-once, and a slice ``g[s]`` shares the factors computed so far.  The
-determinant and inverse come from one pivoted LU, :func:`lu4`: g_rho
-reaches condition numbers near 1e5, where cofactor formulas raised the
-``twisted_metric`` check's error from 2e-14..2e-13 to 6.1e-10 (tolerance
-1e-9) and an unpivoted Cholesky factorization was 16 times less accurate
-than LU; over check seeds 0-24 no appendix A record's largest error
-moved by more than 1.3 times from LAPACK's.
+factored: it wraps one batch and keeps its inverse, determinant, volume
+and 2-form Gram matrix for as long as it lives, so a caller that wraps a
+batch once factors it once.  The determinant and inverse come from one
+pivoted LU, :func:`lu4`: g_rho reaches condition numbers near 1e5, where
+cofactor formulas raised the ``twisted_metric`` check's error from
+2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an unpivoted Cholesky
+factorization was 16 times less accurate than LU; over check seeds 0-24
+no appendix A record's largest error moved by more than 1.3 times from
+LAPACK's.
 """
 
 from __future__ import annotations
@@ -214,11 +214,15 @@ def lu4(m, inverse=False):
     """Determinants of the 4x4 matrices m (*batch, 4, 4), or with
     ``inverse`` (det, inverses), by LU with partial pivoting (Golub & Van
     Loan, Matrix Computations, 3.4) on the 16 entries as contiguous planes
-    of the batch.  Each column's pivot is the first row of maximal |entry|,
-    as in LAPACK's getrf; the inverse swaps the multipliers with the rows
-    and solves L U x = P e_c.  A zero pivot has zeros below it and takes
-    zero multipliers: a singular matrix has det exactly 0, raises no
-    warning and has a NaN inverse.  NaN propagates."""
+    of the batch.  One scan down each column swaps a row into the pivot
+    place where its |entry| is strictly larger, so the pivot is the first
+    maximal one, as in LAPACK's getrf; the rows below it are left in
+    another order, so an exact tie in a later column (integer matrices)
+    may pivot on another row, as accurately, differing in the last bit.
+    The inverse swaps the multipliers with the rows and solves
+    L U x = P e_c.  A zero pivot has zeros below it and takes zero
+    multipliers: det exactly 0, no warning and a NaN inverse.  NaN
+    propagates."""
     m = np.asarray(m, dtype=float)
     size = m.size // 16
     a = np.empty((4, 4 + inverse, size))  # a[i, 4]: the row's place in m
@@ -227,16 +231,11 @@ def lu4(m, inverse=False):
     odd, recip = np.zeros(size, bool), np.empty((4, size))
     for k in range(4):
         lo = 0 if inverse else k
-        best, beats, later = np.abs(a[k, k]), [], np.zeros(size, bool)
-        for mag in np.abs(a[k + 1:, k]):
-            beats.append(mag > best)
-            best = np.maximum(best, mag)
-        for r in range(3, k, -1):   # the last row to beat all above it
-            sel = beats[r - k - 1] & ~later
-            later |= sel
+        for r in range(k + 1, 4):
+            sel = np.abs(a[r, k]) > np.abs(a[k, k])
+            odd ^= sel
             a[k, lo:], a[r, lo:] = (np.where(sel, a[r, lo:], a[k, lo:]),
                                     np.where(sel, a[k, lo:], a[r, lo:]))
-        odd ^= later
         np.divide(1.0, a[k, k] + (a[k, k] == 0), out=recip[k])
         a[k + 1:, k] *= recip[k]
         a[k + 1:, k + 1:4] -= a[k + 1:, k, None] * a[k, k + 1:4]
@@ -262,19 +261,10 @@ class Metric:
     def __init__(self, g):
         self.g = np.asarray(g)
 
-    def __getitem__(self, index):
-        """The metrics at ``index`` of the batch, with each factor computed
-        so far sliced along, not computed again."""
-        part = Metric(self.g[index])
-        for name in ("inv", "det", "vol", "form2"):
-            if name in self.__dict__:
-                part.__dict__[name] = self.__dict__[name][index]
-        return part
-
     @cached_property
     def inv(self):
         det, inv = lu4(self.g, inverse=True)
-        self.__dict__.setdefault("det", det)  # a det g[s] shares stays
+        self.__dict__.setdefault("det", det)
         return inv
 
     @cached_property

@@ -388,7 +388,9 @@ def run(config, rho0=None):
     ``config.out_dir``.  On StepFailure the partial CSV, a failure snapshot
     and a diagnostic JSON are flushed before the exception propagates; a
     ``rho0`` of the wrong shape or not closed fails at t = 0
-    (:func:`_require_shape`, :func:`_require_closed`).
+    (:func:`_require_shape`, :func:`_require_closed`), and a degenerate
+    ``rho0`` or a rejected :func:`initial_data` draw writes the diagnostic
+    JSON before its DegenerateForm propagates.
 
     The class drift ``coh_drift_max`` is computed for the written states
     only: each CSV row, which every snapshot header follows.  At t = 0 it
@@ -398,13 +400,12 @@ def run(config, rho0=None):
     grid = lat.Grid(config.n, config.scheme)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if rho0 is None:
-        rng = np.random.Generator(np.random.Philox(config.seed))
-        rho0 = initial_data(grid, rng, config.epsilon, config.kmax)
-
     csv_path = out_dir / "monitors.csv"
     with _OutputLock(out_dir):
         try:
+            if rho0 is None:
+                rng = np.random.Generator(np.random.Philox(config.seed))
+                rho0 = initial_data(grid, rng, config.epsilon, config.kmax)
             _require_shape(grid, rho0)
             # a non-finite entry makes u NaN or +-inf, since each component
             # is in exactly one product of u: the Base rejects it before d
@@ -420,12 +421,14 @@ def run(config, rho0=None):
             state.monitors["coh_drift_max"] = 0.0
             del b0  # its u is not kept beside the steps
         except DegenerateForm as err:
-            u = _u_where_finite(rho0)
-            finite = np.isfinite(u)
-            _write_failure(out_dir, {
-                "t": 0.0, "error": str(err),
-                "nonfinite_sites": int(u.size - np.count_nonzero(finite)),
-                "u_min": float(u[finite].min()) if finite.any() else None})
+            diagnostic = {"t": 0.0, "error": str(err)}
+            if rho0 is not None:    # None: initial_data rejected its draw
+                u = _u_where_finite(rho0)
+                finite = np.isfinite(u)
+                diagnostic.update(
+                    nonfinite_sites=int(u.size - np.count_nonzero(finite)),
+                    u_min=float(u[finite].min()) if finite.any() else None)
+            _write_failure(out_dir, diagnostic)
             raise
         except StepFailure as err:
             _write_failure(out_dir, err.diagnostic)

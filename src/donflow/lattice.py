@@ -26,9 +26,11 @@ the basis permutation signs, each applied as one such derivative;
 The symbols are translation invariant, so d o d = 0 and the per-component
 mean of any derivative vanishes, each to round-off.
 
-:func:`harmonic_projection` is a mean over parity classes of sites,
-broadcast back; :func:`least_norm_potential` keeps the harmonic part of
-its unknown as those 4 x 16 class values.
+The discrete-harmonic fields, on which every derivative symbol vanishes,
+are the Fourier modes with every k_i in {0, n/2}: the fields unchanged by
+a two-site shift.  :func:`least_norm_potential` keeps the harmonic part
+of its unknown as its means over the 16 parity classes of sites, 4 x 16
+class values.
 :func:`inv_laplace` and :func:`resolvent` (the flow's implicit solve) are
 Fourier multipliers that depend on each frequency only through b(k)^2, so
 they are even in every k_i and diagonal in the real basis of
@@ -156,12 +158,6 @@ class Grid:
         :func:`inv_laplace`."""
         sym = self.laplace_symbol
         return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
-
-    def coords(self):
-        """Coordinate arrays x0..x3, each broadcastable to the lattice."""
-        x = np.arange(self.n) / self.n
-        return [x.reshape([self.n if ax == i else 1 for i in range(4)])
-                for ax in range(4)]
 
     def zeros(self, k):
         c = FORM_COMPS[k]
@@ -301,19 +297,6 @@ def _class_means(grid, f):
     for axis in (-8, -6, -4, -2):  # n/2 terms per mean: fast and accurate
         means = means.mean(axis=axis, keepdims=True)
     return means
-
-
-def harmonic_projection(grid, f):
-    """Project onto the discrete-harmonic modes (all derivative symbols zero).
-
-    For either scheme these are the Fourier modes with every k_i in
-    {0, n/2}; they span the kernel of d on each degree, with the constants
-    as the k = 0 member: the fields unchanged by a two-site shift, so the
-    projection is the mean over each of the 16 parity classes of sites.
-    """
-    means = _class_means(grid, f)
-    return np.broadcast_to(means, means.shape[:-8] + (grid.n // 2, 2) * 4
-                           ).reshape(np.shape(f))
 
 
 def integrate(grid, f4):

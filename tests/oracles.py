@@ -3,9 +3,9 @@
 Everything here works on fully antisymmetric index tensors and enumerates
 permutations, sums sampled cosines mode by mode, runs a scalar recurrence
 or eliminates in exact rational arithmetic, so it shares no code (and no
-sign tables) with the package.  The exceptions come last: the
-hyperkaehler names that only tests read, and the full-field CG, kept to
-check how the package's solve stores and updates its vectors.
+sign tables) with the package.  The exceptions come last: the lattice
+and hyperkaehler names that only tests read, and the full-field CG, kept
+to check how the package's solve stores and updates its vectors.
 """
 
 import math
@@ -184,7 +184,7 @@ def d_fourier(grid, f, k, adjoint=False):
 
 
 def harmonic_fourier(n, f):
-    """Reference for ``lattice.harmonic_projection`` on the n^4 lattice:
+    """Reference for :func:`harmonic_projection` on the n^4 lattice:
     one complex fftn over the lattice axes, every mode with some k_i
     outside {0, n/2} set to zero, one ifftn."""
     k = np.abs(np.fft.fftfreq(n) * n)
@@ -348,13 +348,15 @@ def star_rho1_stacked(l, rho, u):
 def exact_det_inv(m):
     """Determinant and inverse of one 4x4 float matrix by Gauss-Jordan
     elimination in exact rational arithmetic, each rounded once to a
-    float at the end."""
+    float at the end; a singular matrix gives det 0 and a NaN inverse."""
     a = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j))
                                               for j in range(4)]
          for i, row in enumerate(np.asarray(m))]
     det = Fraction(1)
     for k in range(4):
-        p = next(r for r in range(k, 4) if a[r][k] != 0)
+        p = next((r for r in range(k, 4) if a[r][k] != 0), None)
+        if p is None:
+            return 0.0, np.full((4, 4), np.nan)
         if p != k:
             a[k], a[p] = a[p], a[k]
             det = -det
@@ -364,6 +366,31 @@ def exact_det_inv(m):
             if r != k:
                 a[r] = [x - a[r][k] * y for x, y in zip(a[r], a[k])]
     return float(det), np.array([[float(x) for x in row[4:]] for row in a])
+
+
+# lattice's test-only names: the coordinates of the sites and the
+# projection onto the discrete-harmonic modes
+
+def coords(grid):
+    """Coordinate arrays x0..x3 of the sites, each broadcastable to the
+    lattice."""
+    x = np.arange(grid.n) / grid.n
+    return [x.reshape([grid.n if ax == i else 1 for i in range(4)])
+            for ax in range(4)]
+
+
+def harmonic_projection(grid, f):
+    """Project onto the discrete-harmonic modes (all derivative symbols zero).
+
+    For either scheme these are the Fourier modes with every k_i in
+    {0, n/2}; they span the kernel of d on each degree, with the constants
+    as the k = 0 member: the fields unchanged by a two-site shift, so the
+    projection is the package's mean over each of the 16 parity classes of
+    sites (``lattice._class_means``), broadcast back.
+    """
+    means = lat._class_means(grid, f)
+    return np.broadcast_to(means, means.shape[:-8] + (grid.n // 2, 2) * 4
+                           ).reshape(np.shape(f))
 
 
 # hyperkahler's test-only names: the quaternionic complex structures
@@ -411,7 +438,7 @@ def least_norm_potential_full(grid, rhohat, b, rtol=1e-10, max_iter=None):
         return lat.d0(grid, phi) + nu
 
     def apply_bt(w3):
-        return -lat.d3(grid, w3), lat.harmonic_projection(
+        return -lat.d3(grid, w3), harmonic_projection(
             grid, -ext.star3_flat(w3))
 
     def normal_op(phi, nu):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles as orc
 from donflow import checks
 from donflow import exterior as ext
 from donflow import flow
@@ -123,7 +124,7 @@ def test_criterion_6_hessian_at_minimum():
         flat = lat.integrate(g, ext.norm2_sq(rh))
         worst = max(worst, abs(h - flat) / flat)
     assert worst <= 1e-10
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = orc.coords(g)[0] + np.zeros(g.shape)
     mu0 = g.zeros(1)
     mu0[1] = np.sin(2 * np.pi * x0)
     val = flow.hessian_form(g, omega, lat.d1(g, mu0))
@@ -145,7 +146,7 @@ def test_criterion_7_covariant_hessian_ledger():
 
 def test_criterion_8_degeneracy_honesty(tmp_path):
     g = lat.Grid(8)
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = orc.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)

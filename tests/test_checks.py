@@ -122,7 +122,8 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_ledger_records_report_the_ledger_sides(seed):
     # lhs and rhs are |A + B + C + D| and |2E| of the ledger each record
-    # names, on the inputs suite_hessiancov draws
+    # names, on the inputs suite_hessiancov draws; each covariant_identity
+    # record reports the same report's covariant-Hessian identity
     gen = np.random.Generator(np.random.Philox(4000 * seed + 9))
     rho_fn = lat.random_trig_field(gen, 1, 4)
     mu_fn = lat.random_trig_field(gen, 1, 4)
@@ -143,6 +144,12 @@ def test_ledger_records_report_the_ledger_sides(seed):
                                            + rep["D"])
         assert records[name]["rhs"] == abs(2 * rep["E"])
         assert records[name]["lhs"] != abs(rep["cov_lhs"])
+        ident = records[name.replace("ledger", "identity")]
+        assert ident["lhs"] == abs(rep["cov_lhs"])
+        assert ident["rhs"] == abs(rep["cov_rhs"])
+        assert ident["rel_err"] == rep["cov_residual"] and ident["passed"]
+    assert [r["tol"] for name, r in records.items()
+            if name.startswith("covariant_identity")] == [1e-6, 1e-6, 1e-12]
 
 
 def test_fold_propagates_nan_as_the_whole_batch_max(monkeypatch):

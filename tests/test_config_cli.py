@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as orc
 from donflow import cli
 from donflow import lattice as lat
 from donflow.config import ConfigError, RunConfig, from_dict, load_config, template
@@ -217,7 +218,7 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
     from donflow import flow
 
     def nearly_degenerate(grid, rng, epsilon=0.05, kmax=2, **kw):
-        x0 = grid.coords()[0] + np.zeros(grid.shape)
+        x0 = orc.coords(grid)[0] + np.zeros(grid.shape)
         mu = grid.zeros(1)
         mu[1] = np.sin(2 * np.pi * x0)
         return (grid.constant(OMEGA1)
@@ -227,6 +228,18 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, seed=4, T=10.0)
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert (tmp_path / "out" / "failure.json").exists()
+
+
+def test_cli_run_rejected_initial_draw_writes_the_diagnostic(tmp_path,
+                                                             capsys):
+    # epsilon 1e6 stays degenerate through all 20 halvings of initial_data
+    cfg = _write_cfg(tmp_path, n=4, epsilon=1e6)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "initial data rejected down to epsilon" in err
+    diag = json.loads((tmp_path / "out" / "failure.json").read_text())
+    assert diag == {"t": 0.0, "error": err.split("aborted: ", 1)[1].strip()}
+    assert not list((tmp_path / "out").glob("snapshot_*"))
 
 
 def test_l1_violation_is_a_step_failure(tmp_path, monkeypatch):

@@ -268,16 +268,6 @@ def test_appendixA_factors_each_metric_once(monkeypatch):
     assert calls["det"] == 6
 
 
-def test_metric_slice_shares_the_factors_computed_so_far(rng):
-    g = ext.Metric(random_spd(rng, (10,)))
-    det = g.det
-    part = g[2:5]
-    assert np.shares_memory(part.det, det) and "inv" not in part.__dict__
-    fresh = ext.Metric(g.g[2:5])
-    for name in ("det", "vol", "inv", "form2"):
-        assert getattr(part, name).tobytes() == getattr(fresh, name).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # the plane-wise LU of 4x4 matrices
 # ---------------------------------------------------------------------------
@@ -329,6 +319,28 @@ def test_lu4_is_as_accurate_as_lapack_on_ill_conditioned_g_rho(rng):
     lapack = errors(np.linalg.det(gr), np.linalg.inv(gr))
     assert ours[0] <= 2 * lapack[0] and ours[1] <= 2 * lapack[1]
     assert max(ours) < 1e-11
+
+
+def test_lu4_on_integer_matrices_with_ties(rng):
+    # entries in {-2..2} tie for the pivot in most columns, where the
+    # scan may pivot on another row than getrf; against exact rational
+    # arithmetic every result stays within 1e-12 (measured: 2.4e-15).  A
+    # singular matrix's rounded elimination need not reach an exact 0
+    # (measured: one of 92 at 1.1e-15, the same with getrf's row order;
+    # LAPACK's det reaches 1.8e-15), so its det is held to the same bound
+    m = rng.integers(-2, 3, size=(1000, 4, 4)).astype(float)
+    det, inv = ext.lu4(m, inverse=True)
+    assert np.array_equal(ext.lu4(m), det)
+    exact = [orc.exact_det_inv(x) for x in m]
+    det_x = np.array([d for d, _ in exact])
+    inv_x = np.array([i for _, i in exact])
+    sing = det_x == 0
+    assert 0 < np.count_nonzero(sing) < 200
+    assert np.abs(det[sing]).max() <= 1e-12
+    assert np.abs(det[~sing] / det_x[~sing] - 1).max() <= 1e-12
+    scale = np.abs(inv_x[~sing]).max(axis=(-2, -1))
+    assert (np.abs(inv[~sing] - inv_x[~sing]).max(axis=(-2, -1))
+            <= 1e-12 * scale).all()
 
 
 def test_lu4_of_singular_matrices():

@@ -143,7 +143,7 @@ def test_donaldson_norm_values(rng):
     omega = ext.Base(g.constant(ext.OMEGA1))
     zero = g.zeros(2)
     assert flow.donaldson_pairing(g, zero, zero, omega) == 0.0
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = oracles.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
@@ -191,7 +191,7 @@ def test_hessian_at_minimum_worked_value():
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
     assert flow.hessian_form(g, omega, g.zeros(2)) == 0.0
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = oracles.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
@@ -427,7 +427,8 @@ def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
     lap = (2 * np.pi) ** 2
     lam = ratio * lap
     base = g.constant(ext.OMEGA1)
-    mode = np.cos(2 * np.pi * g.coords()[0]) * ext.OMEGA2.reshape(6, 1, 1, 1, 1)
+    mode = (np.cos(2 * np.pi * oracles.coords(g)[0])
+            * ext.OMEGA2.reshape(6, 1, 1, 1, 1))
     mode = mode + np.zeros((6,) + g.shape)
     monkeypatch.setattr(flow, "rhs", lambda grid, b: -lam * (b.rho - base))
     monkeypatch.setattr(flow, "monitors", lambda grid, b, e, velocity, coh0,
@@ -511,7 +512,7 @@ def test_step_survives_huge_dt():
 
 def test_step_failure_near_degenerate(monkeypatch):
     g = sgrid(8)
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = oracles.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
@@ -673,7 +674,7 @@ def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed
 
 def test_run_flush_on_failure(tmp_path):
     g = lat.Grid(8)
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = oracles.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
@@ -695,7 +696,7 @@ def test_run_rejects_a_rho0_that_is_not_closed(tmp_path, monkeypatch, capsys):
     # 3-form; its integral of rho ^ rho is not the class's, so the L1 bound
     # read from the class would stop the run with a misleading violation
     def not_closed(grid):
-        x0 = grid.coords()[0] + np.zeros(grid.shape)
+        x0 = oracles.coords(grid)[0] + np.zeros(grid.shape)
         return grid.constant(ext.OMEGA1) + 0.1 * np.cos(2 * np.pi * x0) * (
             grid.constant(ext.OMEGA2))
 

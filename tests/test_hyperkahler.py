@@ -169,7 +169,7 @@ def test_hessian_hk_matches_hessian_form(rng):
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
     assert hk.hessian_hk(g, omega, g.zeros(2)) == 0.0
-    x0 = g.coords()[0] + np.zeros(g.shape)
+    x0 = orc.coords(g)[0] + np.zeros(g.shape)
     mu = g.zeros(1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
