@@ -15,9 +15,10 @@ pairing of the gradient check calls it, and that whole pairing
 (``donaldson_pairing`` of the rhs with itself: one CG solve, one flat
 potential and the pairing integral).  The last row, ``metric_factors``,
 is the metric layer of the appendix A checks and does not depend on n:
-the inverse and determinant of a fresh ``exterior.Metric`` of 4,096
-``random_spd`` matrices (seed 7), one ``exterior.lu4`` elimination, as a
-check slice factors its metric batch.  After one warm-up call a layer
+building an ``exterior.Metric`` of 4,096 ``random_spd`` matrices (seed
+7), which factors them by one ``exterior.lu4`` elimination (inverse and
+determinant) and checks the determinant, as a check slice builds its
+metric.  After one warm-up call a layer
 is repeated for about a second (5 to 200 times); the CSV holds the
 median in ms, the repetition count and the minor page faults per call
 (the ``ru_minflt`` of ``resource.getrusage`` over the repetitions,
@@ -54,12 +55,6 @@ from donflow import lattice as lat
 from donflow.checks import random_spd
 
 
-def _metric_factors(g):
-    """The inverse and determinant of a fresh Metric of the batch g."""
-    m = ext.Metric(g)
-    return m.inv, m.det
-
-
 def _layers(g, rho, field):
     """The layers of a step, then the trig field closure ``field``, the
     CG potential solve, the Donaldson pairing and the metric factors, as
@@ -88,7 +83,7 @@ def _layers(g, rho, field):
                                                                  b),
         "donaldson_pairing": lambda: flow.donaldson_pairing(g, velocity,
                                                             velocity, b),
-        "metric_factors": lambda: _metric_factors(spd),
+        "metric_factors": lambda: ext.Metric(spd),
     }
 
 

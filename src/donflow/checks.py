@@ -15,17 +15,17 @@ hyperkahler) draw each input for the whole batch, in a fixed stream
 order and component-first, as every form in the package is stored: a
 (c, samples) array whose components are each one contiguous row.  A
 2-form with a volume-ratio floor comes from :func:`random_rho`, which
-draws the whole batch once and then redraws only the samples still
-below the floor, so how many numbers a suite's stream holds depends on
-the data.  The identities are evaluated on slices of ``CHUNK`` samples,
-and each term's largest (or smallest) magnitude is folded across the
-slices with np.maximum (np.minimum); no sum or mean is folded, so no
-record depends on CHUNK.
+draws flat forms for the whole batch once and then redraws only the
+samples still below the floor, so how many numbers a suite's stream
+holds depends on the data.  The identities are evaluated on slices of
+``CHUNK`` samples, and each term's largest (or smallest) magnitude is
+folded across the slices with np.maximum (np.minimum); no sum or mean
+is folded, so no record depends on CHUNK.
 Only the drawn inputs grow with the batch, and each is dropped after the
 last record that reads it.  At 20,000 samples appendixA and hessiancov,
 whose fields do not grow with the samples, peak close together
-(ru_maxrss 53.8 and 53.3 MB, each alone); above that appendixA sets
-the peak at about 0.6 kB per sample (102 MB at 100,000).
+(ru_maxrss 53.1 and 52.8 MB, each alone); above that appendixA sets
+the peak at about 0.6 kB per sample (100 MB at 100,000).
 """
 
 from __future__ import annotations
@@ -99,22 +99,21 @@ def _rng(seed, idx):
     return np.random.Generator(np.random.Philox(1000 * int(seed) + idx))
 
 
-def random_rho(rng, batch=(), u_min=0.05, g=None):
-    """Random 2-forms of shape (6,) + batch with volume ratio u / vol above
-    u_min (for the ``exterior.Metric`` g, flat if None), each component
-    uniform in (-1, 1) scaled by sqrt(vol).  The first round draws
-    (6, batch size) numbers, component-first; each of up to 500 later
-    rounds draws (6, pending) numbers for the samples still at or below
-    u_min, and no others.  Raises RuntimeError if some remain."""
-    vol = np.broadcast_to(1.0 if g is None else g.vol, batch).reshape(-1)
-    root = np.sqrt(vol)
-    rho = root * rng.uniform(-1.0, 1.0, size=(6, vol.size))
-    todo = np.flatnonzero(ext.u_of(rho) / vol <= u_min)
+def random_rho(rng, batch=(), u_min=0.05):
+    """Random 2-forms of shape (6,) + batch with flat volume ratio u above
+    u_min, each component uniform in (-1, 1).  A metric only scales them:
+    sqrt(vol) times one has u above u_min for the metric of volume vol.
+    The first round draws (6, batch size) numbers, component-first; each
+    of up to 500 later rounds draws (6, pending) numbers for the samples
+    still at or below u_min, and no others.  Raises RuntimeError if some
+    remain."""
+    rho = rng.uniform(-1.0, 1.0, size=(6,) + batch).reshape(6, -1)
+    todo = np.flatnonzero(ext.u_of(rho) <= u_min)
     for _ in range(500):
         if not todo.size:
             break
-        rho[:, todo] = root[todo] * rng.uniform(-1.0, 1.0, size=(6, todo.size))
-        todo = todo[ext.u_of(rho[:, todo]) / vol[todo] <= u_min]
+        rho[:, todo] = rng.uniform(-1.0, 1.0, size=(6, todo.size))
+        todo = todo[ext.u_of(rho[:, todo]) <= u_min]
     if todo.size:
         raise RuntimeError("sampling admissible forms failed")
     return rho.reshape((6,) + batch)
@@ -147,8 +146,8 @@ def exact_direction(grid, field, amp):
 
 def suite_appendixA(seed, samples):
     """Appendix A's pointwise identities.  Each metric batch is drawn
-    whole, as matrices; each slice of it is wrapped as one
-    ``exterior.Metric`` and factored once, for every term that reads it.
+    whole, as matrices; each slice of it is built into one
+    ``exterior.Metric``, factored once for every term that reads it.
     Each input is dropped after the last record that reads it."""
     rng = _rng(seed, 0)
     b = int(samples)
@@ -202,13 +201,15 @@ def suite_appendixA(seed, samples):
 
     gc = random_spd(rng, (b,))
     lam = rng.normal(size=(4, b))
-    rho2 = random_rho(rng, (b,), 0.05, ext.Metric(gc))
+    rho2 = random_rho(rng, (b,), 0.05)
     x = rng.normal(size=(4, b))
     t = rng.normal(size=(6, b))
 
     def twisted_terms(s):
-        gs, ls, r2 = ext.Metric(gc[s]), lam[:, s], rho2[:, s]
-        xs, ts = x[:, s], t[:, s]
+        gs, ls, xs = ext.Metric(gc[s]), lam[:, s], x[:, s]
+        ts, ws = t[:, s], w[:, s]
+        # u(r2, gs) is u(rho2) up to rounding
+        r2 = np.sqrt(gs.vol) * rho2[:, s]
         # random compatible triples (omega, g, J) with g = omega(., J.)
         sd = ext.self_dual_basis(gs)
         wc = sd[..., 0]
@@ -240,10 +241,17 @@ def suite_appendixA(seed, samples):
         }
         for a in range(3):
             terms[f"e5_{a}"] = ext.hodge2(gr, rsd[..., a]) - rsd[..., a]
+        # the reflection R of rho2, last: built before e6, whose first
+        # hodge2(gr, .) sets the slice's peak memory, it raised that peak
+        rt = ext.r_rho(ts, base2)
+        rr = ext.r_rho(rt, base2)
+        terms.update(rr=rr, t=ts, rr_err=rr - ts,
+                     pairing=(ext.wedge22(rt, ext.r_rho(ws, base2))
+                              - ext.wedge22(ts, ws)))
         return terms
 
     tw = _fold(b, twisted_terms)
-    del gc, lam, x
+    del gc, lam, x, t, w, rho2
     out.append(_record("compatible_star",
                        "g = w(., J.) iff star(w ^ l) = -l o J and vol match",
                        tw["lhs"], tw["rhs"],
@@ -263,8 +271,7 @@ def suite_appendixA(seed, samples):
 
     def reconstruction_terms(s):
         gs = ext.Metric(g0[s])
-        basis = ext.self_dual_basis(gs)   # first: its inverse brings gs.vol
-        grec = ext.metric_from_vol_and_plane(gs.vol, basis)
+        grec = ext.metric_from_vol_and_plane(gs.vol, ext.self_dual_basis(gs))
         return {"grec": grec, "g": gs.g, "err": grec - gs.g}
 
     rec = _fold(b, reconstruction_terms)
@@ -274,19 +281,9 @@ def suite_appendixA(seed, samples):
                        rec["grec"], rec["g"], rec["err"], 1e-9, b,
                        rel_scale=max(1.0, rec["g"])))
 
-    def reflection_terms(s):
-        ts, ws, base2 = t[:, s], w[:, s], ext.Base(rho2[:, s])
-        rt = ext.r_rho(ts, base2)
-        rr = ext.r_rho(rt, base2)
-        return {"rr": rr, "t": ts, "err": rr - ts,
-                "pairing": (ext.wedge22(rt, ext.r_rho(ws, base2))
-                            - ext.wedge22(ts, ws))}
-
-    ref = _fold(b, reflection_terms)
-    del t, w, rho2
     out.append(_record("reflection", "R^2 = id and R preserves the pairing",
-                       ref["rr"], ref["t"], max(ref["err"], ref["pairing"]),
-                       1e-9, b, rel_scale=max(1.0, ref["t"] ** 2)))
+                       tw["rr"], tw["t"], max(tw["rr_err"], tw["pairing"]),
+                       1e-9, b, rel_scale=max(1.0, tw["t"] ** 2)))
 
     j1, j2, j3 = ext.quaternion_triple(ext.OMEGA1, ext.OMEGA2, ext.OMEGA3)
     eq = max(np.abs(j1 @ j2 - j3).max(), np.abs(j2 @ j1 + j3).max(),

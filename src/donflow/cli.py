@@ -63,12 +63,14 @@ def _load_config(args):
 
 
 def _report_path(cfg, default_name):
-    """The report file of check or hessian, with its parent directory made
-    and writable; called once the inputs are read and before any suite or
-    probe runs, so a bad input leaves no directory behind.  A ConfigError
-    names the key."""
+    """The report file of check or hessian, not a directory, with its
+    parent directory made and writable; called once the inputs are read
+    and before any suite or probe runs, so a bad input leaves no directory
+    behind.  A ConfigError names the key."""
     path = Path(cfg.report_path) if cfg.report_path else (
         Path(cfg.out_dir) / default_name)
+    if path.is_dir():
+        raise ConfigError(f"report_path: {path} is a directory")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as err:
@@ -172,7 +174,11 @@ def _cmd_hessian(args):
 
 
 def _cmd_init(args):
-    save_template(args.config)
+    try:
+        save_template(args.config)
+    except OSError as err:
+        raise ConfigError(f"config: cannot write {args.config}: "
+                          f"{err.strerror}") from err
     print(f"wrote template configuration to {args.config}")
     return 0
 

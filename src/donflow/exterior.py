@@ -32,15 +32,15 @@ The rho-twisted geometry takes its base point as a :class:`Base`: u is
 checked once, when the Base is built, and never by a function taking it.
 
 A metric argument is a :class:`Metric`, the one place a metric is
-factored: it wraps one batch and keeps its inverse, determinant, volume
-and 2-form Gram matrix for as long as it lives, so a caller that wraps a
-batch once factors it once.  The determinant and inverse come from one
-pivoted LU, :func:`lu4`: g_rho reaches condition numbers near 1e5, where
-cofactor formulas raised the ``twisted_metric`` check's error from
-2e-14..2e-13 to 6.1e-10 (tolerance 1e-9) and an unpivoted Cholesky
-factorization was 16 times less accurate than LU; over check seeds 0-24
-no appendix A record's largest error moved by more than 1.3 times from
-LAPACK's.
+factored: it wraps one batch, factors it and checks its determinant when
+it is built, as a Base checks u, and keeps its inverse, determinant,
+volume and (built on first use) 2-form Gram matrix for as long as it
+lives.  The determinant and inverse come from one pivoted LU,
+:func:`lu4`: g_rho reaches condition numbers near 1e5, where cofactor
+formulas raised the ``twisted_metric`` check's error from 2e-14..2e-13
+to 6.1e-10 (tolerance 1e-9) and an unpivoted Cholesky factorization was
+16 times less accurate than LU; over check seeds 0-24 no appendix A
+record's largest error moved by more than 1.3 times from LAPACK's.
 """
 
 from __future__ import annotations
@@ -221,7 +221,10 @@ def lu4(m, inverse=False):
     may pivot on another row, as accurately, differing in the last bit.
     The inverse swaps the multipliers with the rows and solves
     L U x = P e_c.  A zero pivot has zeros below it and takes zero
-    multipliers: det exactly 0, no warning and a NaN inverse.  NaN
+    multipliers: det exactly 0, no warning and a NaN inverse; a singular
+    matrix whose elimination rounds instead reads a tiny det of either
+    sign (-1.1e-15 on one in {-2..2}) and a finite inverse near 1/|det|,
+    which a :class:`Metric` accepts where that det is positive.  NaN
     propagates."""
     m = np.asarray(m, dtype=float)
     size = m.size // 16
@@ -255,29 +258,19 @@ def lu4(m, inverse=False):
 
 
 class Metric:
-    """A metric batch ``g`` of shape (*batch, 4, 4) with its factors, each
-    computed on first use and kept for as long as the value lives."""
+    """A metric batch ``g`` of shape (*batch, 4, 4), factored by one
+    :func:`lu4` call when it is built: its inverse ``inv``, determinant
+    ``det`` and ``vol``, the coefficient of the volume form dvol_g
+    (orientation e0123 > 0).  Raises NonPositiveMetric unless every det is
+    positive."""
 
     def __init__(self, g):
         self.g = np.asarray(g)
-
-    @cached_property
-    def inv(self):
-        det, inv = lu4(self.g, inverse=True)
-        self.__dict__.setdefault("det", det)
-        return inv
-
-    @cached_property
-    def det(self):
-        return lu4(self.g)
-
-    @cached_property
-    def vol(self):
-        """Coefficient of the volume form dvol_g (orientation e0123 > 0)."""
+        self.det, self.inv = lu4(self.g, inverse=True)
         if not np.all(self.det > 0):  # NaN fails too
             raise NonPositiveMetric("metric determinant is not positive "
                                     f"(min {self.det.min():.3e})")
-        return np.sqrt(self.det)
+        self.vol = np.sqrt(self.det)
 
     @cached_property
     def form2(self):

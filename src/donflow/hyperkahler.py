@@ -167,6 +167,4 @@ def hessiancov_check(grid, b, rhohat, mu):
         "cov_lhs": cov_lhs,
         "cov_rhs": cov_rhs,
         "cov_residual": abs(cov_lhs - cov_rhs) / (abs(cov_lhs) + abs(cov_rhs) + 1e-14),
-        "grid_n": grid.n,
-        "scheme": grid.scheme,
     }

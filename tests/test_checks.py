@@ -46,8 +46,10 @@ def test_suite_order_does_not_matter():
 def test_random_rho_samples_are_admissible(metric):
     rng = np.random.Generator(np.random.Philox(3))
     g = ext.Metric(checks.random_spd(rng, (2000,))) if metric else None
-    rho = checks.random_rho(rng, (2000,), 0.3, g)
+    rho = checks.random_rho(rng, (2000,), 0.3)
     assert rho.shape == (6, 2000)
+    if metric:
+        rho = np.sqrt(g.vol) * rho
     assert np.all(ext.u_of(rho, g) > 0.3)
 
 

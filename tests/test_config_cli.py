@@ -159,6 +159,19 @@ def test_cli_init(tmp_path):
     assert load_config(path) == RunConfig()
 
 
+@pytest.mark.parametrize("target, reason", [(".", "Is a directory"),
+                                            ("missing/x.json", "No such file")])
+def test_cli_init_reports_an_unwritable_config_path(tmp_path, capsys, target,
+                                                    reason):
+    path = tmp_path / target
+    assert cli.main(["init", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("donflow: configuration error: config: cannot "
+                          f"write {path}: {reason}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_run_short(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, T=0.01, out_every=1, seed=2)
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -273,10 +286,9 @@ def test_cli_check_deterministic(tmp_path):
     assert all(rec["passed"] for rec in report["checks"])
 
 
-@pytest.mark.parametrize("command", ["check", "hessian"])
-def test_cli_rejects_an_uncreatable_report_path(tmp_path, capsys, monkeypatch,
-                                                command):
-    # the report's parent is validated before any suite or probe runs
+def _report_path_error(tmp_path, capsys, monkeypatch, command, report_path):
+    """The error of a check or hessian run with the given report_path,
+    which must exit 1 before any suite or probe runs."""
     from donflow import checks, flow
 
     def forbidden(*args, **kwargs):
@@ -287,14 +299,33 @@ def test_cli_rejects_an_uncreatable_report_path(tmp_path, capsys, monkeypatch,
     g = lat.Grid(4)
     snap = save_snapshot(tmp_path / "snap", g, g.constant(OMEGA1), 0.0)
     cfg = _write_cfg(tmp_path, check_suite=["theta"], samples=10,
-                     report_path="/proc/nope/r.json")
+                     report_path=report_path)
     argv = [command, "--config", str(cfg)]
     if command == "hessian":
         argv += ["--snapshot", str(snap), "--directions", "2"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("donflow: configuration error: report_path: ")
     assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("command", ["check", "hessian"])
+def test_cli_rejects_an_uncreatable_report_path(tmp_path, capsys, monkeypatch,
+                                                command):
+    # the report's parent is validated before any suite or probe runs
+    err = _report_path_error(tmp_path, capsys, monkeypatch, command,
+                             "/proc/nope/r.json")
+    assert err.startswith("donflow: configuration error: report_path: ")
+
+
+@pytest.mark.parametrize("command", ["check", "hessian"])
+def test_cli_rejects_a_report_path_that_is_a_directory(tmp_path, capsys,
+                                                       monkeypatch, command):
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    err = _report_path_error(tmp_path, capsys, monkeypatch, command, str(rep))
+    assert err == (f"donflow: configuration error: report_path: {rep} is a "
+                   "directory\n")
 
 
 @pytest.mark.parametrize("command", ["check", "hessian"])

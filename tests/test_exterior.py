@@ -187,12 +187,32 @@ def test_hodge_duality_vector_identities(rng):
 
 
 def test_nonpositive_metric_rejected():
+    # a negative det, a zero det and NaN, each rejected by the build alone
     with pytest.raises(ext.NonPositiveMetric):
-        ext.Metric(np.diag([1.0, -1.0, 1.0, 1.0])).vol
+        ext.Metric(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(ext.NonPositiveMetric):
-        ext.Metric(np.diag([1.0, 1.0, 0.0, 1.0])).vol
+        ext.Metric(np.diag([1.0, 1.0, 0.0, 1.0]))
     with np.errstate(invalid="ignore"), pytest.raises(ext.NonPositiveMetric):
-        ext.Metric(np.stack([np.eye(4), np.full((4, 4), np.nan)])).vol
+        ext.Metric(np.stack([np.eye(4), np.full((4, 4), np.nan)]))
+
+
+def test_metric_is_factored_once_when_built(monkeypatch, rng):
+    calls = []
+    lu4 = ext.lu4
+
+    def counted(m, inverse=False):
+        calls.append(inverse)
+        return lu4(m, inverse)
+
+    monkeypatch.setattr(ext, "lu4", counted)
+    g = random_spd(rng, (30,))
+    gm = ext.Metric(g)
+    assert calls == [True]
+    det, inv = lu4(g, inverse=True)
+    assert np.array_equal(gm.det, det) and np.array_equal(gm.inv, inv)
+    assert np.array_equal(gm.vol, np.sqrt(det))
+    gm.form2
+    assert calls == [True]
 
 
 # every function of a metric g (an ``exterior.Metric``)
@@ -261,11 +281,11 @@ def test_appendixA_factors_each_metric_once(monkeypatch):
     monkeypatch.setattr(ext, "lu4", counted)
     assert all(rec["passed"] for rec in suite_appendixA(0, 200))
     # one factorization carrying the identity per metric batch (g, gu, gc,
-    # g_rho, g0), which brings its determinant along; determinant-only: gc
-    # for random_rho, two for det_a, two in random_spd(unit_vol) and one of
-    # the quaternion frames
+    # g_rho, g0), which brings its determinant along; determinant-only: two
+    # for det_a, two in random_spd(unit_vol) and one of the quaternion
+    # frames
     assert calls["inverse"] == 5
-    assert calls["det"] == 6
+    assert calls["det"] == 5
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +321,7 @@ def test_lu4_is_as_accurate_as_lapack_on_ill_conditioned_g_rho(rng):
     # rational arithmetic the plane-wise LU errs at most twice as much as
     # LAPACK (measured: within 1.3 times over eight seeds)
     g = ext.Metric(random_spd(rng, (2000,)))
-    gr = ext.g_rho(random_rho(rng, (2000,), 0.01, g), g)
+    gr = ext.g_rho(np.sqrt(g.vol) * random_rho(rng, (2000,), 0.01), g)
     cond = np.linalg.cond(gr)
     keep = np.flatnonzero(cond <= 2e5)
     gr = gr[keep[np.argsort(cond[keep])[-40:]]]
@@ -406,7 +426,7 @@ def test_g_rho_worked_example():
 
 def test_g_rho_volume_preserved(rng):
     g = ext.Metric(random_spd(rng, (100,)))
-    rho = random_rho(rng, (100,), u_min=0.05, g=g)
+    rho = np.sqrt(g.vol) * random_rho(rng, (100,), u_min=0.05)
     gr = ext.g_rho(rho, g)
     assert_allclose(np.linalg.det(gr), np.linalg.det(g.g), rtol=1e-9)
 
@@ -414,7 +434,9 @@ def test_g_rho_volume_preserved(rng):
 @pytest.mark.parametrize("metric", [False, True])
 def test_g_rho_is_the_einsum_product(rng, metric):
     g = ext.Metric(random_spd(rng, (300,))) if metric else None
-    rho = random_rho(rng, (300,), u_min=0.05, g=g)
+    rho = random_rho(rng, (300,), u_min=0.05)
+    if metric:
+        rho = np.sqrt(g.vol) * rho
     gr = ext.g_rho(rho, g)
     inv, det = (np.eye(4), 1.0) if g is None else (g.inv, g.det)
     want = orc.g_rho_einsum(rho, inv, np.sqrt(det))
@@ -798,7 +820,7 @@ def test_metric_equivalences(rng):
     for _ in range(20):
         w, g, j = _compatible_triple(rng)
         gm = ext.Metric(g)
-        rho = random_rho(rng, u_min=0.1, g=gm)
+        rho = np.sqrt(gm.vol) * random_rho(rng, u_min=0.1)
         gr = ext.Metric(ext.g_rho(rho, gm))
         u = ext.u_of(rho, gm)
         base = ext.Base(rho)
