@@ -91,6 +91,9 @@ def _cmd_run(args):
     print(f"donflow run: {result.reason} after {result.steps} steps, "
           f"energy {result.state.monitors['energy']:.12f}, "
           f"residual {result.state.monitors['residual_l2']:.3e}")
+    print("rejected attempts: " + ", ".join(
+        f"{reason.replace('_', ' ')} {count}"
+        for reason, count in result.rejected.items()))
     print(f"monitors: {result.csv_path}")
     return 0
 

@@ -12,15 +12,23 @@ rho-metric Hodge star).  The evolution equation is
 
 which stays inside the class exactly because the update is exact.
 Near the minimum the flow linearizes to -L, L the flat Laplacian on exact
-2-forms, whose stiff spectrum grows like n^2.  Time stepping is linearly
-stabilized implicit-explicit BDF3 (SBDF3; Ascher, Ruuth & Wetton 1995)
-with variable steps: L is implicit, solved as a real multiplier in the
-real Fourier basis of each axis, and the rest of the velocity is
-extrapolated explicitly, so a step costs one evaluation of the velocity
-whatever n is and its size is capped for accuracy, not stability.  A run
-starts with SBDF1, then SBDF2, then SBDF3.  A step is halved and retried
-when it increases the energy excess, so energy monotonicity is enforced,
-not hoped for.
+2-forms, whose stiff spectrum grows like n^2.  Time stepping is
+exponential time differencing (ETD; Cox & Matthews 2002, Hochbruck &
+Ostermann 2010) with variable steps: -L is integrated exactly, through
+real multipliers phi_k(-hL) in the real Fourier basis of each axis, and
+N = F + L rho, the rest of the velocity, through its Newton interpolant
+over the last three times, so a step costs one evaluation of the velocity
+whatever n is and is sized for accuracy, not stability.  A run starts
+with ETD1, then ETD2, growing the step by 1.1 from 0.2 / n^2; from the
+third step on, ETD3's own third-order term sets the step against TOL =
+1e-5 (absolute, flat L2 on rho), under the cap DT_ACCURACY = 0.015.  At
+n = 8, seed 7, a run reaches stationarity in 51 steps (SBDF3 took 63) and
+its residual decays at the spectral gap 4 pi^2 exactly.  A step is halved
+and retried when it increases the energy excess, so energy monotonicity
+is enforced, not hoped for; a run whose steps stay tiny stops as stalled
+instead of spinning.  A looser TOL is no saving: at 1e-4, rho0 = omega1 +
+0.2 omega1_ASD + d(0.02 lam) at n = 8 cycles at residual 0.12 with steps
+of 1.3e-3, and the energy guard never trips.
 """
 
 from __future__ import annotations
@@ -67,6 +75,7 @@ class RunResult:
     state: FlowState
     steps: int
     csv_path: Path
+    rejected: dict         # rejected attempts by reason, see REJECTIONS
 
 
 class Energy(float):
@@ -182,22 +191,22 @@ def accept(grid, b, t, dt, e, coh0):
 # initial data
 # ---------------------------------------------------------------------------
 
-def initial_data(grid, rng, epsilon=0.05, kmax=2):
-    """rho0 = omega1 + d(eps * lam), lam a random trigonometric 1-form.
+def initial_data(grid, rng, epsilon=0.05, kmax=2, base=ext.OMEGA1):
+    """rho0 = base + d(eps * lam), lam a random trigonometric 1-form and
+    base the six components of a constant 2-form, omega1 by default.
 
-    lam is normalized to sup norm epsilon; if the perturbed form dips below
+    lam is normalized to sup norm 1; if the perturbed form dips below
     u = 0.5 anywhere, epsilon is halved (at most 20 times) and the same lam
     is reused, so the draw stays deterministic for a given seed.
     """
     lam = lat.random_trig_field(rng, kmax, ncomp=4)(grid)
     lam = lam / max(np.abs(lam).max(), 1e-300)
-    base = grid.constant(ext.OMEGA1)
-    eps = float(epsilon)
-    for _ in range(21):
+    base = grid.constant(base)
+    for halvings in range(21):
+        eps = float(epsilon) * 0.5 ** halvings
         rho = base + lat.d1(grid, eps * lam)
         if ext.u_of(rho).min() > 0.5:
             return rho
-        eps *= 0.5
     raise DegenerateForm(
         f"initial data rejected down to epsilon = {eps:g}")
 
@@ -206,107 +215,185 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2):
 # time stepping
 # ---------------------------------------------------------------------------
 
-DT_ACCURACY = 0.0075    # step-size cap, in flow time
-MAX_HALVINGS = 20       # retries of a step before it fails
+DT_ACCURACY = 0.015     # step-size cap, in flow time
+TOL = 1e-5              # error per step of ETD3: flat L2, absolute in rho
+MAX_RETRIES = 20        # retries of a step before it fails
+STALL_DT = 1e-7         # a run whose accepted steps stay below STALL_DT
+STALL_STEPS = 200       # for STALL_STEPS steps in a row has stalled
+REJECTIONS = ("error_test", "energy_increase", "degenerate")
 
 
-def _sbdf_weights(steps):
-    """Weights of variable-step SBDFk, k = len(steps), for the steps
-    (h_n, h_{n-1}, ...), newest first: alpha_0..alpha_k differentiate the
-    Lagrange interpolant through rho_{n+1}, rho_n, ..., rho_{n+1-k} at
-    t_{n+1}, and beta_0..beta_{k-1} extrapolate through the values at t_n,
-    ..., t_{n+1-k} to t_{n+1}."""
-    t = [0.0]                   # t_{n+1-j} - t_{n+1}
-    for h in steps:
-        t.append(t[-1] - h)
-    nodes = range(1, len(t))
-    alpha = [sum(-1.0 / tm for tm in t[1:])]
-    alpha += [math.prod(-t[m] for m in nodes if m != j)
-              / math.prod(t[j] - t[m] for m in range(len(t)) if m != j)
-              for j in nodes]
-    beta = [math.prod(t[m] / (t[m] - t[j]) for m in nodes if m != j)
-            for j in nodes]
-    return alpha, beta
+class History:
+    """What an ETD step keeps of the accepted steps before it, for the
+    divided differences of N = F + L rho, as spectra (see
+    :func:`donflow.lattice.to_spectrum`):
 
-
-def _increment(grid, velocity, history, h):
-    """The SBDF increment D = rho_{n+1} - rho_n of a step h from the state
-    whose velocity F_n is given, with the flat Laplacian L implicit.
-
-    ``history`` holds the records (delta_i, F_{n-i}, h_{n-i}) of the last
-    accepted steps, newest first, delta_i = rho_{n+1-i} - rho_{n-i}; the
-    order k is one more than its length (at most 2).  BDFk is taken on
-    rho, and G = F + L rho is extrapolated through the last k velocities
-    (weights from :func:`_sbdf_weights`).  Written in the increments,
-
-        D = -sum_i e_i delta_i + (alpha_0 + L)^-1 (sum_j beta_j F_{n-j}
-              + sum_i (a_i + alpha_0 e_i) delta_i),
-
-    with a_i = sum_{j > i} alpha_j and e_i = sum_{j >= i} beta_j: one
-    resolvent, which is eight small gemms along the lattice axes (see
-    :func:`donflow.lattice.resolvent`).  Every increment is exact up to
-    round-off; at k = 0, where L = 0, a round-off mean in the deltas
-    follows the BDF recurrence of y' = 0, whose spurious roots lie inside
-    the unit disk, so the class does not drift.
+    - ``p`` = L D^ - F^_n of the last step, whose increment is D and which
+      started from the velocity F_n, so that the next step's first divided
+      difference is c1 = (F^_{n+1} + p) / h;
+    - ``c1``, the first divided difference that the last step used (None
+      until the second step);
+    - ``h`` and ``h_prev``, the last two accepted step sizes;
+    - ``rejected``, the rejected attempts of the run by reason, one of
+      ``REJECTIONS``.
     """
-    alpha, beta = _sbdf_weights([h] + [rec[2] for rec in history])
-    force = np.multiply(velocity, beta[0])
-    scratch = np.empty_like(force)
-    for i, (delta, f_prev, _) in enumerate(history, 1):
-        force += np.multiply(f_prev, beta[i], out=scratch)
-        force += np.multiply(delta, sum(alpha[i + 1:])
-                             + alpha[0] * sum(beta[i:]), out=scratch)
-    del scratch  # freed before the resolvent
-    incr = lat.resolvent(grid, force, alpha[0])
-    for i, (delta, _, _) in enumerate(history, 1):
-        incr -= np.multiply(delta, sum(beta[i:]), out=force)
-    return incr
+
+    def __init__(self):
+        self.p = self.c1 = None
+        self.h = self.h_prev = 0.0
+        self.rejected = dict.fromkeys(REJECTIONS, 0)
+
+    @property
+    def order(self):
+        """The order of the next step: 1 without a step before it, 2 after
+        one, 3 from then on."""
+        return 1 if self.p is None else 2 if self.c1 is None else 3
+
+
+# phi_k(z) = sum_j z^j / (j + k)!, k = 1, 2, 3, to 20 terms: where |z| < 1
+# the first term left out is below 1/21! < 1e-19
+_PHI_SERIES = np.array([[1.0 / math.factorial(j + k) for k in (1, 2, 3)]
+                        for j in range(20)])
+
+
+def phi_functions(z):
+    """phi_1, phi_2, phi_3 at the real values z <= 0 of a 1-d array, as
+    the rows of a (3, len(z)) array: expm1(z) / z, then phi_{k+1} =
+    (phi_k - 1/k!) / z, and the series where |z| < 1, on which those
+    differences cancel (phi_3 loses a relative 1e-12 at z = -0.01)."""
+    z = np.asarray(z, dtype=float)
+    small = np.abs(z) < 1.0
+    out = np.empty((3, z.size))
+    out[:, small] = (np.vander(z[small], len(_PHI_SERIES), increasing=True)
+                     @ _PHI_SERIES).T
+    zb = z[~small]
+    phi = np.expm1(zb) / zb
+    for k in range(3):
+        out[k, ~small] = phi
+        phi = (phi - 1.0 / math.factorial(k + 1)) / zb
+    return out
+
+
+def _step_factor(err):
+    """The controller of order-3 steps: the next step over this one,
+    0.9 (TOL / err)^(1/3) clipped to [0.2, 2]."""
+    return 2.0 if err == 0 else min(max(0.9 * (TOL / err) ** (1 / 3), 0.2), 2.0)
+
+
+def _increment(grid, fhat, c1, history, dt, work):
+    """The spectrum of the increment D^ of an ETD step dt from the state
+    whose velocity's spectrum is fhat, c1 the step's first divided
+    difference (None at order 1, and the order is 2 while the history has
+    no c1), and its error estimate: (D^, err).  ``work`` is a
+    spectrum-sized scratch buffer.
+
+    D^ = w1 F^ + w2 c1 + w3 c2 with w1 = h phi_1, w2 = h^2 phi_2 and
+    w3 = 2 h^3 phi_3 + h_{n-1} h^2 phi_2, each evaluated on the distinct
+    values of the Laplace symbol (:func:`phi_functions`) and gathered, and
+    c2 = (c1 - c1_prev) / (h_{n-1} + h_{n-2}); err is the flat L2 norm of
+    w3 c2 (0 below order 3)."""
+    levels, index = grid.laplace_levels
+    order = 1 if c1 is None else 2 if history.c1 is None else 3
+    h1, h2 = history.h, history.h_prev
+    phi1, phi2, phi3 = phi_functions(-dt * levels)
+    weights = [dt * phi1, dt * dt * phi2]
+    if order == 3:
+        weights.append((2 * dt ** 3 * phi3 + h1 * weights[1]) / (h1 + h2))
+    weights = np.take(weights[:order], index, axis=1)[..., None]
+    err = 0.0
+    if order == 3:
+        spec = np.subtract(c1, history.c1)
+        spec *= weights[2]
+        flat = spec.reshape(-1)
+        err = math.sqrt(float(np.einsum("i,i->", flat, flat)) * grid.h ** 4)
+        spec += np.multiply(fhat, weights[0], out=work)
+    else:
+        spec = np.multiply(fhat, weights[0])
+    if order > 1:
+        spec += np.multiply(c1, weights[1], out=work)
+    return spec, err
 
 
 def step(grid, state, velocity, coh0, dt_max, history):
-    """One accepted SBDF step from state, whose velocity at state.rho is
-    given (see :func:`_increment`): third order with the records of the
-    two steps before in ``history``, second order with one, first order
-    without.  A candidate that is degenerate or increases the energy
-    excess is halved and retried with the same history: at the
-    linearization F = -L, variable-step SBDF3 damps every mode through a
-    step ratio of 0.5 (or 2^-20) and the growth by 1.1 that follows.
-    Returns the accepted state and its velocity (see :func:`accept`, which
-    shares the candidate's Base with its energy: one Pfaffian per step).
-    Raises StepFailure after MAX_HALVINGS halvings.
+    """One accepted ETD step from state, whose velocity F_n at state.rho
+    is given; ``history`` is the run's :class:`History`, which the step
+    updates on acceptance and resets to its start on failure.
 
-    ``history`` is a list, empty before the first step of a run.  On
-    acceptance it is overwritten in place, this step's record first and
-    the one from three steps back dropped, before the new velocity is
-    evaluated: the dropped fields are freed first, so the velocity's
-    temporaries come on top of four history fields, not six."""
-    dt_start = min(state.dt, dt_max)
+    With the flat Laplacian L and N = F + L rho, the increment of a step
+    h integrates -L exactly and the Newton interpolant of N through the
+    last three times (Cox & Matthews 2002):
+
+        D = h phi_1 F_n + h^2 phi_2 c1 + (2 h^3 phi_3 + h_{n-1} h^2 phi_2) c2,
+
+    each phi_k(-hL) a real multiplier on the real basis, and c1, c2 the
+    divided differences of N (see :func:`_increment`): ETD1 on the first
+    step (c1 = c2 = 0), ETD2 on the second (c2 = 0).  One forward
+    transform of F_n per step and one inverse per attempt.  An order-3
+    attempt whose error estimate is above TOL is shrunk by
+    :func:`_step_factor` before any transform, and a candidate that is
+    degenerate or increases the energy excess is halved.  The next step is
+    the accepted one times 1.1 at orders 1 and 2 and times
+    :func:`_step_factor` from order 3 on, capped at dt_max.  Returns the
+    accepted state and its velocity (see :func:`accept`, which shares the
+    candidate's Base with its energy: one Pfaffian per step).  Raises
+    StepFailure after MAX_RETRIES retries.
+
+    The new c1 = (F^ + p) / h_{n-1} overwrites the history's p, and on
+    acceptance the new p takes the memory of D^: the velocity is
+    evaluated beside two spectra."""
+    order = history.order
+    scratch = np.empty(velocity.size)
+    fhat = lat.to_spectrum(grid, velocity, scratch)
+    work = scratch.reshape(fhat.shape)
+    c1 = None
+    if order > 1:
+        c1 = np.add(fhat, history.p, out=history.p)
+        c1 *= 1.0 / history.h
+        history.p = None
+    dt, shrink = min(state.dt, dt_max), 1.0
     last_error = "energy increased"
-    for retry in range(MAX_HALVINGS + 1):
-        dt = dt_start * 0.5 ** retry
-        cand = _increment(grid, velocity, history, dt)
+    for _ in range(MAX_RETRIES + 1):
+        dt *= shrink
+        spec, err = _increment(grid, fhat, c1, history, dt, work)
+        if err > TOL:
+            history.rejected["error_test"] += 1
+            last_error = f"error {err:.3e} above TOL = {TOL:g}"
+            shrink = _step_factor(err)
+            continue
+        cand = lat.from_spectrum(grid, spec, scratch, out=np.empty(spec.size))
         cand += state.rho
         try:
             b = ext.Base(cand)
-        except DegenerateForm as err:
-            last_error = str(err)
+        except DegenerateForm as exc:
+            history.rejected["degenerate"] += 1
+            last_error, shrink = str(exc), 0.5
             continue
         e_new = energy(grid, b)
         if e_new.excess <= state.excess:
-            history[:] = [(cand - state.rho, velocity, dt)] + history[:1]
-            return accept(grid, b, state.t + dt, min(dt * 1.1, dt_max),
-                          e_new, coh0)
+            break
+        history.rejected["energy_increase"] += 1
         last_error = f"energy increased by {e_new.excess - state.excess:.3e}"
-    raise StepFailure(
-        f"no admissible step after {MAX_HALVINGS} halvings: {last_error}",
-        diagnostic={
-            "t": state.t,
-            "dt": dt,
-            "order": len(history) + 1,
-            "error": last_error,
-            "u_min": state.monitors["u_min"],
-            "energy": state.monitors["energy"],
-        })
+        shrink = 0.5
+    else:
+        history.c1 = None
+        raise StepFailure(
+            f"no admissible step after {MAX_RETRIES} retries: {last_error}",
+            diagnostic={
+                "t": state.t,
+                "dt": dt,
+                "order": order,
+                "error": last_error,
+                "u_min": state.monitors["u_min"],
+                "energy": state.monitors["energy"],
+            })
+    # p = L D^ - F^, in the memory of D^
+    spec *= grid.laplace_symbol[..., None]
+    history.p = np.subtract(spec, fhat, out=spec)
+    history.c1 = c1
+    history.h, history.h_prev = dt, history.h
+    del scratch, work, fhat, spec
+    grow = _step_factor(err) if order == 3 else 1.1
+    return accept(grid, b, state.t + dt, min(dt * grow, dt_max), e_new, coh0)
 
 
 class _OutputLock:
@@ -379,15 +466,30 @@ def _require_closed(grid, rho):
             diagnostic={"t": 0.0, "d_rho_max": closure, "d_rho_bound": bound})
 
 
+def _stall(state, dt):
+    """The StepFailure of a run whose last STALL_STEPS accepted steps, the
+    last one dt, were all below STALL_DT."""
+    residual = state.monitors["residual_l2"]
+    return StepFailure(
+        f"stalled at t = {state.t:g}: {STALL_STEPS} steps in a row below "
+        f"{STALL_DT:g} (last {dt:.3e}) at residual {residual:.3e}",
+        diagnostic={"t": state.t, "error": "stalled", "stall_dt": STALL_DT,
+                    "stall_steps": STALL_STEPS, "dt": dt,
+                    "residual_l2": residual})
+
+
 def run(config, rho0=None):
     """Integrate the flow until stationarity or final time: the run stops
     at the first accepted step with residual_l2 < tol_stationary or t >= T,
     so a fixed-T run may end past T.
 
     Writes the monitor CSV and the initial/final snapshots into
-    ``config.out_dir``.  On StepFailure the partial CSV, a failure snapshot
-    and a diagnostic JSON are flushed before the exception propagates; a
-    ``rho0`` of the wrong shape or not closed fails at t = 0
+    ``config.out_dir``.  A run whose accepted steps stay below STALL_DT
+    for STALL_STEPS steps in a row stops with a StepFailure that names the
+    stall.  On StepFailure the partial CSV, a failure snapshot and a
+    diagnostic JSON (with the steps taken and the rejected attempts by
+    reason, for a failure after t = 0) are flushed before the exception
+    propagates; a ``rho0`` of the wrong shape or not closed fails at t = 0
     (:func:`_require_shape`, :func:`_require_closed`), and a degenerate
     ``rho0`` or a rejected :func:`initial_data` draw writes the diagnostic
     JSON before its DegenerateForm propagates.
@@ -435,7 +537,7 @@ def run(config, rho0=None):
             raise
         save_snapshot(out_dir / "snapshot_initial", grid, state.rho, state.t,
                       state.monitors)
-        steps, history = 0, []
+        steps, history, stalled = 0, History(), 0
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
@@ -456,7 +558,11 @@ def run(config, rho0=None):
                     steps += 1
                     if steps % config.out_every == 0:
                         emit(state)
+                    stalled = stalled + 1 if history.h < STALL_DT else 0
+                    if stalled == STALL_STEPS:
+                        raise _stall(state, history.h)
             except StepFailure as err:
+                err.diagnostic.update(steps=steps, rejected=history.rejected)
                 if steps % config.out_every:
                     emit(state)
                 save_snapshot(out_dir / "snapshot_failed", grid, state.rho,
@@ -471,4 +577,4 @@ def run(config, rho0=None):
               if state.monitors["residual_l2"] < config.tol_stationary
               else "time")
     return RunResult(reason=reason, state=state, steps=steps,
-                     csv_path=csv_path)
+                     csv_path=csv_path, rejected=history.rejected)

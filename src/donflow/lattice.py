@@ -31,15 +31,16 @@ are the Fourier modes with every k_i in {0, n/2}: the fields unchanged by
 a two-site shift.  :func:`least_norm_potential` keeps the harmonic part
 of its unknown as its means over the 16 parity classes of sites, 4 x 16
 class values.
-:func:`inv_laplace` and :func:`resolvent` (the flow's implicit solve) are
-Fourier multipliers that depend on each frequency only through b(k)^2, so
-they are even in every k_i and diagonal in the real basis of
+:func:`inv_laplace` and the flow's exponential step are Fourier
+multipliers that depend on each frequency only through b(k)^2, so they
+are even in every k_i and diagonal in the real basis of
 cos(2 pi k x / n) and sin(2 pi k x / n) along each axis
 (``Grid.real_basis``): a product of one such function per axis is a sum
 of the plane waves e^{2 pi i k.x} over the sign flips of the k_i, on
 which an even multiplier takes one value.  They are applied like d, by
-small dense gemms along the lattice axes: four into that basis, one
-multiplication, four back, with no transform and no complex array.
+small dense gemms along the lattice axes: four into that basis
+(:func:`to_spectrum`), multiplications there, four back
+(:func:`from_spectrum`), with no FFT and no complex array.
 :func:`random_trig_field` is a direct sum of its sampled cosines, one axis
 at a time.  The module calls no FFT.
 """
@@ -153,6 +154,22 @@ class Grid:
         return sum(b ** 2 for b in _on_axes(self._b(self.real_basis[1])))
 
     @cached_property
+    def laplace_levels(self):
+        """The distinct values of ``laplace_symbol``, ascending, and the
+        index of each mode's value among them, shape (n, n, n, n): values[
+        index] is the symbol bit for bit.  The symbol sums one b(k)^2 per
+        axis, so its values are the sums over the few distinct b(k)^2 of
+        each axis, taken in the same order; a function of the symbol is
+        evaluated on these values and gathered."""
+        axis_values, axis_index = np.unique(self._b(self.real_basis[1]) ** 2,
+                                            return_inverse=True)
+        values, index = np.unique(sum(_on_axes(axis_values)),
+                                  return_inverse=True)
+        grid_index = index.reshape((axis_values.size,) * 4)[
+            np.ix_(axis_index, axis_index, axis_index, axis_index)]
+        return values, grid_index
+
+    @cached_property
     def inv_laplace_symbol(self):
         """1 / laplace_symbol, and 0 on its kernel modes: the multiplier of
         :func:`inv_laplace`."""
@@ -176,26 +193,43 @@ def _on_axes(v):
             for ax in range(4)]
 
 
-def _multiply(grid, f, mult):
-    """Apply a real multiplier given on the real basis of every axis.
+def to_spectrum(grid, f, scratch=None):
+    """The coefficients of a field on the real basis of every axis, laid
+    out (a0, a1, a2, a3, components): a new array, with a trailing axis of
+    length 1 for a scalar field.
 
-    Each forward gemm Q @ X.T transforms the last lattice axis of the 2-d
-    view X and moves it to the front, so four of them leave the spectrum
-    as (a0, a1, a2, a3, components); after one multiplication, four
-    gemms X.T @ Q take the first axis back to the last.  The gemms
-    alternate between the result and one scratch buffer: no transpose
-    copy and no complex array."""
+    Each gemm Q @ X.T transforms the last lattice axis of the 2-d view X
+    and moves it to the front, so four of them leave the spectrum in that
+    layout.  They alternate between the result and ``scratch``, a buffer
+    of the field's size (allocated when None): no transpose copy and no
+    complex array."""
     q = grid.real_basis[0]
     n = grid.n
-    buf, out = np.empty(np.size(f)), np.empty(np.shape(f))
+    if scratch is None:
+        scratch = np.empty(np.size(f))
+    out = np.empty(np.size(f))
     src = np.reshape(f, (-1, n))
-    for dst in (buf, out, buf, out):
+    for dst in (scratch, out, scratch, out):
         src = np.matmul(q, src.T, out=dst.reshape(n, -1)).reshape(-1, n)
-    spec = out.reshape(grid.shape + (-1,))
-    spec *= mult[..., None]
-    for dst in (buf, out, buf, out):
+    return out.reshape(grid.shape + (-1,))
+
+
+def from_spectrum(grid, spec, scratch=None, out=None):
+    """The field whose spectrum is ``spec`` (see :func:`to_spectrum`), in
+    ``out``, a buffer of its size, or in place where ``out`` is None: four
+    gemms X.T @ Q take the first axis back to the last, alternating
+    between ``out`` and ``scratch`` (allocated when None).  Returns
+    ``out``'s memory shaped (components, n, n, n, n)."""
+    q = grid.real_basis[0]
+    n = grid.n
+    if scratch is None:
+        scratch = np.empty(spec.size)
+    if out is None:
+        out = spec
+    src = spec
+    for dst in (scratch, out, scratch, out):
         src = np.matmul(src.reshape(n, -1).T, q, out=dst.reshape(-1, n))
-    return out
+    return out.reshape((-1,) + grid.shape)
 
 
 def _derivative(grid, f, table, ncomp):
@@ -279,15 +313,13 @@ def delta2(grid, w):
 
 
 def inv_laplace(grid, f):
-    """Inverse of the (scheme) Laplacian, zero on its kernel modes."""
-    return _multiply(grid, f, grid.inv_laplace_symbol)
-
-
-def resolvent(grid, f, shift):
-    """(shift + L)^-1 f for the (scheme) Laplacian L and shift > 0: the
-    implicit solve of the flow's step."""
-    mult = grid.laplace_symbol + shift
-    return _multiply(grid, f, np.reciprocal(mult, out=mult))
+    """Inverse of the (scheme) Laplacian, zero on its kernel modes: one
+    multiplication between the two halves of the transform, which share
+    one scratch buffer."""
+    scratch = np.empty(np.size(f))
+    spec = to_spectrum(grid, f, scratch)
+    spec *= grid.inv_laplace_symbol[..., None]
+    return from_spectrum(grid, spec, scratch).reshape(np.shape(f))
 
 
 def _class_means(grid, f):

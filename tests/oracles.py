@@ -212,35 +212,35 @@ def fourier_multiply(f, mult):
     return np.fft.ifftn(fk * mult, axes=(-4, -3, -2, -1)).real
 
 
-def sbdf_amplitudes(lam, lap, hs, y0):
+def etd_amplitudes(lam, lap, hs, y0, nodes=40):
     """Amplitudes y_1..y_K of one Fourier mode, whose flat Laplace symbol
-    is ``lap``, under IMEX steps of sizes ``hs`` on y' = F(y) = -lam y.
+    is ``lap``, under exponential steps of sizes ``hs`` on y' = F(y) =
+    -lam y.
 
-    The linear part -lap y is implicit and N(y) = F(y) + lap y explicit.
-    Step k (from 0) is variable-step BDFq, q = min(k + 1, 3), with N
-    extrapolated through its last q values.  On the times s_0 = t_{k+1},
-    s_1 = t_k, ..., s_q, in units of h_k from s_0, the BDF weights a_j
-    solve the Vandermonde system sum_j a_j s_j^m = m s_0^(m-1), m <= q
-    (they differentiate every polynomial of degree q exactly at s_0), and
-    the extrapolation weights b_j solve sum_{j>=1} b_j s_j^m = s_0^m,
-    m < q.  Then
+    The linear part -lap y is integrated exactly and N(y) = F(y) + lap y
+    through its interpolant: step k (from 0) takes the Lagrange polynomial
+    p through N at t_k, ..., t_{k+1-q}, q = min(k + 1, 3), and
 
-        sum_j a_j y_{k+1-j} = h_k (sum_{j>=1} b_j N(y_{k+1-j}) - lap y_{k+1}).
+        y_{k+1} = e^{-h lap} y_k + integral_0^h e^{-(h - s) lap} p(t_k + s) ds,
+
+    the variation of constants, by Gauss-Legendre quadrature on ``nodes``
+    points (exact to round-off for a quadratic times the exponential while
+    h lap is of order one).
     """
-    def explicit(y):
-        return (lap - lam) * y
-
+    x, w = np.polynomial.legendre.leggauss(nodes)
     ys, times = [float(y0)], [0.0]
     for h in hs:
-        times.append(times[-1] + h)
         q = min(len(ys), 3)
-        s = (np.array(times[:-q - 2:-1]) - times[-1]) / h
-        powers = np.arange(q + 1)[:, None]
-        a = np.linalg.solve(s ** powers, (powers[:, 0] == 1).astype(float))
-        b = np.linalg.solve(s[1:] ** powers[:q], (powers[:q, 0] == 0).astype(float))
-        past = ys[:-q - 1:-1]
-        rhs = h * sum(bj * explicit(y) for bj, y in zip(b, past)) - a[1:] @ past
-        ys.append(rhs / (a[0] + h * lap))
+        s = 0.5 * h * (x + 1.0) + times[-1]
+        past = list(zip(times[-q:], ys[-q:]))
+        poly = sum((lap - lam) * y * np.prod([(s - tm) / (tj - tm)
+                                              for tm, _ in past if tm != tj],
+                                             axis=0)
+                   for tj, y in past)
+        kernel = np.exp(-(times[-1] + h - s) * lap)
+        ys.append(math.exp(-h * lap) * ys[-1]
+                  + 0.5 * h * float(np.sum(w * kernel * poly)))
+        times.append(times[-1] + h)
     return ys[1:]
 
 

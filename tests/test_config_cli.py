@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -181,6 +182,22 @@ def test_cli_run_short(tmp_path, capsys):
     assert (tmp_path / "out" / "snapshot_final.json").exists()
 
 
+def test_cli_run_prints_the_rejected_attempts(tmp_path, capsys):
+    # the counts by reason of the run's RunResult; seed 3 to T = 0.02 at
+    # n = 8 shrinks its first third-order steps by the error test
+    from donflow import flow
+
+    cfg = _write_cfg(tmp_path, n=8, T=0.02, seed=3)
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    res = flow.run(dataclasses.replace(load_config(cfg),
+                                       out_dir=str(tmp_path / "again")))
+    assert res.rejected["error_test"] > 0
+    assert line == ("rejected attempts: error test {error_test}, energy "
+                    "increase {energy_increase}, degenerate {degenerate}"
+                    ).format(**res.rejected)
+
+
 def test_cli_run_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
@@ -246,10 +263,12 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
 def test_cli_run_rejected_initial_draw_writes_the_diagnostic(tmp_path,
                                                              capsys):
     # epsilon 1e6 stays degenerate through all 20 halvings of initial_data
+    # the message names the last epsilon tried, 1e6 * 2^-20
     cfg = _write_cfg(tmp_path, n=4, epsilon=1e6)
     assert cli.main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "initial data rejected down to epsilon" in err
+    assert err == ("donflow run: aborted: initial data rejected down to "
+                   "epsilon = 0.953674\n")
     diag = json.loads((tmp_path / "out" / "failure.json").read_text())
     assert diag == {"t": 0.0, "error": err.split("aborted: ", 1)[1].strip()}
     assert not list((tmp_path / "out").glob("snapshot_*"))

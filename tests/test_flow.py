@@ -1,4 +1,5 @@
 import csv
+import decimal
 import json
 import math
 import weakref
@@ -295,7 +296,7 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
     st, v, coh0 = _state(g, rho0, dt)
     calls = _count_calls(monkeypatch, "rhs")
     energies = _count_calls(monkeypatch, "energy")
-    history = []
+    history = flow.History()
     new, new_v = flow.step(g, st, v, coh0, dt_max=dt, history=history)
     # one rhs: the velocity at the accepted field
     assert len(calls) == 1
@@ -314,7 +315,8 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
         return verdicts.pop() if verdicts else e
 
     monkeypatch.setattr(flow, "energy", guard)
-    for start, velocity, hist in ((st, v, []), (new, new_v, history)):
+    for start, velocity, hist in ((st, v, flow.History()),
+                                  (new, new_v, history)):
         calls.clear()
         energies.clear()
         verdicts.append(flow.Energy(math.inf))
@@ -323,11 +325,14 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
         assert len(calls) == 1
         assert len(energies) == 2
         assert retried.t - start.t == 0.5 * min(start.dt, dt)
+        assert hist.rejected == {"error_test": 0, "energy_increase": 1,
+                                 "degenerate": 0}
 
 
 def test_step_makes_no_transforms(monkeypatch):
-    # the implicit solve of SBDF1, SBDF2 and SBDF3 is gemms in the real
-    # Fourier basis; rhs, energy and the monitors make no transform either
+    # the exponential multipliers of ETD1, ETD2 and ETD3 are gemms in the
+    # real Fourier basis; rhs, energy and the monitors make no transform
+    # either
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
@@ -342,11 +347,11 @@ def test_step_makes_no_transforms(monkeypatch):
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn",
                  "irfftn"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    history = []
+    history = flow.History()
     for _ in range(3):
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
         flow.rhs(g, ext.Base(st.rho))
-    assert len(history) == 2
+    assert history.order == 3
     assert calls == []
 
 
@@ -390,39 +395,60 @@ def test_package_makes_no_linalg_calls(monkeypatch, tmp_path):
 
 
 def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
-    # the history is overwritten in place on acceptance, so the fields of
-    # the step from three steps back are gone when the new velocity is
-    # evaluated, and those of the step before are kept
+    # the new c1 is computed in the memory of the history's p, and on
+    # acceptance the new p takes the memory of the increment's spectrum:
+    # when the new velocity is evaluated, the old c1, the spectrum of F_n
+    # and the transform's scratch are gone, and the history holds two
+    # spectra, p's old memory among them
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
-    history = []
+    history = flow.History()
     for _ in range(2):
         st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-    kept, old = history[0], [weakref.ref(field) for field in history[1][:2]]
-    rhs, freed = flow.rhs, []
+    assert history.order == 3
+    old_p, old_c1 = history.p, weakref.ref(history.c1)
+    to_spectrum, from_spectrum, buffers = lat.to_spectrum, lat.from_spectrum, []
+
+    def forward(grid, f, scratch=None):
+        buffers.append(weakref.ref(scratch))
+        out = to_spectrum(grid, f, scratch)
+        buffers.append(weakref.ref(out))
+        return out
+
+    def inverse(grid, spec, scratch=None, out=None):
+        buffers.append(weakref.ref(spec))
+        return from_spectrum(grid, spec, scratch, out)
+
+    rhs, seen = flow.rhs, []
 
     def probe(grid, b):
-        freed.append([ref() is None for ref in old])
+        scratch, fhat, spec = (ref() for ref in buffers)
+        seen.append((old_c1() is None, scratch is None, fhat is None,
+                     history.c1 is old_p, history.p is spec))
         return rhs(grid, b)
 
+    monkeypatch.setattr(lat, "to_spectrum", forward)
+    monkeypatch.setattr(lat, "from_spectrum", inverse)
     monkeypatch.setattr(flow, "rhs", probe)
     st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-    assert freed == [[True, True]]
-    assert len(history) == 2 and history[1] is kept
+    assert seen == [(True, True, True, True, True)]
+    assert history.p.shape == history.c1.shape == g.shape + (6,)
 
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 3.0])
-def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
+def test_step_follows_the_etd_recurrence(monkeypatch, ratio):
     # one Fourier mode y cos(2 pi x0) on omega2 over omega1 with
     # F = -lambda y, lambda = ratio * L for the mode's Laplace symbol L:
-    # the amplitudes follow the scalar SBDF1/SBDF2/SBDF3 recurrence, the
+    # the amplitudes follow the scalar ETD1/ETD2/ETD3 recurrence, the
     # third order from the third step on, through step ratios w = 1.1,
-    # 1.1, 0.5, 1.5 and 1; the perturbation is self-dual, so the excess
-    # stays 0 and no step is rejected.  A self-dual mode is not closed
-    # (closed and self-dual is constant), so the field leaves its class and
-    # its integral of rho ^ rho is not the class's: the monitors, whose L1
-    # bound reads that integral from the class, do not apply to it
+    # 1.1, 0.5, 1.5 and 1; at ratio 1, where N = 0, they are the exact
+    # decay y0 e^{-L t}.  The steps are given, so the error test is off;
+    # the perturbation is self-dual, so the excess stays 0 and no step is
+    # rejected.  A self-dual mode is not closed (closed and self-dual is
+    # constant), so the field leaves its class and its integral of
+    # rho ^ rho is not the class's: the monitors, whose L1 bound reads that
+    # integral from the class, do not apply to it
     g = sgrid(4)
     lap = (2 * np.pi) ** 2
     lam = ratio * lap
@@ -433,23 +459,28 @@ def test_step_follows_the_sbdf_recurrence(monkeypatch, ratio):
     monkeypatch.setattr(flow, "rhs", lambda grid, b: -lam * (b.rho - base))
     monkeypatch.setattr(flow, "monitors", lambda grid, b, e, velocity, coh0,
                         t: {"energy": e})
+    monkeypatch.setattr(flow, "TOL", math.inf)
     hs = [0.01, 0.011, 0.0121, 0.00605, 0.009075, 0.009075]
     y0 = 0.1
     st, v, coh0 = _state(g, base + y0 * mode, hs[0])
-    history = []
-    for h, want in zip(hs, oracles.sbdf_amplitudes(lam, lap, hs, y0)):
+    history = flow.History()
+    for h, want in zip(hs, oracles.etd_amplitudes(lam, lap, hs, y0)):
         st.dt = h
         t = st.t
         st, v = flow.step(g, st, v, coh0, dt_max=h, history=history)
         assert st.t == t + h
         assert st.excess == 0.0
         assert np.abs(st.rho - base - want * mode).max() <= 1e-14 * y0
+        if ratio == 1.0:
+            assert want == pytest.approx(y0 * math.exp(-lap * st.t),
+                                         rel=1e-14)
+    assert history.rejected == dict.fromkeys(flow.REJECTIONS, 0)
 
 
 def test_step_is_stationary_at_minimum():
     g = sgrid(8)
     st, v, coh0 = _state(g, g.constant(ext.OMEGA1), dt=0.2 / 64)
-    history = []
+    history = flow.History()
     new, new_v = flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
     assert np.array_equal(new.rho, st.rho)
     again, _ = flow.step(g, new, new_v, coh0, dt_max=0.2 / 64,
@@ -458,32 +489,13 @@ def test_step_is_stationary_at_minimum():
     assert new.monitors["energy"] == pytest.approx(2.0, abs=1e-13)
 
 
-def test_sbdf3_damps_every_mode_through_a_halving():
-    # a rejected step is retried at half the size with the same history,
-    # and the next step is 1.1 times the accepted one: at the linearization
-    # F = -L (lam = lap) the one-mode amplitudes through a halving, or 20,
-    # and the growth back to the cap never exceed those before it, from
-    # the smoothest mode to the stiffest (h lap up to 1e5)
-    cap = flow.DT_ACCURACY
-    for halvings in (1, 2, 20):
-        hs = [cap] * 10 + [cap * 0.5 ** halvings]
-        while hs[-1] < cap:
-            hs.append(min(hs[-1] * 1.1, cap))
-        hs += [cap] * 5
-        for h_lap in np.geomspace(1e-3, 1e5, 50):
-            lap = h_lap / cap
-            ys = np.abs([1.0] + oracles.sbdf_amplitudes(lap, lap, hs, 1.0))
-            before = ys[8:11].max()
-            assert ys[11:].max() <= before * (1 + 1e-12), (halvings, h_lap)
-
-
 def test_step_decreases_energy(rng):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(5))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
     st, v, coh0 = _state(g, rho0, dt=0.2 / 64)
     energies = [st.monitors["energy"]]
-    history = []
+    history = flow.History()
     for _ in range(10):
         st, v = flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
         energies.append(st.monitors["energy"])
@@ -500,7 +512,7 @@ def test_step_survives_huge_dt():
     rng2 = np.random.Generator(np.random.Philox(6))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
     st, v, coh0 = _state(g, rho0, dt=1.0)
-    history = []
+    history = flow.History()
     for _ in range(3):
         new, v = flow.step(g, st, v, coh0, dt_max=1.0, history=history)
         assert 0 < new.t - st.t <= 1.0
@@ -519,31 +531,150 @@ def test_step_failure_near_degenerate(monkeypatch):
     u = ext.u_of(rho)
     assert 0 < u.min() < 2e-4
     st, v, coh0 = _state(g, rho, dt=0.2 / 64)
-    monkeypatch.setattr(flow, "MAX_HALVINGS", 8)
+    monkeypatch.setattr(flow, "MAX_RETRIES", 8)
+    history = flow.History()
     with pytest.raises(flow.StepFailure) as err:
-        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=[])
+        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
+    assert history.rejected["degenerate"] + history.rejected[
+        "energy_increase"] == 9
     assert err.value.diagnostic["t"] == 0.0
 
 
 def test_step_failure_reports_the_order(monkeypatch):
-    # the diagnostic names the order of the scheme of the last attempt: one
-    # more than the length of the history, 3 once it holds two steps
+    # the diagnostic names the order of the scheme and the size of the
+    # last attempt: order 1 without a step before it, 2 after one, 3 after
+    # two; the failed step has spent the history's fields, so the history
+    # starts over at order 1
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
-    st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
-    history, orders = [], []
     energy = flow.energy
-    monkeypatch.setattr(flow, "MAX_HALVINGS", 2)
-    for _ in range(3):
+    monkeypatch.setattr(flow, "MAX_RETRIES", 2)
+    orders = []
+    for before in range(3):
+        st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
+        history = flow.History()
+        for _ in range(before):
+            st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
         monkeypatch.setattr(flow, "energy",
                             lambda grid, b: flow.Energy(math.inf))
         with pytest.raises(flow.StepFailure) as err:
             flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
-        orders.append(err.value.diagnostic["order"])
         monkeypatch.setattr(flow, "energy", energy)
-        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+        orders.append(err.value.diagnostic["order"])
+        assert history.order == 1
+        if before < 2:      # no error test: the last attempt, halved twice
+            assert err.value.diagnostic["dt"] == min(
+                st.dt, flow.DT_ACCURACY) * 0.25
     assert orders == [1, 2, 3]
-    assert len(history) == 2
+
+
+def _phi_reference(z, k):
+    """phi_k(z) = sum_j z^j / (j + k)! in 60-digit decimal arithmetic: the
+    series for |z| <= 40 (its terms below 1e-40 of the first), else
+    expm1(z) / z and phi_{i+1} = (phi_i - 1/i!) / z, whose cancellations
+    the 60 digits absorb."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(z)
+        if abs(z) <= 40:
+            total, term, j = decimal.Decimal(0), 1 / decimal.Decimal(
+                math.factorial(k)), 0
+            while term != 0 and abs(term) > decimal.Decimal("1e-45"):
+                total += term
+                j += 1
+                term = term * x / (j + k)
+            return float(total)
+        phi = (x.exp() - 1) / x
+        for i in range(1, k):
+            phi = (phi - 1 / decimal.Decimal(math.factorial(i))) / x
+        return float(phi)
+
+
+def test_phi_functions_match_the_series():
+    # the series below |z| = 1, expm1 and the recurrence above it, each
+    # within a few ulp of the series: at z = 0 exactly 1/k!, and at the
+    # switch, where the recurrence would cancel most in phi_3
+    z = -np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.5],
+                         np.nextafter(1.0, 0.0) * np.ones(1), [1.0, 1.5, 3.0],
+                         [10.0, 39.5, 1e3, 1e5, 1e12]])
+    phis = flow.phi_functions(z)
+    assert phis.shape == (3, z.size)
+    for k in (1, 2, 3):
+        want = np.array([_phi_reference(x, k) for x in z])
+        assert np.abs(phis[k - 1] - want).max() <= 4e-16 * want.max()
+        assert np.all(np.abs(phis[k - 1] - want) <= 2e-15 * want), k
+        assert phis[k - 1][0] == 1.0 / math.factorial(k)
+
+
+def test_error_rejection_costs_no_transform_and_no_energy(monkeypatch):
+    # a third-order attempt whose c2 term is above TOL is shrunk by the
+    # controller before any inverse transform or energy, and counted under
+    # its reason; the accepted step is dt times the factors
+    g = sgrid(8)
+    rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(5)))
+    st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
+    history = flow.History()
+    for _ in range(2):
+        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+    energies = _count_calls(monkeypatch, "energy")
+    inverse, factors = [], []
+    from_spectrum, step_factor = lat.from_spectrum, flow._step_factor
+
+    def counted(*args, **kwargs):
+        inverse.append(None)
+        return from_spectrum(*args, **kwargs)
+
+    def recorded(err):
+        factors.append(step_factor(err))
+        return factors[-1]
+
+    monkeypatch.setattr(lat, "from_spectrum", counted)
+    monkeypatch.setattr(flow, "_step_factor", recorded)
+    st.dt = 1.0
+    new, _ = flow.step(g, st, v, coh0, 1.0, history)
+    rejected = history.rejected["error_test"]
+    assert rejected >= 1
+    assert history.rejected["energy_increase"] == 0
+    assert len(inverse) == len(energies) == 1
+    # the factors of the rejections, then that of the accepted step
+    assert len(factors) == rejected + 1
+    assert all(f < 0.9 for f in factors[:-1])
+    taken = math.prod(factors[:-1])
+    assert new.t - st.t == pytest.approx(taken, rel=1e-12)
+    assert new.dt == min(taken * factors[-1], 1.0)
+
+
+def test_run_stops_a_stall(tmp_path, monkeypatch):
+    # rho0 = omega1 + 0.2 omega1_ASD + d(0.02 lam), lam the seed-7
+    # potential of initial_data: the energy guard compares round-off in
+    # the excess of this class, and the steps collapse below 1e-10 near
+    # t = 0.6 at a residual above tol_stationary.  The stall stop ends the
+    # run well inside a budget of 1000 steps, with a diagnostic naming it
+    step, calls = flow.step, []
+
+    def budgeted(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= 1000, "no stop within 1000 steps"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", budgeted)
+    g = sgrid(8)
+    rng = np.random.Generator(np.random.Philox(7))
+    rho0 = flow.initial_data(g, rng, 0.02, 2,
+                             base=ext.OMEGA1 + 0.2 * ext.OMEGA1_ASD)
+    out = tmp_path / "out"
+    cfg = RunConfig(n=8, T=50.0, tol_stationary=1e-8, seed=7, epsilon=0.02,
+                    out_every=10, out_dir=str(out))
+    with pytest.raises(flow.StepFailure, match="stalled"):
+        flow.run(cfg, rho0=rho0)
+    diag = json.loads((out / "failure.json").read_text())
+    assert diag["error"] == "stalled"
+    assert diag["stall_dt"] == flow.STALL_DT
+    assert diag["stall_steps"] == flow.STALL_STEPS
+    assert 0 < diag["dt"] < flow.STALL_DT
+    assert diag["residual_l2"] > cfg.tol_stationary
+    assert diag["steps"] == len(calls)
+    assert (out / "snapshot_failed.json").exists()
 
 
 def test_run_fd2_scheme(tmp_path):
@@ -585,8 +716,8 @@ def test_run_short_flow_monotone(tmp_path):
 def test_run_computes_the_class_once_per_written_row(tmp_path, monkeypatch):
     # coh_drift_max is only recorded: a run computes the class once for
     # coh0 and once per CSV row after the first, whose drift is exactly 0.
-    # Six steps with a row every fourth write rows at steps 0, 4 and 6; the
-    # flat form is stationary at once and writes one
+    # 19 steps with a row every fourth write rows at steps 0, 4, 8, 12, 16
+    # and 19; the flat form is stationary at once and writes one
     calls = []
     cohomology = lat.cohomology
 
@@ -613,7 +744,7 @@ def test_run_computes_the_class_once_per_written_row(tmp_path, monkeypatch):
         assert float(rows[-1]["coh_drift_max"]) == drift
         header = json.loads((tmp_path / name / "snapshot_final.json").read_text())
         assert header["monitors"]["coh_drift_max"] == drift
-    assert n_rows == [3, 1]
+    assert n_rows == [6, 1]
 
 
 def test_run_costs_one_rhs_and_one_energy_per_step(tmp_path, monkeypatch):
@@ -623,12 +754,25 @@ def test_run_costs_one_rhs_and_one_energy_per_step(tmp_path, monkeypatch):
                     out_dir=str(tmp_path / "out"))
     res = flow.run(cfg)
     assert res.steps > 5
-    # one rhs and one energy per accepted step (no step is rejected: the dt
-    # column grows by 1.1 on every row), plus one of each for the initial
-    # state
+    # one rhs and one energy per accepted step, plus one of each for the
+    # initial state: the run's only rejections are error tests, which
+    # evaluate neither.  The dt column is the next step's size: 1.1 times
+    # each of the first two steps, then the step times the controller's
+    # factor in [0.2, 2], up to the cap; a step is the dt of the row
+    # before it unless the error test shrank it
+    assert res.rejected["error_test"] > 0
+    assert res.rejected["energy_increase"] == res.rejected["degenerate"] == 0
     rows = list(csv.DictReader(open(res.csv_path)))
-    dts = [float(r["dt"]) for r in rows]
-    assert all(b == min(a * 1.1, flow.DT_ACCURACY) for a, b in zip(dts, dts[1:]))
+    ts, dts = (np.array([float(r[key]) for r in rows]) for key in ("t", "dt"))
+    taken = np.diff(ts)
+    assert dts[1:3] == pytest.approx(np.minimum(taken[:2] * 1.1,
+                                                flow.DT_ACCURACY), rel=1e-12)
+    cap = np.minimum(2 * taken[2:], flow.DT_ACCURACY)
+    assert np.all(dts[3:] >= 0.2 * taken[2:] * (1 - 1e-12))
+    assert np.all(dts[3:] <= cap * (1 + 1e-12))
+    shrunk = taken < dts[:-1] * (1 - 1e-12)
+    assert np.all(taken <= dts[:-1] * (1 + 1e-12))
+    assert 1 <= np.count_nonzero(shrunk) <= res.rejected["error_test"]
     assert len(rhs_calls) == res.steps + 1
     assert len(energy_calls) == res.steps + 1
 
@@ -818,21 +962,31 @@ def _fixed_steps(grid, start, t_end, k):
     """The fields at the ends of k steps of size h = t_end / k, the first
     len(start) - 1 of them given: ``start`` holds the fields at t = 0, h,
     ..., which seed the history, so with three the first step taken is
-    SBDF3 and with one it is SBDF1."""
+    ETD3 and with one it is ETD1.  A given step of increment D from the
+    field of velocity F leaves the history's p = L D^ - F^, and the c1
+    of the step after it is (F^' + p) / h, in the spectra of the transform
+    halves.  The error test is off, as the steps are given."""
     h = t_end / k
     coh0 = lat.cohomology(grid, start[0])
-    fields, history = [start[0]], []
+    fields, history = [start[0]], flow.History()
     b = ext.Base(start[0])
     st, v = flow.accept(grid, b, 0.0, h, flow.energy(grid, b), coh0)
     for i, rho in enumerate(start[1:], 1):
-        history[:] = [(rho - fields[-1], v, h)] + history[:1]
+        fhat = lat.to_spectrum(grid, v)
+        if history.p is not None:
+            history.c1 = (fhat + history.p) / h
+        history.p = (lat.to_spectrum(grid, rho - fields[-1])
+                     * grid.laplace_symbol[..., None] - fhat)
+        history.h, history.h_prev = h, history.h
         b = ext.Base(rho)
         st, v = flow.accept(grid, b, i * h, h, flow.energy(grid, b), coh0)
         fields.append(rho)
-    while len(fields) <= k:
-        st.dt = h
-        st, v = flow.step(grid, st, v, coh0, h, history)
-        fields.append(st.rho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "TOL", math.inf)      # the steps are given
+        while len(fields) <= k:
+            st.dt = h
+            st, v = flow.step(grid, st, v, coh0, h, history)
+            fields.append(st.rho)
     assert st.t == pytest.approx(t_end, rel=1e-12)   # no step was rejected
     return fields
 
@@ -841,7 +995,7 @@ def test_step_is_third_order():
     # fixed-step self-convergence to T = 0.004 against 160 steps: halving
     # the step divides the error by 8 +- 20%.  A first-order start caps
     # the order at 2, so every run takes its first two steps from the
-    # reference and starts with SBDF3
+    # reference and starts with ETD3
     g = sgrid(8)
     rho0 = flow.initial_data(g, np.random.Generator(np.random.Philox(1)))
     ref = _fixed_steps(g, [rho0], 0.004, 160)

@@ -178,7 +178,7 @@ def test_d_and_rhs_make_no_transforms(monkeypatch, rng):
     lat.delta2(g, rho)
     lat._class_means(g, fields[1])
     lat.inv_laplace(g, rho)
-    lat.resolvent(g, rho, 250.0)
+    lat.from_spectrum(g, lat.to_spectrum(g, rho))
     assert calls == []
 
 
@@ -293,19 +293,47 @@ def test_delta2_is_adjoint_of_d1(grid, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-10)
 
 
+def _level_multiply(grid, f, values):
+    """A multiplier given on the distinct values of the Laplace symbol,
+    gathered over the modes, between the two transform halves."""
+    spec = lat.to_spectrum(grid, f)
+    spec *= np.take(values, grid.laplace_levels[1])[..., None]
+    return lat.from_spectrum(grid, spec).reshape(np.shape(f))
+
+
 def test_resolvent_on_cosine_modes(grid):
     # cos(2 pi k.x) is an eigenfunction of the scheme Laplacian with
-    # eigenvalue sum_i b(k_i)^2, so (s + L)^-1 divides it by s + that
+    # eigenvalue sum_i b(k_i)^2, so a multiplier m(L) between the
+    # transform halves multiplies it by m of that: the resolvent
+    # 1 / (s + L), and the weight h phi_1(-h L) of an exponential step
     n = grid.n
     b = orc._scheme_b(n, grid.scheme)
     x = [c + np.zeros(grid.shape) for c in orc.coords(grid)]
+    levels = grid.laplace_levels[0]
     for k in ((0, 0, 0, 0), (1, 0, 0, 0), (1, 2, 0, 3), (3, 1, 2, 1)):
-        f = np.cos(2 * np.pi * sum(ki * xi for ki, xi in zip(k, x)))
+        f = np.stack([1, -2])[:, None, None, None, None] * np.cos(
+            2 * np.pi * sum(ki * xi for ki, xi in zip(k, x)))
         lam = sum(b[ki] ** 2 for ki in k)
         for shift in (0.5, 250.0):
-            assert_allclose(lat.resolvent(grid, np.stack([f, -2 * f]), shift),
-                            np.stack([f, -2 * f]) / (shift + lam),
-                            atol=1e-14)
+            assert_allclose(_level_multiply(grid, f, 1.0 / (shift + levels)),
+                            f / (shift + lam), atol=1e-14)
+        h = 0.01
+        phi1 = flow.phi_functions(-h * levels)[0]
+        assert_allclose(_level_multiply(grid, f, h * phi1),
+                        f * (-math.expm1(-h * lam) / lam if lam else h),
+                        atol=1e-14)
+
+
+def test_laplace_levels_gather_to_the_symbol():
+    # the distinct values, ascending, and the index that gathers them to
+    # the symbol bit for bit
+    for n in (4, 6, 8, 16):
+        for scheme in lat.SCHEMES:
+            g = lat.Grid(n, scheme)
+            values, index = g.laplace_levels
+            assert np.all(np.diff(values) > 0)
+            assert index.shape == g.shape
+            assert values[index].tobytes() == g.laplace_symbol.tobytes()
 
 
 @pytest.mark.parametrize("scheme", lat.SCHEMES)
@@ -318,9 +346,12 @@ def test_multipliers_match_fourier_oracle(n, scheme, rng):
     inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0)
     for shape in ((6,) + g.shape, g.shape):
         f = rng.normal(size=shape)
+        levels = g.laplace_levels[0]
         for got, mult in ((lat.inv_laplace(g, f), inv),
-                          (lat.resolvent(g, f, 0.5), 1.0 / (0.5 + lap)),
-                          (lat.resolvent(g, f, 250.0), 1.0 / (250.0 + lap))):
+                          (_level_multiply(g, f, 1.0 / (0.5 + levels)),
+                           1.0 / (0.5 + lap)),
+                          (_level_multiply(g, f, 1.0 / (250.0 + levels)),
+                           1.0 / (250.0 + lap))):
             ref = orc.fourier_multiply(f, mult)
             assert got.shape == f.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -341,7 +372,9 @@ def test_inv_laplace_reads_its_symbol_from_the_grid(monkeypatch, rng):
 
     monkeypatch.setattr(np, "divide", no_divide)
     assert lat.inv_laplace(g, f).tobytes() == first.tobytes()
-    assert lat._multiply(g, f, want).tobytes() == first.tobytes()
+    spec = lat.to_spectrum(g, f)
+    spec *= want[..., None]
+    assert lat.from_spectrum(g, spec).tobytes() == first.tobytes()
 
 
 def test_random_trig_field_aliases_like_sampled_cosines():
