@@ -10,8 +10,9 @@ with reason ``failure``, read from its failure snapshot, and the
 failure's message.  The last line
 counts the stationary rows and gives their step range, and the failed
 and cycling rows (residual above 1e-6 with the step above 1e-6 at the
-end); the exit code is 1 when any row ends other than stationary, so the
-sweep is a gate.
+end), then the unfinished ones, if any (the other rows that stop at T);
+the exit code is 1 when any row ends other than stationary, so the sweep
+is a gate.
 
 ``--asd i --amplitudes a ...`` starts each run in the class of
 omega1 + a omega_i^ASD instead of omega1: rho0 = omega1 + a omega_i^ASD +
@@ -127,8 +128,11 @@ def main(argv=None):
     failed = sum(row["reason"] == "failure" for row in rows)
     cycling = sum(row["reason"] == "time" and row["residual_l2"] > 1e-6
                   and row["dt"] > 1e-6 for row in rows)
+    unfinished = sum(row["reason"] == "time" for row in rows) - cycling
     others = (f"; {failed} failed, {cycling} cycling"
-              if failed or cycling else "")
+              if failed or cycling or unfinished else "")
+    if unfinished:
+        others += f", {unfinished} unfinished"
     print(f"{len(stationary)}/{len(rows)} stationary{steps}{others}")
     return 0 if len(stationary) == len(rows) else 1
 

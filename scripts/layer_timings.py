@@ -5,11 +5,13 @@ At each size the input is the seed-7 ``flow.initial_data`` field
 (spectral, epsilon 0.05, kmax 2), and each layer is called on what the
 step hands it: Theta, d2 of Theta, its rho-twisted star, d1 of that, the
 whole rhs, the ETD increment (one third-order attempt of a step at the
-cap ``DT_ACCURACY`` after two steps of the run: the forward transform of
-the velocity, the weights, three spectra combined and the inverse
-transform), the energy, the monitors and the cohomology class.  The
-monitors no longer include the class: a run computes it only for the
-rows it writes, so it is timed on its own row.  Three layers of the set-up and the checks close
+cap ``DT_ACCURACY`` after two steps of the run, kept by
+``History.record``, its c1 from ``History.next_c1``: the forward
+transform of the velocity, the weights,
+three spectra combined and the inverse transform), the energy, the
+monitors and the cohomology class.  The monitors no longer include the
+class: a run computes it only for the rows it writes, so it is timed on
+its own row.  Three layers of the set-up and the checks close
 the table: a ``random_trig_field`` closure drawn as ``initial_data``
 draws one (kmax 2, four components), evaluated on the grid, the CG
 solve ``least_norm_potential`` of the rhs at the input, as the Donaldson
@@ -73,14 +75,15 @@ def _layers(g, rho, field):
     history = flow.History()
     state, v = flow.accept(g, b, 0.0, flow.DT_ACCURACY, e, coh0)
     for _ in range(2):
-        state, v = flow.step(g, state, v, coh0, flow.DT_ACCURACY, history)
-    c1 = (lat.to_spectrum(g, v) + history.p) / history.h
+        state, v = flow.step(g, state, v, coh0, history)
+    c1 = history.next_c1(lat.to_spectrum(g, v))
     scratch = np.empty(velocity.size)
     work = np.empty_like(c1)
 
     def increment():
         fhat = lat.to_spectrum(g, velocity, scratch)
-        spec, _ = flow._increment(g, fhat, c1, history, flow.DT_ACCURACY, work)
+        spec, _ = flow._increment(g, 3, fhat, c1, history, flow.DT_ACCURACY,
+                                  work)
         return lat.from_spectrum(g, spec, scratch, out=np.empty(spec.size))
 
     return {

@@ -37,8 +37,6 @@ from donflow import flow
 from donflow import hyperkahler as hk
 from donflow import lattice as lat
 
-SUITE_ORDER = ("appendixA", "theta", "hyperkahler", "gradient", "hessiancov")
-
 # the lattice of the field suites, and the refined one on which
 # hessiancov repeats its ledger and hyperkahler compares gradients
 GRID_N = 8
@@ -510,6 +508,7 @@ SUITES = {
     "gradient": suite_gradient,
     "hessiancov": suite_hessiancov,
 }
+SUITE_ORDER = tuple(SUITES)
 
 
 def suite_names(names):

@@ -215,7 +215,9 @@ def initial_data(grid, rng, epsilon=0.05, kmax=2, base=ext.OMEGA1):
 # time stepping
 # ---------------------------------------------------------------------------
 
-DT_ACCURACY = 0.015     # step-size cap, in flow time
+# the step-size cap: uncapped, the error test lets steps grow past 40 in a
+# class with an anti-self-dual part, where runs then stall or stop at T
+DT_ACCURACY = 0.015
 TOL = 1e-5              # error per step of ETD3: flat L2, absolute in rho
 MAX_RETRIES = 20        # retries of a step before it fails
 STALL_DT = 1e-7         # a run whose accepted steps stay below STALL_DT
@@ -228,9 +230,8 @@ class History:
     divided differences of N = F + L rho, as spectra (see
     :func:`donflow.lattice.to_spectrum`):
 
-    - ``p`` = L D^ - F^_n of the last step, whose increment is D and which
-      started from the velocity F_n, so that the next step's first divided
-      difference is c1 = (F^_{n+1} + p) / h;
+    - ``p`` = L D^ - F^_n of the last step, D its increment and F_n its
+      velocity, set by :meth:`record` and spent by :meth:`next_c1`;
     - ``c1``, the first divided difference that the last step used (None
       until the second step);
     - ``h`` and ``h_prev``, the last two accepted step sizes;
@@ -248,6 +249,22 @@ class History:
         """The order of the next step: 1 without a step before it, 2 after
         one, 3 from then on."""
         return 1 if self.p is None else 2 if self.c1 is None else 3
+
+    def next_c1(self, fhat):
+        """c1 = (F^ + p) / h of the next step, of velocity spectrum fhat, in
+        p's memory, which the history gives up; None before the first step."""
+        c1, self.p = self.p, None
+        if c1 is not None:
+            c1 += fhat
+            c1 *= 1.0 / self.h
+        return c1
+
+    def record(self, grid, dhat, fhat, c1, h):
+        """Record an accepted step h of increment spectrum dhat, velocity
+        spectrum fhat and divided difference c1: p = L D^ - F^, in dhat."""
+        dhat *= grid.laplace_symbol[..., None]
+        self.p = np.subtract(dhat, fhat, out=dhat)
+        self.c1, self.h, self.h_prev = c1, h, self.h
 
 
 # phi_k(z) = sum_j z^j / (j + k)!, k = 1, 2, 3, to 20 terms: where |z| < 1
@@ -280,12 +297,11 @@ def _step_factor(err):
     return 2.0 if err == 0 else min(max(0.9 * (TOL / err) ** (1 / 3), 0.2), 2.0)
 
 
-def _increment(grid, fhat, c1, history, dt, work):
-    """The spectrum of the increment D^ of an ETD step dt from the state
-    whose velocity's spectrum is fhat, c1 the step's first divided
-    difference (None at order 1, and the order is 2 while the history has
-    no c1), and its error estimate: (D^, err).  ``work`` is a
-    spectrum-sized scratch buffer.
+def _increment(grid, order, fhat, c1, history, dt, work):
+    """The spectrum of the increment D^ of an ETD step dt of the given
+    order from the state whose velocity's spectrum is fhat, c1 the step's
+    first divided difference (None at order 1), and its error estimate:
+    (D^, err).  ``work`` is a spectrum-sized scratch buffer.
 
     D^ = w1 F^ + w2 c1 + w3 c2 with w1 = h phi_1, w2 = h^2 phi_2 and
     w3 = 2 h^3 phi_3 + h_{n-1} h^2 phi_2, each evaluated on the distinct
@@ -293,7 +309,6 @@ def _increment(grid, fhat, c1, history, dt, work):
     c2 = (c1 - c1_prev) / (h_{n-1} + h_{n-2}); err is the flat L2 norm of
     w3 c2 (0 below order 3)."""
     levels, index = grid.laplace_levels
-    order = 1 if c1 is None else 2 if history.c1 is None else 3
     h1, h2 = history.h, history.h_prev
     phi1, phi2, phi3 = phi_functions(-dt * levels)
     weights = [dt * phi1, dt * dt * phi2]
@@ -314,7 +329,7 @@ def _increment(grid, fhat, c1, history, dt, work):
     return spec, err
 
 
-def step(grid, state, velocity, coh0, dt_max, history):
+def step(grid, state, velocity, coh0, history):
     """One accepted ETD step from state, whose velocity F_n at state.rho
     is given; ``history`` is the run's :class:`History`, which the step
     updates on acceptance and resets to its start on failure.
@@ -333,28 +348,24 @@ def step(grid, state, velocity, coh0, dt_max, history):
     :func:`_step_factor` before any transform, and a candidate that is
     degenerate or increases the energy excess is halved.  The next step is
     the accepted one times 1.1 at orders 1 and 2 and times
-    :func:`_step_factor` from order 3 on, capped at dt_max.  Returns the
-    accepted state and its velocity (see :func:`accept`, which shares the
-    candidate's Base with its energy: one Pfaffian per step).  Raises
-    StepFailure after MAX_RETRIES retries.
+    :func:`_step_factor` from order 3 on; every step is capped at
+    DT_ACCURACY.  Returns the accepted state and its velocity (see
+    :func:`accept`, which shares the candidate's Base with its energy: one
+    Pfaffian per step).  Raises StepFailure after MAX_RETRIES retries.
 
-    The new c1 = (F^ + p) / h_{n-1} overwrites the history's p, and on
-    acceptance the new p takes the memory of D^: the velocity is
-    evaluated beside two spectra."""
+    The new c1 (:meth:`History.next_c1`) overwrites the history's p, and
+    on acceptance the new p (:meth:`History.record`) takes the memory of
+    D^: the velocity is evaluated beside two spectra."""
     order = history.order
     scratch = np.empty(velocity.size)
     fhat = lat.to_spectrum(grid, velocity, scratch)
     work = scratch.reshape(fhat.shape)
-    c1 = None
-    if order > 1:
-        c1 = np.add(fhat, history.p, out=history.p)
-        c1 *= 1.0 / history.h
-        history.p = None
-    dt, shrink = min(state.dt, dt_max), 1.0
+    c1 = history.next_c1(fhat)
+    dt, shrink = min(state.dt, DT_ACCURACY), 1.0
     last_error = "energy increased"
     for _ in range(MAX_RETRIES + 1):
         dt *= shrink
-        spec, err = _increment(grid, fhat, c1, history, dt, work)
+        spec, err = _increment(grid, order, fhat, c1, history, dt, work)
         if err > TOL:
             history.rejected["error_test"] += 1
             last_error = f"error {err:.3e} above TOL = {TOL:g}"
@@ -386,14 +397,11 @@ def step(grid, state, velocity, coh0, dt_max, history):
                 "u_min": state.monitors["u_min"],
                 "energy": state.monitors["energy"],
             })
-    # p = L D^ - F^, in the memory of D^
-    spec *= grid.laplace_symbol[..., None]
-    history.p = np.subtract(spec, fhat, out=spec)
-    history.c1 = c1
-    history.h, history.h_prev = dt, history.h
+    history.record(grid, spec, fhat, c1, dt)
     del scratch, work, fhat, spec
     grow = _step_factor(err) if order == 3 else 1.1
-    return accept(grid, b, state.t + dt, min(dt * grow, dt_max), e_new, coh0)
+    return accept(grid, b, state.t + dt, min(dt * grow, DT_ACCURACY), e_new,
+                  coh0)
 
 
 class _OutputLock:
@@ -517,9 +525,9 @@ def run(config, rho0=None):
             _require_closed(grid, rho0)
             e0 = energy(grid, b0)
             coh0 = lat.cohomology(grid, rho0)
-            # a CFL-style start below the cap; the step then grows by 1.1
-            dt0 = min(0.2 / config.n ** 2, DT_ACCURACY)
-            state, velocity = accept(grid, b0, 0.0, dt0, e0, coh0)
+            # a CFL-style start; the step then grows by 1.1
+            state, velocity = accept(grid, b0, 0.0, 0.2 / config.n ** 2, e0,
+                                     coh0)
             state.monitors["coh_drift_max"] = 0.0
             del b0  # its u is not kept beside the steps
         except DegenerateForm as err:
@@ -553,8 +561,7 @@ def run(config, rho0=None):
             try:
                 while (state.monitors["residual_l2"] >= config.tol_stationary
                        and state.t < config.T):
-                    state, velocity = step(grid, state, velocity, coh0,
-                                           DT_ACCURACY, history)
+                    state, velocity = step(grid, state, velocity, coh0, history)
                     steps += 1
                     if steps % config.out_every == 0:
                         emit(state)

@@ -58,6 +58,8 @@ from donflow import exterior as ext
 SCHEMES = ("spectral", "fd2")
 
 FORM_COMPS = {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+CG_RTOL = 1e-10             # least_norm_potential's relative residual target
+CG_ITERATIONS_PER_N = 50    # and its iteration budget over n
 
 # index tuples of the basis of each degree, in component order
 _BASIS = (((),), ((0,), (1,), (2,), (3,)), ext.IDX2, ext.IDX3,
@@ -150,17 +152,17 @@ class Grid:
     @cached_property
     def laplace_symbol(self):
         """Nonnegative symbol of -laplacian on the real basis, shape
-        (n, n, n, n)."""
-        return sum(b ** 2 for b in _on_axes(self._b(self.real_basis[1])))
+        (n, n, n, n): ``laplace_levels`` gathered."""
+        values, index = self.laplace_levels
+        return values[index]
 
     @cached_property
     def laplace_levels(self):
-        """The distinct values of ``laplace_symbol``, ascending, and the
-        index of each mode's value among them, shape (n, n, n, n): values[
-        index] is the symbol bit for bit.  The symbol sums one b(k)^2 per
-        axis, so its values are the sums over the few distinct b(k)^2 of
-        each axis, taken in the same order; a function of the symbol is
-        evaluated on these values and gathered."""
+        """The distinct values of the symbol of -laplacian, ascending, and
+        the index of each mode's value among them, shape (n, n, n, n).  The
+        symbol sums one b(k)^2 per axis, in axis order, so its values are
+        the sums over the few distinct b(k)^2 of each axis; a function of
+        the symbol is evaluated on these values and gathered."""
         axis_values, axis_index = np.unique(self._b(self.real_basis[1]) ** 2,
                                             return_inverse=True)
         values, index = np.unique(sum(_on_axes(axis_values)),
@@ -175,10 +177,6 @@ class Grid:
         :func:`inv_laplace`."""
         sym = self.laplace_symbol
         return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0)
-
-    def zeros(self, k):
-        c = FORM_COMPS[k]
-        return np.zeros(self.shape if c == 1 else (c,) + self.shape)
 
     def constant(self, comps):
         """Constant 2-form field with the given six components."""
@@ -214,16 +212,14 @@ def to_spectrum(grid, f, scratch=None):
     return out.reshape(grid.shape + (-1,))
 
 
-def from_spectrum(grid, spec, scratch=None, out=None):
+def from_spectrum(grid, spec, scratch, out=None):
     """The field whose spectrum is ``spec`` (see :func:`to_spectrum`), in
     ``out``, a buffer of its size, or in place where ``out`` is None: four
     gemms X.T @ Q take the first axis back to the last, alternating
-    between ``out`` and ``scratch`` (allocated when None).  Returns
+    between ``out`` and ``scratch``, another buffer of that size.  Returns
     ``out``'s memory shaped (components, n, n, n, n)."""
     q = grid.real_basis[0]
     n = grid.n
-    if scratch is None:
-        scratch = np.empty(spec.size)
     if out is None:
         out = spec
     src = spec
@@ -380,7 +376,7 @@ def exact_potential_flat(grid, rhohat):
     return lam0
 
 
-def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
+def least_norm_potential(grid, rhohat, b):
     """Gauge-fixed potential of an exact 2-form field.
 
     Returns the 1-form lam minimizing the metric energy
@@ -391,6 +387,7 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     (closed with zero periods): lam0 + d phi + nu, lam0 the flat potential,
     by CG with nu held as its 4 x 16 parity-class values, each weighted by
     the (n/2)^4 sites of its class, and the Krylov vectors updated in place.
+    CG stops at CG_RTOL and fails after ``CG_ITERATIONS_PER_N * n`` steps.
 
     Parameters
     ----------
@@ -398,18 +395,13 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
         Must lie in the image of d up to 1e-10 (relative L2).
     b : donflow.exterior.Base
         Base point, a (6,n,n,n,n) field.
-    rtol : float
-        Relative residual target of the preconditioned CG solve.
-    max_iter : int
-        Iteration budget, default ``50 * n``.
 
     Raises
     ------
     NotExact, NoConvergence
     """
     lam0 = exact_potential_flat(grid, rhohat)
-    if max_iter is None:
-        max_iter = 50 * grid.n
+    max_iter = CG_ITERATIONS_PER_N * grid.n
     # the closed corrections are d(phi) plus the discrete-harmonic 1-forms
     # nu (constants and the zero-symbol Nyquist combinations)
     n, half = grid.n, grid.n // 2
@@ -456,8 +448,8 @@ def least_norm_potential(grid, rhohat, b, rtol=1e-10, max_iter=None):
     lam_scale = math.sqrt(float(np.sum(lam0 ** 2))) + 1e-300
 
     def converged(rnorm, rz_val):
-        return (rnorm <= rtol * r0
-                or math.sqrt(max(rz_val, 0.0)) <= rtol * lam_scale)
+        return (rnorm <= CG_RTOL * r0
+                or math.sqrt(max(rz_val, 0.0)) <= CG_RTOL * lam_scale)
 
     if r0 == 0.0 or converged(r0, rz):
         return lam0

@@ -368,8 +368,14 @@ def exact_det_inv(m):
     return float(det), np.array([[float(x) for x in row[4:]] for row in a])
 
 
-# lattice's test-only names: the coordinates of the sites and the
-# projection onto the discrete-harmonic modes
+# lattice's test-only names: zero forms, the coordinates of the sites and
+# the projection onto the discrete-harmonic modes
+
+def zeros(grid, k):
+    """The zero k-form field on the lattice."""
+    c = lat.FORM_COMPS[k]
+    return np.zeros(grid.shape if c == 1 else (c,) + grid.shape)
+
 
 def coords(grid):
     """Coordinate arrays x0..x3 of the sites, each broadcastable to the
@@ -447,7 +453,7 @@ def least_norm_potential_full(grid, rhohat, b, rtol=1e-10, max_iter=None):
     b_phi, b_nu = apply_bt(ext.star_rho1(lam0, b))
     r_phi, r_nu = -b_phi, -b_nu
     phi = np.zeros(grid.shape)
-    nu = grid.zeros(1)
+    nu = zeros(grid, 1)
     z_phi, z_nu = lat.inv_laplace(grid, r_phi), r_nu
     p_phi, p_nu = z_phi.copy(), z_nu.copy()
     rz = float(np.sum(r_phi * z_phi) + np.sum(r_nu * z_nu))

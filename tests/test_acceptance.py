@@ -125,7 +125,7 @@ def test_criterion_6_hessian_at_minimum():
         worst = max(worst, abs(h - flat) / flat)
     assert worst <= 1e-10
     x0 = orc.coords(g)[0] + np.zeros(g.shape)
-    mu0 = g.zeros(1)
+    mu0 = orc.zeros(g, 1)
     mu0[1] = np.sin(2 * np.pi * x0)
     val = flow.hessian_form(g, omega, lat.d1(g, mu0))
     assert val == pytest.approx(2 * np.pi ** 2, rel=1e-12)
@@ -147,7 +147,7 @@ def test_criterion_7_covariant_hessian_ledger():
 def test_criterion_8_degeneracy_honesty(tmp_path):
     g = lat.Grid(8)
     x0 = orc.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = orc.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     assert 0 < ext.u_of(rho0).min() < 1e-3

@@ -249,7 +249,7 @@ def test_cli_run_step_failure_exit_2(tmp_path, monkeypatch):
 
     def nearly_degenerate(grid, rng, epsilon=0.05, kmax=2, **kw):
         x0 = orc.coords(grid)[0] + np.zeros(grid.shape)
-        mu = grid.zeros(1)
+        mu = orc.zeros(grid, 1)
         mu[1] = np.sin(2 * np.pi * x0)
         return (grid.constant(OMEGA1)
                 + lat.d1(grid, mu) * 0.9999 / (2 * np.pi))

@@ -142,10 +142,10 @@ def test_first_variation_matches_energy_differences(rng):
 def test_donaldson_norm_values(rng):
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
-    zero = g.zeros(2)
+    zero = oracles.zeros(g, 2)
     assert flow.donaldson_pairing(g, zero, zero, omega) == 0.0
     x0 = oracles.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = oracles.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert flow.donaldson_pairing(g, rh, rh, omega) == pytest.approx(0.5, abs=1e-9)
@@ -191,9 +191,9 @@ def test_donaldson_metric_builds_no_metric_matrices(rng, monkeypatch):
 def test_hessian_at_minimum_worked_value():
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
-    assert flow.hessian_form(g, omega, g.zeros(2)) == 0.0
+    assert flow.hessian_form(g, omega, oracles.zeros(g, 2)) == 0.0
     x0 = oracles.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = oracles.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert flow.hessian_form(g, omega, rh) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
@@ -297,7 +297,7 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
     calls = _count_calls(monkeypatch, "rhs")
     energies = _count_calls(monkeypatch, "energy")
     history = flow.History()
-    new, new_v = flow.step(g, st, v, coh0, dt_max=dt, history=history)
+    new, new_v = flow.step(g, st, v, coh0, history)
     # one rhs: the velocity at the accepted field
     assert len(calls) == 1
     assert len(energies) == 1
@@ -320,8 +320,7 @@ def test_step_reuses_the_accepted_velocity(monkeypatch):
         calls.clear()
         energies.clear()
         verdicts.append(flow.Energy(math.inf))
-        retried, _ = flow.step(g, start, velocity, coh0, dt_max=dt,
-                               history=hist)
+        retried, _ = flow.step(g, start, velocity, coh0, hist)
         assert len(calls) == 1
         assert len(energies) == 2
         assert retried.t - start.t == 0.5 * min(start.dt, dt)
@@ -349,7 +348,7 @@ def test_step_makes_no_transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     history = flow.History()
     for _ in range(3):
-        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+        st, v = flow.step(g, st, v, coh0, history)
         flow.rhs(g, ext.Base(st.rho))
     assert history.order == 3
     assert calls == []
@@ -405,7 +404,7 @@ def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
     history = flow.History()
     for _ in range(2):
-        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+        st, v = flow.step(g, st, v, coh0, history)
     assert history.order == 3
     old_p, old_c1 = history.p, weakref.ref(history.c1)
     to_spectrum, from_spectrum, buffers = lat.to_spectrum, lat.from_spectrum, []
@@ -431,7 +430,7 @@ def test_step_frees_the_old_history_before_the_velocity(monkeypatch):
     monkeypatch.setattr(lat, "to_spectrum", forward)
     monkeypatch.setattr(lat, "from_spectrum", inverse)
     monkeypatch.setattr(flow, "rhs", probe)
-    st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+    st, v = flow.step(g, st, v, coh0, history)
     assert seen == [(True, True, True, True, True)]
     assert history.p.shape == history.c1.shape == g.shape + (6,)
 
@@ -467,7 +466,7 @@ def test_step_follows_the_etd_recurrence(monkeypatch, ratio):
     for h, want in zip(hs, oracles.etd_amplitudes(lam, lap, hs, y0)):
         st.dt = h
         t = st.t
-        st, v = flow.step(g, st, v, coh0, dt_max=h, history=history)
+        st, v = flow.step(g, st, v, coh0, history)
         assert st.t == t + h
         assert st.excess == 0.0
         assert np.abs(st.rho - base - want * mode).max() <= 1e-14 * y0
@@ -477,27 +476,28 @@ def test_step_follows_the_etd_recurrence(monkeypatch, ratio):
     assert history.rejected == dict.fromkeys(flow.REJECTIONS, 0)
 
 
-def test_step_is_stationary_at_minimum():
+def test_step_is_stationary_at_minimum(monkeypatch):
     g = sgrid(8)
     st, v, coh0 = _state(g, g.constant(ext.OMEGA1), dt=0.2 / 64)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 0.2 / 64)
     history = flow.History()
-    new, new_v = flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
+    new, new_v = flow.step(g, st, v, coh0, history)
     assert np.array_equal(new.rho, st.rho)
-    again, _ = flow.step(g, new, new_v, coh0, dt_max=0.2 / 64,
-                         history=history)
+    again, _ = flow.step(g, new, new_v, coh0, history)
     assert np.array_equal(again.rho, st.rho)
     assert new.monitors["energy"] == pytest.approx(2.0, abs=1e-13)
 
 
-def test_step_decreases_energy(rng):
+def test_step_decreases_energy(monkeypatch):
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(5))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
     st, v, coh0 = _state(g, rho0, dt=0.2 / 64)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 0.2 / 64)
     energies = [st.monitors["energy"]]
     history = flow.History()
     for _ in range(10):
-        st, v = flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
+        st, v = flow.step(g, st, v, coh0, history)
         energies.append(st.monitors["energy"])
         assert np.abs(lat.cohomology(g, st.rho) - coh0).max() < 1e-12
     diffs = np.diff(energies)
@@ -505,16 +505,17 @@ def test_step_decreases_energy(rng):
     assert energies[-1] < energies[0]
 
 
-def test_step_survives_huge_dt():
+def test_step_survives_huge_dt(monkeypatch):
     # the implicit Laplacian makes every step size stable on the linear
     # part: steps of dt = 1 from the initial data keep the excess monotone
     g = sgrid(8)
     rng2 = np.random.Generator(np.random.Philox(6))
     rho0 = flow.initial_data(g, rng2, epsilon=0.05, kmax=2)
     st, v, coh0 = _state(g, rho0, dt=1.0)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 1.0)
     history = flow.History()
     for _ in range(3):
-        new, v = flow.step(g, st, v, coh0, dt_max=1.0, history=history)
+        new, v = flow.step(g, st, v, coh0, history)
         assert 0 < new.t - st.t <= 1.0
         assert new.excess <= st.excess
         assert new.monitors["energy"] <= st.monitors["energy"]
@@ -525,16 +526,17 @@ def test_step_survives_huge_dt():
 def test_step_failure_near_degenerate(monkeypatch):
     g = sgrid(8)
     x0 = oracles.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = oracles.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     u = ext.u_of(rho)
     assert 0 < u.min() < 2e-4
     st, v, coh0 = _state(g, rho, dt=0.2 / 64)
     monkeypatch.setattr(flow, "MAX_RETRIES", 8)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 0.2 / 64)
     history = flow.History()
     with pytest.raises(flow.StepFailure) as err:
-        flow.step(g, st, v, coh0, dt_max=0.2 / 64, history=history)
+        flow.step(g, st, v, coh0, history)
     assert history.rejected["degenerate"] + history.rejected[
         "energy_increase"] == 9
     assert err.value.diagnostic["t"] == 0.0
@@ -554,11 +556,11 @@ def test_step_failure_reports_the_order(monkeypatch):
         st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
         history = flow.History()
         for _ in range(before):
-            st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+            st, v = flow.step(g, st, v, coh0, history)
         monkeypatch.setattr(flow, "energy",
                             lambda grid, b: flow.Energy(math.inf))
         with pytest.raises(flow.StepFailure) as err:
-            flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+            flow.step(g, st, v, coh0, history)
         monkeypatch.setattr(flow, "energy", energy)
         orders.append(err.value.diagnostic["order"])
         assert history.order == 1
@@ -615,7 +617,7 @@ def test_error_rejection_costs_no_transform_and_no_energy(monkeypatch):
     st, v, coh0 = _state(g, rho0, flow.DT_ACCURACY)
     history = flow.History()
     for _ in range(2):
-        st, v = flow.step(g, st, v, coh0, flow.DT_ACCURACY, history)
+        st, v = flow.step(g, st, v, coh0, history)
     energies = _count_calls(monkeypatch, "energy")
     inverse, factors = [], []
     from_spectrum, step_factor = lat.from_spectrum, flow._step_factor
@@ -631,7 +633,8 @@ def test_error_rejection_costs_no_transform_and_no_energy(monkeypatch):
     monkeypatch.setattr(lat, "from_spectrum", counted)
     monkeypatch.setattr(flow, "_step_factor", recorded)
     st.dt = 1.0
-    new, _ = flow.step(g, st, v, coh0, 1.0, history)
+    monkeypatch.setattr(flow, "DT_ACCURACY", 1.0)
+    new, _ = flow.step(g, st, v, coh0, history)
     rejected = history.rejected["error_test"]
     assert rejected >= 1
     assert history.rejected["energy_increase"] == 0
@@ -675,6 +678,31 @@ def test_run_stops_a_stall(tmp_path, monkeypatch):
     assert diag["residual_l2"] > cfg.tol_stationary
     assert diag["steps"] == len(calls)
     assert (out / "snapshot_failed.json").exists()
+
+
+@pytest.mark.parametrize("amplitude", [-0.1, -0.05])
+def test_run_reaches_stationarity_in_an_asd_class(tmp_path, monkeypatch,
+                                                  amplitude):
+    # rho0 = omega1 + a omega1_ASD + d(0.02 lam), lam the seed-7 potential
+    # of initial_data, is stationary after 79 (a = -0.1) and 77 (a = -0.05)
+    # steps.  The cap DT_ACCURACY keeps it so: uncapped, the error test
+    # grows the steps past 40, and a = -0.1 stalls at t = 2.95 while
+    # a = -0.05 stops at T on a residual of 7.7e-8
+    step, calls = flow.step, []
+
+    def budgeted(*args, **kwargs):
+        calls.append(None)
+        assert len(calls) <= 100, "no stationarity within 100 steps"
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "step", budgeted)
+    g = sgrid(8)
+    rng = np.random.Generator(np.random.Philox(7))
+    rho0 = flow.initial_data(g, rng, 0.02, 2,
+                             base=ext.OMEGA1 + amplitude * ext.OMEGA1_ASD)
+    cfg = RunConfig(n=8, T=100.0, tol_stationary=1e-8, seed=7, epsilon=0.02,
+                    out_every=50, out_dir=str(tmp_path / "out"))
+    assert flow.run(cfg, rho0=rho0).reason == "stationary"
 
 
 def test_run_fd2_scheme(tmp_path):
@@ -819,7 +847,7 @@ def test_run_reaches_stationarity_above_the_dt_bound(tmp_path, monkeypatch, seed
 def test_run_flush_on_failure(tmp_path):
     g = lat.Grid(8)
     x0 = oracles.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = oracles.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rho0 = g.constant(ext.OMEGA1) + lat.d1(g, mu) * 0.9999 / (2 * np.pi)
     cfg = RunConfig(n=8, T=1.0, out_dir=str(tmp_path / "out"))
@@ -961,11 +989,10 @@ def test_run_decays_at_the_fd2_gap(tmp_path):
 def _fixed_steps(grid, start, t_end, k):
     """The fields at the ends of k steps of size h = t_end / k, the first
     len(start) - 1 of them given: ``start`` holds the fields at t = 0, h,
-    ..., which seed the history, so with three the first step taken is
-    ETD3 and with one it is ETD1.  A given step of increment D from the
-    field of velocity F leaves the history's p = L D^ - F^, and the c1
-    of the step after it is (F^' + p) / h, in the spectra of the transform
-    halves.  The error test is off, as the steps are given."""
+    ..., which seed the history through :meth:`flow.History.next_c1` and
+    :meth:`flow.History.record`, so with three the first step taken is
+    ETD3 and with one it is ETD1.  The error test is off, as the steps
+    are given."""
     h = t_end / k
     coh0 = lat.cohomology(grid, start[0])
     fields, history = [start[0]], flow.History()
@@ -973,11 +1000,9 @@ def _fixed_steps(grid, start, t_end, k):
     st, v = flow.accept(grid, b, 0.0, h, flow.energy(grid, b), coh0)
     for i, rho in enumerate(start[1:], 1):
         fhat = lat.to_spectrum(grid, v)
-        if history.p is not None:
-            history.c1 = (fhat + history.p) / h
-        history.p = (lat.to_spectrum(grid, rho - fields[-1])
-                     * grid.laplace_symbol[..., None] - fhat)
-        history.h, history.h_prev = h, history.h
+        c1 = history.next_c1(fhat)
+        history.record(grid, lat.to_spectrum(grid, rho - fields[-1]), fhat,
+                       c1, h)
         b = ext.Base(rho)
         st, v = flow.accept(grid, b, i * h, h, flow.energy(grid, b), coh0)
         fields.append(rho)
@@ -985,7 +1010,7 @@ def _fixed_steps(grid, start, t_end, k):
         mp.setattr(flow, "TOL", math.inf)      # the steps are given
         while len(fields) <= k:
             st.dt = h
-            st, v = flow.step(grid, st, v, coh0, h, history)
+            st, v = flow.step(grid, st, v, coh0, history)
             fields.append(st.rho)
     assert st.t == pytest.approx(t_end, rel=1e-12)   # no step was rejected
     return fields

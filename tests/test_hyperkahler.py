@@ -168,9 +168,9 @@ def test_hessiancov_c_is_the_bracket_integral(rng):
 def test_hessian_hk_matches_hessian_form(rng):
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
-    assert hk.hessian_hk(g, omega, g.zeros(2)) == 0.0
+    assert hk.hessian_hk(g, omega, orc.zeros(g, 2)) == 0.0
     x0 = orc.coords(g)[0] + np.zeros(g.shape)
-    mu = g.zeros(1)
+    mu = orc.zeros(g, 1)
     mu[1] = np.sin(2 * np.pi * x0)
     rh = lat.d1(g, mu)
     assert hk.hessian_hk(g, omega, rh) == pytest.approx(2 * np.pi ** 2, rel=1e-12)
@@ -196,9 +196,9 @@ def test_vector_from_potential_solves_contraction(rng):
 def test_khat_hhat_zero_direction():
     g = sgrid(8)
     omega = ext.Base(g.constant(ext.OMEGA1))
-    zero_mu = g.zeros(1)
+    zero_mu = orc.zeros(g, 1)
     x = hk.vector_from_potential(omega, zero_mu)
-    khat, hhat = orc.khat_hhat(g, omega, g.zeros(2), x)
+    khat, hhat = orc.khat_hhat(g, omega, orc.zeros(g, 2), x)
     assert np.abs(khat).max() == 0.0
     assert np.abs(hhat).max() < 1e-13
 
@@ -268,8 +268,8 @@ def test_hessiancov_at_minimum(rng):
 
 def test_hessiancov_zero_direction():
     g = sgrid(8)
-    rep = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)), g.zeros(2),
-                              mu=g.zeros(1))
+    rep = hk.hessiancov_check(g, ext.Base(g.constant(ext.OMEGA1)), orc.zeros(g, 2),
+                              mu=orc.zeros(g, 1))
     for key in ("A", "B", "C", "D", "E"):
         assert rep[key] == 0.0
 

@@ -57,6 +57,21 @@ def test_convergence_sweep_is_a_gate(tmp_path, capsys, monkeypatch):
     assert [row["reason"] for row in rows] == ["time"]
 
 
+def test_convergence_sweep_counts_unfinished_rows(tmp_path, capsys,
+                                                 monkeypatch):
+    # a row that stops at T with its residual at or below 1e-6 neither
+    # fails nor cycles: the last line counts it as unfinished
+    args = ["--n", "4", "--seeds", "1", "--epsilons", "0.05", "--tol", "1e-7",
+            "--out", str(tmp_path / "sweep.csv")]
+    flow_run = flow.run
+    monkeypatch.setattr(
+        flow, "run", lambda cfg, rho0=None: dataclasses.replace(
+            flow_run(cfg, rho0=rho0), reason="time"))
+    assert _main("convergence_experiment")(args) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0/1 stationary; 0 failed, 0 cycling, 1 unfinished")
+
+
 def test_convergence_sweep_records_failures_and_asd_classes(
         tmp_path, capsys, monkeypatch):
     # --asd starts each run in the class of omega1 + a omega_i^ASD; a run

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import oracles as orc
 import pytest
 
 from donflow import lattice as lat
@@ -28,7 +29,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
 
 def test_snapshot_header_contents(tmp_path, rng):
     g = lat.Grid(8)
-    rho = g.zeros(2)
+    rho = orc.zeros(g, 2)
     hdr = save_snapshot(tmp_path / "s", g, rho, 1.0)
     meta = json.loads(hdr.read_text())
     assert meta["n"] == 8
@@ -45,7 +46,7 @@ def test_snapshot_shape_mismatch(tmp_path):
 
 def test_snapshot_rejects_foreign_component_order(tmp_path):
     g = lat.Grid(8)
-    hdr = save_snapshot(tmp_path / "s", g, g.zeros(2), 0.0)
+    hdr = save_snapshot(tmp_path / "s", g, orc.zeros(g, 2), 0.0)
     meta = json.loads(hdr.read_text())
     meta["component_order"] = ["c01", "c02", "c03", "c12", "c13", "c23"]
     hdr.write_text(json.dumps(meta))
@@ -63,7 +64,7 @@ def test_snapshot_rejects_foreign_component_order(tmp_path):
 ], ids=["truncated", "dtype", "nan"])
 def test_snapshot_rejects_bad_payload(tmp_path, corrupt, message):
     g = lat.Grid(8)
-    hdr = save_snapshot(tmp_path / "s", g, g.zeros(2), 0.0)
+    hdr = save_snapshot(tmp_path / "s", g, orc.zeros(g, 2), 0.0)
     corrupt(hdr, json.loads(hdr.read_text()), tmp_path / "s.bin")
     with pytest.raises(ValueError, match=message):
         load_snapshot(hdr)
@@ -73,7 +74,7 @@ def test_snapshot_missing_files_are_value_errors(tmp_path):
     with pytest.raises(ValueError, match="header .*nonexist.json"):
         load_snapshot(tmp_path / "nonexist.json")
     g = lat.Grid(8)
-    hdr = save_snapshot(tmp_path / "s", g, g.zeros(2), 0.0)
+    hdr = save_snapshot(tmp_path / "s", g, orc.zeros(g, 2), 0.0)
     (tmp_path / "s.bin").unlink()
     with pytest.raises(ValueError, match="payload .*s.bin"):
         load_snapshot(hdr)
@@ -82,7 +83,7 @@ def test_snapshot_missing_files_are_value_errors(tmp_path):
 @pytest.mark.parametrize("key", ["n", "scheme", "payload", "time", "monitors"])
 def test_snapshot_rejects_header_without_key(tmp_path, key):
     g = lat.Grid(8)
-    hdr = save_snapshot(tmp_path / "s", g, g.zeros(2), 0.0)
+    hdr = save_snapshot(tmp_path / "s", g, orc.zeros(g, 2), 0.0)
     meta = json.loads(hdr.read_text())
     del meta[key]
     hdr.write_text(json.dumps(meta))
